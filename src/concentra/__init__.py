@@ -19,8 +19,7 @@ from .models import (AssumptionConstants, ConstraintInfeasibleError,
 from .wkb import (WkbError, WkbField, from_wkb, hessian_at, locate_max,
                   regularity_monitor, to_wkb)
 from .pde import (ConfigError, ImexIntegrator, RunResult, SimulationConfig,
-                  SimulationState, SolverError, imex_step_global,
-                  imex_step_local, imex_step_vardiff, init_density,
+                  SimulationState, SolverError, init_density,
                   run_simulation, write_series_csv, write_trajectory_csv)
 from .canonical import (ClosureError, ConcentrationTrajectory, HessianClosure,
                         canonical_rhs, gradient_flow_rate,
@@ -28,8 +27,8 @@ from .canonical import (ClosureError, ConcentrationTrajectory, HessianClosure,
                         lyapunov_local, no_mutation_weight_ode,
                         persistence_envelope, riccati_hessian_rhs)
 from .diagnostics import (MacroSeries, compare_trajectories,
-                          constraint_residual, macro_series,
-                          monotonicity_violation, total_variation)
+                          constraint_residual, monotonicity_violation,
+                          total_variation)
 from .scenarios import (Scenario, ScenarioError, bundled_scenario_names,
                         load_bundled, load_scenario)
 

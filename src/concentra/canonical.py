@@ -5,14 +5,13 @@ diagnostics."""
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .models import (ConstraintInfeasibleError, GlobalInteractionModel,
-                     LocalCompetitionModel, ModelError, ROOT_TOL,
-                     invert_constraint, phi_potential)
+                     LocalCompetitionModel, ModelError, invert_constraint)
 
 
 class ClosureError(ValueError):
@@ -139,9 +138,9 @@ def riccati_hessian_rhs(x_bar, macro, hessian, model):
     return 0.5 * (out + out.T)
 
 
-def _multiplier(model, x, guess=None):
+def _multiplier(model, x):
     if isinstance(model, GlobalInteractionModel):
-        return invert_constraint(model, x, guess=guess)
+        return invert_constraint(model, x)
     return _local_multiplier(model, x)
 
 
@@ -180,12 +179,11 @@ def integrate_canonical(x0, closure: HessianClosure, model, dt: float,
     macros = [_multiplier(model, x)]
     hessians = [np.atleast_2d(hess_at(0.0, H))]
     exit_time = None
-    guess = macros[0]
 
     t = 0.0
     for _ in range(steps):
         def rhs(tau, xs, Hs):
-            m = _multiplier(model, xs, guess=guess)
+            m = _multiplier(model, xs)
             Hc = hess_at(tau, Hs)
             v = canonical_rhs(xs, Hc, model, macro=m)
             dH = riccati_hessian_rhs(xs, m, Hs, model) \
@@ -213,8 +211,7 @@ def integrate_canonical(x0, closure: HessianClosure, model, dt: float,
                 warnings.warn(f"canonical trajectory left the domain at "
                               f"t={t:.6g}; truncated", RuntimeWarning)
                 break
-        m = _multiplier(model, x, guess=guess)
-        guess = m
+        m = _multiplier(model, x)
         times.append(t)
         pts.append(x.copy())
         macros.append(m)

@@ -27,10 +27,9 @@ import numpy as np
 from . import canonical as canon
 from . import diagnostics as diag
 from .grid import GridError, write_field_csv
-from .models import (AssumptionConstants, ConstraintInfeasibleError,
-                     GlobalInteractionModel, LocalCompetitionModel,
-                     ModelError, check_assumptions)
-from .pde import (ConfigError, SolverError, run_simulation, u0_peaks,
+from .models import (ConstraintInfeasibleError, LocalCompetitionModel,
+                     ModelError, QuadraticFunction, check_assumptions)
+from .pde import (CG_RTOL, ConfigError, SolverError, run_simulation, u0_peaks,
                   write_series_csv, write_trajectory_csv, read_trajectory_csv)
 from .scenarios import Scenario, ScenarioError, load_scenario
 from .wkb import DENSITY_FLOOR, WkbError
@@ -65,7 +64,6 @@ def _resolved_params(sc: Scenario, overrides=None) -> dict:
     cfg.setdefault("variant", "global")
     cfg.setdefault("snapshot_every", 0)
     cfg.setdefault("mass_target", 0.3)
-    cfg.setdefault("picard", 0)
     if overrides:
         cfg.update(overrides)
     grid = sc.build_grid()
@@ -77,7 +75,7 @@ def _resolved_params(sc: Scenario, overrides=None) -> dict:
         "boundary_rule": "no-flux",
         "weight_note": "interaction weight psi taken identically 1 in all "
                        "bundled scenarios",
-        "cg_rtol": 1e-10,
+        "cg_rtol": CG_RTOL,
         "density_floor": DENSITY_FLOOR,
     }
     return resolved
@@ -91,26 +89,11 @@ def _artifact_dir(out_root, sc: Scenario, resolved: dict):
     return path
 
 
-class _U0Adapter:
-    """value/hess view of a single initial bump, for assumption checks."""
-
-    def __init__(self, bump):
-        self.center = np.asarray(bump["center"], dtype=float)
-        self.weights = np.asarray(bump["weights"], dtype=float)
-
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        return -((x - self.center) ** 2 * self.weights).sum(axis=-1)
-
-    def hess(self, x):
-        x = np.asarray(x, dtype=float)
-        h = np.diag(-2.0 * self.weights)
-        return np.broadcast_to(h, x.shape + (len(self.weights),)).copy()
-
-
 def _assumption_report(sc: Scenario, model, b):
     constants = sc.build_constants()
-    u0 = _U0Adapter(sc.u0[0]) if len(sc.u0) == 1 else None
+    u0 = None
+    if len(sc.u0) == 1:   # value/hess of the single initial bump
+        u0 = QuadraticFunction(0.0, sc.u0[0]["center"], sc.u0[0]["weights"])
     rep = check_assumptions(model, constants, sc.domain(), b=b, u0=u0)
     return rep.to_dict()
 
@@ -264,18 +247,22 @@ def _sweep_one(sc: Scenario, eps: float, out_root: str):
     b = sc_eps.build_diffusion()
     resolved = _resolved_params(sc_eps)
     outdir = _artifact_dir(out_root, sc_eps, resolved)
-    result = run_simulation(config, model, grid, sc_eps.u0,
-                            probes=sc_eps.probes, b=b,
-                            constants=sc_eps.build_constants())
-    write_series_csv(result, os.path.join(outdir, "series.csv"))
-    t_layer = 10 * config.dt
-    _, post = diag.constraint_residual(result.trajectory, model,
-                                       t_layer=t_layer)
-    traj, c_res, _ = _canonical_run(sc_eps, model, "from_pde",
-                                    pde_result=result,
-                                    dt=config.dt, T=config.steps * config.dt)
-    sup, _, _ = diag.compare_trajectories(result.trajectory, traj)
-    mono = diag.monotonicity_violation(result.series.I)
+    try:
+        result = run_simulation(config, model, grid, sc_eps.u0,
+                                probes=sc_eps.probes, b=b,
+                                constants=sc_eps.build_constants())
+        write_series_csv(result, os.path.join(outdir, "series.csv"))
+        t_layer = 10 * config.dt
+        _, post = diag.constraint_residual(result.trajectory, model,
+                                           t_layer=t_layer)
+        traj, _, _ = _canonical_run(sc_eps, model, "from_pde",
+                                    pde_result=result, dt=config.dt,
+                                    T=config.steps * config.dt)
+        sup, _, _ = diag.compare_trajectories(result.trajectory, traj)
+        mono = diag.monotonicity_violation(result.series.I)
+    except BaseException:
+        shutil.rmtree(outdir, ignore_errors=True)
+        raise
     return {"epsilon": eps, "residual_post_layer": post, "sup_distance": sup,
             "monotonicity_violation": mono, "dir": outdir, "status": "ok"}
 

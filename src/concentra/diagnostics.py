@@ -1,5 +1,5 @@
-"""Time-series analytics: macro observables, BV/monotonicity checks,
-constraint residuals, trajectory comparison."""
+"""Time-series analytics: the macro-observable series, BV/monotonicity
+checks, constraint residuals, trajectory comparison."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import boundary_ring_mass, convolve_kernel, integrate
 from .models import GlobalInteractionModel
 
 
@@ -39,35 +38,6 @@ class MacroSeries:
             raise DiagnosticsError("times must be strictly increasing")
         if np.any(self.rho < 0):
             raise DiagnosticsError("rho must be nonnegative")
-
-
-def macro_series(states, model, epsilon: float) -> MacroSeries:
-    """Reduce a sequence of simulation states to the macro observables."""
-    times, Is, rhos, Js, bms = [], [], [], [], []
-    for st in states:
-        n = st.density
-        grid = n.grid
-        nodes = grid.nodes()
-        if isinstance(model, GlobalInteractionModel):
-            psi = np.asarray(model.weight(nodes), dtype=float)
-            i_val = float((psi * n.values).sum() * grid.cell_volume)
-            r_vals = np.asarray(model.rate(nodes, i_val), dtype=float)
-        else:
-            if st.macro is not None and hasattr(st.macro, "values"):
-                comp = st.macro.values
-            else:
-                comp = convolve_kernel(n, model.kernel).values
-            i_val = float(n.values.sum() * grid.cell_volume)
-            psi = np.ones(grid.shape)
-            r_vals = np.asarray(model.intrinsic.value(nodes), dtype=float) - comp
-        times.append(st.time)
-        Is.append(i_val)
-        rhos.append(integrate(n, 1))
-        Js.append(float((psi * r_vals * n.values).sum()
-                        * grid.cell_volume) / epsilon)
-        bms.append(boundary_ring_mass(n))
-    return MacroSeries(np.array(times), np.array(Is), np.array(rhos),
-                       np.array(Js), np.array(bms))
 
 
 def total_variation(series) -> float:
@@ -131,8 +101,3 @@ def monotonicity_violation(series, tol: float = 0.0) -> float:
         raise DiagnosticsError("monotonicity needs at least two samples")
     return float(np.diff(s).min())
 
-
-def make_report(check_name: str, value, threshold, verdict: bool,
-                window=None) -> dict:
-    return {"check_name": check_name, "value": value, "threshold": threshold,
-            "verdict": bool(verdict), "window": window}

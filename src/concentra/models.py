@@ -8,7 +8,7 @@ and are never mutated after construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -66,6 +66,27 @@ class QuadraticFunction:
         x = np.asarray(x, dtype=float)
         eye = np.diag(2.0 * self.weights)
         return np.broadcast_to(-eye, x.shape + (len(self.weights),)).copy()
+
+
+class LinearFunction:
+    """f(x) = c0 + slope . x with analytic derivatives."""
+
+    def __init__(self, c0, slope):
+        self.c0 = float(c0)
+        self.slope = np.atleast_1d(np.asarray(slope, dtype=float))
+
+    def value(self, x):
+        x = np.asarray(x, dtype=float)
+        return self.c0 + (self.slope * x).sum(axis=-1)
+
+    def grad(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.broadcast_to(self.slope, x.shape).copy()
+
+    def hess(self, x):
+        x = np.asarray(x, dtype=float)
+        d = len(self.slope)
+        return np.zeros(x.shape[:-1] + (d, d))
 
 
 class ConstantWeight:
@@ -239,7 +260,11 @@ def _fd_hess(f, x):
 
 @dataclass(frozen=True)
 class GlobalInteractionModel:
-    """Growth law R(x, I) driven by the weighted total population I."""
+    """Growth law R(x, I) driven by the weighted total population I.
+
+    `growth` and `coef_I` are set when R = growth(x) - coef_I * I; the
+    constraint R = 0 is then solved in closed form.
+    """
 
     dimension: int
     rate: Callable
@@ -249,6 +274,8 @@ class GlobalInteractionModel:
     weight: ConstantWeight
     I_M: Optional[float] = None
     name: str = ""
+    growth: object = None
+    coef_I: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -378,14 +405,15 @@ def eval_growth(model, x, macro):
     return out if out.ndim else float(out)
 
 
-def invert_constraint(model: GlobalInteractionModel, x, i_hi=None, guess=None):
+def invert_constraint(model: GlobalInteractionModel, x):
     """Solve R(x, I) = 0 for the unique nonnegative root.
 
-    Bisection brackets the root, a Newton polish using dR/dI drives the
-    residual below ROOT_TOL.  `guess` warm-starts Newton (used along
-    canonical trajectories).
+    When R = g(x) - c I (every built-in family) the root is g(x) / c.  Other
+    rates are bracketed by bisection, then a Newton polish using dR/dI drives
+    the residual below ROOT_TOL.
     """
     x = np.asarray(x, dtype=float)
+    closed_form = model.growth is not None
 
     def f(i):
         return float(model.rate(x, i))
@@ -393,37 +421,26 @@ def invert_constraint(model: GlobalInteractionModel, x, i_hi=None, guess=None):
     def df(i):
         return float(model.d_rate_dI(x, i))
 
-    f0 = f(0.0)
+    f0 = float(model.growth.value(x)) if closed_form else f(0.0)
+    if not math.isfinite(f0):
+        raise ModelError(f"non-finite growth rate at x={x.tolist()}")
     if f0 <= 0.0:
         if f0 < -ROOT_TOL:
             raise ConstraintInfeasibleError(x, f0, f0, 0.0)
         return 0.0
+    if closed_form:
+        if not model.coef_I > 0.0:   # R(x, I) >= g(x) > 0 at every I
+            raise ConstraintInfeasibleError(x, f0, f0, math.inf)
+        return f0 / model.coef_I
 
-    if guess is not None and guess > 0.0:
-        i = float(guess)
-        for _ in range(12):
-            fi = f(i)
-            if abs(fi) <= ROOT_TOL:
-                return max(i, 0.0)
-            d = df(i)
-            if not d < 0.0:
+    if model.I_M is not None:
+        i_hi = I_HI_MARGIN * model.I_M
+    else:
+        i_hi = 1.0
+        for _ in range(60):
+            if f(i_hi) < 0.0:
                 break
-            step = fi / d
-            i_new = i - step
-            if i_new < 0.0 or not np.isfinite(i_new):
-                break
-            i = i_new
-        # fall through to the robust bracket
-
-    if i_hi is None:
-        if model.I_M is not None:
-            i_hi = I_HI_MARGIN * model.I_M
-        else:
-            i_hi = 1.0
-            for _ in range(60):
-                if f(i_hi) < 0.0:
-                    break
-                i_hi *= 2.0
+            i_hi *= 2.0
     fh = f(i_hi)
     if fh > 0.0:
         raise ConstraintInfeasibleError(x, f0, fh, i_hi)
@@ -710,27 +727,6 @@ def check_assumptions(model, constants: AssumptionConstants, domain,
     return AssumptionReport(checks, warnings)
 
 
-def diffusion_hessian_brackets(constants: AssumptionConstants, b_m: float,
-                               b_M: float):
-    """Initial-Hessian bracket (-K_under_b, -K_bar_b) implied by the
-    variable-diffusion constants."""
-    c = constants
-    need = (c.B_1, c.B_2, c.C_grad_u, c.K_bar_1, c.K_under_1)
-    if any(v is None for v in need):
-        raise ModelError("diffusion brackets need B_1, B_2, C_grad_u, "
-                         "K_bar_1, K_under_1")
-    disc_hi = 4.0 * c.B_1 ** 2 - 2.0 * b_M * (c.B_2 * c.C_grad_u ** 2
-                                              - 2.0 * c.K_bar_1)
-    disc_lo = 4.0 * c.B_1 ** 2 + 2.0 * b_m * (c.B_2 * c.C_grad_u ** 2
-                                              + 2.0 * c.K_under_1)
-    if disc_hi < 0 or disc_lo < 0:
-        raise ModelError("diffusion bracket discriminant negative; "
-                         "constants incompatible")
-    k_bar_b = (2.0 * c.B_1 - np.sqrt(disc_hi)) / b_M
-    k_under_b = (-2.0 * c.B_1 - np.sqrt(disc_lo)) / b_m
-    return k_under_b, k_bar_b
-
-
 # --- registry of built-in families ------------------------------------------
 
 def _as_weight(spec):
@@ -743,137 +739,95 @@ def _as_weight(spec):
     raise ModelError(f"unsupported weight spec {spec!r}")
 
 
-def build_affine_global(params, dimension):
-    a = float(params.get("a", 2.0))
-    slope = np.atleast_1d(np.asarray(params.get("slope", [1.0] * dimension),
-                                     dtype=float))
-    ci = float(params.get("coef_I", 1.0))
-    if len(slope) != dimension:
-        raise ModelError("slope length must match dimension")
+def affine_in_I_model(g, coef_I, dimension, psi, name):
+    """Global model R(x, I) = g(x) - coef_I * I with weight spec `psi`; the
+    x-derivatives are g's."""
+    c = float(coef_I)
 
     def rate(x, I):
-        x = np.asarray(x, dtype=float)
-        return a - ci * np.asarray(I, dtype=float) - (slope * x).sum(axis=-1)
+        return g.value(x) - c * np.asarray(I, dtype=float)
 
     def grad(x, I):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(-slope, x.shape).copy()
+        return g.grad(x)
 
     def hess(x, I):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1] + (dimension, dimension))
+        return g.hess(x)
 
     def d_i(x, I):
         x = np.asarray(x, dtype=float)
-        return np.full(np.broadcast_shapes(x.shape[:-1],
-                                           np.shape(I)), -ci)
+        return np.full(np.broadcast_shapes(x.shape[:-1], np.shape(I)), -c)
 
     return GlobalInteractionModel(dimension, rate, grad, hess, d_i,
-                                  _as_weight(params.get("psi")), None,
-                                  "affine_global")
+                                  _as_weight(psi), name=name, growth=g,
+                                  coef_I=c)
+
+
+def build_affine_global(params, dimension):
+    slope = np.atleast_1d(np.asarray(params.get("slope", [1.0] * dimension),
+                                     dtype=float))
+    if len(slope) != dimension:
+        raise ModelError("slope length must match dimension")
+    g = LinearFunction(params.get("a", 2.0), -slope)
+    return affine_in_I_model(g, params.get("coef_I", 1.0), dimension,
+                             params.get("psi"), "affine_global")
 
 
 def build_quadratic_global(params, dimension):
-    k0 = float(params.get("k0", 1.0))
-    center = np.atleast_1d(np.asarray(params.get("center", [0.0] * dimension),
-                                      dtype=float))
-    weights = np.atleast_1d(np.asarray(params.get("weights", [1.0] * dimension),
-                                       dtype=float))
     ci = float(params.get("coef_I", 1.0))
     if ci <= 0:
         raise ModelError("coef_I must be positive")
-    q = QuadraticFunction(k0, center, weights)
+    g = QuadraticFunction(params.get("k0", 1.0),
+                          params.get("center", [0.0] * dimension),
+                          params.get("weights", [1.0] * dimension))
+    return affine_in_I_model(g, ci, dimension, params.get("psi"),
+                             "quadratic_global")
 
-    def rate(x, I):
-        return q.value(x) - ci * np.asarray(I, dtype=float)
 
-    def grad(x, I):
-        return q.grad(x)
+class _Scenario2Growth:
+    """g(x, y) = a + cy (y - y0)_+^2 + cx (x - x0)."""
 
-    def hess(x, I):
-        return q.hess(x)
+    def __init__(self, a, cy, cx, x0, y0):
+        self.a, self.cy, self.cx = float(a), float(cy), float(cx)
+        self.x0, self.y0 = float(x0), float(y0)
 
-    def d_i(x, I):
+    def value(self, x):
         x = np.asarray(x, dtype=float)
-        return np.full(np.broadcast_shapes(x.shape[:-1], np.shape(I)), -ci)
+        yp = np.maximum(x[..., 1] - self.y0, 0.0)
+        return self.a + self.cy * yp ** 2 + self.cx * (x[..., 0] - self.x0)
 
-    return GlobalInteractionModel(dimension, rate, grad, hess, d_i,
-                                  _as_weight(params.get("psi")), k0 / ci,
-                                  "quadratic_global")
+    def grad(self, x):
+        x = np.asarray(x, dtype=float)
+        g = np.empty(x.shape)
+        g[..., 0] = self.cx
+        g[..., 1] = 2.0 * self.cy * np.maximum(x[..., 1] - self.y0, 0.0)
+        return g
+
+    def hess(self, x):
+        x = np.asarray(x, dtype=float)
+        h = np.zeros(x.shape[:-1] + (2, 2))
+        h[..., 1, 1] = 2.0 * self.cy * (x[..., 1] > self.y0)
+        return h
 
 
 def build_scenario2(params, dimension):
     """R = 0.9 - I + 5 (y - 0.3)_+^2 + 2.3 (x - 0.3) on the plane."""
     if dimension != 2:
         raise ModelError("this growth law is two-dimensional")
-    a = float(params.get("a", 0.9))
-    cy = float(params.get("cy", 5.0))
-    cx = float(params.get("cx", 2.3))
-    x0 = float(params.get("x0", 0.3))
-    y0 = float(params.get("y0", 0.3))
-
-    def rate(x, I):
-        x = np.asarray(x, dtype=float)
-        yp = np.maximum(x[..., 1] - y0, 0.0)
-        return a - np.asarray(I, dtype=float) + cy * yp ** 2 + cx * (x[..., 0] - x0)
-
-    def grad(x, I):
-        x = np.asarray(x, dtype=float)
-        g = np.empty(x.shape)
-        g[..., 0] = cx
-        g[..., 1] = 2.0 * cy * np.maximum(x[..., 1] - y0, 0.0)
-        return g
-
-    def hess(x, I):
-        x = np.asarray(x, dtype=float)
-        h = np.zeros(x.shape[:-1] + (2, 2))
-        h[..., 1, 1] = 2.0 * cy * (x[..., 1] > y0)
-        return h
-
-    def d_i(x, I):
-        x = np.asarray(x, dtype=float)
-        return np.full(np.broadcast_shapes(x.shape[:-1], np.shape(I)), -1.0)
-
-    return GlobalInteractionModel(2, rate, grad, hess, d_i,
-                                  _as_weight(params.get("psi")), None,
-                                  "scenario2")
+    g = _Scenario2Growth(params.get("a", 0.9), params.get("cy", 5.0),
+                         params.get("cx", 2.3), params.get("x0", 0.3),
+                         params.get("y0", 0.3))
+    return affine_in_I_model(g, 1.0, 2, params.get("psi"), "scenario2")
 
 
 def build_scenario3(params, dimension):
     """R = 3 - 1.5 I + 5.6 (y^2 + R_e x^2); R_e breaks the circular symmetry."""
     if dimension != 2:
         raise ModelError("this growth law is two-dimensional")
-    r_e = float(params.get("r_e", 1.0))
-    a = float(params.get("a", 3.0))
-    ci = float(params.get("coef_I", 1.5))
     k = float(params.get("k", 5.6))
-
-    def rate(x, I):
-        x = np.asarray(x, dtype=float)
-        return (a - ci * np.asarray(I, dtype=float)
-                + k * (x[..., 1] ** 2 + r_e * x[..., 0] ** 2))
-
-    def grad(x, I):
-        x = np.asarray(x, dtype=float)
-        g = np.empty(x.shape)
-        g[..., 0] = 2.0 * k * r_e * x[..., 0]
-        g[..., 1] = 2.0 * k * x[..., 1]
-        return g
-
-    def hess(x, I):
-        x = np.asarray(x, dtype=float)
-        h = np.zeros(x.shape[:-1] + (2, 2))
-        h[..., 0, 0] = 2.0 * k * r_e
-        h[..., 1, 1] = 2.0 * k
-        return h
-
-    def d_i(x, I):
-        x = np.asarray(x, dtype=float)
-        return np.full(np.broadcast_shapes(x.shape[:-1], np.shape(I)), -ci)
-
-    return GlobalInteractionModel(2, rate, grad, hess, d_i,
-                                  _as_weight(params.get("psi")), None,
-                                  "scenario3")
+    g = QuadraticFunction(params.get("a", 3.0), [0.0, 0.0],
+                          [-k * float(params.get("r_e", 1.0)), -k])
+    return affine_in_I_model(g, params.get("coef_I", 1.5), 2,
+                             params.get("psi"), "scenario3")
 
 
 def _build_kernel(spec, dimension):

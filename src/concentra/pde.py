@@ -9,8 +9,7 @@ implicitly via a matrix-free conjugate-gradient solve of
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, cg
@@ -41,7 +40,7 @@ class DegenerateInitializationError(ConfigError):
 
 
 class SolverError(RuntimeError):
-    """The implicit diffusion solve failed."""
+    """A PDE step failed: reaction overflow or a failed diffusion solve."""
 
 
 @dataclass
@@ -52,7 +51,6 @@ class SimulationConfig:
     model_variant: str = "global"
     snapshot_every: int = 0
     mass_target: float = 0.3
-    picard: int = 0          # extra fixed-point sweeps of the reaction coupling
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -189,10 +187,7 @@ class ImexIntegrator:
     def step(self, state: SimulationState) -> SimulationState:
         cfg = self.config
         n = state.density.values
-        rate, macro = self.rate_field(state.density, state.macro)
-        for _ in range(cfg.picard):
-            n_try = n * np.exp(cfg.dt * rate / cfg.epsilon)
-            rate, macro = self.rate_field(DensityField(self.grid, n_try))
+        rate, _ = self.rate_field(state.density, state.macro)
 
         advisory = cfg.dt * float(np.abs(rate).max()) / cfg.epsilon
         if advisory > 1.0 and not self.advisories:
@@ -200,7 +195,11 @@ class ImexIntegrator:
                 f"dt*sup|R|/eps = {advisory:.3g} > 1: explicit reaction "
                 "update may be inaccurate")
 
-        n_star = n * np.exp(cfg.dt * rate / cfg.epsilon)
+        with np.errstate(over="ignore", invalid="ignore"):
+            n_star = n * np.exp(cfg.dt * rate / cfg.epsilon)
+        if not np.isfinite(n_star).all():
+            raise SolverError(f"reaction update overflowed: dt*sup|R|/eps = "
+                              f"{advisory:.3g}; reduce dt or raise epsilon")
         rhs = n_star.reshape(-1)
         x0 = self._prev if self._prev is not None else rhs
         sol, info = cg(self._operator, rhs, x0=x0, rtol=CG_RTOL, atol=0.0,
@@ -217,22 +216,6 @@ class ImexIntegrator:
                               f"{low:.3e} (peak {peak:.3e})")
         density = DensityField(self.grid, np.maximum(sol, 0.0))
         return SimulationState(state.time + cfg.dt, density, None)
-
-
-def imex_step_global(state: SimulationState, model: GlobalInteractionModel,
-                     config: SimulationConfig) -> SimulationState:
-    return ImexIntegrator(state.density.grid, model, config).step(state)
-
-
-def imex_step_local(state: SimulationState, model: LocalCompetitionModel,
-                    config: SimulationConfig) -> SimulationState:
-    return ImexIntegrator(state.density.grid, model, config).step(state)
-
-
-def imex_step_vardiff(state: SimulationState, model: GlobalInteractionModel,
-                      b: DiffusionCoefficient,
-                      config: SimulationConfig) -> SimulationState:
-    return ImexIntegrator(state.density.grid, model, config, b=b).step(state)
 
 
 # --- full runs ----------------------------------------------------------------

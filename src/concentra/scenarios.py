@@ -76,9 +76,9 @@ class Scenario:
         if variant not in ("global", "local", "variable_diffusion"):
             raise ScenarioError(f"field $.config.variant: unknown variant "
                                 f"{variant!r}")
-        if variant == "variable_diffusion" and "diffusion" not in d:
-            raise ScenarioError("field $.diffusion required for the "
-                                "variable_diffusion variant")
+        if (variant == "variable_diffusion") != ("diffusion" in d):
+            raise ScenarioError("field $.diffusion is required by, and only "
+                                "allowed with, the variable_diffusion variant")
 
         u0 = _require(d, "u0", (list,), "$")
         if not u0:
@@ -140,8 +140,7 @@ class Scenario:
             epsilon=c["epsilon"], dt=c["dt"], steps=c["steps"],
             model_variant=c.get("variant", "global"),
             snapshot_every=c.get("snapshot_every", 0),
-            mass_target=c.get("mass_target", 0.3),
-            picard=c.get("picard", 0))
+            mass_target=c.get("mass_target", 0.3))
 
     def build_diffusion(self) -> DiffusionCoefficient:
         spec = self.raw.get("diffusion")

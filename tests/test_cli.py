@@ -65,6 +65,7 @@ def test_scenario_roundtrips_raw_json():
     ({"u0": [{"center": [0.5], "weights": [-1.0]}]}, "$.u0[0].weights"),
     ({"canonical__closure": "magic"}, "$.canonical.closure"),
     ({"constants": {"K_mystery": 1.0}}, "$.constants"),
+    ({"diffusion": {"type": "constant", "value": 4.0}}, "$.diffusion"),
 ])
 def test_scenario_validation_names_field(edits, needle):
     with pytest.raises(ScenarioError, match=needle.replace("$", r"\$")
@@ -187,6 +188,21 @@ def test_sweep_writes_sorted_table(tmp_path, capsys, monkeypatch):
     eps = [float(ln.split(",")[0]) for ln in lines[1:]]
     assert eps == sorted(eps, reverse=True) == [0.02, 0.01]
     assert all(ln.endswith("ok") for ln in lines[1:])
+
+
+def test_sweep_reaction_overflow_fails_row_and_cleans_up(tmp_path, capsys,
+                                                         monkeypatch):
+    monkeypatch.setenv("CONCENTRA_THREADS", "1")
+    scen = write_scenario(tmp_path, BASE)
+    out = tmp_path / "o"
+    assert main(["sweep", scen, "--epsilon", "0.01,1e-6",
+                 "--out", str(out)]) == 3
+    with open(out / "sweep.csv") as f:
+        rows = [ln.strip() for ln in f][1:]
+    assert rows[0].endswith("ok")
+    assert "failed: reaction update overflowed" in rows[1]
+    # only the successful row keeps its artifact directory
+    _only_artifact_dir(out)
 
 
 def test_sweep_bad_thread_env_exits_2(tmp_path, capsys, monkeypatch):

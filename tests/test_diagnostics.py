@@ -1,4 +1,5 @@
-"""Series analytics: macro reduction, BV/monotonicity, residuals, comparison."""
+"""Series analytics: the run's macro series, BV/monotonicity, residuals,
+comparison."""
 
 import numpy as np
 import pytest
@@ -6,11 +7,10 @@ import pytest
 from concentra.canonical import ConcentrationTrajectory
 from concentra.diagnostics import (DiagnosticsError, MacroSeries,
                                    compare_trajectories, constraint_residual,
-                                   macro_series, make_report,
                                    monotonicity_violation, total_variation)
-from concentra.grid import DensityField, build_grid
+from concentra.grid import build_grid
 from concentra.models import ROOT_TOL, build_model
-from concentra.pde import SimulationState, init_density
+from concentra.pde import SimulationConfig, run_simulation
 
 
 def zero_rate_model():
@@ -39,31 +39,26 @@ def test_macro_series_times_must_increase():
                     np.zeros(2), np.zeros(2))
 
 
-# --- macro reduction --------------------------------------------------------------
+# --- the series recorded by a run ---------------------------------------------------
 
-def test_macro_series_zero_density():
-    g = build_grid(1, 0.0, 1.0, 64)
-    states = [SimulationState(0.0, DensityField(g, np.zeros(g.shape)), None)]
-    s = macro_series(states, zero_rate_model(), 0.01)
-    assert s.I[0] == 0.0 and s.rho[0] == 0.0 and s.J[0] == 0.0
+def initial_series(model, grid, epsilon, variant="global"):
+    cfg = SimulationConfig(epsilon, 0.01, 0, model_variant=variant)
+    bump = [{"center": [0.5], "weights": [2.0]}]
+    return run_simulation(cfg, model, grid, bump).series
 
 
 def test_macro_series_gaussian_mass():
-    g = build_grid(1, 0.0, 1.0, 128)
-    n = init_density(g, [{"center": [0.5], "weights": [2.0]}], 0.005, 0.3)
-    s = macro_series([SimulationState(0.0, n, None)], zero_rate_model(), 0.01)
+    s = initial_series(zero_rate_model(), build_grid(1, 0.0, 1.0, 128), 0.005)
     assert s.rho[0] == pytest.approx(0.3, abs=1e-12)
     assert s.I[0] == pytest.approx(0.3, abs=1e-12)
     assert s.J[0] == 0.0   # rate is identically zero
 
 
 def test_macro_series_local_recomputes_competition_field():
-    g = build_grid(1, 0.0, 1.0, 64)
     local = build_model({"family": "logistic_local",
                          "params": {"r": {"c0": 1.0, "center": [0.5],
                                           "weights": [1.0]}}}, 1)
-    n = init_density(g, [{"center": [0.5], "weights": [2.0]}], 0.01, 0.3)
-    s = macro_series([SimulationState(0.0, n, None)], local, 0.01)
+    s = initial_series(local, build_grid(1, 0.0, 1.0, 64), 0.01, "local")
     assert s.rho[0] == pytest.approx(0.3, abs=1e-12)
     assert np.isfinite(s.J[0])
 
@@ -160,7 +155,7 @@ def test_compare_disjoint_ranges_raises():
         compare_trajectories(a, b)
 
 
-# --- monotonicity and reports ----------------------------------------------------------------
+# --- monotonicity --------------------------------------------------------------------------
 
 def test_monotonicity_examples():
     assert monotonicity_violation([0.0, 0.5, 1.5]) == 0.5
@@ -171,9 +166,3 @@ def test_monotonicity_examples():
 def test_monotonicity_needs_two_samples():
     with pytest.raises(DiagnosticsError):
         monotonicity_violation([1.0])
-
-
-def test_make_report_shape():
-    rep = make_report("residual", 1e-3, 1e-2, True, window=[0.1, 1.0])
-    assert rep == {"check_name": "residual", "value": 1e-3,
-                   "threshold": 1e-2, "verdict": True, "window": [0.1, 1.0]}

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from concentra.models import (AssumptionConstants, ConstantKernel,
+from concentra.models import (ROOT_TOL, AssumptionConstants, ConstantKernel,
                               ConstraintInfeasibleError, ModelError,
                               NoPositiveSteadyStateError,
                               PotentialDomainError, build_model,
@@ -100,12 +100,37 @@ def test_invert_residual_property_random_points():
     assert worst <= 1e-12
 
 
-def test_invert_warm_start_agrees_with_cold():
-    m = quadratic_2d()
-    x = (0.6, 0.45)
-    cold = invert_constraint(m, x)
-    warm = invert_constraint(m, x, guess=cold * 1.01)
-    assert warm == pytest.approx(cold, abs=1e-12)
+BUILT_IN_GLOBAL = {
+    "affine_global": (2, {"a": 2.0, "slope": [1.0, 0.5], "coef_I": 1.3}),
+    "quadratic_global": (2, {"k0": 1.0, "center": [0.5, 0.5],
+                             "weights": [1.0, 2.0], "coef_I": 0.7}),
+    "scenario2": (2, {}),
+    "scenario3": (2, {"r_e": 1.1}),
+}
+
+
+@pytest.mark.parametrize("family", sorted(BUILT_IN_GLOBAL))
+def test_invert_closed_form_matches_numeric(family):
+    d, params = BUILT_IN_GLOBAL[family]
+    m = build_model({"family": family, "params": params}, d)
+    numeric = make_global_model_from_rate(m.rate, d, d_rate_dI=m.d_rate_dI)
+    rng = np.random.default_rng(47)
+    for x in rng.uniform(0.0, 1.0, size=(200, d)):   # R(x, 0) > 0 here
+        assert invert_constraint(m, x) == pytest.approx(
+            invert_constraint(numeric, x), abs=1e-12)
+
+
+def test_invert_closed_form_infeasibility_contract():
+    # R(x, 0) within ROOT_TOL below zero clamps to the root I = 0
+    assert invert_constraint(affine_2d(a=-0.5 * ROOT_TOL), (0.0, 0.0)) == 0.0
+    with pytest.raises(ConstraintInfeasibleError):
+        invert_constraint(affine_2d(a=-2.0 * ROOT_TOL), (0.0, 0.0))
+    # R independent of I and positive: no root, but the model still builds
+    with pytest.raises(ConstraintInfeasibleError):
+        invert_constraint(affine_2d(coef_I=0.0), (0.5, 0.5))
+    assert invert_constraint(affine_2d(coef_I=0.0), (1.0, 1.0)) == 0.0
+    with pytest.raises(ModelError):
+        invert_constraint(affine_2d(), (np.nan, 0.5))
 
 
 def test_invert_monotone_in_pointwise_rate_order():
