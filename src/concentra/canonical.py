@@ -97,12 +97,15 @@ class HessianClosure:
             self.initial_hessian = H
 
 
-def _solve_neg(hessian, vec):
+def _solve_neg(hessian, vec, checked=False):
+    """(-H)^{-1} vec; `checked` skips the definiteness test for a matrix
+    already known to be negative definite."""
     H = np.atleast_2d(np.asarray(hessian, dtype=float))
-    ev = np.linalg.eigvalsh(0.5 * (H + H.T))
-    if ev.max() >= 0:
-        raise ClosureError(f"closure matrix not negative definite "
-                           f"(eigenvalues {ev.tolist()})")
+    if not checked:
+        ev = np.linalg.eigvalsh(0.5 * (H + H.T))
+        if ev.max() >= 0:
+            raise ClosureError(f"closure matrix not negative definite "
+                               f"(eigenvalues {ev.tolist()})")
     return np.linalg.solve(-H, np.atleast_1d(vec))
 
 
@@ -111,8 +114,9 @@ def _local_multiplier(model: LocalCompetitionModel, x):
     return max(r, 0.0) / float(model.kernel(x, x))
 
 
-def canonical_rhs(x_bar, hessian, model, macro=None):
-    """Velocity (-D2u)^{-1} grad_x(growth) of the concentration point."""
+def canonical_rhs(x_bar, hessian, model, macro=None, checked=False):
+    """Velocity (-D2u)^{-1} grad_x(growth) of the concentration point;
+    `checked` as in `_solve_neg`."""
     x = np.asarray(x_bar, dtype=float)
     if isinstance(model, GlobalInteractionModel):
         i_bar = invert_constraint(model, x) if macro is None else float(macro)
@@ -121,7 +125,7 @@ def canonical_rhs(x_bar, hessian, model, macro=None):
         rho = _local_multiplier(model, x) if macro is None else float(macro)
         g = (np.asarray(model.intrinsic.grad(x), dtype=float)
              - rho * np.asarray(model.kernel.grad_x(x, x), dtype=float))
-    return _solve_neg(hessian, g)
+    return _solve_neg(hessian, g, checked)
 
 
 def riccati_hessian_rhs(x_bar, macro, hessian, model):
@@ -160,6 +164,9 @@ def integrate_canonical(x0, closure: HessianClosure, model, dt: float,
 
     feed_interp = closure.feed.hessian_interpolant() \
         if closure.mode == "from_pde" else None
+    # the frozen matrix was checked once, by HessianClosure; the riccati and
+    # from_pde matrices change per stage and are checked at every solve
+    frozen = closure.mode == "frozen"
 
     def hess_at(t, H_state):
         if closure.mode == "frozen":
@@ -185,7 +192,7 @@ def integrate_canonical(x0, closure: HessianClosure, model, dt: float,
         def rhs(tau, xs, Hs):
             m = _multiplier(model, xs)
             Hc = hess_at(tau, Hs)
-            v = canonical_rhs(xs, Hc, model, macro=m)
+            v = canonical_rhs(xs, Hc, model, macro=m, checked=frozen)
             dH = riccati_hessian_rhs(xs, m, Hs, model) \
                 if closure.mode == "riccati" else None
             return v, dH

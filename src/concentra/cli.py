@@ -276,8 +276,9 @@ def _cmd_sweep(args) -> int:
             if not tok:
                 continue
             eps = float(tok)
-            if eps <= 0:
-                raise ScenarioError(f"epsilon values must be positive: {tok}")
+            if not (np.isfinite(eps) and eps > 0):
+                raise ScenarioError(f"epsilon values must be positive and "
+                                    f"finite: {tok}")
             if eps in values:
                 print(f"warning: duplicate epsilon {eps} dropped",
                       file=sys.stderr)

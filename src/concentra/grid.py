@@ -221,29 +221,68 @@ def boundary_ring_mass(density: DensityField, width: int = 2) -> float:
     return float((total - interior.sum()) * density.grid.cell_volume)
 
 
-def convolve_kernel(density: DensityField, kernel, chunk: int = 512) -> ScalarField:
-    """Competition field x -> sum_j C(x_i, y_j) n_j * cell volume.
+def kernel_convolution(grid: TraitGrid, kernel, chunk: int = 512):
+    """The competition map n -> (x_i -> sum_j C(x_i, y_j) n_j * cell volume)
+    on `grid`, with everything that does not depend on n built once.
 
-    Direct O(N^2) midpoint rule, evaluated in row chunks to bound memory.
-    Kernels declared separable (kernel.separable with .phi/.psi) take the
-    factorized fast path.
+    - Separable kernels (kernel.separable with .phi/.psi) factorize:
+      phi(x) * sum_j psi(y_j) n_j.
+    - Translation-invariant kernels (a .profile with C(x, y) =
+      profile(x - y)) use a zero-padded linear FFT convolution; every
+      offset (i - j) h is sampled once into the kernel spectrum.
+    - Any other kernel takes the direct O(N^2) midpoint rule, evaluated in
+      row chunks to bound memory.
+
+    Returns a callable DensityField -> ScalarField.
     """
-    grid = density.grid
     nodes = grid.nodes().reshape(-1, grid.dimension)
-    n = density.values.reshape(-1)
     vol = grid.cell_volume
+    shape = grid.shape
+
     if getattr(kernel, "separable", False):
         psi_y = np.asarray(kernel.psi(nodes), dtype=float)
-        total = float((psi_y * n).sum() * vol)
-        out = np.asarray(kernel.phi(nodes), dtype=float) * total
-        return ScalarField(grid, out.reshape(grid.shape))
-    out = np.empty(nodes.shape[0])
-    for start in range(0, nodes.shape[0], chunk):
-        stop = min(start + chunk, nodes.shape[0])
-        block = kernel(nodes[start:stop, None, :], nodes[None, :, :])
-        out[start:stop] = block @ n
-    out *= vol
-    return ScalarField(grid, out.reshape(grid.shape))
+        phi_x = np.asarray(kernel.phi(nodes), dtype=float)
+
+        def separable(density):
+            total = float((psi_y * density.values.reshape(-1)).sum() * vol)
+            return ScalarField(grid, (phi_x * total).reshape(shape))
+        return separable
+
+    if callable(getattr(kernel, "profile", None)):
+        # offsets m h for m in -(N-1)..N-1, laid out circularly per axis so
+        # that index m mod 2N holds offset m; 2N >= 2N-1 leaves no wrap-around
+        lengths = tuple(2 * n for n in shape)
+        steps = [np.concatenate([np.arange(n), np.arange(n - L, 0)]) * h
+                 for n, L, h in zip(shape, lengths, grid.spacing)]
+        offsets = np.stack(np.meshgrid(*steps, indexing="ij"), axis=-1)
+        profile = np.asarray(kernel.profile(offsets), dtype=float)
+        spectrum = np.fft.rfftn(profile * vol)
+        axes = tuple(range(grid.dimension))
+        window = tuple(slice(0, n) for n in shape)
+
+        def fft(density):
+            f = np.fft.rfftn(density.values, s=lengths, axes=axes)
+            out = np.fft.irfftn(f * spectrum, s=lengths, axes=axes)[window]
+            return ScalarField(grid, out)
+        return fft
+
+    def direct(density):
+        n = density.values.reshape(-1)
+        out = np.empty(nodes.shape[0])
+        for start in range(0, nodes.shape[0], chunk):
+            stop = min(start + chunk, nodes.shape[0])
+            block = kernel(nodes[start:stop, None, :], nodes[None, :, :])
+            out[start:stop] = block @ n
+        out *= vol
+        return ScalarField(grid, out.reshape(shape))
+    return direct
+
+
+def convolve_kernel(density: DensityField, kernel, chunk: int = 512) -> ScalarField:
+    """Competition field x -> sum_j C(x_i, y_j) n_j * cell volume, by the
+    path `kernel_convolution` picks for this kernel.  A run applies one map
+    per step; build it once with `kernel_convolution` instead."""
+    return kernel_convolution(density.grid, kernel, chunk)(density)
 
 
 # --- field snapshot CSV format -------------------------------------------

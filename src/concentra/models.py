@@ -134,7 +134,10 @@ class ConstantKernel:
 
 
 class GaussianKernel:
-    """C(x, y) = floor + amp * exp(-|x-y|^2 / (2 width^2))."""
+    """C(x, y) = floor + amp * exp(-|x-y|^2 / (2 width^2)).
+
+    Translation-invariant: C(x, y) = profile(x - y), which lets the
+    competition convolution run as an FFT."""
 
     separable = False
 
@@ -143,11 +146,13 @@ class GaussianKernel:
         self.amp = float(amp)
         self.width = float(width)
 
-    def __call__(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        s = ((x - y) ** 2).sum(axis=-1)
+    def profile(self, offsets):
+        s = (np.asarray(offsets, dtype=float) ** 2).sum(axis=-1)
         return self.floor + self.amp * np.exp(-s / (2.0 * self.width ** 2))
+
+    def __call__(self, x, y):
+        return self.profile(np.asarray(x, dtype=float)
+                            - np.asarray(y, dtype=float))
 
     def _bump(self, x, y):
         x = np.asarray(x, dtype=float)
@@ -837,8 +842,15 @@ def _build_kernel(spec, dimension):
     if kind == "constant":
         return ConstantKernel(spec.get("value", 1.0))
     if kind == "gaussian":
-        return GaussianKernel(spec.get("floor", 0.0), spec.get("amp", 1.0),
-                              spec.get("width", 1.0))
+        params = {"floor": spec.get("floor", 0.0), "amp": spec.get("amp", 1.0),
+                  "width": spec.get("width", 1.0)}
+        for key, v in params.items():
+            need = "nonnegative" if key == "floor" else "positive"
+            if not (isinstance(v, (int, float)) and math.isfinite(v)
+                    and (v >= 0 if key == "floor" else v > 0)):
+                raise ModelError(f"field $.model.params.kernel.{key} must be "
+                                 f"finite and {need}, got {v!r}")
+        return GaussianKernel(**params)
     if kind == "separable":
         phi = QuadraticFunction(**spec["phi"])
         psi = QuadraticFunction(**spec["psi"])

@@ -17,7 +17,7 @@ from scipy.sparse.linalg import LinearOperator, cg
 from .canonical import ConcentrationTrajectory
 from .diagnostics import MacroSeries
 from .grid import (DensityField, TraitGrid, boundary_ring_mass,
-                   convolve_kernel, div_b_grad_values, face_coefficients,
+                   div_b_grad_values, face_coefficients, kernel_convolution,
                    laplacian_values)
 from .models import (AssumptionConstants, DiffusionCoefficient,
                      GlobalInteractionModel, LocalCompetitionModel)
@@ -53,18 +53,16 @@ class SimulationConfig:
     mass_target: float = 0.3
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
-        if self.dt <= 0:
-            raise ConfigError(f"dt must be positive, got {self.dt}")
+        for name in ("epsilon", "dt", "mass_target"):
+            v = getattr(self, name)
+            if not (np.isfinite(v) and v > 0):
+                raise ConfigError(f"{name} must be positive and finite, "
+                                  f"got {v}")
         if self.steps < 0:
             raise ConfigError(f"steps must be nonnegative, got {self.steps}")
         if self.model_variant not in VARIANTS:
             raise ConfigError(f"model_variant must be one of {VARIANTS}, "
                               f"got {self.model_variant!r}")
-        if self.mass_target <= 0:
-            raise ConfigError(f"mass_target must be positive, "
-                              f"got {self.mass_target}")
 
 
 @dataclass
@@ -115,7 +113,8 @@ def u0_peaks(u0_spec):
 # --- the IMEX engine ----------------------------------------------------------
 
 class ImexIntegrator:
-    """One-step integrator with cached stencil data and warm-started CG."""
+    """One-step integrator with cached stencil data, a once-built
+    competition convolution (local variant) and warm-started CG."""
 
     def __init__(self, grid: TraitGrid, model, config: SimulationConfig,
                  b: DiffusionCoefficient = None):
@@ -133,6 +132,7 @@ class ImexIntegrator:
                                   "model")
             self._r_nodes = np.asarray(model.intrinsic.value(self.nodes),
                                        dtype=float)
+            self._convolve = kernel_convolution(grid, model.kernel)
         else:
             if not isinstance(model, GlobalInteractionModel):
                 raise ConfigError(f"{variant} variant requires a "
@@ -171,7 +171,7 @@ class ImexIntegrator:
         """Macro coupling computed from a density: scalar I (global) or the
         competition field (local)."""
         if self.config.model_variant == "local":
-            return convolve_kernel(density, self.model.kernel)
+            return self._convolve(density)
         return float((self._psi * density.values).sum()
                      * self.grid.cell_volume)
 

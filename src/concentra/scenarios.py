@@ -5,6 +5,7 @@ reference scenarios."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -65,9 +66,9 @@ class Scenario:
         cfg = _require(d, "config", (dict,), "$")
         for key in ("epsilon", "dt"):
             v = _require(cfg, key, _NUM, "$.config")
-            if v <= 0:
-                raise ScenarioError(f"field $.config.{key} must be positive, "
-                                    f"got {v}")
+            if not (math.isfinite(v) and v > 0):
+                raise ScenarioError(f"field $.config.{key} must be positive "
+                                    f"and finite, got {v}")
         steps = _require(cfg, "steps", (int,), "$.config")
         if steps < 0:
             raise ScenarioError(f"field $.config.steps must be nonnegative, "

@@ -149,6 +149,25 @@ def test_integrate_frozen_anisotropic_straight_line():
     assert traj.source == "canonical_frozen"
 
 
+def test_frozen_closure_checks_definiteness_once(monkeypatch):
+    """HessianClosure checks the frozen matrix; the RK4 stages do not
+    repeat it.  riccati's matrix changes per stage and is checked at each."""
+    m = affine_2d()
+    frozen = HessianClosure("frozen", initial_hessian=np.diag([-2.0, -10.0]))
+    riccati = HessianClosure("riccati", initial_hessian=np.diag([-2.0, -10.0]))
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a):
+        calls.append(1)
+        return eigvalsh(a)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    integrate_canonical((0.7, 0.7), frozen, m, 0.01, 0.1)
+    assert calls == []
+    integrate_canonical((0.7, 0.7), riccati, m, 0.01, 0.1)
+    assert len(calls) == 4 * 10
+
+
 def test_integrate_truncates_on_domain_exit():
     m = affine_2d()
     closure = HessianClosure("frozen", initial_hessian=-np.eye(2))

@@ -4,9 +4,12 @@ layout, determinism, exit codes."""
 import copy
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import concentra
 from concentra.cli import main
 from concentra.scenarios import (Scenario, ScenarioError,
                                  bundled_scenario_names, load_bundled)
@@ -66,6 +69,8 @@ def test_scenario_roundtrips_raw_json():
     ({"canonical__closure": "magic"}, "$.canonical.closure"),
     ({"constants": {"K_mystery": 1.0}}, "$.constants"),
     ({"diffusion": {"type": "constant", "value": 4.0}}, "$.diffusion"),
+    ({"config__epsilon": float("nan")}, "$.config.epsilon"),
+    ({"config__dt": float("inf")}, "$.config.dt"),
 ])
 def test_scenario_validation_names_field(edits, needle):
     with pytest.raises(ScenarioError, match=needle.replace("$", r"\$")
@@ -163,7 +168,61 @@ def test_run_malformed_json_exits_2(tmp_path, capsys):
     assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
 
 
+def _local_scenario(**kernel):
+    raw = load_bundled("local_logistic").raw
+    raw["config"]["steps"] = 2
+    raw["grid"]["points_per_axis"] = 32
+    raw["canonical"]["T"] = 0.01
+    raw["model"]["params"]["kernel"].update(kernel)
+    return raw
+
+
+@pytest.mark.parametrize("field,value", [
+    ("width", 0.0), ("width", float("nan")), ("amp", -0.2),
+    ("amp", float("inf")), ("floor", -0.1), ("floor", float("nan")),
+])
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_gaussian_kernel_params_validated(tmp_path, capsys, command, field,
+                                          value):
+    scen = write_scenario(tmp_path, _local_scenario(**{field: value}))
+    args = [command, scen]
+    if command == "run":
+        args += ["--out", str(tmp_path / "o")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"$.model.params.kernel.{field}" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_local_run_leaves_scipy_fft_unimported(tmp_path):
+    """The FFT convolution uses numpy.fft; importing scipy.fft as well costs
+    about 5 MB of resident memory."""
+    scen = write_scenario(tmp_path, _local_scenario())
+    code = ("import sys\n"
+            "import concentra.cli\n"
+            f"rc = concentra.cli.main(['run', {scen!r}, '--out', "
+            f"{str(tmp_path / 'o')!r}])\n"
+            "assert rc == 0, rc\n"
+            "assert 'scipy.fft' not in sys.modules\n")
+    src = os.path.dirname(os.path.dirname(concentra.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 # --- sweep command -------------------------------------------------------------------
+
+@pytest.mark.parametrize("values", ["nan,0.01", "0.01,inf"])
+def test_sweep_non_finite_epsilon_exits_2(tmp_path, capsys, values):
+    scen = write_scenario(tmp_path, BASE)
+    assert main(["sweep", scen, "--epsilon", values,
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
 
 def test_sweep_single_epsilon_exits_2(tmp_path, capsys):
     scen = write_scenario(tmp_path, BASE)

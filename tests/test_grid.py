@@ -7,8 +7,8 @@ import pytest
 
 from concentra.grid import (DensityField, GridError, ScalarField, TraitGrid,
                             boundary_ring_mass, build_grid, convolve_kernel,
-                            div_b_grad, integrate, laplacian, read_field_csv,
-                            write_field_csv)
+                            div_b_grad, integrate, kernel_convolution,
+                            laplacian, read_field_csv, write_field_csv)
 from concentra.models import GaussianKernel, QuadraticFunction, SeparableKernel
 
 
@@ -256,12 +256,47 @@ def test_convolve_chunking_agrees_with_single_block():
     rng = np.random.default_rng(31)
     g = _grid1(64)
     n = DensityField(g, rng.random(g.shape))
-    kern = GaussianKernel(amp=1.0, width=0.2)
+    gauss = GaussianKernel(amp=1.0, width=0.2)
+
+    def kern(x, y):   # no .profile: the direct, chunked path
+        return gauss(x, y)
     a = convolve_kernel(n, kern, chunk=7).values
     b = convolve_kernel(n, kern, chunk=10_000).values
     # chunking changes the summation grouping, not the integral: allow the
     # last couple of ulps
     assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("floor", [0.0, 0.8])
+@pytest.mark.parametrize("grid", [
+    build_grid(1, 0.0, 1.0, 256),
+    build_grid(2, [0.0, -1.0], [1.0, 2.0], [24, 19]),
+], ids=["1d_256", "2d_24x19"])
+def test_convolve_fft_matches_direct(grid, floor):
+    rng = np.random.default_rng(41)
+    n = DensityField(grid, rng.random(grid.shape))
+    kern = GaussianKernel(floor=floor, amp=0.2 if floor else 1.0, width=0.3)
+    assert callable(kern.profile)
+    fft = convolve_kernel(n, kern).values
+    direct = convolve_kernel(n, lambda x, y: kern(x, y)).values
+    assert np.max(np.abs(fft - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+
+def test_kernel_convolution_samples_kernel_once():
+    calls = []
+
+    class Counted(GaussianKernel):
+        def profile(self, offsets):
+            calls.append(np.shape(offsets))
+            return super().profile(offsets)
+
+    g = _grid2(12)
+    conv = kernel_convolution(g, Counted(width=0.3))
+    rng = np.random.default_rng(43)
+    for _ in range(3):
+        conv(DensityField(g, rng.random(g.shape)))
+    # one call, on every offset (i - j) h of the zero-padded 2N x 2N layout
+    assert calls == [(24, 24, 2)]
 
 
 # --- snapshot CSV -------------------------------------------------------------

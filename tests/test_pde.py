@@ -1,10 +1,13 @@
 """IMEX stepping: splitting correctness, conservation, positivity, runs, CSV."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from concentra.grid import DensityField, build_grid, integrate
-from concentra.models import build_model, constant_diffusion, sine_diffusion
+from concentra.models import (GaussianKernel, build_model, constant_diffusion,
+                              sine_diffusion)
 from concentra.pde import (ConfigError, DegenerateInitializationError,
                            ImexIntegrator, SimulationConfig, SimulationState,
                            init_density, read_trajectory_csv, run_simulation,
@@ -45,6 +48,8 @@ def _run_steps(engine, state, steps):
 @pytest.mark.parametrize("kwargs", [
     {"epsilon": 0.0}, {"dt": -1.0}, {"steps": -1},
     {"model_variant": "spectral"}, {"mass_target": 0.0},
+    {"epsilon": float("nan")}, {"dt": float("nan")},
+    {"epsilon": float("inf")}, {"mass_target": float("nan")},
 ])
 def test_config_validation(kwargs):
     base = {"epsilon": 0.01, "dt": 0.01, "steps": 1}
@@ -227,6 +232,35 @@ def test_variant_model_mismatch_rejected():
 
 
 # --- full runs -------------------------------------------------------------------
+
+def test_run_local_samples_kernel_once_per_run():
+    """The competition kernel is sampled when the run starts, never per
+    step: 5 and 10 steps evaluate it equally often."""
+    sc = load_bundled("local_logistic")
+    base = sc.build_model().kernel
+    grid = build_grid(1, 0.0, 1.0, 64)
+
+    class Counted(GaussianKernel):
+        calls = 0
+
+        def profile(self, offsets):
+            Counted.calls += 1
+            return super().profile(offsets)
+
+        def __call__(self, x, y):
+            Counted.calls += 1
+            return super().__call__(x, y)
+
+    counts = []
+    for steps in (5, 10):
+        Counted.calls = 0
+        model = dataclasses.replace(sc.build_model(), kernel=Counted(
+            base.floor, base.amp, base.width))
+        cfg = SimulationConfig(0.01, 0.002, steps, model_variant="local")
+        run_simulation(cfg, model, grid, sc.u0)
+        counts.append(Counted.calls)
+    assert counts[0] == counts[1] >= 1
+
 
 def _quick_run(steps=30, epsilon=0.01, probes=None):
     sc = load_bundled("quadratic_concave")
