@@ -26,7 +26,7 @@ import numpy as np
 
 from . import canonical as canon
 from . import diagnostics as diag
-from .grid import GridError, write_field_csv
+from .grid import GridError, write_field_npy
 from .models import (ConstraintInfeasibleError, LocalCompetitionModel,
                      ModelError, QuadraticFunction, check_assumptions)
 from .pde import (CG_RTOL, ConfigError, SolverError, run_simulation, u0_peaks,
@@ -163,7 +163,7 @@ def _cmd_run(args) -> int:
                                 probes=sc.probes, b=b, constants=constants)
         write_series_csv(result, os.path.join(outdir, "series.csv"))
         for step, snap in sorted(result.snapshots.items()):
-            write_field_csv(snap, os.path.join(outdir, f"snap_{step:06d}.csv"))
+            write_field_npy(snap, os.path.join(outdir, f"snap_{step:06d}.npy"))
 
         reports = {
             "assumptions": _assumption_report(sc, model, b),

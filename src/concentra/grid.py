@@ -285,10 +285,19 @@ def convolve_kernel(density: DensityField, kernel, chunk: int = 512) -> ScalarFi
     return kernel_convolution(density.grid, kernel, chunk)(density)
 
 
-# --- field snapshot CSV format -------------------------------------------
+# --- field snapshot formats ----------------------------------------------
+
+def write_field_npy(field: ScalarField, path) -> None:
+    """Run snapshot format: the float64 values with the grid's shape, as
+    `.npy` at exactly `path` (bit-exact; read back with
+    `np.load(path, allow_pickle=False)`).  The grid is not stored: a run
+    records it in manifest.json["domain"]."""
+    with open(path, "wb") as f:
+        np.save(f, field.values, allow_pickle=False)
+
 
 def write_field_csv(field: ScalarField, path) -> None:
-    """Snapshot format: header comment with grid metadata, then one row per
+    """CSV export: header comment with grid metadata, then one row per
     node `x1[,x2],value` in row-major order, 17 significant digits."""
     g = field.grid
     n = ",".join(str(k) for k in g.points_per_axis)

@@ -60,6 +60,11 @@ class SimulationConfig:
                                   f"got {v}")
         if self.steps < 0:
             raise ConfigError(f"steps must be nonnegative, got {self.steps}")
+        every = self.snapshot_every
+        if (isinstance(every, bool)
+                or not isinstance(every, (int, np.integer)) or every < 0):
+            raise ConfigError(f"snapshot_every must be a nonnegative integer, "
+                              f"got {every!r}")
         if self.model_variant not in VARIANTS:
             raise ConfigError(f"model_variant must be one of {VARIANTS}, "
                               f"got {self.model_variant!r}")

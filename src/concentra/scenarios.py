@@ -36,6 +36,11 @@ def _require(d, key, types, path):
 _NUM = (int, float)
 
 
+def _is_finite_number(v) -> bool:
+    return (isinstance(v, _NUM) and not isinstance(v, bool)
+            and math.isfinite(v))
+
+
 @dataclass
 class Scenario:
     """Validated scenario; `raw` is the exact parsed JSON object (bit-exact
@@ -73,6 +78,10 @@ class Scenario:
         if steps < 0:
             raise ScenarioError(f"field $.config.steps must be nonnegative, "
                                 f"got {steps}")
+        every = cfg.get("snapshot_every", 0)
+        if isinstance(every, bool) or not isinstance(every, int) or every < 0:
+            raise ScenarioError(f"field $.config.snapshot_every must be a "
+                                f"nonnegative integer, got {every!r}")
         variant = cfg.get("variant", "global")
         if variant not in ("global", "local", "variable_diffusion"):
             raise ScenarioError(f"field $.config.variant: unknown variant "
@@ -92,6 +101,10 @@ class Scenario:
             if len(center) != dim or len(weights) != dim:
                 raise ScenarioError(f"field $.u0[{k}]: center/weights must "
                                     f"have length {dim}")
+            for key, vals in (("center", center), ("weights", weights)):
+                if not all(_is_finite_number(v) for v in vals):
+                    raise ScenarioError(f"field $.u0[{k}].{key} must hold "
+                                        f"finite numbers, got {vals!r}")
             if any(w <= 0 for w in weights):
                 raise ScenarioError(f"field $.u0[{k}].weights must be "
                                     "positive (concave bumps)")

@@ -131,9 +131,11 @@ def _half_plane_peaks(result, step):
 
 
 @pytest.mark.xfail(strict=False, reason=(
-    "dominance of one bump does occur mid-run (ratio ~1e9 near step 130) "
-    "but the time step is coarse relative to epsilon in the saturated "
-    "regime, and the suppressed arc repopulates before step 180"))
+    "box truncation: both bumps are centred on the box edge; the winning "
+    "one rides the y = 0 edge to the corner (1, 0) by step ~100 (ratio "
+    "~1e9 near step 130), then the population jumps to the corner (1, 1) "
+    "on the diagonal near step 145, where the ratio falls to ~1.1; "
+    "refining dt to dt/8 (no stiffness advisory) does not remove it"))
 def test_criterion_02_ellipse_dominance_at_final_time(s3_ellipse):
     _, _, _, result, _ = s3_ellipse
     lo, up = _half_plane_peaks(result, 180)

@@ -4,13 +4,17 @@ layout, determinism, exit codes."""
 import copy
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import concentra
 from concentra.cli import main
+from concentra.grid import ScalarField, build_grid, write_field_csv
+from concentra.pde import run_simulation
 from concentra.scenarios import (Scenario, ScenarioError,
                                  bundled_scenario_names, load_bundled)
 
@@ -71,6 +75,17 @@ def test_scenario_roundtrips_raw_json():
     ({"diffusion": {"type": "constant", "value": 4.0}}, "$.diffusion"),
     ({"config__epsilon": float("nan")}, "$.config.epsilon"),
     ({"config__dt": float("inf")}, "$.config.dt"),
+    ({"config__snapshot_every": "20"}, "$.config.snapshot_every"),
+    ({"config__snapshot_every": -200}, "$.config.snapshot_every"),
+    ({"config__snapshot_every": 0.5}, "$.config.snapshot_every"),
+    ({"config__snapshot_every": True}, "$.config.snapshot_every"),
+    ({"u0": [{"center": [float("nan")], "weights": [1.0]}]}, "$.u0[0].center"),
+    ({"u0": [{"center": [float("inf")], "weights": [1.0]}]}, "$.u0[0].center"),
+    ({"u0": [{"center": ["0.8"], "weights": [1.0]}]}, "$.u0[0].center"),
+    ({"u0": [{"center": [0.8], "weights": [float("nan")]}]},
+     "$.u0[0].weights"),
+    ({"u0": [{"center": [0.8], "weights": ["1.0"]}]}, "$.u0[0].weights"),
+    ({"u0": [{"center": [0.8], "weights": [True]}]}, "$.u0[0].weights"),
 ])
 def test_scenario_validation_names_field(edits, needle):
     with pytest.raises(ScenarioError, match=needle.replace("$", r"\$")
@@ -119,7 +134,9 @@ def test_run_produces_artifacts(tmp_path, capsys):
     files = set(os.listdir(art))
     assert {"manifest.json", "series.csv", "reports.json",
             "trajectory.csv"} <= files
-    assert "snap_000000.csv" in files and "snap_000030.csv" in files
+    assert "snap_000000.npy" in files and "snap_000030.npy" in files
+    assert not any(f.startswith("snap_") and f.endswith(".csv")
+                   for f in files)
 
     with open(os.path.join(art, "manifest.json")) as f:
         manifest = json.load(f)
@@ -145,10 +162,63 @@ def test_run_is_deterministic_byte_for_byte(tmp_path):
     for sub in ("a", "b"):
         root = tmp_path / sub
         assert main(["run", scen, "--out", str(root)]) == 0
-        with open(os.path.join(_only_artifact_dir(root), "series.csv"),
-                  "rb") as f:
-            outs.append(f.read())
+        art = pathlib.Path(_only_artifact_dir(root))
+        outs.append({p.name: p.read_bytes() for p in art.iterdir()
+                     if p.name == "series.csv" or p.suffix == ".npy"})
+    assert sorted(outs[0]) == ["series.csv", "snap_000000.npy",
+                               "snap_000015.npy", "snap_000030.npy"]
     assert outs[0] == outs[1]
+
+
+BASE_2D = {
+    "name": "tiny2d",
+    "dimension": 2,
+    "model": {"family": "quadratic_global",
+              "params": {"k0": 0.5, "center": [0.5, 0.5],
+                         "weights": [1.0, 2.0]}},
+    "grid": {"lower": [0.0, -0.5], "upper": [1.0, 1.5],
+             "points_per_axis": [16, 12]},
+    "config": {"epsilon": 0.02, "dt": 0.005, "steps": 10,
+               "snapshot_every": 5},
+    "u0": [{"center": [0.7, 0.2], "weights": [1.0, 1.0]}],
+}
+
+
+def test_run_2d_snapshots_are_bit_exact_npy(tmp_path):
+    scen = write_scenario(tmp_path, BASE_2D)
+    out = tmp_path / "out"
+    assert main(["run", scen, "--out", str(out)]) == 0
+    art = _only_artifact_dir(out)
+    assert sorted(f for f in os.listdir(art) if f.startswith("snap_")) == [
+        "snap_000000.npy", "snap_000005.npy", "snap_000010.npy"]
+
+    sc = Scenario(copy.deepcopy(BASE_2D))
+    result = run_simulation(sc.build_config(), sc.build_model(),
+                            sc.build_grid(), sc.u0)
+    with open(os.path.join(art, "manifest.json")) as f:
+        dom = json.load(f)["domain"]
+    grid = build_grid(len(dom["lower"]), dom["lower"], dom["upper"],
+                      dom["points_per_axis"])
+    assert grid == sc.build_grid()
+    for step, snap in result.snapshots.items():
+        loaded = np.load(os.path.join(art, f"snap_{step:06d}.npy"),
+                         allow_pickle=False)
+        assert loaded.dtype == np.float64 and loaded.shape == (16, 12)
+        assert loaded.tobytes() == snap.values.tobytes()
+        # the CSV export of a loaded snapshot is the in-memory one's
+        write_field_csv(ScalarField(grid, loaded), tmp_path / "loaded.csv")
+        write_field_csv(snap, tmp_path / "memory.csv")
+        assert ((tmp_path / "loaded.csv").read_bytes()
+                == (tmp_path / "memory.csv").read_bytes())
+
+
+def test_run_string_snapshot_every_exits_2_without_artifacts(tmp_path,
+                                                             capsys):
+    scen = write_scenario(tmp_path, variant(config__snapshot_every="20"))
+    out = tmp_path / "out"
+    assert main(["run", scen, "--out", str(out)]) == 2
+    assert "$.config.snapshot_every" in capsys.readouterr().err
+    assert not out.exists() or not os.listdir(out)
 
 
 def test_run_invalid_scenario_exits_2(tmp_path, capsys):

@@ -50,6 +50,8 @@ def _run_steps(engine, state, steps):
     {"model_variant": "spectral"}, {"mass_target": 0.0},
     {"epsilon": float("nan")}, {"dt": float("nan")},
     {"epsilon": float("inf")}, {"mass_target": float("nan")},
+    {"snapshot_every": -1}, {"snapshot_every": 0.5},
+    {"snapshot_every": "20"}, {"snapshot_every": True},
 ])
 def test_config_validation(kwargs):
     base = {"epsilon": 0.01, "dt": 0.01, "steps": 1}
