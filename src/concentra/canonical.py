@@ -106,6 +106,8 @@ def _solve_neg(hessian, vec, checked=False):
         if ev.max() >= 0:
             raise ClosureError(f"closure matrix not negative definite "
                                f"(eigenvalues {ev.tolist()})")
+    if H.shape == (1, 1):   # bitwise what LAPACK's 1x1 solve returns
+        return np.atleast_1d(vec) / -H[0, 0]
     return np.linalg.solve(-H, np.atleast_1d(vec))
 
 
@@ -180,29 +182,34 @@ def integrate_canonical(x0, closure: HessianClosure, model, dt: float,
         H = closure.initial_hessian.copy()
     elif closure.mode == "frozen":
         H = closure.initial_hessian
+    if domain is not None:
+        lower, upper = (np.atleast_1d(np.asarray(v, dtype=float))
+                        for v in domain)
 
+    m = _multiplier(model, x)
     times = [0.0]
     pts = [x.copy()]
-    macros = [_multiplier(model, x)]
+    macros = [m]
     hessians = [np.atleast_2d(hess_at(0.0, H))]
     exit_time = None
 
+    def rhs(tau, xs, Hs, m=None):
+        if m is None:
+            m = _multiplier(model, xs)
+        Hc = hess_at(tau, Hs)
+        v = canonical_rhs(xs, Hc, model, macro=m, checked=frozen)
+        dH = riccati_hessian_rhs(xs, m, Hs, model) \
+            if closure.mode == "riccati" else None
+        return v, dH
+
+    def h_stage(kH, w):
+        if closure.mode == "riccati":
+            return H + w * dt * kH
+        return H  # frozen matrix, or None (from_pde reads the feed)
+
     t = 0.0
     for _ in range(steps):
-        def rhs(tau, xs, Hs):
-            m = _multiplier(model, xs)
-            Hc = hess_at(tau, Hs)
-            v = canonical_rhs(xs, Hc, model, macro=m, checked=frozen)
-            dH = riccati_hessian_rhs(xs, m, Hs, model) \
-                if closure.mode == "riccati" else None
-            return v, dH
-
-        def h_stage(kH, w):
-            if closure.mode == "riccati":
-                return H + w * dt * kH
-            return H  # frozen matrix, or None (from_pde reads the feed)
-
-        k1x, k1H = rhs(t, x, H)
+        k1x, k1H = rhs(t, x, H, m)   # m is the multiplier at x, recorded
         k2x, k2H = rhs(t + 0.5 * dt, x + 0.5 * dt * k1x, h_stage(k1H, 0.5))
         k3x, k3H = rhs(t + 0.5 * dt, x + 0.5 * dt * k2x, h_stage(k2H, 0.5))
         k4x, k4H = rhs(t + dt, x + dt * k3x, h_stage(k3H, 1.0))
@@ -211,8 +218,6 @@ def integrate_canonical(x0, closure: HessianClosure, model, dt: float,
             H = H + dt / 6.0 * (k1H + 2 * k2H + 2 * k3H + k4H)
         t += dt
         if domain is not None:
-            lower, upper = (np.atleast_1d(np.asarray(v, dtype=float))
-                            for v in domain)
             if np.any(x < lower) or np.any(x > upper):
                 exit_time = t
                 warnings.warn(f"canonical trajectory left the domain at "

@@ -125,19 +125,43 @@ class DensityField(ScalarField):
                             f"(min {self.values.min():g})")
 
 
-def _face_diffs(values: np.ndarray, axis: int) -> np.ndarray:
-    """Differences across interior faces, zero on boundary faces (no-flux)."""
-    d = np.diff(values, axis=axis)
-    pad = [(0, 0)] * values.ndim
-    pad[axis] = (1, 1)
-    return np.pad(d, pad)
+def diffusion_stencil(values: np.ndarray, spacing, faces=None,
+                      coef=None) -> np.ndarray:
+    """Flux-form no-flux diffusion stencil, built without padding.
+
+    Per axis the face fluxes are F = b * (f_{i+1} - f_i) on interior faces
+    (b = 1 without `faces`; the boundary entries of `faces` are ignored) and
+    F = 0 on the boundary faces; the node value is (F_{i+1/2} - F_{i-1/2})
+    / h^2, summed over axes.  With `coef` the result is
+    `values - coef * stencil`, the operator of an implicit diffusion step.
+    Every entry is bitwise what padding the differences with zeros gives:
+    the boundary nodes take F_{1/2} - 0 and 0 - F_{n-3/2}, and the axis sum
+    starts from a zero array.
+    """
+    out = np.empty_like(values)
+    for ax in range(values.ndim):
+        # views with axis `ax` first; writing to them fills flux and term
+        flux = np.moveaxis(np.diff(values, axis=ax), ax, 0)
+        if faces is not None:
+            flux *= np.moveaxis(faces[ax], ax, 0)[1:-1]
+        term = np.empty_like(values) if ax else out
+        t = np.moveaxis(term, ax, 0)
+        t[0] = flux[0]
+        np.subtract(flux[1:], flux[:-1], out=t[1:-1])
+        np.subtract(0.0, flux[-1:], out=t[-1:])
+        term /= spacing[ax] ** 2
+        if ax:
+            out += term
+        else:
+            out += 0.0   # 0 + t: a sum that starts from zeros has no -0.0
+    if coef is not None:
+        out *= coef
+        np.subtract(values, out, out=out)
+    return out
 
 
 def laplacian_values(values: np.ndarray, spacing) -> np.ndarray:
-    out = np.zeros_like(values)
-    for ax in range(values.ndim):
-        out += np.diff(_face_diffs(values, ax), axis=ax) / spacing[ax] ** 2
-    return out
+    return diffusion_stencil(values, spacing)
 
 
 def laplacian(field: ScalarField, bc: str = "no-flux") -> ScalarField:
@@ -168,11 +192,7 @@ def face_coefficients(grid: TraitGrid, b_values: np.ndarray) -> list:
 
 
 def div_b_grad_values(values: np.ndarray, faces: list, spacing) -> np.ndarray:
-    out = np.zeros_like(values)
-    for ax in range(values.ndim):
-        flux = faces[ax] * _face_diffs(values, ax)
-        out += np.diff(flux, axis=ax) / spacing[ax] ** 2
-    return out
+    return diffusion_stencil(values, spacing, faces)
 
 
 def div_b_grad(field: ScalarField, b, bc: str = "no-flux") -> ScalarField:

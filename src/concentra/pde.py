@@ -3,7 +3,7 @@
 Splitting per step: the stiff reaction term is applied explicitly through an
 exponential (positivity-preserving, exact for frozen rates), then diffusion
 implicitly via a matrix-free conjugate-gradient solve of
-(Id - eps dt L) n_new = n_star.
+(Id - eps dt L) n_new = n_star, in numpy.
 """
 
 from __future__ import annotations
@@ -12,19 +12,18 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .canonical import ConcentrationTrajectory
 from .diagnostics import MacroSeries
 from .grid import (DensityField, TraitGrid, boundary_ring_mass,
-                   div_b_grad_values, face_coefficients, kernel_convolution,
-                   laplacian_values)
+                   diffusion_stencil, face_coefficients, kernel_convolution)
 from .models import (AssumptionConstants, DiffusionCoefficient,
                      GlobalInteractionModel, LocalCompetitionModel)
 from .wkb import (WkbError, hessian_at, locate_max, regularity_monitor,
                   to_wkb)
 
 CG_RTOL = 1e-10
+CG_MAXITER = 2000
 NEGATIVE_CLAMP = 1e-10   # relative tolerance for CG round-off below zero
 BOUNDARY_MASS_FRACTION = 1e-8
 
@@ -55,11 +54,12 @@ class SimulationConfig:
     def __post_init__(self):
         for name in ("epsilon", "dt", "mass_target"):
             v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0):
+            if isinstance(v, bool) or not (np.isfinite(v) and v > 0):
                 raise ConfigError(f"{name} must be positive and finite, "
-                                  f"got {v}")
-        if self.steps < 0:
-            raise ConfigError(f"steps must be nonnegative, got {self.steps}")
+                                  f"got {v!r}")
+        if isinstance(self.steps, bool) or self.steps < 0:
+            raise ConfigError(f"steps must be a nonnegative integer, "
+                              f"got {self.steps!r}")
         every = self.snapshot_every
         if (isinstance(every, bool)
                 or not isinstance(every, (int, np.integer)) or every < 0):
@@ -117,6 +117,35 @@ def u0_peaks(u0_spec):
 
 # --- the IMEX engine ----------------------------------------------------------
 
+def _cg(matvec, b, x0, rtol, maxiter):
+    """Unpreconditioned conjugate gradients for a symmetric positive-definite
+    operator, stopping when ||r|| < rtol ||b||.  Operation for operation the
+    recurrence of scipy.sparse.linalg.cg (scipy 1.17, atol 0), so the
+    iterates are bitwise the same.  Returns (x, info): info is 0 on
+    convergence and maxiter when the iterations ran out."""
+    x = np.array(x0, dtype=float)
+    bnrm2 = np.linalg.norm(b)
+    if bnrm2 == 0:
+        return b, 0
+    atol = rtol * bnrm2
+    r = b - matvec(x) if x.any() else b.copy()
+    for iteration in range(maxiter):
+        if np.linalg.norm(r) < atol:
+            return x, 0
+        rho = np.dot(r, r)
+        if iteration:
+            p *= rho / rho_prev
+            p += r
+        else:
+            p = r.copy()
+        q = matvec(p)
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    return x, maxiter
+
+
 class ImexIntegrator:
     """One-step integrator with cached stencil data, a once-built
     competition convolution (local variant) and warm-started CG."""
@@ -156,21 +185,17 @@ class ImexIntegrator:
         else:
             self._faces = None
 
-        n = grid.num_nodes
         shape = grid.shape
         spacing = grid.spacing
         coef = config.epsilon * config.dt
         faces = self._faces
 
         def matvec(v):
-            f = v.reshape(shape)
-            if faces is None:
-                lap = laplacian_values(f, spacing)
-            else:
-                lap = div_b_grad_values(f, faces, spacing)
-            return (f - coef * lap).reshape(-1)
+            """(Id - eps dt L) v on the flattened grid."""
+            return diffusion_stencil(v.reshape(shape), spacing, faces,
+                                     coef).reshape(-1)
 
-        self._operator = LinearOperator((n, n), matvec=matvec, dtype=float)
+        self._matvec = matvec
 
     def macro_of(self, density: DensityField):
         """Macro coupling computed from a density: scalar I (global) or the
@@ -207,10 +232,9 @@ class ImexIntegrator:
                               f"{advisory:.3g}; reduce dt or raise epsilon")
         rhs = n_star.reshape(-1)
         x0 = self._prev if self._prev is not None else rhs
-        sol, info = cg(self._operator, rhs, x0=x0, rtol=CG_RTOL, atol=0.0,
-                       maxiter=2000)
+        sol, info = _cg(self._matvec, rhs, x0, CG_RTOL, CG_MAXITER)
         if info != 0:
-            res = np.linalg.norm(self._operator @ sol - rhs)
+            res = np.linalg.norm(self._matvec(sol) - rhs)
             raise SolverError(f"diffusion solve did not converge "
                               f"(info={info}, residual={res:.3e})")
         self._prev = sol

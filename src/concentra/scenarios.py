@@ -26,7 +26,9 @@ def _require(d, key, types, path):
     if key not in d:
         raise ScenarioError(f"missing field {path}.{key}")
     v = d[key]
-    if not isinstance(v, types):
+    # JSON true/false parse to bool, a subclass of int
+    if not isinstance(v, types) or (isinstance(v, bool)
+                                    and bool not in types):
         raise ScenarioError(f"field {path}.{key} has type "
                             f"{type(v).__name__}, expected "
                             f"{'/'.join(t.__name__ for t in types)}")

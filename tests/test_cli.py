@@ -86,6 +86,12 @@ def test_scenario_roundtrips_raw_json():
      "$.u0[0].weights"),
     ({"u0": [{"center": [0.8], "weights": ["1.0"]}]}, "$.u0[0].weights"),
     ({"u0": [{"center": [0.8], "weights": [True]}]}, "$.u0[0].weights"),
+    ({"dimension": True}, "$.dimension"),
+    ({"config__steps": True}, "$.config.steps"),
+    ({"config__epsilon": True}, "$.config.epsilon"),
+    ({"config__dt": True}, "$.config.dt"),
+    ({"grid__points_per_axis": True}, "$.grid.points_per_axis"),
+    ({"grid__upper": True}, "$.grid.upper"),
 ])
 def test_scenario_validation_names_field(edits, needle):
     with pytest.raises(ScenarioError, match=needle.replace("$", r"\$")
@@ -221,6 +227,19 @@ def test_run_string_snapshot_every_exits_2_without_artifacts(tmp_path,
     assert not out.exists() or not os.listdir(out)
 
 
+@pytest.mark.parametrize("edits,needle", [
+    ({"config__steps": True}, "$.config.steps"),
+    ({"config__mass_target": True}, "mass_target"),
+])
+def test_run_boolean_number_exits_2_without_artifacts(tmp_path, capsys, edits,
+                                                      needle):
+    scen = write_scenario(tmp_path, variant(**edits))
+    out = tmp_path / "out"
+    assert main(["run", scen, "--out", str(out)]) == 2
+    assert needle in capsys.readouterr().err
+    assert not out.exists() or not os.listdir(out)
+
+
 def test_run_invalid_scenario_exits_2(tmp_path, capsys):
     scen = write_scenario(tmp_path, variant(config__dt=-1.0))
     assert main(["run", scen, "--out", str(tmp_path / "o")]) == 2
@@ -281,6 +300,36 @@ def test_local_run_leaves_scipy_fft_unimported(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_runs_leave_scipy_unimported(tmp_path):
+    """The package needs numpy only: importing scipy.sparse.linalg costs
+    about a quarter second and 30 MB of resident memory per process."""
+    two_d = load_bundled("scenario2").raw
+    two_d["config"]["steps"] = 2
+    two_d["grid"]["points_per_axis"] = 32
+    two_d["probes"] = [0, 2]
+    global_1d = variant(config__steps=2, probes=[0, 2])
+    scenarios = [write_scenario(tmp_path, raw, f"{name}.json")
+                 for name, raw in (("global_1d", global_1d),
+                                   ("local_1d", _local_scenario()),
+                                   ("global_2d", two_d))]
+    code = ("import sys\n"
+            "import concentra.cli\n"
+            f"for scen in {scenarios!r}:\n"
+            "    rc = concentra.cli.main(['run', scen, '--out', "
+            f"{str(tmp_path / 'o')!r}])\n"
+            "    assert rc == 0, (scen, rc)\n"
+            "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "assert not loaded, loaded\n")
+    src = os.path.dirname(os.path.dirname(concentra.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert len(os.listdir(tmp_path / "o")) == 3
 
 
 # --- sweep command -------------------------------------------------------------------

@@ -7,8 +7,10 @@ import pytest
 
 from concentra.grid import (DensityField, GridError, ScalarField, TraitGrid,
                             boundary_ring_mass, build_grid, convolve_kernel,
-                            div_b_grad, integrate, kernel_convolution,
-                            laplacian, read_field_csv, write_field_csv)
+                            diffusion_stencil, div_b_grad, div_b_grad_values,
+                            face_coefficients, integrate, kernel_convolution,
+                            laplacian, laplacian_values, read_field_csv,
+                            write_field_csv)
 from concentra.models import GaussianKernel, QuadraticFunction, SeparableKernel
 
 
@@ -135,6 +137,42 @@ def test_div_b_grad_rejects_nonpositive_coefficient():
     g = _grid1()
     with pytest.raises(GridError):
         div_b_grad(ScalarField(g, np.zeros(g.shape)), np.zeros(g.shape))
+
+
+def _padded_stencil(values, spacing, faces=None):
+    """Reference: face differences padded with zero boundary fluxes."""
+    out = np.zeros_like(values)
+    for ax in range(values.ndim):
+        pad = [(0, 0)] * values.ndim
+        pad[ax] = (1, 1)
+        flux = np.pad(np.diff(values, axis=ax), pad)
+        if faces is not None:
+            flux = faces[ax] * flux
+        out += np.diff(flux, axis=ax) / spacing[ax] ** 2
+    return out
+
+
+@pytest.mark.parametrize("grid", [
+    build_grid(1, 0.0, 1.0, 64), build_grid(1, -0.5, 2.0, 9),
+    build_grid(2, [0.0, -1.0], [1.0, 2.0], [24, 19]),
+    build_grid(2, 0.0, 1.0, 150)], ids=["1d_64", "1d_9", "2d_24x19",
+                                        "2d_150"])
+@pytest.mark.parametrize("variable", [False, True], ids=["uniform", "faces"])
+def test_stencil_bitwise_equals_padded_formula(grid, variable):
+    rng = np.random.default_rng(11)
+    faces = (face_coefficients(grid, rng.uniform(0.5, 2.0, grid.shape))
+             if variable else None)
+    coef = 0.37
+    for _ in range(5):
+        f = rng.standard_normal(grid.shape)
+        zeros = rng.random(grid.shape) < 0.3   # signed zeros must match too
+        f[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+        ref = _padded_stencil(f, grid.spacing, faces)
+        got = (div_b_grad_values(f, faces, grid.spacing) if variable
+               else laplacian_values(f, grid.spacing))
+        assert got.tobytes() == ref.tobytes()
+        assert (diffusion_stencil(f, grid.spacing, faces, coef).tobytes()
+                == (f - coef * ref).tobytes())
 
 
 # --- quadrature -------------------------------------------------------------

@@ -8,8 +8,10 @@ import pytest
 from concentra.grid import DensityField, build_grid, integrate
 from concentra.models import (GaussianKernel, build_model, constant_diffusion,
                               sine_diffusion)
-from concentra.pde import (ConfigError, DegenerateInitializationError,
-                           ImexIntegrator, SimulationConfig, SimulationState,
+from concentra import pde
+from concentra.pde import (CG_MAXITER, CG_RTOL, ConfigError,
+                           DegenerateInitializationError, ImexIntegrator,
+                           SimulationConfig, SimulationState, SolverError,
                            init_density, read_trajectory_csv, run_simulation,
                            u0_peaks, write_series_csv)
 from concentra.scenarios import load_bundled
@@ -52,6 +54,7 @@ def _run_steps(engine, state, steps):
     {"epsilon": float("inf")}, {"mass_target": float("nan")},
     {"snapshot_every": -1}, {"snapshot_every": 0.5},
     {"snapshot_every": "20"}, {"snapshot_every": True},
+    {"epsilon": True}, {"dt": True}, {"steps": True}, {"mass_target": True},
 ])
 def test_config_validation(kwargs):
     base = {"epsilon": 0.01, "dt": 0.01, "steps": 1}
@@ -220,6 +223,51 @@ def test_zero_density_is_absorbing_for_local_model():
     out = engine.step(SimulationState(0.0, DensityField(g, np.zeros(g.shape)),
                                       None))
     assert np.all(out.density.values == 0.0)
+
+
+def _diffusion_engine(dimension, variable):
+    g = build_grid(dimension, 0.0, 1.0, 24 if dimension == 2 else 64)
+    variant = "variable_diffusion" if variable else "global"
+    cfg = SimulationConfig(0.01, 0.01, 1, model_variant=variant)
+    b = sine_diffusion(1.0, 0.5, 1.0) if variable else None
+    return ImexIntegrator(g, zero_rate_model(dimension), cfg, b=b)
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("variable", [False, True], ids=["uniform", "faces"])
+def test_cg_bitwise_equals_scipy_cg(dimension, variable):
+    linalg = pytest.importorskip("scipy.sparse.linalg")
+    engine = _diffusion_engine(dimension, variable)
+    g = engine.grid
+    n = g.num_nodes
+    op = linalg.LinearOperator((n, n), matvec=engine._matvec, dtype=float)
+    rng = np.random.default_rng(5)
+    b = init_density(g, [{"center": [0.4] * dimension,
+                          "weights": [1.0] * dimension}], 0.01,
+                     0.3).values.reshape(-1)
+    warm = b + 1e-3 * rng.standard_normal(n)
+    cases = [(b, b, CG_MAXITER), (b, warm, CG_MAXITER),
+             (b, np.zeros(n), CG_MAXITER), (b, warm, 3),
+             (np.zeros(n), warm, CG_MAXITER)]
+    for rhs, x0, maxiter in cases:
+        x0_before = x0.copy()
+        ours, info = pde._cg(engine._matvec, rhs, x0, CG_RTOL, maxiter)
+        ref, ref_info = linalg.cg(op, rhs, x0=x0, rtol=CG_RTOL, atol=0.0,
+                                  maxiter=maxiter)
+        assert info == ref_info
+        assert ours.tobytes() == ref.tobytes()
+        assert np.array_equal(x0, x0_before)
+    assert pde._cg(engine._matvec, b, warm, CG_RTOL, 3)[1] == 3
+
+
+def test_cg_non_convergence_raises_solver_error(monkeypatch):
+    engine = _diffusion_engine(2, False)
+    n0 = init_density(engine.grid, [{"center": [0.4, 0.6],
+                                     "weights": [1.0, 1.0]}], 0.01, 0.3)
+    monkeypatch.setattr(pde, "CG_MAXITER", 1)
+    with pytest.raises(SolverError, match=r"did not converge \(info=1, "
+                                          r"residual=\d\.\d{3}e[-+]\d+\)"):
+        engine.step(SimulationState(0.0, n0, None))
 
 
 def test_variant_model_mismatch_rejected():
