@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from .models import (ConstraintInfeasibleError, GlobalInteractionModel,
-                     LocalCompetitionModel, ModelError, invert_constraint)
+                     LocalCompetitionModel, ModelError)
 
 
 class ClosureError(ValueError):
@@ -111,23 +111,13 @@ def _solve_neg(hessian, vec, checked=False):
     return np.linalg.solve(-H, np.atleast_1d(vec))
 
 
-def _local_multiplier(model: LocalCompetitionModel, x):
-    r = float(model.intrinsic.value(x))
-    return max(r, 0.0) / float(model.kernel(x, x))
-
-
 def canonical_rhs(x_bar, hessian, model, macro=None, checked=False):
-    """Velocity (-D2u)^{-1} grad_x(growth) of the concentration point;
-    `checked` as in `_solve_neg`."""
+    """Velocity (-D2u)^{-1} grad_x R(x, m) of the concentration point, m the
+    multiplier (I or rho) at x unless given; `checked` as in `_solve_neg`."""
     x = np.asarray(x_bar, dtype=float)
-    if isinstance(model, GlobalInteractionModel):
-        i_bar = invert_constraint(model, x) if macro is None else float(macro)
-        g = np.asarray(model.grad_x_rate(x, i_bar), dtype=float)
-    else:
-        rho = _local_multiplier(model, x) if macro is None else float(macro)
-        g = (np.asarray(model.intrinsic.grad(x), dtype=float)
-             - rho * np.asarray(model.kernel.grad_x(x, x), dtype=float))
-    return _solve_neg(hessian, g, checked)
+    m = model.multiplier(x) if macro is None else float(macro)
+    return _solve_neg(hessian, np.asarray(model.grad_x_rate(x, m), dtype=float),
+                      checked)
 
 
 def riccati_hessian_rhs(x_bar, macro, hessian, model):
@@ -135,19 +125,9 @@ def riccati_hessian_rhs(x_bar, macro, hessian, model):
     transport neglected)."""
     x = np.asarray(x_bar, dtype=float)
     H = np.atleast_2d(np.asarray(hessian, dtype=float))
-    if isinstance(model, GlobalInteractionModel):
-        d2 = np.asarray(model.hess_x_rate(x, macro), dtype=float)
-    else:
-        d2 = (np.asarray(model.intrinsic.hess(x), dtype=float)
-              - float(macro) * np.asarray(model.kernel.hess_x(x, x), dtype=float))
+    d2 = np.asarray(model.hess_x_rate(x, macro), dtype=float)
     out = d2 + 2.0 * H @ H
     return 0.5 * (out + out.T)
-
-
-def _multiplier(model, x):
-    if isinstance(model, GlobalInteractionModel):
-        return invert_constraint(model, x)
-    return _local_multiplier(model, x)
 
 
 def integrate_canonical(x0, closure: HessianClosure, model, dt: float,
@@ -186,7 +166,7 @@ def integrate_canonical(x0, closure: HessianClosure, model, dt: float,
         lower, upper = (np.atleast_1d(np.asarray(v, dtype=float))
                         for v in domain)
 
-    m = _multiplier(model, x)
+    m = model.multiplier(x)
     times = [0.0]
     pts = [x.copy()]
     macros = [m]
@@ -195,7 +175,7 @@ def integrate_canonical(x0, closure: HessianClosure, model, dt: float,
 
     def rhs(tau, xs, Hs, m=None):
         if m is None:
-            m = _multiplier(model, xs)
+            m = model.multiplier(xs)
         Hc = hess_at(tau, Hs)
         v = canonical_rhs(xs, Hc, model, macro=m, checked=frozen)
         dH = riccati_hessian_rhs(xs, m, Hs, model) \
@@ -223,7 +203,7 @@ def integrate_canonical(x0, closure: HessianClosure, model, dt: float,
                 warnings.warn(f"canonical trajectory left the domain at "
                               f"t={t:.6g}; truncated", RuntimeWarning)
                 break
-        m = _multiplier(model, x)
+        m = model.multiplier(x)
         times.append(t)
         pts.append(x.copy())
         macros.append(m)
@@ -239,7 +219,7 @@ def gradient_flow_rate(x_bar, hessian, model: GlobalInteractionModel,
     """Predicted dI/dt = (-1/R_I) gradR . (-H)^{-1} gradR; nonnegative when
     R_I < 0 and -H is positive definite."""
     x = np.asarray(x_bar, dtype=float)
-    i_bar = invert_constraint(model, x) if macro is None else float(macro)
+    i_bar = model.multiplier(x) if macro is None else float(macro)
     g = np.asarray(model.grad_x_rate(x, i_bar), dtype=float)
     r_i = float(model.d_rate_dI(x, i_bar))
     if not r_i < 0:
@@ -321,13 +301,12 @@ def long_time_attractor(model, domain):
 
     if isinstance(model, GlobalInteractionModel):
         def grad(x):
-            i = invert_constraint(model, x)
-            return np.asarray(model.grad_x_rate(x, i), dtype=float)
+            return np.asarray(model.grad_x_rate(x, model.multiplier(x)),
+                              dtype=float)
 
         def jac(x):
-            i = invert_constraint(model, x)
-            return np.atleast_2d(np.asarray(model.hess_x_rate(x, i),
-                                            dtype=float))
+            return np.atleast_2d(np.asarray(
+                model.hess_x_rate(x, model.multiplier(x)), dtype=float))
     else:
         if not model.symmetric:
             return None, "attractor theory requires a symmetric kernel"
@@ -362,9 +341,7 @@ def long_time_attractor(model, domain):
             continue
         if x is None or np.any(x < lower) or np.any(x > upper):
             continue
-        if isinstance(model, GlobalInteractionModel):
-            return (x, invert_constraint(model, x)), None
-        return (x, _local_multiplier(model, x)), None
+        return (x, model.multiplier(x)), None
     return None, "gradient never vanishes in the domain"
 
 

@@ -15,12 +15,14 @@ CONCENTRA_THREADS caps the sweep worker count.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
 import shutil
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -61,7 +63,6 @@ def _jsonable(obj):
 
 def _resolved_params(sc: Scenario, overrides=None) -> dict:
     cfg = dict(sc.raw["config"])
-    cfg.setdefault("variant", "global")
     cfg.setdefault("snapshot_every", 0)
     cfg.setdefault("mass_target", 0.3)
     if overrides:
@@ -81,12 +82,18 @@ def _resolved_params(sc: Scenario, overrides=None) -> dict:
     return resolved
 
 
+@contextlib.contextmanager
 def _artifact_dir(out_root, sc: Scenario, resolved: dict):
+    """The content-hash directory of a run, removed if the block fails."""
     digest = hashlib.sha256(
         json.dumps(_jsonable(resolved), sort_keys=True).encode()).hexdigest()
     path = os.path.join(out_root, f"{sc.name}_{digest[:8]}")
     os.makedirs(path, exist_ok=True)
-    return path
+    try:
+        yield path
+    except BaseException:
+        shutil.rmtree(path, ignore_errors=True)
+        raise
 
 
 def _assumption_report(sc: Scenario, model, b):
@@ -144,79 +151,89 @@ def _canonical_run(sc: Scenario, model, closure_mode, pde_result=None,
     return traj, residuals, reports
 
 
+@contextlib.contextmanager
+def _pde_run(sc: Scenario, out_root, sweep=False):
+    """Run `sc` into its content-hash directory: series.csv, the post-layer
+    residual and the canonical comparison (a sweep row forces from_pde on
+    the PDE's dt and T).  The directory goes if the `with` block fails."""
+    model, config, b = sc.build_model(), sc.build_config(), sc.build_diffusion()
+    resolved = _resolved_params(sc)
+    with _artifact_dir(out_root, sc, resolved) as outdir:
+        result = run_simulation(config, model, sc.build_grid(), sc.u0,
+                                probes=sc.probes, b=b,
+                                constants=sc.build_constants())
+        write_series_csv(result, os.path.join(outdir, "series.csv"))
+        _, post = diag.constraint_residual(result.trajectory, model,
+                                           t_layer=10 * config.dt)
+        canonical = None
+        if sweep or "canonical" in sc.raw:
+            mode, dt, T = (("from_pde", config.dt, config.steps * config.dt)
+                           if sweep else (None, None, None))
+            traj, c_res, c_reports = _canonical_run(
+                sc, model, mode, pde_result=result, dt=dt, T=T)
+            sup, _, _ = diag.compare_trajectories(result.trajectory, traj)
+            c_reports["pde_vs_canonical_sup_distance"] = sup
+            canonical = (traj, c_res, c_reports)
+        yield SimpleNamespace(outdir=outdir, resolved=resolved, model=model,
+                              b=b, result=result, residual_post_layer=post,
+                              canonical=canonical)
+
+
 def _cmd_run(args) -> int:
     try:
         sc = load_scenario(args.scenario)
-        model = sc.build_model()
-        config = sc.build_config()
-        grid = sc.build_grid()
-        b = sc.build_diffusion()
-        constants = sc.build_constants()
-    except (ScenarioError, ConfigError, ModelError, OSError) as exc:
+    except (ScenarioError, OSError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    resolved = _resolved_params(sc)
-    outdir = _artifact_dir(args.out, sc, resolved)
     try:
-        result = run_simulation(config, model, grid, sc.u0,
-                                probes=sc.probes, b=b, constants=constants)
-        write_series_csv(result, os.path.join(outdir, "series.csv"))
-        for step, snap in sorted(result.snapshots.items()):
-            write_field_npy(snap, os.path.join(outdir, f"snap_{step:06d}.npy"))
+        with _pde_run(sc, args.out) as run:
+            result, model, outdir = run.result, run.model, run.outdir
+            for step, snap in sorted(result.snapshots.items()):
+                write_field_npy(snap, os.path.join(outdir,
+                                                   f"snap_{step:06d}.npy"))
+            reports = {
+                "assumptions": _assumption_report(sc, model, run.b),
+                "regularity": result.regularity_reports,
+                "probe_maxima": result.probe_maxima,
+                "warnings": result.warnings,
+                "advisories": result.advisories,
+                "constraint_residual_post_layer": run.residual_post_layer,
+                "I_monotonicity_violation": diag.monotonicity_violation(
+                    result.series.I),
+                "I_total_variation": diag.total_variation(result.series.I),
+            }
+            if isinstance(model, LocalCompetitionModel):
+                reports["persistence"] = canon.persistence_envelope(
+                    result.trajectory, model)
+            if run.canonical is not None:
+                traj, c_res, reports["canonical"] = run.canonical
+                write_trajectory_csv(traj, os.path.join(outdir,
+                                                        "trajectory.csv"),
+                                     residuals=c_res)
 
-        reports = {
-            "assumptions": _assumption_report(sc, model, b),
-            "regularity": result.regularity_reports,
-            "probe_maxima": result.probe_maxima,
-            "warnings": result.warnings,
-            "advisories": result.advisories,
-        }
-        t_layer = 10 * config.dt
-        _, post = diag.constraint_residual(result.trajectory, model,
-                                           t_layer=t_layer)
-        reports["constraint_residual_post_layer"] = post
-        reports["I_monotonicity_violation"] = diag.monotonicity_violation(
-            result.series.I)
-        reports["I_total_variation"] = diag.total_variation(result.series.I)
+            if len(sc.u0) > 1 and result.probe_maxima:
+                last = max(result.probe_maxima)
+                peaks = result.probe_maxima[last]
+                if len(peaks) >= 2:
+                    # peaks are value-sorted; mark the weaker one as dominated
+                    reports["dominated_bump"] = {"step": last,
+                                                 "point": peaks[-1][0],
+                                                 "peak_value": peaks[-1][1]}
+                else:
+                    reports["dominated_bump"] = {"step": last,
+                                                 "note": "single peak survives"}
 
-        if isinstance(model, LocalCompetitionModel):
-            reports["persistence"] = canon.persistence_envelope(
-                result.trajectory, model)
-
-        if "canonical" in sc.raw:
-            traj, c_res, c_reports = _canonical_run(sc, model, None,
-                                                    pde_result=result)
-            write_trajectory_csv(traj, os.path.join(outdir, "trajectory.csv"),
-                                 residuals=c_res)
-            sup, _, _ = diag.compare_trajectories(result.trajectory, traj)
-            c_reports["pde_vs_canonical_sup_distance"] = sup
-            reports["canonical"] = c_reports
-
-        if len(sc.u0) > 1 and result.probe_maxima:
-            last = max(result.probe_maxima)
-            peaks = result.probe_maxima[last]
-            if len(peaks) >= 2:
-                # peaks are value-sorted; mark the weaker one as dominated
-                reports["dominated_bump"] = {"step": last,
-                                             "point": peaks[-1][0],
-                                             "peak_value": peaks[-1][1]}
-            else:
-                reports["dominated_bump"] = {"step": last,
-                                             "note": "single peak survives"}
-
-        manifest = dict(resolved)
-        manifest["artifact_dir"] = os.path.basename(outdir)
-        with open(os.path.join(outdir, "manifest.json"), "w") as f:
-            json.dump(_jsonable(manifest), f, indent=2, sort_keys=True)
-        with open(os.path.join(outdir, "reports.json"), "w") as f:
-            json.dump(_jsonable(reports), f, indent=2, sort_keys=True)
+            manifest = dict(run.resolved)
+            manifest["artifact_dir"] = os.path.basename(outdir)
+            with open(os.path.join(outdir, "manifest.json"), "w") as f:
+                json.dump(_jsonable(manifest), f, indent=2, sort_keys=True)
+            with open(os.path.join(outdir, "reports.json"), "w") as f:
+                json.dump(_jsonable(reports), f, indent=2, sort_keys=True)
     except NUMERICAL_ERRORS as exc:
-        shutil.rmtree(outdir, ignore_errors=True)
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ScenarioError, ConfigError) as exc:
-        shutil.rmtree(outdir, ignore_errors=True)
+    except ConfigError as exc:   # e.g. an initial density that underflows
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     print(outdir)
@@ -237,34 +254,16 @@ def _worker_count(n_jobs: int) -> int:
     return max(1, min(n_jobs, cap))
 
 
-def _sweep_one(sc: Scenario, eps: float, out_root: str):
+def _sweep_row(sc: Scenario, eps: float, out_root: str) -> dict:
     raw = json.loads(json.dumps(sc.raw))
     raw["config"]["epsilon"] = eps
-    sc_eps = Scenario(raw)
-    model = sc_eps.build_model()
-    config = sc_eps.build_config()
-    grid = sc_eps.build_grid()
-    b = sc_eps.build_diffusion()
-    resolved = _resolved_params(sc_eps)
-    outdir = _artifact_dir(out_root, sc_eps, resolved)
-    try:
-        result = run_simulation(config, model, grid, sc_eps.u0,
-                                probes=sc_eps.probes, b=b,
-                                constants=sc_eps.build_constants())
-        write_series_csv(result, os.path.join(outdir, "series.csv"))
-        t_layer = 10 * config.dt
-        _, post = diag.constraint_residual(result.trajectory, model,
-                                           t_layer=t_layer)
-        traj, _, _ = _canonical_run(sc_eps, model, "from_pde",
-                                    pde_result=result, dt=config.dt,
-                                    T=config.steps * config.dt)
-        sup, _, _ = diag.compare_trajectories(result.trajectory, traj)
-        mono = diag.monotonicity_violation(result.series.I)
-    except BaseException:
-        shutil.rmtree(outdir, ignore_errors=True)
-        raise
-    return {"epsilon": eps, "residual_post_layer": post, "sup_distance": sup,
-            "monotonicity_violation": mono, "dir": outdir, "status": "ok"}
+    with _pde_run(Scenario(raw), out_root, sweep=True) as run:
+        mono = diag.monotonicity_violation(run.result.series.I)
+    _, _, c_reports = run.canonical
+    return {"epsilon": eps, "residual_post_layer": run.residual_post_layer,
+            "sup_distance": c_reports["pde_vs_canonical_sup_distance"],
+            "monotonicity_violation": mono, "dir": run.outdir,
+            "status": "ok"}
 
 
 def _cmd_sweep(args) -> int:
@@ -296,7 +295,7 @@ def _cmd_sweep(args) -> int:
     rows = []
     failed = False
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(_sweep_one, sc, e, args.out): e for e in values}
+        futures = {pool.submit(_sweep_row, sc, e, args.out): e for e in values}
         for fut, eps in futures.items():
             try:
                 rows.append(fut.result())
@@ -337,23 +336,19 @@ def _cmd_canonical(args) -> int:
 
     resolved = _resolved_params(sc, overrides={"canonical_only": True,
                                                "closure": mode})
-    outdir = _artifact_dir(args.out, sc, resolved)
     try:
-        traj, residuals, reports = _canonical_run(sc, model, mode, feed=feed)
-        write_trajectory_csv(traj, os.path.join(outdir, "trajectory.csv"),
-                             residuals=residuals)
-        with open(os.path.join(outdir, "manifest.json"), "w") as f:
-            json.dump(_jsonable(resolved), f, indent=2, sort_keys=True)
-        with open(os.path.join(outdir, "reports.json"), "w") as f:
-            json.dump(_jsonable(reports), f, indent=2, sort_keys=True)
+        with _artifact_dir(args.out, sc, resolved) as outdir:
+            traj, residuals, reports = _canonical_run(sc, model, mode,
+                                                      feed=feed)
+            write_trajectory_csv(traj, os.path.join(outdir, "trajectory.csv"),
+                                 residuals=residuals)
+            with open(os.path.join(outdir, "manifest.json"), "w") as f:
+                json.dump(_jsonable(resolved), f, indent=2, sort_keys=True)
+            with open(os.path.join(outdir, "reports.json"), "w") as f:
+                json.dump(_jsonable(reports), f, indent=2, sort_keys=True)
     except NUMERICAL_ERRORS as exc:
-        shutil.rmtree(outdir, ignore_errors=True)
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ScenarioError as exc:
-        shutil.rmtree(outdir, ignore_errors=True)
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     print(outdir)
     return EXIT_OK
 
@@ -361,11 +356,7 @@ def _cmd_canonical(args) -> int:
 def _cmd_check(args) -> int:
     try:
         sc = load_scenario(args.scenario)
-        model = sc.build_model()
-        b = sc.build_diffusion()
-        sc.build_config()
-        sc.build_grid()
-        report = _assumption_report(sc, model, b)
+        report = _assumption_report(sc, sc.build_model(), sc.build_diffusion())
     except (ScenarioError, ConfigError, ModelError, OSError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

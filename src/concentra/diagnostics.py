@@ -7,8 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import GlobalInteractionModel
-
 
 class DiagnosticsError(ValueError):
     pass
@@ -58,12 +56,7 @@ def constraint_residual(traj, model, t_layer: float = None):
     times = np.asarray(traj.times, dtype=float)
     pts = np.asarray(traj.points, dtype=float)
     macro = np.asarray(traj.macro, dtype=float)
-    if isinstance(model, GlobalInteractionModel):
-        res = np.abs(np.asarray(model.rate(pts, macro), dtype=float))
-    else:
-        r = np.asarray(model.intrinsic.value(pts), dtype=float)
-        cxx = np.asarray(model.kernel(pts, pts), dtype=float)
-        res = np.abs(r - macro * cxx)
+    res = np.abs(np.asarray(model.rate(pts, macro), dtype=float))
     if t_layer is None:
         t_layer = times[0]
     sel = times >= t_layer

@@ -79,11 +79,6 @@ class TraitGrid:
             idx.append(min(max(i, 0), self.points_per_axis[j] - 1))
         return tuple(idx)
 
-    def contains(self, x) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= np.asarray(self.lower)) and
-                    np.all(x <= np.asarray(self.upper)))
-
 
 def build_grid(dimension, lower, upper, points_per_axis) -> TraitGrid:
     """Build a cell-centered grid; scalars are broadcast across axes."""
@@ -160,10 +155,6 @@ def diffusion_stencil(values: np.ndarray, spacing, faces=None,
     return out
 
 
-def laplacian_values(values: np.ndarray, spacing) -> np.ndarray:
-    return diffusion_stencil(values, spacing)
-
-
 def laplacian(field: ScalarField, bc: str = "no-flux") -> ScalarField:
     """Second-order diffusion stencil (3-point in 1D, 5-point in 2D).
 
@@ -172,7 +163,8 @@ def laplacian(field: ScalarField, bc: str = "no-flux") -> ScalarField:
     """
     if bc != "no-flux":
         raise GridError(f"unsupported boundary rule {bc!r}")
-    return ScalarField(field.grid, laplacian_values(field.values, field.grid.spacing))
+    return ScalarField(field.grid,
+                       diffusion_stencil(field.values, field.grid.spacing))
 
 
 def face_coefficients(grid: TraitGrid, b_values: np.ndarray) -> list:
@@ -189,10 +181,6 @@ def face_coefficients(grid: TraitGrid, b_values: np.ndarray) -> list:
         pad[ax] = (1, 1)
         faces.append(np.pad(interior, pad))
     return faces
-
-
-def div_b_grad_values(values: np.ndarray, faces: list, spacing) -> np.ndarray:
-    return diffusion_stencil(values, spacing, faces)
 
 
 def div_b_grad(field: ScalarField, b, bc: str = "no-flux") -> ScalarField:
@@ -216,7 +204,8 @@ def div_b_grad(field: ScalarField, b, bc: str = "no-flux") -> ScalarField:
     if np.any(b_nodes <= 0):
         raise GridError("diffusion coefficient must be positive on the grid")
     faces = face_coefficients(grid, b_nodes)
-    return ScalarField(grid, div_b_grad_values(field.values, faces, grid.spacing))
+    return ScalarField(grid, diffusion_stencil(field.values, grid.spacing,
+                                               faces))
 
 
 def integrate(field: ScalarField, weight=1) -> float:

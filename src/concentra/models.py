@@ -282,16 +282,39 @@ class GlobalInteractionModel:
     growth: object = None
     coef_I: Optional[float] = None
 
+    def multiplier(self, x):
+        """The I that puts x on the constraint R(x, I) = 0."""
+        return invert_constraint(self, x)
+
 
 @dataclass(frozen=True)
 class LocalCompetitionModel:
-    """Growth r(x) minus a competition-kernel convolution."""
+    """Growth r(x) minus a competition-kernel convolution.  The growth-law
+    methods take the global model's convention with the Dirac weight rho in
+    place of I: R(x, rho) = r(x) - rho C(x, x)."""
 
     dimension: int
     intrinsic: QuadraticFunction
     kernel: object
     symmetric: bool = True
     name: str = ""
+
+    def rate(self, x, rho):
+        return (np.asarray(self.intrinsic.value(x), dtype=float)
+                - rho * np.asarray(self.kernel(x, x), dtype=float))
+
+    def grad_x_rate(self, x, rho):
+        return (np.asarray(self.intrinsic.grad(x), dtype=float)
+                - rho * np.asarray(self.kernel.grad_x(x, x), dtype=float))
+
+    def hess_x_rate(self, x, rho):
+        return (np.asarray(self.intrinsic.hess(x), dtype=float)
+                - rho * np.asarray(self.kernel.hess_x(x, x), dtype=float))
+
+    def multiplier(self, x):
+        """Weight max(r, 0) / C(x, x) of the Dirac steady state at x."""
+        r = float(self.intrinsic.value(x))
+        return max(r, 0.0) / float(self.kernel(x, x))
 
 
 @dataclass(frozen=True)

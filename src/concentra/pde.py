@@ -8,6 +8,7 @@ implicitly via a matrix-free conjugate-gradient solve of
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -27,8 +28,6 @@ CG_MAXITER = 2000
 NEGATIVE_CLAMP = 1e-10   # relative tolerance for CG round-off below zero
 BOUNDARY_MASS_FRACTION = 1e-8
 
-VARIANTS = ("global", "local", "variable_diffusion")
-
 
 class ConfigError(ValueError):
     """Invalid simulation configuration."""
@@ -47,27 +46,22 @@ class SimulationConfig:
     epsilon: float
     dt: float
     steps: int
-    model_variant: str = "global"
     snapshot_every: int = 0
     mass_target: float = 0.3
 
     def __post_init__(self):
         for name in ("epsilon", "dt", "mass_target"):
             v = getattr(self, name)
-            if isinstance(v, bool) or not (np.isfinite(v) and v > 0):
+            if (isinstance(v, bool) or not isinstance(v, numbers.Real)
+                    or not (np.isfinite(v) and v > 0)):
                 raise ConfigError(f"{name} must be positive and finite, "
                                   f"got {v!r}")
-        if isinstance(self.steps, bool) or self.steps < 0:
-            raise ConfigError(f"steps must be a nonnegative integer, "
-                              f"got {self.steps!r}")
-        every = self.snapshot_every
-        if (isinstance(every, bool)
-                or not isinstance(every, (int, np.integer)) or every < 0):
-            raise ConfigError(f"snapshot_every must be a nonnegative integer, "
-                              f"got {every!r}")
-        if self.model_variant not in VARIANTS:
-            raise ConfigError(f"model_variant must be one of {VARIANTS}, "
-                              f"got {self.model_variant!r}")
+        for name in ("steps", "snapshot_every"):
+            v = getattr(self, name)
+            if (isinstance(v, bool) or not isinstance(v, (int, np.integer))
+                    or v < 0):
+                raise ConfigError(f"{name} must be a nonnegative integer, "
+                                  f"got {v!r}")
 
 
 @dataclass
@@ -148,7 +142,8 @@ def _cg(matvec, b, x0, rtol, maxiter):
 
 class ImexIntegrator:
     """One-step integrator with cached stencil data, a once-built
-    competition convolution (local variant) and warm-started CG."""
+    competition convolution (local model), b = 1 unless `b` is given, and
+    warm-started CG."""
 
     def __init__(self, grid: TraitGrid, model, config: SimulationConfig,
                  b: DiffusionCoefficient = None):
@@ -159,31 +154,25 @@ class ImexIntegrator:
         self.advisories = []
         self._prev = None
 
-        variant = config.model_variant
-        if variant == "local":
-            if not isinstance(model, LocalCompetitionModel):
-                raise ConfigError("local variant requires a local-competition "
-                                  "model")
+        self._local = isinstance(model, LocalCompetitionModel)
+        if self._local:
             self._r_nodes = np.asarray(model.intrinsic.value(self.nodes),
                                        dtype=float)
             self._convolve = kernel_convolution(grid, model.kernel)
-        else:
-            if not isinstance(model, GlobalInteractionModel):
-                raise ConfigError(f"{variant} variant requires a "
-                                  "global-interaction model")
+            self._psi = 1.0   # J = (1/eps) int R n carries no weight
+        elif isinstance(model, GlobalInteractionModel):
             self._psi = np.asarray(model.weight(self.nodes), dtype=float)
+        else:
+            raise ConfigError(f"unsupported model type "
+                              f"{type(model).__name__}")
 
-        if variant == "variable_diffusion":
-            if b is None:
-                raise ConfigError("variable_diffusion variant requires a "
-                                  "diffusion coefficient")
+        self._faces = None
+        if b is not None:
             b_nodes = np.asarray(b.value(self.nodes), dtype=float)
             if np.any(b_nodes <= 0):
                 raise ConfigError("diffusion coefficient must be positive "
                                   "on the grid")
             self._faces = face_coefficients(grid, b_nodes)
-        else:
-            self._faces = None
 
         shape = grid.shape
         spacing = grid.spacing
@@ -200,7 +189,7 @@ class ImexIntegrator:
     def macro_of(self, density: DensityField):
         """Macro coupling computed from a density: scalar I (global) or the
         competition field (local)."""
-        if self.config.model_variant == "local":
+        if self._local:
             return self._convolve(density)
         return float((self._psi * density.values).sum()
                      * self.grid.cell_volume)
@@ -209,7 +198,7 @@ class ImexIntegrator:
         """(R values on nodes, macro used)."""
         if macro is None:
             macro = self.macro_of(density)
-        if self.config.model_variant == "local":
+        if self._local:
             return self._r_nodes - macro.values, macro
         return (np.asarray(self.model.rate(self.nodes, macro), dtype=float),
                 macro)
@@ -260,15 +249,12 @@ class RunResult:
     warnings: list
     advisories: list
 
-    def __iter__(self):
-        return iter((self.series, self.snapshots, self.trajectory))
-
 
 def run_simulation(config: SimulationConfig, model, grid: TraitGrid, u0_spec,
                    probes=None, b: DiffusionCoefficient = None,
                    constants: AssumptionConstants = None) -> RunResult:
-    """Step the chosen variant, recording macro observables and the tracked
-    peak every step, snapshots every snapshot_every steps, and regularity
+    """Step the model, recording macro observables and the tracked peak
+    every step, snapshots every snapshot_every steps, and regularity
     reports at the probe steps."""
     engine = ImexIntegrator(grid, model, config, b=b)
     density = init_density(grid, u0_spec, config.epsilon, config.mass_target)
@@ -288,13 +274,9 @@ def run_simulation(config: SimulationConfig, model, grid: TraitGrid, u0_spec,
         n = state.density
         rate, macro = engine.rate_field(n, state.macro)
         state.macro = macro
-        if config.model_variant == "local":
-            i_val = float(n.values.sum() * vol)
-            psi_rn = rate * n.values
-        else:
-            i_val = macro
-            psi_rn = engine._psi * rate * n.values
         rho = float(n.values.sum() * vol)
+        i_val = rho if engine._local else macro
+        psi_rn = engine._psi * rate * n.values
         j_val = float(psi_rn.sum() * vol) / config.epsilon
         bm = boundary_ring_mass(n)
         if bm > BOUNDARY_MASS_FRACTION * rho and not run_warnings:
@@ -317,13 +299,11 @@ def run_simulation(config: SimulationConfig, model, grid: TraitGrid, u0_spec,
             H = hessian_at(u, x_bar)
         except WkbError:
             H = np.full((d, d), np.nan)
-        if config.model_variant == "local":
+        if engine._local:
             res = abs(float(model.intrinsic.value(x_bar))
                       - float(macro.values[grid.nearest_index(x_bar)]))
-            macro_scalar = rho
         else:
             res = abs(float(model.rate(x_bar, macro)))
-            macro_scalar = macro
 
         times.append(state.time)
         Is.append(i_val)
@@ -332,7 +312,7 @@ def run_simulation(config: SimulationConfig, model, grid: TraitGrid, u0_spec,
         bms.append(bm)
         pts.append(np.asarray(x_bar, dtype=float))
         hessians.append(H)
-        macros.append(macro_scalar)
+        macros.append(i_val)
         residuals.append(res)
 
         if config.snapshot_every and step_index % config.snapshot_every == 0:

@@ -11,11 +11,11 @@ from importlib import resources
 
 import numpy as np
 
-from .grid import TraitGrid, build_grid
+from .grid import GridError, TraitGrid, build_grid
 from .models import (AssumptionConstants, DiffusionCoefficient,
                      MODEL_FAMILIES, ModelError, build_model,
                      constant_diffusion, sine_diffusion)
-from .pde import SimulationConfig
+from .pde import ConfigError, SimulationConfig
 
 
 class ScenarioError(ValueError):
@@ -43,6 +43,22 @@ def _is_finite_number(v) -> bool:
             and math.isfinite(v))
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _reject_bools(v, path):
+    """No JSON true/false anywhere inside v: bool would pass for 1 and 0."""
+    if isinstance(v, bool):
+        raise ScenarioError(f"field {path} must not be a boolean, got {v!r}")
+    if isinstance(v, dict):
+        for k, x in v.items():
+            _reject_bools(x, f"{path}.{k}")
+    elif isinstance(v, list):
+        for k, x in enumerate(v):
+            _reject_bools(x, f"{path}[{k}]")
+
+
 @dataclass
 class Scenario:
     """Validated scenario; `raw` is the exact parsed JSON object (bit-exact
@@ -64,11 +80,22 @@ class Scenario:
         if family not in MODEL_FAMILIES:
             raise ScenarioError(f"field $.model.family: unknown family "
                                 f"{family!r}; known: {sorted(MODEL_FAMILIES)}")
+        params = model.get("params", {})
+        if not isinstance(params, dict):
+            raise ScenarioError("field $.model.params must be an object")
+        _reject_bools({k: v for k, v in params.items()
+                       if k != "symmetric"},   # the one boolean parameter
+                      "$.model.params")
 
         grid = _require(d, "grid", (dict,), "$")
-        for key in ("lower", "upper"):
-            _require(grid, key, _NUM + (list,), "$.grid")
-        _require(grid, "points_per_axis", (int, list), "$.grid")
+        for key, types, ok, what in (
+                ("lower", _NUM + (list,), _is_finite_number, "finite numbers"),
+                ("upper", _NUM + (list,), _is_finite_number, "finite numbers"),
+                ("points_per_axis", (int, list), _is_int, "integers")):
+            v = _require(grid, key, types, "$.grid")
+            if not all(ok(x) for x in (v if isinstance(v, list) else [v])):
+                raise ScenarioError(f"field $.grid.{key} must hold {what}, "
+                                    f"got {v!r}")
 
         cfg = _require(d, "config", (dict,), "$")
         for key in ("epsilon", "dt"):
@@ -81,16 +108,15 @@ class Scenario:
             raise ScenarioError(f"field $.config.steps must be nonnegative, "
                                 f"got {steps}")
         every = cfg.get("snapshot_every", 0)
-        if isinstance(every, bool) or not isinstance(every, int) or every < 0:
+        if not _is_int(every) or every < 0:
             raise ScenarioError(f"field $.config.snapshot_every must be a "
                                 f"nonnegative integer, got {every!r}")
-        variant = cfg.get("variant", "global")
-        if variant not in ("global", "local", "variable_diffusion"):
-            raise ScenarioError(f"field $.config.variant: unknown variant "
-                                f"{variant!r}")
-        if (variant == "variable_diffusion") != ("diffusion" in d):
-            raise ScenarioError("field $.diffusion is required by, and only "
-                                "allowed with, the variable_diffusion variant")
+        if "variant" in cfg:
+            # a stale "variable_diffusion" file without a $.diffusion block
+            # would otherwise run with b = 1
+            raise ScenarioError("field $.config.variant is no longer read: "
+                                "the variant follows from $.model.family and "
+                                "$.diffusion")
 
         u0 = _require(d, "u0", (list,), "$")
         if not u0:
@@ -117,12 +143,32 @@ class Scenario:
             if mode not in ("from_pde", "frozen", "riccati"):
                 raise ScenarioError(f"field $.canonical.closure: unknown "
                                     f"mode {mode!r}")
+            for key in ("dt", "T"):
+                if key in can and not (_is_finite_number(can[key])
+                                       and can[key] > 0):
+                    raise ScenarioError(f"field $.canonical.{key} must be "
+                                        f"positive and finite, got "
+                                        f"{can[key]!r}")
+
+        probes = d.get("probes", [])
+        if not (isinstance(probes, list)
+                and all(_is_int(p) and p >= 0 for p in probes)):
+            raise ScenarioError(f"field $.probes must be a list of "
+                                f"nonnegative integers, got {probes!r}")
 
         if "constants" in d:
             try:
                 AssumptionConstants.from_dict(d["constants"])
             except ModelError as exc:
                 raise ScenarioError(f"field $.constants: {exc}") from exc
+
+        # a scenario that constructs can be built
+        for key, error in (("grid", GridError), ("model", ModelError),
+                           ("diffusion", ModelError), ("config", ConfigError)):
+            try:
+                getattr(self, f"build_{key}")()
+            except error as exc:
+                raise ScenarioError(f"field $.{key}: {exc}") from exc
 
     # --- accessors -----------------------------------------------------
 
@@ -154,7 +200,6 @@ class Scenario:
         c = self.raw["config"]
         return SimulationConfig(
             epsilon=c["epsilon"], dt=c["dt"], steps=c["steps"],
-            model_variant=c.get("variant", "global"),
             snapshot_every=c.get("snapshot_every", 0),
             mass_target=c.get("mass_target", 0.3))
 

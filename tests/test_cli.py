@@ -72,7 +72,7 @@ def test_scenario_roundtrips_raw_json():
     ({"u0": [{"center": [0.5], "weights": [-1.0]}]}, "$.u0[0].weights"),
     ({"canonical__closure": "magic"}, "$.canonical.closure"),
     ({"constants": {"K_mystery": 1.0}}, "$.constants"),
-    ({"diffusion": {"type": "constant", "value": 4.0}}, "$.diffusion"),
+    ({"diffusion": {"type": "sine", "base": 1.0, "amp": 2.0}}, "$.diffusion"),
     ({"config__epsilon": float("nan")}, "$.config.epsilon"),
     ({"config__dt": float("inf")}, "$.config.dt"),
     ({"config__snapshot_every": "20"}, "$.config.snapshot_every"),
@@ -92,6 +92,29 @@ def test_scenario_roundtrips_raw_json():
     ({"config__dt": True}, "$.config.dt"),
     ({"grid__points_per_axis": True}, "$.grid.points_per_axis"),
     ({"grid__upper": True}, "$.grid.upper"),
+    ({"grid__points_per_axis": 4}, "$.grid"),
+    ({"grid__lower": 3.0, "grid__upper": 2.0}, "$.grid"),
+    ({"grid__lower": [0.0, 0.0]}, "$.grid"),
+    ({"grid__lower": [False]}, "$.grid.lower"),
+    ({"grid__upper": [True]}, "$.grid.upper"),
+    ({"grid__points_per_axis": [True]}, "$.grid.points_per_axis"),
+    ({"grid__points_per_axis": [64.0]}, "$.grid.points_per_axis"),
+    ({"grid__lower": ["0"]}, "$.grid.lower"),
+    ({"grid__upper": float("nan")}, "$.grid.upper"),
+    ({"model__params__k0": True}, "$.model.params.k0"),
+    ({"model__params__center": [True]}, "$.model.params.center[0]"),
+    ({"model__params": [0.5]}, "$.model.params"),
+    ({"canonical__dt": "0.1"}, "$.canonical.dt"),
+    ({"canonical__dt": 0}, "$.canonical.dt"),
+    ({"canonical__dt": -0.01}, "$.canonical.dt"),
+    ({"canonical__dt": True}, "$.canonical.dt"),
+    ({"canonical__T": float("nan")}, "$.canonical.T"),
+    ({"canonical__T": float("inf")}, "$.canonical.T"),
+    ({"probes": ["a"]}, "$.probes"),
+    ({"probes": 5}, "$.probes"),
+    ({"probes": [True]}, "$.probes"),
+    ({"probes": [-1]}, "$.probes"),
+    ({"probes": [1.0]}, "$.probes"),
 ])
 def test_scenario_validation_names_field(edits, needle):
     with pytest.raises(ScenarioError, match=needle.replace("$", r"\$")
@@ -99,9 +122,23 @@ def test_scenario_validation_names_field(edits, needle):
         Scenario(variant(**edits))
 
 
-def test_variable_diffusion_requires_diffusion_block():
-    with pytest.raises(ScenarioError, match="diffusion"):
-        Scenario(variant(config__variant="variable_diffusion"))
+@pytest.mark.parametrize("value", ["global", "local", "variable_diffusion"])
+def test_stale_variant_key_exits_2(tmp_path, capsys, value):
+    scen = write_scenario(tmp_path, variant(config__variant=value))
+    out = tmp_path / "out"
+    assert main(["run", scen, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "$.config.variant" in err
+    assert "$.model.family" in err and "$.diffusion" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", bundled_scenario_names())
+def test_check_passes_on_bundled_scenarios(capsys, name):
+    path = os.path.join(os.path.dirname(concentra.__file__), "scenarios",
+                        f"{name}.json")
+    assert main(["check", path]) == 0
+    assert json.loads(capsys.readouterr().out)["valid"] is True
 
 
 def test_bundled_scenarios_present():
@@ -147,7 +184,6 @@ def test_run_produces_artifacts(tmp_path, capsys):
     with open(os.path.join(art, "manifest.json")) as f:
         manifest = json.load(f)
     assert manifest["scenario"] == BASE
-    assert manifest["config"]["variant"] == "global"
     assert manifest["boundary_rule"] == "no-flux"
     assert manifest["domain"]["points_per_axis"] == [64]
 
@@ -238,6 +274,52 @@ def test_run_boolean_number_exits_2_without_artifacts(tmp_path, capsys, edits,
     assert main(["run", scen, "--out", str(out)]) == 2
     assert needle in capsys.readouterr().err
     assert not out.exists() or not os.listdir(out)
+
+
+@pytest.mark.parametrize("edits", [
+    {"canonical__dt": 0}, {"canonical__T": float("nan")}, {"probes": 5},
+])
+def test_run_invalid_canonical_or_probes_exits_2_without_artifacts(
+        tmp_path, capsys, edits):
+    scen = write_scenario(tmp_path, variant(**edits))
+    out = tmp_path / "out"
+    assert main(["run", scen, "--out", str(out)]) == 2
+    assert "validation error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", [
+    {"lower": 0.0, "upper": 1.0, "points_per_axis": 4},
+    {"lower": 3.0, "upper": 2.0, "points_per_axis": 64},
+], ids=["too_few_points", "inverted_box"])
+@pytest.mark.parametrize("command", ["run", "sweep", "canonical", "check"])
+def test_invalid_grid_exits_2_without_artifacts(tmp_path, capsys, command,
+                                                grid):
+    scen = write_scenario(tmp_path, variant(grid=grid))
+    out = tmp_path / "out"
+    args = {"run": ["run", scen, "--out", str(out)],
+            "sweep": ["sweep", scen, "--epsilon", "0.02,0.01",
+                      "--out", str(out)],
+            "canonical": ["canonical", scen, "--closure", "frozen",
+                          "--out", str(out)],
+            "check": ["check", scen]}[command]
+    assert main(args) == 2
+    assert "$.grid" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_diffusion_block_applies_to_global_family(tmp_path, capsys):
+    series = []
+    for name, raw in (("plain", BASE),
+                      ("varied", variant(diffusion={"type": "sine",
+                                                    "base": 1.0, "amp": 0.5,
+                                                    "freq": 1.0}))):
+        out = tmp_path / name
+        assert main(["run", write_scenario(tmp_path, raw, f"{name}.json"),
+                     "--out", str(out)]) == 0
+        series.append(pathlib.Path(_only_artifact_dir(out), "series.csv")
+                      .read_bytes())
+    assert series[0] != series[1]
 
 
 def test_run_invalid_scenario_exits_2(tmp_path, capsys):

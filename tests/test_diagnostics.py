@@ -41,8 +41,8 @@ def test_macro_series_times_must_increase():
 
 # --- the series recorded by a run ---------------------------------------------------
 
-def initial_series(model, grid, epsilon, variant="global"):
-    cfg = SimulationConfig(epsilon, 0.01, 0, model_variant=variant)
+def initial_series(model, grid, epsilon):
+    cfg = SimulationConfig(epsilon, 0.01, 0)
     bump = [{"center": [0.5], "weights": [2.0]}]
     return run_simulation(cfg, model, grid, bump).series
 
@@ -58,7 +58,7 @@ def test_macro_series_local_recomputes_competition_field():
     local = build_model({"family": "logistic_local",
                          "params": {"r": {"c0": 1.0, "center": [0.5],
                                           "weights": [1.0]}}}, 1)
-    s = initial_series(local, build_grid(1, 0.0, 1.0, 64), 0.01, "local")
+    s = initial_series(local, build_grid(1, 0.0, 1.0, 64), 0.01)
     assert s.rho[0] == pytest.approx(0.3, abs=1e-12)
     assert np.isfinite(s.J[0])
 

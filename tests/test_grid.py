@@ -7,10 +7,9 @@ import pytest
 
 from concentra.grid import (DensityField, GridError, ScalarField, TraitGrid,
                             boundary_ring_mass, build_grid, convolve_kernel,
-                            diffusion_stencil, div_b_grad, div_b_grad_values,
-                            face_coefficients, integrate, kernel_convolution,
-                            laplacian, laplacian_values, read_field_csv,
-                            write_field_csv)
+                            diffusion_stencil, div_b_grad, face_coefficients,
+                            integrate, kernel_convolution, laplacian,
+                            read_field_csv, write_field_csv)
 from concentra.models import GaussianKernel, QuadraticFunction, SeparableKernel
 
 
@@ -168,8 +167,7 @@ def test_stencil_bitwise_equals_padded_formula(grid, variable):
         zeros = rng.random(grid.shape) < 0.3   # signed zeros must match too
         f[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
         ref = _padded_stencil(f, grid.spacing, faces)
-        got = (div_b_grad_values(f, faces, grid.spacing) if variable
-               else laplacian_values(f, grid.spacing))
+        got = diffusion_stencil(f, grid.spacing, faces)
         assert got.tobytes() == ref.tobytes()
         assert (diffusion_stencil(f, grid.spacing, faces, coef).tobytes()
                 == (f - coef * ref).tobytes())

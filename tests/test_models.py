@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 
 from concentra.models import (ROOT_TOL, AssumptionConstants, ConstantKernel,
-                              ConstraintInfeasibleError, ModelError,
+                              ConstraintInfeasibleError,
+                              LocalCompetitionModel, ModelError,
                               NoPositiveSteadyStateError,
                               PotentialDomainError, build_model,
                               check_assumptions, constant_diffusion,
                               eval_growth, invert_constraint,
                               make_global_model_from_rate, phi_potential,
                               sine_diffusion, steady_state_weight)
+from concentra.scenarios import bundled_scenario_names, load_bundled
 
 
 def affine_2d(a=2.0, slope=(1.0, 1.0), coef_I=1.0):
@@ -139,6 +141,62 @@ def test_invert_monotone_in_pointwise_rate_order():
     near = invert_constraint(m, (0.55, 0.5))
     far = invert_constraint(m, (0.9, 0.5))
     assert near > far
+
+
+# --- one growth-law interface for both model types -------------------------------
+
+GROWTH_LAWS = {
+    **{name: (lambda name=name: load_bundled(name).build_model())
+       for name in bundled_scenario_names()},
+    "local_constant_kernel": lambda: logistic_local(
+        c0=1.0, center=0.4, weight=1.5,
+        kernel={"type": "constant", "value": 1.3}),
+    "local_separable_kernel": lambda: logistic_local(
+        c0=1.0, center=0.4, weight=1.5,
+        kernel={"type": "separable",
+                "phi": {"c0": 2.0, "center": [0.1], "weights": [0.5]},
+                "psi": {"c0": 1.0, "center": [0.7], "weights": [0.3]}}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GROWTH_LAWS))
+def test_growth_law_interface_bitwise_equals_forked_formulas(name):
+    """multiplier, rate, grad_x_rate and hess_x_rate give, byte for byte,
+    what the per-type formulas they replace gave."""
+    m = GROWTH_LAWS[name]()
+    local = isinstance(m, LocalCompetitionModel)
+    rng = np.random.default_rng(53)
+    pts = rng.uniform(0.0, 1.0, size=(200, m.dimension))   # feasible here
+    macros = []
+    for x in pts:
+        if local:
+            mult = (max(float(m.intrinsic.value(x)), 0.0)
+                    / float(m.kernel(x, x)))
+            grad = (np.asarray(m.intrinsic.grad(x), dtype=float)
+                    - mult * np.asarray(m.kernel.grad_x(x, x), dtype=float))
+            hess = (np.asarray(m.intrinsic.hess(x), dtype=float)
+                    - float(mult)
+                    * np.asarray(m.kernel.hess_x(x, x), dtype=float))
+        else:
+            mult = invert_constraint(m, x)
+            grad = np.asarray(m.grad_x_rate(x, mult), dtype=float)
+            hess = np.asarray(m.hess_x_rate(x, mult), dtype=float)
+        got = m.multiplier(x)
+        assert type(got) is type(mult)
+        assert np.float64(got).tobytes() == np.float64(mult).tobytes()
+        assert (np.asarray(m.grad_x_rate(x, got), dtype=float).tobytes()
+                == grad.tobytes())
+        assert (np.asarray(m.hess_x_rate(x, got), dtype=float).tobytes()
+                == hess.tobytes())
+        macros.append(mult)
+    macros = np.asarray(macros)
+    if local:
+        rate = (np.asarray(m.intrinsic.value(pts), dtype=float)
+                - macros * np.asarray(m.kernel(pts, pts), dtype=float))
+    else:
+        rate = np.asarray(m.rate(pts, macros), dtype=float)
+    assert (np.asarray(m.rate(pts, macros), dtype=float).tobytes()
+            == rate.tobytes())
 
 
 # --- steady states and potential ------------------------------------------------

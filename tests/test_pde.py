@@ -49,12 +49,13 @@ def _run_steps(engine, state, steps):
 
 @pytest.mark.parametrize("kwargs", [
     {"epsilon": 0.0}, {"dt": -1.0}, {"steps": -1},
-    {"model_variant": "spectral"}, {"mass_target": 0.0},
+    {"epsilon": "0.01"}, {"mass_target": 0.0},
     {"epsilon": float("nan")}, {"dt": float("nan")},
     {"epsilon": float("inf")}, {"mass_target": float("nan")},
     {"snapshot_every": -1}, {"snapshot_every": 0.5},
     {"snapshot_every": "20"}, {"snapshot_every": True},
     {"epsilon": True}, {"dt": True}, {"steps": True}, {"mass_target": True},
+    {"steps": 2.0}, {"steps": "2"}, {"mass_target": "0.3"},
 ])
 def test_config_validation(kwargs):
     base = {"epsilon": 0.01, "dt": 0.01, "steps": 1}
@@ -103,7 +104,7 @@ def test_reaction_update_exact_for_constant_rate():
     # vanishing diffusion coefficient isolates the exponential reaction update
     g = build_grid(1, 0.0, 1.0, 128)
     r0, eps, dt = 0.35, 0.01, 0.002
-    cfg = SimulationConfig(eps, dt, 1, model_variant="variable_diffusion")
+    cfg = SimulationConfig(eps, dt, 1)
     engine = ImexIntegrator(g, constant_rate_model(r0, 1), cfg,
                             b=constant_diffusion(1e-30))
     n0 = init_density(g, [{"center": [0.5], "weights": [1.0]}], eps, 0.3)
@@ -148,8 +149,7 @@ def test_variable_diffusion_b4_quadruples_variance_growth():
     eps, dt, steps = 0.002, 0.01, 20
     growths = []
     for bval in (1.0, 4.0):
-        cfg = SimulationConfig(eps, dt, steps,
-                               model_variant="variable_diffusion")
+        cfg = SimulationConfig(eps, dt, steps)
         engine = ImexIntegrator(g, zero_rate_model(1), cfg,
                                 b=constant_diffusion(bval))
         state = SimulationState(
@@ -169,9 +169,8 @@ def test_variable_diffusion_unit_b_matches_global_stepper():
                                     "weights": [1.0]}}, 1)
     n0 = init_density(g, [{"center": [0.6], "weights": [1.0]}], 0.01, 0.3)
     paths = []
-    for variant, b in (("global", None),
-                       ("variable_diffusion", constant_diffusion(1.0))):
-        cfg = SimulationConfig(0.01, 0.005, 10, model_variant=variant)
+    for b in (None, constant_diffusion(1.0)):
+        cfg = SimulationConfig(0.01, 0.005, 10)
         engine = ImexIntegrator(g, model, cfg, b=b)
         state = SimulationState(0.0, DensityField(g, n0.values.copy()), None)
         state = _run_steps(engine, state, 10)
@@ -191,8 +190,8 @@ def test_local_constant_kernel_reduces_to_global():
                                    "weights": [1.0], "coef_I": 1.0}}, 1)
     n0 = init_density(g, [{"center": [0.6], "weights": [1.0]}], 0.01, 0.3)
     outs = []
-    for variant, model in (("local", local), ("global", glob)):
-        cfg = SimulationConfig(0.01, 0.005, 10, model_variant=variant)
+    for model in (local, glob):
+        cfg = SimulationConfig(0.01, 0.005, 10)
         engine = ImexIntegrator(g, model, cfg)
         state = SimulationState(0.0, DensityField(g, n0.values.copy()), None)
         state = _run_steps(engine, state, 10)
@@ -202,7 +201,7 @@ def test_local_constant_kernel_reduces_to_global():
 
 def test_positivity_with_oscillating_diffusion_coefficient():
     g = build_grid(1, 0.0, 1.0, 128)
-    cfg = SimulationConfig(0.01, 0.01, 1, model_variant="variable_diffusion")
+    cfg = SimulationConfig(0.01, 0.01, 1)
     engine = ImexIntegrator(g, constant_rate_model(0.2, 1), cfg,
                             b=sine_diffusion(1.0, 0.5, 1.0))
     state = SimulationState(
@@ -218,7 +217,7 @@ def test_zero_density_is_absorbing_for_local_model():
     local = build_model({"family": "logistic_local",
                          "params": {"r": {"c0": 1.0, "center": [0.5],
                                           "weights": [1.0]}}}, 1)
-    cfg = SimulationConfig(0.01, 0.01, 1, model_variant="local")
+    cfg = SimulationConfig(0.01, 0.01, 1)
     engine = ImexIntegrator(g, local, cfg)
     out = engine.step(SimulationState(0.0, DensityField(g, np.zeros(g.shape)),
                                       None))
@@ -227,8 +226,7 @@ def test_zero_density_is_absorbing_for_local_model():
 
 def _diffusion_engine(dimension, variable):
     g = build_grid(dimension, 0.0, 1.0, 24 if dimension == 2 else 64)
-    variant = "variable_diffusion" if variable else "global"
-    cfg = SimulationConfig(0.01, 0.01, 1, model_variant=variant)
+    cfg = SimulationConfig(0.01, 0.01, 1)
     b = sine_diffusion(1.0, 0.5, 1.0) if variable else None
     return ImexIntegrator(g, zero_rate_model(dimension), cfg, b=b)
 
@@ -270,15 +268,36 @@ def test_cg_non_convergence_raises_solver_error(monkeypatch):
         engine.step(SimulationState(0.0, n0, None))
 
 
-def test_variant_model_mismatch_rejected():
+def test_model_of_neither_type_rejected():
     g = build_grid(1, 0.0, 1.0, 64)
-    cfg = SimulationConfig(0.01, 0.01, 1, model_variant="local")
-    with pytest.raises(ConfigError):
-        ImexIntegrator(g, zero_rate_model(1), cfg)
-    cfg2 = SimulationConfig(0.01, 0.01, 1,
-                            model_variant="variable_diffusion")
-    with pytest.raises(ConfigError):
-        ImexIntegrator(g, zero_rate_model(1), cfg2)   # b missing
+    cfg = SimulationConfig(0.01, 0.01, 1)
+    with pytest.raises(ConfigError, match="unsupported model type"):
+        ImexIntegrator(g, object(), cfg)
+
+
+def _ten_steps(model, b):
+    g = build_grid(1, 0.0, 1.0, 128)
+    engine = ImexIntegrator(g, model, SimulationConfig(0.01, 0.005, 10), b=b)
+    n0 = init_density(g, [{"center": [0.6], "weights": [1.0]}], 0.01, 0.3)
+    return _run_steps(engine, SimulationState(0.0, n0, None), 10)
+
+
+def test_default_config_applies_diffusion_coefficient():
+    """A given b is never dropped: the engine reads the face coefficients
+    off `b` itself, for every model."""
+    model = build_model({"family": "quadratic_global",
+                         "params": {"k0": 1.0, "center": [0.5],
+                                    "weights": [1.0]}}, 1)
+    plain = _ten_steps(model, None).density.values
+    varied = _ten_steps(model, sine_diffusion(1.0, 0.5, 1.0)).density.values
+    assert np.max(np.abs(plain - varied)) > 1e-3
+
+
+def test_local_model_unit_diffusion_matches_no_coefficient():
+    local = load_bundled("local_logistic").build_model()
+    plain = _ten_steps(local, None).density.values
+    unit = _ten_steps(local, constant_diffusion(1.0)).density.values
+    assert np.max(np.abs(plain - unit)) <= 1e-12
 
 
 # --- full runs -------------------------------------------------------------------
@@ -306,7 +325,7 @@ def test_run_local_samples_kernel_once_per_run():
         Counted.calls = 0
         model = dataclasses.replace(sc.build_model(), kernel=Counted(
             base.floor, base.amp, base.width))
-        cfg = SimulationConfig(0.01, 0.002, steps, model_variant="local")
+        cfg = SimulationConfig(0.01, 0.002, steps)
         run_simulation(cfg, model, grid, sc.u0)
         counts.append(Counted.calls)
     assert counts[0] == counts[1] >= 1
