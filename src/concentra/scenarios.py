@@ -47,6 +47,11 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+# $.diffusion.type -> (constructor, the block's keys it reads as keywords)
+_DIFFUSION_TYPES = {"constant": (constant_diffusion, ("value",)),
+                    "sine": (sine_diffusion, ("base", "amp", "freq", "axis"))}
+
+
 def _reject_bools(v, path):
     """No JSON true/false anywhere inside v: bool would pass for 1 and 0."""
     if isinstance(v, bool):
@@ -104,8 +109,8 @@ class Scenario:
                 raise ScenarioError(f"field $.config.{key} must be positive "
                                     f"and finite, got {v}")
         steps = _require(cfg, "steps", (int,), "$.config")
-        if steps < 0:
-            raise ScenarioError(f"field $.config.steps must be nonnegative, "
+        if steps < 1:   # the run's diagnostics need two samples
+            raise ScenarioError(f"field $.config.steps must be positive, "
                                 f"got {steps}")
         every = cfg.get("snapshot_every", 0)
         if not _is_int(every) or every < 0:
@@ -162,6 +167,32 @@ class Scenario:
             except ModelError as exc:
                 raise ScenarioError(f"field $.constants: {exc}") from exc
 
+        diff = d.get("diffusion")
+        if diff is not None:
+            if not isinstance(diff, dict):
+                raise ScenarioError("field $.diffusion must be an object")
+            kind = diff.get("type", "constant")
+            if not (isinstance(kind, str) and kind in _DIFFUSION_TYPES):
+                raise ScenarioError(f"field $.diffusion.type must be one of "
+                                    f"{sorted(_DIFFUSION_TYPES)}, got "
+                                    f"{kind!r}")
+            _, fields = _DIFFUSION_TYPES[kind]
+            for key, v in diff.items():
+                if key == "type":
+                    continue
+                if key not in fields:
+                    raise ScenarioError(f"field $.diffusion.{key} is not read "
+                                        f"by type {kind!r}, which reads "
+                                        f"{list(fields)}")
+                if key == "axis":
+                    ok = _is_int(v) and 0 <= v < dim
+                    what = f"an integer in [0, {dim})"
+                else:
+                    ok, what = _is_finite_number(v), "a finite number"
+                if not ok:
+                    raise ScenarioError(f"field $.diffusion.{key} must be "
+                                        f"{what}, got {v!r}")
+
         # a scenario that constructs can be built
         for key, error in (("grid", GridError), ("model", ModelError),
                            ("diffusion", ModelError), ("config", ConfigError)):
@@ -207,15 +238,9 @@ class Scenario:
         spec = self.raw.get("diffusion")
         if spec is None:
             return None
-        kind = spec.get("type", "constant")
-        if kind == "constant":
-            return constant_diffusion(spec.get("value", 1.0))
-        if kind == "sine":
-            return sine_diffusion(spec.get("base", 1.0),
-                                  spec.get("amp", 0.5),
-                                  spec.get("freq", 1.0),
-                                  spec.get("axis", 0))
-        raise ScenarioError(f"field $.diffusion.type: unknown type {kind!r}")
+        params = dict(spec)
+        build, _ = _DIFFUSION_TYPES[params.pop("type", "constant")]
+        return build(**params)
 
     def build_constants(self) -> AssumptionConstants:
         return AssumptionConstants.from_dict(self.raw.get("constants", {}))

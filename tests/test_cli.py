@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 import concentra
+from concentra import cli
 from concentra.cli import main
 from concentra.grid import ScalarField, build_grid, write_field_csv
+from concentra.models import ConstraintInfeasibleError
 from concentra.pde import run_simulation
 from concentra.scenarios import (Scenario, ScenarioError,
                                  bundled_scenario_names, load_bundled)
@@ -115,6 +117,24 @@ def test_scenario_roundtrips_raw_json():
     ({"probes": [True]}, "$.probes"),
     ({"probes": [-1]}, "$.probes"),
     ({"probes": [1.0]}, "$.probes"),
+    ({"config__steps": 0}, "$.config.steps"),
+    ({"diffusion": {"type": "sine", "axis": 5}}, "$.diffusion.axis"),
+    ({"diffusion": {"type": "sine", "axis": 1.0}}, "$.diffusion.axis"),
+    ({"diffusion": {"type": "sine", "axis": -1}}, "$.diffusion.axis"),
+    ({"diffusion": {"type": "sine", "axis": True}}, "$.diffusion.axis"),
+    ({"diffusion": {"type": "constant", "value": True}}, "$.diffusion.value"),
+    ({"diffusion": {"type": "constant", "value": "2.0"}}, "$.diffusion.value"),
+    ({"diffusion": {"type": "constant", "vaule": 4.0}}, "$.diffusion.vaule"),
+    ({"diffusion": {"type": "constant", "value": float("nan")}},
+     "$.diffusion.value"),
+    ({"diffusion": {"type": "sine", "freq": "x"}}, "$.diffusion.freq"),
+    ({"diffusion": {"type": "sine", "base": float("inf")}}, "$.diffusion.base"),
+    ({"diffusion": {"type": "sine", "amp": None}}, "$.diffusion.amp"),
+    ({"diffusion": {"type": "sine", "value": 2.0}}, "$.diffusion.value"),
+    ({"diffusion": {"type": "constant", "axis": 0}}, "$.diffusion.axis"),
+    ({"diffusion": {"type": "cosine"}}, "$.diffusion.type"),
+    ({"diffusion": {"type": ["sine"]}}, "$.diffusion.type"),
+    ({"diffusion": [2.0]}, "$.diffusion"),
 ])
 def test_scenario_validation_names_field(edits, needle):
     with pytest.raises(ScenarioError, match=needle.replace("$", r"\$")
@@ -308,6 +328,18 @@ def test_invalid_grid_exits_2_without_artifacts(tmp_path, capsys, command,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_zero_steps_exits_2_without_artifacts(tmp_path, capsys, command):
+    scen = write_scenario(tmp_path, variant(config__steps=0, probes=[0]))
+    out = tmp_path / "out"
+    args = {"run": ["run", scen, "--out", str(out)],
+            "sweep": ["sweep", scen, "--epsilon", "0.02,0.01",
+                      "--out", str(out)]}[command]
+    assert main(args) == 2
+    assert "$.config.steps" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_diffusion_block_applies_to_global_family(tmp_path, capsys):
     series = []
     for name, raw in (("plain", BASE),
@@ -365,6 +397,17 @@ def test_gaussian_kernel_params_validated(tmp_path, capsys, command, field,
     assert not (tmp_path / "o").exists()
 
 
+def _run_python(code):
+    """Run `code` in a fresh interpreter that imports this checkout's
+    package."""
+    src = os.path.dirname(os.path.dirname(concentra.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 def test_local_run_leaves_scipy_fft_unimported(tmp_path):
     """The FFT convolution uses numpy.fft; importing scipy.fft as well costs
     about 5 MB of resident memory."""
@@ -375,12 +418,7 @@ def test_local_run_leaves_scipy_fft_unimported(tmp_path):
             f"{str(tmp_path / 'o')!r}])\n"
             "assert rc == 0, rc\n"
             "assert 'scipy.fft' not in sys.modules\n")
-    src = os.path.dirname(os.path.dirname(concentra.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = _run_python(code)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -404,14 +442,21 @@ def test_runs_leave_scipy_unimported(tmp_path):
             "    assert rc == 0, (scen, rc)\n"
             "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
             "assert not loaded, loaded\n")
-    src = os.path.dirname(os.path.dirname(concentra.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = _run_python(code)
     assert proc.returncode == 0, proc.stderr
     assert len(os.listdir(tmp_path / "o")) == 3
+
+
+def test_cli_import_leaves_process_pool_unimported():
+    """The sweep imports its worker pool when it needs one: importing
+    multiprocessing and concurrent.futures costs about 9 ms per process."""
+    code = ("import sys\n"
+            "import concentra.cli\n"
+            "loaded = [m for m in ('multiprocessing', 'concurrent.futures')\n"
+            "          if m in sys.modules]\n"
+            "assert not loaded, loaded\n")
+    proc = _run_python(code)
+    assert proc.returncode == 0, proc.stderr
 
 
 # --- sweep command -------------------------------------------------------------------
@@ -463,6 +508,74 @@ def test_sweep_reaction_overflow_fails_row_and_cleans_up(tmp_path, capsys,
     assert "failed: reaction update overflowed" in rows[1]
     # only the successful row keeps its artifact directory
     _only_artifact_dir(out)
+
+
+def _sweep_outputs(out):
+    """sweep.csv with the output root cut from `dir`, and each row's
+    series.csv by directory name."""
+    with open(out / "sweep.csv") as f:
+        table = f.read().replace(str(out) + os.sep, "")
+    series = {d: (out / d / "series.csv").read_bytes()
+              for d in os.listdir(out) if (out / d).is_dir()}
+    return table, series
+
+
+def test_sweep_workers_match_serial_run(tmp_path, monkeypatch):
+    scen = write_scenario(tmp_path, BASE)
+    outputs = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("CONCENTRA_THREADS", workers)
+        out = tmp_path / f"o{workers}"
+        assert main(["sweep", scen, "--epsilon", "0.02,0.01,1e-6",
+                     "--out", str(out)]) == 3
+        outputs.append(_sweep_outputs(out))
+    assert outputs[0] == outputs[1]
+    table, series = outputs[1]
+    rows = table.splitlines()[1:]
+    assert [r.endswith(",ok") for r in rows] == [True, True, False]
+    assert "failed: reaction update overflowed" in rows[2]
+    assert len(series) == 2   # the failed row leaves no directory
+
+
+def test_sweep_worker_failure_stays_in_its_row(tmp_path, monkeypatch):
+    """ConstraintInfeasibleError cannot be unpickled; a worker that let it
+    escape would break the whole pool."""
+    real = cli.run_simulation
+
+    def infeasible_at_small_eps(config, *args, **kwargs):
+        if config.epsilon < 0.015:
+            raise ConstraintInfeasibleError([0.5], 1.0, 2.0, 3.0)
+        return real(config, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_simulation", infeasible_at_small_eps)
+    monkeypatch.setenv("CONCENTRA_THREADS", "2")
+    out = tmp_path / "o"
+    assert main(["sweep", write_scenario(tmp_path, BASE), "--epsilon",
+                 "0.02,0.01", "--out", str(out)]) == 3
+    with open(out / "sweep.csv") as f:
+        rows = [ln.strip() for ln in f][1:]
+    assert rows[0].endswith(",ok")
+    assert "failed: no sign change" in rows[1]
+    _only_artifact_dir(out)
+
+
+def test_sweep_killed_worker_fails_its_rows(tmp_path, monkeypatch):
+    parent = os.getpid()
+
+    def killed(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(1)
+
+    monkeypatch.setattr(cli, "run_simulation", killed)
+    monkeypatch.setenv("CONCENTRA_THREADS", "2")
+    out = tmp_path / "o"
+    assert main(["sweep", write_scenario(tmp_path, BASE), "--epsilon",
+                 "0.02,0.01", "--out", str(out)]) == 3
+    with open(out / "sweep.csv") as f:
+        rows = [ln.strip() for ln in f][1:]
+    assert len(rows) == 2
+    assert all("failed: A process in the process pool was terminated" in r
+               for r in rows)
 
 
 def test_sweep_bad_thread_env_exits_2(tmp_path, capsys, monkeypatch):
