@@ -231,9 +231,10 @@ def gradient_flow_rate(x_bar, hessian, model: GlobalInteractionModel,
 def no_mutation_weight_ode(y, rho0, model, dt: float, T: float):
     """Weight dynamics of a mutation-free population fixed at trait(s) y.
 
-    drho/dt = rho * R(y, psi(y) rho) (global) or rho (r(y) - rho C(y,y))
-    (local).  Accepts a single trait point or a batch (m, d); returns
-    (times, rho) with rho of shape (steps+1,) or (steps+1, m).
+    drho/dt = rho * R(y, psi rho), which is rho (r(y) - rho C(y,y)) for
+    the local model (psi = 1).  Accepts a single trait point or a batch
+    (m, d); returns (times, rho) with rho of shape (steps+1,) or
+    (steps+1, m).
     """
     y = np.asarray(y, dtype=float)
     batch = y.ndim == 2
@@ -244,17 +245,12 @@ def no_mutation_weight_ode(y, rho0, model, dt: float, T: float):
     if np.any(rho < 0):
         raise ModelError("initial weight must be nonnegative")
 
-    if isinstance(model, GlobalInteractionModel):
-        psi = np.asarray(model.weight(ys), dtype=float)
+    # R is affine in its macro argument: evaluate its two terms once
+    growth = np.asarray(model.rate(ys, 0.0), dtype=float)
+    slope = np.asarray(model.d_rate_dI(ys, 0.0), dtype=float)
 
-        def f(r):
-            return r * np.asarray(model.rate(ys, psi * r), dtype=float)
-    else:
-        r_y = np.asarray(model.intrinsic.value(ys), dtype=float)
-        c_yy = np.asarray(model.kernel(ys, ys), dtype=float)
-
-        def f(r):
-            return r * (r_y - r * c_yy)
+    def f(r):
+        return r * (growth + slope * (model.psi * r))
 
     steps = max(1, int(round(T / dt)))
     out = np.empty((steps + 1, ys.shape[0]))

@@ -83,12 +83,17 @@ def _resolved_params(sc: Scenario, overrides=None) -> dict:
     return resolved
 
 
+def _artifact_path(out_root, sc: Scenario, resolved: dict) -> str:
+    """The content-hash directory of a run with parameters `resolved`."""
+    digest = hashlib.sha256(
+        json.dumps(_jsonable(resolved), sort_keys=True).encode()).hexdigest()
+    return os.path.join(out_root, f"{sc.name}_{digest[:8]}")
+
+
 @contextlib.contextmanager
 def _artifact_dir(out_root, sc: Scenario, resolved: dict):
     """The content-hash directory of a run, removed if the block fails."""
-    digest = hashlib.sha256(
-        json.dumps(_jsonable(resolved), sort_keys=True).encode()).hexdigest()
-    path = os.path.join(out_root, f"{sc.name}_{digest[:8]}")
+    path = _artifact_path(out_root, sc, resolved)
     os.makedirs(path, exist_ok=True)
     try:
         yield path
@@ -261,14 +266,18 @@ def _failed_row(eps: float, exc: Exception) -> dict:
             "status": f"failed: {exc}"}
 
 
+def _sweep_scenario(raw: dict, eps: float) -> Scenario:
+    raw = json.loads(json.dumps(raw))
+    raw["config"]["epsilon"] = eps
+    return Scenario(raw)
+
+
 def _sweep_row(raw: dict, eps: float, out_root: str) -> dict:
     """One sweep row from plain data.  A failure becomes the row's status:
     an exception need not survive pickling back from a worker process
     (ConstraintInfeasibleError does not)."""
-    raw = json.loads(json.dumps(raw))
-    raw["config"]["epsilon"] = eps
     try:
-        with _pde_run(Scenario(raw), out_root, sweep=True) as run:
+        with _pde_run(_sweep_scenario(raw, eps), out_root, sweep=True) as run:
             mono = diag.monotonicity_violation(run.result.series.I)
     except Exception as exc:   # per-row failure marker
         return _failed_row(eps, exc)
@@ -298,6 +307,11 @@ def _sweep_rows(raw: dict, values: list, out_root: str, workers: int):
                 rows.append(fut.result())
             except BrokenProcessPool as exc:   # a worker was killed
                 rows.append(_failed_row(eps, exc))
+                # the killed worker could not remove its row's directory
+                sc = _sweep_scenario(raw, eps)
+                shutil.rmtree(_artifact_path(out_root, sc,
+                                             _resolved_params(sc)),
+                              ignore_errors=True)
     return rows
 
 

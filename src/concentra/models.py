@@ -1,20 +1,20 @@
 """Growth laws with analytic derivatives, assumption ledger, constraint inversion.
 
-Trait points are numpy arrays of shape (..., d); every model callable is
-vectorized over the leading dimensions.  Models are plain data + callables
-and are never mutated after construction.
+Trait points are numpy arrays of shape (..., d); every model method is
+vectorized over the leading dimensions.  Models and diffusion coefficients
+are frozen data: a growth law is its scalar function families and
+constants, and its derivatives are methods over theirs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-ROOT_TOL = 1e-12          # absolute tolerance for constraint inversion
-I_HI_MARGIN = 1.1         # bracket constraint roots up to I_M * (1 + 0.1)
+ROOT_TOL = 1e-12          # R(x, 0) this far below zero still roots at I = 0
 
 
 class ModelError(ValueError):
@@ -22,7 +22,7 @@ class ModelError(ValueError):
 
 
 class ConstraintInfeasibleError(ModelError):
-    """R(x, .) has no nonnegative root in the bracket."""
+    """R(x, .) has no nonnegative root."""
 
     def __init__(self, x, r_at_zero, r_at_hi, i_hi):
         self.x = np.asarray(x, dtype=float)
@@ -50,9 +50,6 @@ class QuadraticFunction:
         self.c0 = float(c0)
         self.center = np.atleast_1d(np.asarray(center, dtype=float))
         self.weights = np.atleast_1d(np.asarray(weights, dtype=float))
-
-    def __call__(self, x):
-        return self.value(x)
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
@@ -87,20 +84,6 @@ class LinearFunction:
         x = np.asarray(x, dtype=float)
         d = len(self.slope)
         return np.zeros(x.shape[:-1] + (d, d))
-
-
-class ConstantWeight:
-    """psi(x) = const > 0."""
-
-    def __init__(self, value=1.0):
-        if value <= 0:
-            raise ModelError(f"weight must be positive, got {value}")
-        self.psi_m = self.psi_M = float(value)
-        self.constant = True
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.full(x.shape[:-1], self.psi_m)
 
 
 # --- competition kernels ---------------------------------------------------
@@ -190,97 +173,52 @@ class SeparableKernel:
         return self.phi(x) * self.psi(y)
 
     def phi(self, x):
-        return np.asarray(self._phi.value(x) if hasattr(self._phi, "value")
-                          else self._phi(x), dtype=float)
+        return np.asarray(self._phi.value(x), dtype=float)
 
     def psi(self, y):
-        return np.asarray(self._psi.value(y) if hasattr(self._psi, "value")
-                          else self._psi(y), dtype=float)
-
-    def _phi_grad(self, x):
-        if hasattr(self._phi, "grad"):
-            return self._phi.grad(x)
-        return _fd_grad(lambda z: self.phi(z), x)
-
-    def _psi_grad(self, y):
-        if hasattr(self._psi, "grad"):
-            return self._psi.grad(y)
-        return _fd_grad(lambda z: self.psi(z), y)
+        return np.asarray(self._psi.value(y), dtype=float)
 
     def grad_x(self, x, y):
-        return self._phi_grad(x) * self.psi(y)[..., None]
+        return self._phi.grad(x) * self.psi(y)[..., None]
 
     def grad_y(self, x, y):
-        return self.phi(x)[..., None] * self._psi_grad(y)
+        return self.phi(x)[..., None] * self._psi.grad(y)
 
     def hess_x(self, x, y):
-        if hasattr(self._phi, "hess"):
-            h = self._phi.hess(x)
-        else:
-            h = _fd_hess(lambda z: self.phi(z), x)
-        return h * self.psi(y)[..., None, None]
-
-
-# --- finite-difference fallback for user-supplied rates --------------------
-
-def _fd_step(x):
-    return 1e-5 * (1.0 + np.linalg.norm(np.asarray(x, dtype=float), axis=-1,
-                                        keepdims=True))
-
-
-def _fd_grad(f, x):
-    x = np.asarray(x, dtype=float)
-    h = _fd_step(x)
-    g = np.empty(x.shape)
-    for j in range(x.shape[-1]):
-        e = np.zeros(x.shape[-1])
-        e[j] = 1.0
-        g[..., j] = (f(x + h * e) - f(x - h * e)) / (2.0 * h[..., 0])
-    return g
-
-
-def _fd_hess(f, x):
-    x = np.asarray(x, dtype=float)
-    d = x.shape[-1]
-    h = _fd_step(x)[..., 0]
-    out = np.empty(x.shape[:-1] + (d, d))
-    f0 = f(x)
-    for i in range(d):
-        ei = np.zeros(d)
-        ei[i] = 1.0
-        out[..., i, i] = (f(x + h[..., None] * ei) - 2.0 * f0
-                          + f(x - h[..., None] * ei)) / h ** 2
-        for j in range(i + 1, d):
-            ej = np.zeros(d)
-            ej[j] = 1.0
-            hp = h[..., None]
-            mixed = (f(x + hp * (ei + ej)) - f(x + hp * (ei - ej))
-                     - f(x - hp * (ei - ej)) + f(x - hp * (ei + ej))) / (4.0 * h ** 2)
-            out[..., i, j] = mixed
-            out[..., j, i] = mixed
-    return out
+        return self._phi.hess(x) * self.psi(y)[..., None, None]
 
 
 # --- model types -----------------------------------------------------------
 
 @dataclass(frozen=True)
 class GlobalInteractionModel:
-    """Growth law R(x, I) driven by the weighted total population I.
-
-    `growth` and `coef_I` are set when R = growth(x) - coef_I * I; the
-    constraint R = 0 is then solved in closed form.
-    """
+    """Growth law R(x, I) = growth(x) - coef_I * I driven by the weighted
+    total population I = int psi n, with a constant weight psi > 0.  The
+    constraint R = 0 has the closed-form root growth(x) / coef_I."""
 
     dimension: int
-    rate: Callable
-    grad_x_rate: Callable
-    hess_x_rate: Callable
-    d_rate_dI: Callable
-    weight: ConstantWeight
-    I_M: Optional[float] = None
+    growth: object      # scalar family with value/grad/hess in x
+    coef_I: float
+    psi: float = 1.0
     name: str = ""
-    growth: object = None
-    coef_I: Optional[float] = None
+
+    def __post_init__(self):
+        if not self.psi > 0:
+            raise ModelError(f"weight psi must be positive, got {self.psi}")
+
+    def rate(self, x, I):
+        return self.growth.value(x) - self.coef_I * np.asarray(I, dtype=float)
+
+    def grad_x_rate(self, x, I):
+        return self.growth.grad(x)
+
+    def hess_x_rate(self, x, I):
+        return self.growth.hess(x)
+
+    def d_rate_dI(self, x, I):
+        x = np.asarray(x, dtype=float)
+        return np.full(np.broadcast_shapes(x.shape[:-1], np.shape(I)),
+                       -self.coef_I)
 
     def multiplier(self, x):
         """The I that puts x on the constraint R(x, I) = 0."""
@@ -299,6 +237,8 @@ class LocalCompetitionModel:
     symmetric: bool = True
     name: str = ""
 
+    psi = 1.0   # the weight of I = int psi n, a class attribute, not a field
+
     def rate(self, x, rho):
         return (np.asarray(self.intrinsic.value(x), dtype=float)
                 - rho * np.asarray(self.kernel(x, x), dtype=float))
@@ -311,6 +251,9 @@ class LocalCompetitionModel:
         return (np.asarray(self.intrinsic.hess(x), dtype=float)
                 - rho * np.asarray(self.kernel.hess_x(x, x), dtype=float))
 
+    def d_rate_dI(self, x, rho):
+        return -np.asarray(self.kernel(x, x), dtype=float)
+
     def multiplier(self, x):
         """Weight max(r, 0) / C(x, x) of the Dirac steady state at x."""
         r = float(self.intrinsic.value(x))
@@ -319,57 +262,57 @@ class LocalCompetitionModel:
 
 @dataclass(frozen=True)
 class DiffusionCoefficient:
-    """Trait-dependent mutation coefficient b(x) > 0."""
+    """Mutation coefficient b(x) = base + amp sin(2 pi freq x_axis) > 0;
+    amp = 0 is the constant coefficient."""
 
-    value: Callable
-    grad: Callable
-    hess_trace: Callable
-    third_bound: float = 0.0
-    constant: bool = False
-    b_m: Optional[float] = None
-    b_M: Optional[float] = None
-    name: str = ""
+    base: float
+    amp: float = 0.0
+    freq: float = 1.0
+    axis: int = 0
+
+    def __post_init__(self):
+        if not self.b_m > 0:
+            raise ModelError(f"diffusion coefficient not uniformly positive: "
+                             f"base {self.base} - |amp| {abs(self.amp)} <= 0")
+
+    @property
+    def b_m(self):
+        return self.base - abs(self.amp)
+
+    @property
+    def b_M(self):
+        return self.base + abs(self.amp)
+
+    @property
+    def third_bound(self):
+        """sup |third derivative of b|."""
+        return abs(self.amp) * self._k ** 3
+
+    @property
+    def _k(self):
+        return 2.0 * math.pi * self.freq
+
+    def _phase(self, x):
+        return self._k * np.asarray(x, dtype=float)[..., self.axis]
+
+    def value(self, x):
+        return self.base + self.amp * np.sin(self._phase(x))
+
+    def grad(self, x):
+        g = np.zeros(np.shape(x))
+        g[..., self.axis] = self.amp * self._k * np.cos(self._phase(x))
+        return g
+
+    def hess_trace(self, x):
+        return -self.amp * self._k ** 2 * np.sin(self._phase(x))
 
 
 def constant_diffusion(value=1.0) -> DiffusionCoefficient:
-    v = float(value)
-    if v <= 0:
-        raise ModelError(f"diffusion coefficient must be positive, got {value}")
-
-    def val(x):
-        return np.full(np.asarray(x).shape[:-1], v)
-
-    def grad(x):
-        return np.zeros(np.asarray(x).shape)
-
-    def tr(x):
-        return np.zeros(np.asarray(x).shape[:-1])
-
-    return DiffusionCoefficient(val, grad, tr, 0.0, True, v, v, "constant")
+    return DiffusionCoefficient(float(value))
 
 
 def sine_diffusion(base=1.0, amp=0.5, freq=1.0, axis=0) -> DiffusionCoefficient:
-    """b(x) = base + amp * sin(2 pi freq x_axis)."""
-    if base - abs(amp) <= 0:
-        raise ModelError("sine diffusion coefficient not uniformly positive")
-    k = 2.0 * math.pi * freq
-
-    def val(x):
-        x = np.asarray(x, dtype=float)
-        return base + amp * np.sin(k * x[..., axis])
-
-    def grad(x):
-        x = np.asarray(x, dtype=float)
-        g = np.zeros(x.shape)
-        g[..., axis] = amp * k * np.cos(k * x[..., axis])
-        return g
-
-    def tr(x):
-        x = np.asarray(x, dtype=float)
-        return -amp * k ** 2 * np.sin(k * x[..., axis])
-
-    return DiffusionCoefficient(val, grad, tr, abs(amp) * k ** 3, False,
-                                base - abs(amp), base + abs(amp), "sine")
+    return DiffusionCoefficient(base, amp, freq, axis)
 
 
 # --- assumption constants ---------------------------------------------------
@@ -434,73 +377,25 @@ def eval_growth(model, x, macro):
 
 
 def invert_constraint(model: GlobalInteractionModel, x):
-    """Solve R(x, I) = 0 for the unique nonnegative root.
-
-    When R = g(x) - c I (every built-in family) the root is g(x) / c.  Other
-    rates are bracketed by bisection, then a Newton polish using dR/dI drives
-    the residual below ROOT_TOL.
-    """
+    """The nonnegative root I = g(x) / c of R(x, I) = g(x) - c I = 0."""
     x = np.asarray(x, dtype=float)
-    closed_form = model.growth is not None
-
-    def f(i):
-        return float(model.rate(x, i))
-
-    def df(i):
-        return float(model.d_rate_dI(x, i))
-
-    f0 = float(model.growth.value(x)) if closed_form else f(0.0)
+    f0 = float(model.growth.value(x))
     if not math.isfinite(f0):
         raise ModelError(f"non-finite growth rate at x={x.tolist()}")
     if f0 <= 0.0:
         if f0 < -ROOT_TOL:
             raise ConstraintInfeasibleError(x, f0, f0, 0.0)
         return 0.0
-    if closed_form:
-        if not model.coef_I > 0.0:   # R(x, I) >= g(x) > 0 at every I
-            raise ConstraintInfeasibleError(x, f0, f0, math.inf)
-        return f0 / model.coef_I
-
-    if model.I_M is not None:
-        i_hi = I_HI_MARGIN * model.I_M
-    else:
-        i_hi = 1.0
-        for _ in range(60):
-            if f(i_hi) < 0.0:
-                break
-            i_hi *= 2.0
-    fh = f(i_hi)
-    if fh > 0.0:
-        raise ConstraintInfeasibleError(x, f0, fh, i_hi)
-
-    lo, hi = 0.0, float(i_hi)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-8:
-            break
-    i = 0.5 * (lo + hi)
-    for _ in range(60):
-        fi = f(i)
-        if abs(fi) <= ROOT_TOL:
-            return max(i, 0.0)
-        i = min(max(i - fi / df(i), lo), hi)
-    raise ModelError(f"constraint inversion stalled at x={x.tolist()}, "
-                     f"residual {f(i):.3e}")
+    if not model.coef_I > 0.0:   # R(x, I) >= g(x) > 0 at every I
+        raise ConstraintInfeasibleError(x, f0, f0, math.inf)
+    return f0 / model.coef_I
 
 
 def steady_state_weight(model, y):
     """Weight of the Dirac steady state at trait y."""
     y = np.asarray(y, dtype=float)
     if isinstance(model, GlobalInteractionModel):
-        i_bar = invert_constraint(model, y)
-        psi = float(model.weight(y))
-        if psi <= 0:
-            raise ModelError(f"weight not positive at y={y.tolist()}")
-        return i_bar / psi
+        return invert_constraint(model, y) / model.psi
     r = float(model.intrinsic.value(y))
     if r <= 0:
         raise NoPositiveSteadyStateError(
@@ -592,11 +487,9 @@ def check_assumptions(model, constants: AssumptionConstants, domain,
     if isinstance(model, GlobalInteractionModel):
         i_grid = (np.linspace(0.0, c.I_M, 9) if c.I_M else np.array([0.0]))
 
-        psi = np.asarray(model.weight(pts), dtype=float)
-        m = float(psi.min())
-        _record(checks, warnings, "weight_bounds(7)", bool(m > 0), m,
-                pts[int(np.argmin(psi))],
-                f"psi in [{m:.6g}, {psi.max():.6g}]")
+        psi = float(model.psi)
+        _record(checks, warnings, "weight_bounds(7)", bool(psi > 0), psi,
+                pts[0], f"psi in [{psi:.6g}, {psi:.6g}]")
 
         if c.I_M is not None:
             r_at_im = np.asarray(model.rate(pts, c.I_M), dtype=float)
@@ -644,7 +537,7 @@ def check_assumptions(model, constants: AssumptionConstants, domain,
             _record(checks, warnings, "I_monotonicity(10)",
                     bool(worst_m >= -1e-12), worst_m, worst_pt)
 
-        if c.K_3 is not None and getattr(model.weight, "constant", False):
+        if c.K_3 is not None:
             worst_m, worst_pt = math.inf, None
             for i_val in i_grid:
                 h = np.asarray(model.hess_x_rate(pts, i_val), dtype=float)
@@ -757,58 +650,31 @@ def check_assumptions(model, constants: AssumptionConstants, domain,
 
 # --- registry of built-in families ------------------------------------------
 
-def _as_weight(spec):
+def _weight(spec):
+    """psi from a bare number or a {"type": "constant", "value": v} object."""
     if spec is None:
-        return ConstantWeight(1.0)
-    if isinstance(spec, (int, float)):
-        return ConstantWeight(spec)
-    if isinstance(spec, dict) and spec.get("type", "constant") == "constant":
-        return ConstantWeight(spec.get("value", 1.0))
-    raise ModelError(f"unsupported weight spec {spec!r}")
-
-
-def affine_in_I_model(g, coef_I, dimension, psi, name):
-    """Global model R(x, I) = g(x) - coef_I * I with weight spec `psi`; the
-    x-derivatives are g's."""
-    c = float(coef_I)
-
-    def rate(x, I):
-        return g.value(x) - c * np.asarray(I, dtype=float)
-
-    def grad(x, I):
-        return g.grad(x)
-
-    def hess(x, I):
-        return g.hess(x)
-
-    def d_i(x, I):
-        x = np.asarray(x, dtype=float)
-        return np.full(np.broadcast_shapes(x.shape[:-1], np.shape(I)), -c)
-
-    return GlobalInteractionModel(dimension, rate, grad, hess, d_i,
-                                  _as_weight(psi), name=name, growth=g,
-                                  coef_I=c)
+        return 1.0
+    return float(spec.get("value", 1.0) if isinstance(spec, dict) else spec)
 
 
 def build_affine_global(params, dimension):
-    slope = np.atleast_1d(np.asarray(params.get("slope", [1.0] * dimension),
-                                     dtype=float))
-    if len(slope) != dimension:
-        raise ModelError("slope length must match dimension")
+    slope = np.asarray(params.get("slope", [1.0] * dimension), dtype=float)
     g = LinearFunction(params.get("a", 2.0), -slope)
-    return affine_in_I_model(g, params.get("coef_I", 1.0), dimension,
-                             params.get("psi"), "affine_global")
+    return GlobalInteractionModel(dimension, g,
+                                  float(params.get("coef_I", 1.0)),
+                                  _weight(params.get("psi")), "affine_global")
 
 
 def build_quadratic_global(params, dimension):
     ci = float(params.get("coef_I", 1.0))
     if ci <= 0:
-        raise ModelError("coef_I must be positive")
+        raise ModelError(f"field $.model.params.coef_I must be positive, "
+                         f"got {ci}")
     g = QuadraticFunction(params.get("k0", 1.0),
                           params.get("center", [0.0] * dimension),
                           params.get("weights", [1.0] * dimension))
-    return affine_in_I_model(g, ci, dimension, params.get("psi"),
-                             "quadratic_global")
+    return GlobalInteractionModel(dimension, g, ci, _weight(params.get("psi")),
+                                  "quadratic_global")
 
 
 class _Scenario2Growth:
@@ -844,7 +710,8 @@ def build_scenario2(params, dimension):
     g = _Scenario2Growth(params.get("a", 0.9), params.get("cy", 5.0),
                          params.get("cx", 2.3), params.get("x0", 0.3),
                          params.get("y0", 0.3))
-    return affine_in_I_model(g, 1.0, 2, params.get("psi"), "scenario2")
+    return GlobalInteractionModel(2, g, 1.0, _weight(params.get("psi")),
+                                  "scenario2")
 
 
 def build_scenario3(params, dimension):
@@ -854,8 +721,14 @@ def build_scenario3(params, dimension):
     k = float(params.get("k", 5.6))
     g = QuadraticFunction(params.get("a", 3.0), [0.0, 0.0],
                           [-k * float(params.get("r_e", 1.0)), -k])
-    return affine_in_I_model(g, params.get("coef_I", 1.5), 2,
-                             params.get("psi"), "scenario3")
+    return GlobalInteractionModel(2, g, float(params.get("coef_I", 1.5)),
+                                  _weight(params.get("psi")), "scenario3")
+
+
+def _quadratic(spec, dimension):
+    return QuadraticFunction(spec.get("c0", 1.0),
+                             spec.get("center", [0.0] * dimension),
+                             spec.get("weights", [1.0] * dimension))
 
 
 def _build_kernel(spec, dimension):
@@ -868,38 +741,104 @@ def _build_kernel(spec, dimension):
         params = {"floor": spec.get("floor", 0.0), "amp": spec.get("amp", 1.0),
                   "width": spec.get("width", 1.0)}
         for key, v in params.items():
-            need = "nonnegative" if key == "floor" else "positive"
-            if not (isinstance(v, (int, float)) and math.isfinite(v)
-                    and (v >= 0 if key == "floor" else v > 0)):
+            floor = key == "floor"
+            if not (v >= 0 if floor else v > 0):
                 raise ModelError(f"field $.model.params.kernel.{key} must be "
-                                 f"finite and {need}, got {v!r}")
+                                 f"{'nonnegative' if floor else 'positive'}, "
+                                 f"got {v!r}")
         return GaussianKernel(**params)
-    if kind == "separable":
-        phi = QuadraticFunction(**spec["phi"])
-        psi = QuadraticFunction(**spec["psi"])
-        return SeparableKernel(phi, psi)
-    raise ModelError(f"unknown kernel type {kind!r}")
+    return SeparableKernel(_quadratic(spec.get("phi", {}), dimension),
+                           _quadratic(spec.get("psi", {}), dimension))
 
 
 def build_logistic_local(params, dimension):
-    r_spec = params.get("r", {})
-    r = QuadraticFunction(r_spec.get("c0", 1.0),
-                          r_spec.get("center", [0.0] * dimension),
-                          r_spec.get("weights", [1.0] * dimension))
+    r = _quadratic(params.get("r", {}), dimension)
     kernel = _build_kernel(params.get("kernel"), dimension)
-    symmetric = bool(params.get("symmetric",
-                                not isinstance(kernel, SeparableKernel)))
+    symmetric = params.get("symmetric",
+                           not isinstance(kernel, SeparableKernel))
     return LocalCompetitionModel(dimension, r, kernel, symmetric,
                                  "logistic_local")
 
 
+# A spec, checked by check_spec, maps each key an object reads to its kind:
+# "number" (finite, not a boolean), "vector" (a list of one number per
+# axis), "axis" (an axis index), "flag" (a boolean), "weight" (a number or a
+# constant-weight object) or a nested spec; a spec whose one key is "type"
+# maps each type to the spec of an object of that type ("constant" when the
+# object names none).
+_QUADRATIC = {"c0": "number", "center": "vector", "weights": "vector"}
+_WEIGHT = {"type": {"constant": {"value": "number"}}}
+_KERNEL = {"type": {"constant": {"value": "number"},
+                    "gaussian": {"floor": "number", "amp": "number",
+                                 "width": "number"},
+                    "separable": {"phi": _QUADRATIC, "psi": _QUADRATIC}}}
+
+# family -> (builder, spec of the params it reads)
 MODEL_FAMILIES = {
-    "affine_global": build_affine_global,
-    "quadratic_global": build_quadratic_global,
-    "scenario2": build_scenario2,
-    "scenario3": build_scenario3,
-    "logistic_local": build_logistic_local,
+    "affine_global": (build_affine_global,
+                      {"a": "number", "slope": "vector", "coef_I": "number",
+                       "psi": "weight"}),
+    "quadratic_global": (build_quadratic_global,
+                         {"k0": "number", "center": "vector",
+                          "weights": "vector", "coef_I": "number",
+                          "psi": "weight"}),
+    "scenario2": (build_scenario2,
+                  {"a": "number", "cy": "number", "cx": "number",
+                   "x0": "number", "y0": "number", "psi": "weight"}),
+    "scenario3": (build_scenario3,
+                  {"a": "number", "k": "number", "r_e": "number",
+                   "coef_I": "number", "psi": "weight"}),
+    "logistic_local": (build_logistic_local,
+                       {"r": _QUADRATIC, "kernel": _KERNEL,
+                        "symmetric": "flag"}),
 }
+
+
+def is_finite_number(v) -> bool:
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v))
+
+
+def check_spec(value, spec, dimension, path):
+    """Raise ModelError naming the first entry of `value`, found at `path`,
+    that `spec` does not allow."""
+    if spec == "weight":
+        spec = _WEIGHT if isinstance(value, dict) else "number"
+    if spec == "number":
+        if not is_finite_number(value):
+            raise ModelError(f"field {path} must be a finite number, "
+                             f"got {value!r}")
+    elif spec == "axis":
+        if not (isinstance(value, int) and not isinstance(value, bool)
+                and 0 <= value < dimension):
+            raise ModelError(f"field {path} must be an integer in "
+                             f"[0, {dimension}), got {value!r}")
+    elif spec == "flag":
+        if not isinstance(value, bool):
+            raise ModelError(f"field {path} must be true or false, "
+                             f"got {value!r}")
+    elif spec == "vector":
+        if not (isinstance(value, (list, tuple)) and len(value) == dimension):
+            raise ModelError(f"field {path} must be a list of length "
+                             f"{dimension}, got {value!r}")
+        for k, v in enumerate(value):
+            check_spec(v, "number", dimension, f"{path}[{k}]")
+    else:
+        if not isinstance(value, dict):
+            raise ModelError(f"field {path} must be an object, "
+                             f"got {value!r}")
+        if "type" in spec:
+            kind = value.get("type", "constant")
+            if not (isinstance(kind, str) and kind in spec["type"]):
+                raise ModelError(f"field {path}.type must be one of "
+                                 f"{sorted(spec['type'])}, got {kind!r}")
+            spec = spec["type"][kind]
+            value = {k: v for k, v in value.items() if k != "type"}
+        for key, v in value.items():
+            if key not in spec:
+                raise ModelError(f"field {path}.{key} is not read; the keys "
+                                 f"read are {sorted(spec)}")
+            check_spec(v, spec[key], dimension, f"{path}.{key}")
 
 
 def build_model(spec: dict, dimension: int):
@@ -907,25 +846,7 @@ def build_model(spec: dict, dimension: int):
     if family not in MODEL_FAMILIES:
         raise ModelError(f"unknown model family {family!r}; "
                          f"known: {sorted(MODEL_FAMILIES)}")
-    return MODEL_FAMILIES[family](spec.get("params", {}), dimension)
-
-
-def make_global_model_from_rate(rate, dimension, d_rate_dI=None, weight=None,
-                                I_M=None, name="custom"):
-    """Wrap a user-supplied rate with finite-difference derivatives
-    (step 1e-5 * (1 + |x|))."""
-    def grad(x, I):
-        return _fd_grad(lambda z: np.asarray(rate(z, I), dtype=float), x)
-
-    def hess(x, I):
-        return _fd_hess(lambda z: np.asarray(rate(z, I), dtype=float), x)
-
-    def d_i(x, I):
-        if d_rate_dI is not None:
-            return d_rate_dI(x, I)
-        h = 1e-7 * (1.0 + abs(float(np.max(np.abs(I)))))
-        return (np.asarray(rate(x, np.asarray(I) + h), dtype=float)
-                - np.asarray(rate(x, np.asarray(I) - h), dtype=float)) / (2 * h)
-
-    return GlobalInteractionModel(dimension, rate, grad, hess, d_i,
-                                  weight or ConstantWeight(1.0), I_M, name)
+    build, params_spec = MODEL_FAMILIES[family]
+    params = spec.get("params", {})
+    check_spec(params, params_spec, dimension, "$.model.params")
+    return build(params, dimension)

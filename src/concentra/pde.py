@@ -159,12 +159,10 @@ class ImexIntegrator:
             self._r_nodes = np.asarray(model.intrinsic.value(self.nodes),
                                        dtype=float)
             self._convolve = kernel_convolution(grid, model.kernel)
-            self._psi = 1.0   # J = (1/eps) int R n carries no weight
-        elif isinstance(model, GlobalInteractionModel):
-            self._psi = np.asarray(model.weight(self.nodes), dtype=float)
-        else:
+        elif not isinstance(model, GlobalInteractionModel):
             raise ConfigError(f"unsupported model type "
                               f"{type(model).__name__}")
+        self._psi = model.psi   # the weight of I and J; 1 for the local model
 
         self._faces = None
         if b is not None:

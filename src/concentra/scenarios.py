@@ -13,8 +13,8 @@ import numpy as np
 
 from .grid import GridError, TraitGrid, build_grid
 from .models import (AssumptionConstants, DiffusionCoefficient,
-                     MODEL_FAMILIES, ModelError, build_model,
-                     constant_diffusion, sine_diffusion)
+                     MODEL_FAMILIES, ModelError, build_model, check_spec,
+                     constant_diffusion, is_finite_number, sine_diffusion)
 from .pde import ConfigError, SimulationConfig
 
 
@@ -38,30 +38,17 @@ def _require(d, key, types, path):
 _NUM = (int, float)
 
 
-def _is_finite_number(v) -> bool:
-    return (isinstance(v, _NUM) and not isinstance(v, bool)
-            and math.isfinite(v))
-
-
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-# $.diffusion.type -> (constructor, the block's keys it reads as keywords)
-_DIFFUSION_TYPES = {"constant": (constant_diffusion, ("value",)),
-                    "sine": (sine_diffusion, ("base", "amp", "freq", "axis"))}
-
-
-def _reject_bools(v, path):
-    """No JSON true/false anywhere inside v: bool would pass for 1 and 0."""
-    if isinstance(v, bool):
-        raise ScenarioError(f"field {path} must not be a boolean, got {v!r}")
-    if isinstance(v, dict):
-        for k, x in v.items():
-            _reject_bools(x, f"{path}.{k}")
-    elif isinstance(v, list):
-        for k, x in enumerate(v):
-            _reject_bools(x, f"{path}[{k}]")
+# $.diffusion.type -> (constructor, spec of the keys it reads as keywords)
+_DIFFUSION_TYPES = {"constant": (constant_diffusion, {"value": "number"}),
+                    "sine": (sine_diffusion,
+                             {"base": "number", "amp": "number",
+                              "freq": "number", "axis": "axis"})}
+_DIFFUSION_SPEC = {"type": {kind: keys for kind, (_, keys)
+                            in _DIFFUSION_TYPES.items()}}
 
 
 @dataclass
@@ -85,17 +72,11 @@ class Scenario:
         if family not in MODEL_FAMILIES:
             raise ScenarioError(f"field $.model.family: unknown family "
                                 f"{family!r}; known: {sorted(MODEL_FAMILIES)}")
-        params = model.get("params", {})
-        if not isinstance(params, dict):
-            raise ScenarioError("field $.model.params must be an object")
-        _reject_bools({k: v for k, v in params.items()
-                       if k != "symmetric"},   # the one boolean parameter
-                      "$.model.params")
 
         grid = _require(d, "grid", (dict,), "$")
         for key, types, ok, what in (
-                ("lower", _NUM + (list,), _is_finite_number, "finite numbers"),
-                ("upper", _NUM + (list,), _is_finite_number, "finite numbers"),
+                ("lower", _NUM + (list,), is_finite_number, "finite numbers"),
+                ("upper", _NUM + (list,), is_finite_number, "finite numbers"),
                 ("points_per_axis", (int, list), _is_int, "integers")):
             v = _require(grid, key, types, "$.grid")
             if not all(ok(x) for x in (v if isinstance(v, list) else [v])):
@@ -135,7 +116,7 @@ class Scenario:
                 raise ScenarioError(f"field $.u0[{k}]: center/weights must "
                                     f"have length {dim}")
             for key, vals in (("center", center), ("weights", weights)):
-                if not all(_is_finite_number(v) for v in vals):
+                if not all(is_finite_number(v) for v in vals):
                     raise ScenarioError(f"field $.u0[{k}].{key} must hold "
                                         f"finite numbers, got {vals!r}")
             if any(w <= 0 for w in weights):
@@ -149,7 +130,7 @@ class Scenario:
                 raise ScenarioError(f"field $.canonical.closure: unknown "
                                     f"mode {mode!r}")
             for key in ("dt", "T"):
-                if key in can and not (_is_finite_number(can[key])
+                if key in can and not (is_finite_number(can[key])
                                        and can[key] > 0):
                     raise ScenarioError(f"field $.canonical.{key} must be "
                                         f"positive and finite, got "
@@ -167,39 +148,16 @@ class Scenario:
             except ModelError as exc:
                 raise ScenarioError(f"field $.constants: {exc}") from exc
 
-        diff = d.get("diffusion")
-        if diff is not None:
-            if not isinstance(diff, dict):
-                raise ScenarioError("field $.diffusion must be an object")
-            kind = diff.get("type", "constant")
-            if not (isinstance(kind, str) and kind in _DIFFUSION_TYPES):
-                raise ScenarioError(f"field $.diffusion.type must be one of "
-                                    f"{sorted(_DIFFUSION_TYPES)}, got "
-                                    f"{kind!r}")
-            _, fields = _DIFFUSION_TYPES[kind]
-            for key, v in diff.items():
-                if key == "type":
-                    continue
-                if key not in fields:
-                    raise ScenarioError(f"field $.diffusion.{key} is not read "
-                                        f"by type {kind!r}, which reads "
-                                        f"{list(fields)}")
-                if key == "axis":
-                    ok = _is_int(v) and 0 <= v < dim
-                    what = f"an integer in [0, {dim})"
-                else:
-                    ok, what = _is_finite_number(v), "a finite number"
-                if not ok:
-                    raise ScenarioError(f"field $.diffusion.{key} must be "
-                                        f"{what}, got {v!r}")
-
-        # a scenario that constructs can be built
+        # a scenario that constructs can be built; building checks the
+        # model's parameters and the diffusion block against their specs
         for key, error in (("grid", GridError), ("model", ModelError),
                            ("diffusion", ModelError), ("config", ConfigError)):
             try:
                 getattr(self, f"build_{key}")()
             except error as exc:
-                raise ScenarioError(f"field $.{key}: {exc}") from exc
+                msg = str(exc)
+                raise ScenarioError(msg if msg.startswith("field $.") else
+                                    f"field $.{key}: {msg}") from exc
 
     # --- accessors -----------------------------------------------------
 
@@ -238,6 +196,7 @@ class Scenario:
         spec = self.raw.get("diffusion")
         if spec is None:
             return None
+        check_spec(spec, _DIFFUSION_SPEC, self.dimension, "$.diffusion")
         params = dict(spec)
         build, _ = _DIFFUSION_TYPES[params.pop("type", "constant")]
         return build(**params)

@@ -13,8 +13,7 @@ from concentra.canonical import (ClosureError, ConcentrationTrajectory,
                                  riccati_hessian_rhs)
 from concentra.diagnostics import constraint_residual
 from concentra.models import (ROOT_TOL, LocalCompetitionModel, ModelError,
-                              QuadraticFunction, SeparableKernel, build_model,
-                              make_global_model_from_rate)
+                              QuadraticFunction, SeparableKernel, build_model)
 
 
 def affine_2d(a=2.0, slope=(1.0, 1.0)):
@@ -351,20 +350,36 @@ def test_lyapunov_not_applicable_for_asymmetric_kernel():
 
 # --- local/global reduction -------------------------------------------------------------
 
+class _PhiWeightedGlobal:
+    """Global law R(x, I) = r(x) - phi(x) I, whose x-dependent coefficient of
+    I no built-in family has; the canonical ODE reads only this interface."""
+
+    def __init__(self, r, phi):
+        self.r, self.phi = r, phi
+
+    def rate(self, x, I):
+        return self.r.value(x) - self.phi.value(x) * np.asarray(I, dtype=float)
+
+    def grad_x_rate(self, x, I):
+        return self.r.grad(x) - self.phi.grad(x) * I
+
+    def hess_x_rate(self, x, I):
+        return self.r.hess(x) - self.phi.hess(x) * I
+
+    def multiplier(self, x):
+        return float(self.r.value(x)) / float(self.phi.value(x))
+
+
 def test_separable_kernel_reduces_local_to_global_dynamics():
     phi = QuadraticFunction(2.0, [0.0], [0.5])
     psi = QuadraticFunction(1.0, [0.0], [0.0])     # identically 1
     r = QuadraticFunction(1.0, [0.2], [1.0])
     local = LocalCompetitionModel(1, r, SeparableKernel(phi, psi),
                                   symmetric=False, name="reduced")
-
-    def rate(x, I):
-        return r.value(x) - phi.value(x) * np.asarray(I, dtype=float)
-
-    glob = make_global_model_from_rate(
-        rate, 1, d_rate_dI=lambda x, I: -phi.value(x))
+    glob = _PhiWeightedGlobal(r, phi)
     closure_a = HessianClosure("frozen", initial_hessian=[[-2.0]])
     closure_b = HessianClosure("frozen", initial_hessian=[[-2.0]])
     ta = integrate_canonical((0.5,), closure_a, local, 0.01, 1.0)
     tb = integrate_canonical((0.5,), closure_b, glob, 0.01, 1.0)
     assert np.max(np.abs(ta.points - tb.points)) <= 1e-9
+    assert np.max(np.abs(ta.macro - tb.macro)) <= 1e-9

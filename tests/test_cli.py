@@ -135,6 +135,38 @@ def test_scenario_roundtrips_raw_json():
     ({"diffusion": {"type": "cosine"}}, "$.diffusion.type"),
     ({"diffusion": {"type": ["sine"]}}, "$.diffusion.type"),
     ({"diffusion": [2.0]}, "$.diffusion"),
+    ({"model__params__k0": "0.5"}, "$.model.params.k0"),
+    ({"model__params__coef_i": 5.0}, "$.model.params.coef_i"),
+    ({"model__params__center": "ab"}, "$.model.params.center"),
+    ({"model__params__coef_I": "x"}, "$.model.params.coef_I"),
+    ({"model__params__coef_I": 0.0}, "$.model.params.coef_I"),
+    ({"model__params__weights": [1.0, 2.0]}, "$.model.params.weights"),
+    ({"model__params__psi": {"value": "2"}}, "$.model.params.psi.value"),
+    ({"model__params__psi": {"type": "gaussian"}}, "$.model.params.psi.type"),
+    ({"model__params__psi": {"value": 2.0, "width": 1.0}},
+     "$.model.params.psi.width"),
+    ({"model__params__psi": 0.0}, "psi must be positive"),
+    ({"model__params__k0": float("nan")}, "$.model.params.k0"),
+    ({"model__params__psi": float("inf")}, "$.model.params.psi"),
+    ({"model": {"family": "scenario2", "params": {"coef_I": 2.0}}},
+     "$.model.params.coef_I"),
+    ({"model": {"family": "logistic_local",
+                "params": {"r": {"c0": "1"}}}}, "$.model.params.r.c0"),
+    ({"model": {"family": "logistic_local",
+                "params": {"symmetric": 1}}}, "$.model.params.symmetric"),
+    ({"model": {"family": "logistic_local",
+                "params": {"kernel": {"type": "cosine"}}}},
+     "$.model.params.kernel.type"),
+    ({"model": {"family": "logistic_local",
+                "params": {"kernel": {"type": "gaussian", "widht": 0.5}}}},
+     "$.model.params.kernel.widht"),
+    ({"model": {"family": "logistic_local",
+                "params": {"kernel": {"type": "gaussian", "width": 0.0}}}},
+     "$.model.params.kernel.width"),
+    ({"model": {"family": "logistic_local",
+                "params": {"kernel": {"type": "separable",
+                                      "phi": {"center": [0.1, 0.2]}}}}},
+     "$.model.params.kernel.phi.center"),
 ])
 def test_scenario_validation_names_field(edits, needle):
     with pytest.raises(ScenarioError, match=needle.replace("$", r"\$")
@@ -576,6 +608,8 @@ def test_sweep_killed_worker_fails_its_rows(tmp_path, monkeypatch):
     assert len(rows) == 2
     assert all("failed: A process in the process pool was terminated" in r
                for r in rows)
+    # the parent removes the directories the killed workers had made
+    assert sorted(os.listdir(out)) == ["sweep.csv"]
 
 
 def test_sweep_bad_thread_env_exits_2(tmp_path, capsys, monkeypatch):

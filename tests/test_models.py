@@ -1,5 +1,5 @@
-"""Growth laws: evaluation, constraint inversion, steady states, potentials,
-assumption audits, finite-difference fallback."""
+"""Growth laws: evaluation, constraint inversion, analytic derivatives,
+steady states, potentials, assumption audits."""
 
 import math
 
@@ -8,12 +8,11 @@ import pytest
 
 from concentra.models import (ROOT_TOL, AssumptionConstants, ConstantKernel,
                               ConstraintInfeasibleError,
-                              LocalCompetitionModel, ModelError,
-                              NoPositiveSteadyStateError,
+                              GlobalInteractionModel, LocalCompetitionModel,
+                              ModelError, NoPositiveSteadyStateError,
                               PotentialDomainError, build_model,
                               check_assumptions, constant_diffusion,
-                              eval_growth, invert_constraint,
-                              make_global_model_from_rate, phi_potential,
+                              eval_growth, invert_constraint, phi_potential,
                               sine_diffusion, steady_state_weight)
 from concentra.scenarios import bundled_scenario_names, load_bundled
 
@@ -60,9 +59,13 @@ def test_eval_growth_local_balance():
     assert eval_growth(m, (0.4,), 1.0) == pytest.approx(0.0, abs=1e-14)
 
 
+class _InfiniteGrowth:
+    def value(self, x):
+        return np.full(np.asarray(x).shape[:-1], np.inf)
+
+
 def test_eval_growth_rejects_non_finite():
-    m = make_global_model_from_rate(
-        lambda x, I: np.full(np.asarray(x).shape[:-1], np.inf), 1)
+    m = GlobalInteractionModel(1, _InfiniteGrowth(), 1.0)
     with pytest.raises(ModelError):
         eval_growth(m, (0.5,), 0.0)
 
@@ -102,6 +105,22 @@ def test_invert_residual_property_random_points():
     assert worst <= 1e-12
 
 
+def _bisect_root(m, x):
+    """Root of the decreasing I -> R(x, I) on [0, inf) by bisection."""
+    lo, hi = 0.0, 1.0
+    while eval_growth(m, x, hi) > 0.0:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if eval_growth(m, x, mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 BUILT_IN_GLOBAL = {
     "affine_global": (2, {"a": 2.0, "slope": [1.0, 0.5], "coef_I": 1.3}),
     "quadratic_global": (2, {"k0": 1.0, "center": [0.5, 0.5],
@@ -115,11 +134,32 @@ BUILT_IN_GLOBAL = {
 def test_invert_closed_form_matches_numeric(family):
     d, params = BUILT_IN_GLOBAL[family]
     m = build_model({"family": family, "params": params}, d)
-    numeric = make_global_model_from_rate(m.rate, d, d_rate_dI=m.d_rate_dI)
     rng = np.random.default_rng(47)
     for x in rng.uniform(0.0, 1.0, size=(200, d)):   # R(x, 0) > 0 here
         assert invert_constraint(m, x) == pytest.approx(
-            invert_constraint(numeric, x), abs=1e-12)
+            _bisect_root(m, x), abs=1e-12)
+
+
+@pytest.mark.parametrize("family", sorted(BUILT_IN_GLOBAL))
+def test_invert_root_changes_sign_per_family(family):
+    """The closed-form multiplier is a root of R(x, .), and the one where R
+    changes sign from positive to negative; where R(x, 0) < 0 there is
+    none.  The box reaches past the feasible set of every family."""
+    d, params = BUILT_IN_GLOBAL[family]
+    m = build_model({"family": family, "params": params}, d)
+    rng = np.random.default_rng(41)
+    worst = 0.0
+    for x in rng.uniform(-0.5, 1.5, size=(1000, d)):
+        if eval_growth(m, x, 0.0) < 0.0:
+            with pytest.raises(ConstraintInfeasibleError):
+                invert_constraint(m, x)
+            continue
+        i_bar = invert_constraint(m, x)
+        assert i_bar > 0.0
+        worst = max(worst, abs(eval_growth(m, x, i_bar)))
+        assert eval_growth(m, x, i_bar * (1.0 - 1e-9)) > 0.0
+        assert eval_growth(m, x, i_bar * (1.0 + 1e-9)) < 0.0
+    assert worst <= 1e-12
 
 
 def test_invert_closed_form_infeasibility_contract():
@@ -302,21 +342,75 @@ def test_check_assumptions_diffusion_entries():
     assert _get(rep, "diffusion_third(31d)").passed is True
 
 
-# --- derivative plumbing ----------------------------------------------------------
+# --- analytic derivatives against central differences ---------------------------
 
-def test_fd_fallback_matches_analytic_derivatives():
-    analytic = quadratic_2d()
-    wrapped = make_global_model_from_rate(analytic.rate, 2)
-    rng = np.random.default_rng(43)
-    for _ in range(10):
-        x = rng.uniform(0.1, 0.9, size=2)
-        ga = analytic.grad_x_rate(x, 0.2)
-        gw = wrapped.grad_x_rate(x, 0.2)
-        assert np.max(np.abs(ga - gw)) <= 1e-8
-        ha = analytic.hess_x_rate(x, 0.2)
-        hw = wrapped.hess_x_rate(x, 0.2)
-        assert np.max(np.abs(ha - hw)) <= 1e-4
-        assert wrapped.d_rate_dI(x, 0.2) == pytest.approx(-1.0, abs=1e-6)
+def _central_grad(f, x, h=1e-5):
+    e = np.eye(x.size) * h
+    return np.array([(f(x + e[j]) - f(x - e[j])) / (2.0 * h)
+                     for j in range(x.size)])
+
+
+def _central_hess(grad, x, h=1e-5):
+    e = np.eye(x.size) * h
+    return np.array([(grad(x + e[j]) - grad(x - e[j])) / (2.0 * h)
+                     for j in range(x.size)]).T
+
+
+def _local(kernel):
+    return logistic_local(c0=1.0, center=0.4, weight=1.5, kernel=kernel)
+
+
+DERIVATIVE_LAWS = {
+    **{family: (lambda family=family: build_model(
+        {"family": family, "params": BUILT_IN_GLOBAL[family][1]},
+        BUILT_IN_GLOBAL[family][0])) for family in BUILT_IN_GLOBAL},
+    "logistic_local_constant": lambda: _local(
+        {"type": "constant", "value": 1.3}),
+    "logistic_local_gaussian": lambda: _local(
+        {"type": "gaussian", "floor": 0.2, "amp": 0.9, "width": 0.3}),
+    "logistic_local_separable": lambda: _local(
+        {"type": "separable",
+         "phi": {"c0": 2.0, "center": [0.1], "weights": [0.5]},
+         "psi": {"c0": 1.0, "center": [0.7], "weights": [0.3]}}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DERIVATIVE_LAWS))
+def test_analytic_derivatives_match_central_differences(name):
+    """grad_x_rate and hess_x_rate are the x-derivatives of the rate at a
+    fixed macro state: I for a global law; for a local law the competition
+    C(x, y) rho felt at x from a Dirac held at y = x.  d_rate_dI is the
+    derivative in the macro argument, -coef_I for a global law."""
+    m = DERIVATIVE_LAWS[name]()
+    local = isinstance(m, LocalCompetitionModel)
+    rng = np.random.default_rng(59)
+    for x in rng.uniform(0.0, 1.0, size=(20, m.dimension)):
+        if name == "scenario2" and abs(x[1] - 0.3) < 1e-3:
+            continue   # the (y - y0)_+^2 term has no second derivative at y0
+        macro = 0.7
+        if local:
+            def rate(z):
+                return float(m.intrinsic.value(z)
+                             - macro * m.kernel(z, x))
+
+            def grad(z):
+                return (m.intrinsic.grad(z)
+                        - macro * m.kernel.grad_x(z, x))
+        else:
+            def rate(z):
+                return float(m.rate(z, macro))
+
+            def grad(z):
+                return np.asarray(m.grad_x_rate(z, macro), dtype=float)
+        g = np.asarray(m.grad_x_rate(x, macro), dtype=float)
+        h = np.asarray(m.hess_x_rate(x, macro), dtype=float)
+        assert np.max(np.abs(g - _central_grad(rate, x))) <= 1e-8
+        assert np.max(np.abs(h - _central_hess(grad, x))) <= 1e-7
+        d_i = (float(m.rate(x, macro + 1e-5))
+               - float(m.rate(x, macro - 1e-5))) / 2e-5
+        assert float(m.d_rate_dI(x, macro)) == pytest.approx(d_i, abs=1e-8)
+        if not local:
+            assert float(m.d_rate_dI(x, macro)) == -m.coef_I
 
 
 def test_constant_diffusion_validates_sign():
