@@ -17,7 +17,7 @@ from .models import (AssumptionConstants, ConstraintInfeasibleError,
                      check_assumptions, constant_diffusion, eval_growth,
                      invert_constraint, phi_potential, sine_diffusion,
                      steady_state_weight)
-from .wkb import (WkbError, WkbField, from_wkb, hessian_at, locate_max,
+from .wkb import (WkbError, WkbField, from_wkb, locate_max,
                   regularity_monitor, to_wkb)
 from .pde import (ConfigError, ImexIntegrator, RunResult, SimulationConfig,
                   SimulationState, SolverError, init_density,

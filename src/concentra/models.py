@@ -485,8 +485,6 @@ def check_assumptions(model, constants: AssumptionConstants, domain,
     norms2 = (pts ** 2).sum(axis=-1)
 
     if isinstance(model, GlobalInteractionModel):
-        i_grid = (np.linspace(0.0, c.I_M, 9) if c.I_M else np.array([0.0]))
-
         psi = float(model.psi)
         _record(checks, warnings, "weight_bounds(7)", bool(psi > 0), psi,
                 pts[0], f"psi in [{psi:.6g}, {psi:.6g}]")
@@ -500,6 +498,8 @@ def check_assumptions(model, constants: AssumptionConstants, domain,
                     f"max R(x, I_M) = {top:.6g}")
 
         if c.K_bar_0 is not None and c.K_bar_1 is not None and c.K_under_1 is not None:
+            i_grid = (np.linspace(0.0, c.I_M, 9) if c.I_M
+                      else np.array([0.0]))
             worst_m, worst_pt = math.inf, None
             for i_val in i_grid:
                 r = np.asarray(model.rate(pts, i_val), dtype=float)
@@ -512,42 +512,29 @@ def check_assumptions(model, constants: AssumptionConstants, domain,
             _record(checks, warnings, "quadratic_envelope(8b)",
                     bool(worst_m >= -1e-12), worst_m, worst_pt)
 
+        # D2R and dR/dI of R = g(x) - coef_I I do not depend on I
+        hess = np.asarray(model.hess_x_rate(pts, 0.0), dtype=float)
         if c.K_bar_1 is not None and c.K_under_1 is not None:
-            worst_m, worst_pt = math.inf, None
-            for i_val in i_grid:
-                h = np.asarray(model.hess_x_rate(pts, i_val), dtype=float)
-                ev = np.linalg.eigvalsh(h)
-                marg = np.minimum(ev.min(axis=-1) + 2.0 * c.K_under_1,
-                                  -2.0 * c.K_bar_1 - ev.max(axis=-1))
-                mm, mp = _min_where(marg, pts)
-                if mm < worst_m:
-                    worst_m, worst_pt = mm, mp
+            ev = np.linalg.eigvalsh(hess)
+            marg = np.minimum(ev.min(axis=-1) + 2.0 * c.K_under_1,
+                              -2.0 * c.K_bar_1 - ev.max(axis=-1))
+            mm, mp = _min_where(marg, pts)
             _record(checks, warnings, "hessian_bounds(9)",
-                    bool(worst_m >= -1e-12), worst_m, worst_pt,
+                    bool(mm >= -1e-12), mm, mp,
                     "requires -2K_under_1 <= D2R <= -2K_bar_1 < 0")
 
         if c.K_bar_2 is not None and c.K_under_2 is not None:
-            worst_m, worst_pt = math.inf, None
-            for i_val in i_grid:
-                di = np.asarray(model.d_rate_dI(pts, i_val), dtype=float)
-                marg = np.minimum(di + c.K_under_2, -c.K_bar_2 - di)
-                mm, mp = _min_where(marg, pts)
-                if mm < worst_m:
-                    worst_m, worst_pt = mm, mp
+            di = np.asarray(model.d_rate_dI(pts, 0.0), dtype=float)
+            marg = np.minimum(di + c.K_under_2, -c.K_bar_2 - di)
+            mm, mp = _min_where(marg, pts)
             _record(checks, warnings, "I_monotonicity(10)",
-                    bool(worst_m >= -1e-12), worst_m, worst_pt)
+                    bool(mm >= -1e-12), mm, mp)
 
         if c.K_3 is not None:
-            worst_m, worst_pt = math.inf, None
-            for i_val in i_grid:
-                h = np.asarray(model.hess_x_rate(pts, i_val), dtype=float)
-                lap = np.trace(h, axis1=-2, axis2=-1) * psi
-                marg = lap + c.K_3
-                mm, mp = _min_where(marg, pts)
-                if mm < worst_m:
-                    worst_m, worst_pt = mm, mp
+            lap = np.trace(hess, axis1=-2, axis2=-1) * psi
+            mm, mp = _min_where(lap + c.K_3, pts)
             _record(checks, warnings, "laplacian_psi_R(10b)",
-                    bool(worst_m >= -1e-12), worst_m, worst_pt)
+                    bool(mm >= -1e-12), mm, mp)
 
         if all(v is not None for v in (c.L_bar_1, c.K_bar_1, c.K_under_1,
                                        c.L_under_1)):

@@ -15,13 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import ConcentrationTrajectory
-from .diagnostics import MacroSeries
+from .diagnostics import MacroSeries, constraint_residual
 from .grid import (DensityField, TraitGrid, boundary_ring_mass,
                    diffusion_stencil, face_coefficients, kernel_convolution)
 from .models import (AssumptionConstants, DiffusionCoefficient,
                      GlobalInteractionModel, LocalCompetitionModel)
-from .wkb import (WkbError, hessian_at, locate_max, regularity_monitor,
-                  to_wkb)
+from .wkb import locate_max, regularity_monitor, to_wkb
 
 CG_RTOL = 1e-10
 CG_MAXITER = 2000
@@ -262,7 +261,7 @@ def run_simulation(config: SimulationConfig, model, grid: TraitGrid, u0_spec,
     consts = constants if constants is not None else AssumptionConstants()
 
     times, Is, rhos, Js, bms = [], [], [], [], []
-    pts, hessians, macros, residuals = [], [], [], []
+    pts, hessians = [], []
     snapshots, reports, probe_maxima = {}, [], {}
     run_warnings = []
 
@@ -291,32 +290,20 @@ def run_simulation(config: SimulationConfig, model, grid: TraitGrid, u0_spec,
             msg = f"step {step_index}: {w.message}"
             if msg not in run_warnings:
                 run_warnings.append(msg)
-        x_bar, _ = peaks[0]
-        d = grid.dimension
-        try:
-            H = hessian_at(u, x_bar)
-        except WkbError:
-            H = np.full((d, d), np.nan)
-        if engine._local:
-            res = abs(float(model.intrinsic.value(x_bar))
-                      - float(macro.values[grid.nearest_index(x_bar)]))
-        else:
-            res = abs(float(model.rate(x_bar, macro)))
+        x_bar, _, H = peaks[0]
 
         times.append(state.time)
         Is.append(i_val)
         rhos.append(rho)
         Js.append(j_val)
         bms.append(bm)
-        pts.append(np.asarray(x_bar, dtype=float))
+        pts.append(x_bar)
         hessians.append(H)
-        macros.append(i_val)
-        residuals.append(res)
 
         if config.snapshot_every and step_index % config.snapshot_every == 0:
             snapshots[step_index] = n
         if step_index in probes:
-            probe_maxima[step_index] = [(p.tolist(), v) for p, v in peaks]
+            probe_maxima[step_index] = [(p.tolist(), v) for p, v, _ in peaks]
             rep = regularity_monitor(u, consts, time=state.time)
             rep["step"] = step_index
             reports.append(rep)
@@ -328,10 +315,10 @@ def run_simulation(config: SimulationConfig, model, grid: TraitGrid, u0_spec,
 
     series = MacroSeries(np.array(times), np.array(Is), np.array(rhos),
                          np.array(Js), np.array(bms))
-    traj = ConcentrationTrajectory(np.array(times), np.array(pts),
-                                   np.array(macros), np.array(hessians),
-                                   source="pde")
-    return RunResult(series, snapshots, traj, np.array(residuals), reports,
+    traj = ConcentrationTrajectory(series.times, np.array(pts), series.I,
+                                   np.array(hessians), source="pde")
+    residuals, _ = constraint_residual(traj, model)
+    return RunResult(series, snapshots, traj, residuals, reports,
                      probe_maxima, run_warnings, list(engine.advisories))
 
 

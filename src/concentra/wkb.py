@@ -7,6 +7,7 @@ Hessian there.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field
 
@@ -101,85 +102,69 @@ def _fit_quadratic(values: np.ndarray, idx: tuple, grid: TraitGrid):
 
 
 def _refine_max(u: WkbField, idx: tuple):
-    """Sub-grid peak via the quadratic fit; falls back to the node when the
-    fitted vertex is degenerate or more than one cell away."""
+    """Sub-grid peak, its value and its curvature, from one quadratic fit at
+    the node.  The peak falls back to the node when the fitted vertex is
+    degenerate or more than one cell away; the Hessian is nan when the node
+    is within two cells of the boundary."""
     grid = u.grid
     node = np.array([grid.axis_coords(j)[idx[j]] for j in range(grid.dimension)])
     f0, g, h = _fit_quadratic(u.values, idx, grid)
+    hess = h if _is_interior(idx, u.values.shape, margin=2) \
+        else np.full_like(h, np.nan)
     try:
         delta = np.linalg.solve(h, -g)
     except np.linalg.LinAlgError:
-        return node, f0
-    ev = np.linalg.eigvalsh(0.5 * (h + h.T))
+        return node, f0, hess
+    ev = np.linalg.eigvalsh(h)
     if ev.max() >= 0 or np.any(np.abs(delta) > np.asarray(grid.spacing)):
-        return node, f0
+        return node, f0, hess
     value = f0 + g @ delta + 0.5 * delta @ h @ delta
-    return node + delta, float(value)
+    return node + delta, float(value), hess
+
+
+def _local_maxima(vals: np.ndarray) -> np.ndarray:
+    """Nodes >= each of their 3^d - 1 neighbours, diagonals included; the
+    outside of the box counts as -inf."""
+    padded = np.pad(vals, 1, constant_values=-np.inf)
+    local = np.ones(vals.shape, dtype=bool)
+    for offset in itertools.product((0, 1, 2), repeat=vals.ndim):
+        if offset != (1,) * vals.ndim:
+            local &= vals >= padded[tuple(slice(o, o + n) for o, n
+                                          in zip(offset, vals.shape))]
+    return local
 
 
 def locate_max(u: WkbField, multi: bool = False):
-    """Peak(s) of u: grid argmax refined by a local quadratic fit.
+    """Peak(s) of u as (point, value, hessian): grid argmax refined by a
+    local quadratic fit, whose Hessian is the curvature of u there.
 
-    With `multi`, every strict local maximum within eps*ln(1e6) of the global
-    one is reported (coexisting concentration points).  Peaks on the boundary
-    ring are returned at the raw node with a warning (fit window unavailable).
+    With `multi`, every local maximum within eps*ln(1e6) of the global one
+    is reported (coexisting concentration points).  Peaks on the boundary
+    ring are returned at the raw node, with a nan Hessian and a warning
+    (fit window unavailable).
     """
     vals = u.values
     shape = vals.shape
-    flat_max = float(vals.max())
-    candidates = []
     if multi:
-        cut = flat_max - u.epsilon * np.log(MULTI_MAX_DROP_FACTOR)
-        local = np.ones(shape, dtype=bool)
-        for ax in range(vals.ndim):
-            up = np.roll(vals, -1, axis=ax)
-            dn = np.roll(vals, 1, axis=ax)
-            # roll wraps; edges handled by the >= comparison against self
-            edge_hi = [slice(None)] * vals.ndim
-            edge_hi[ax] = slice(-1, None)
-            edge_lo = [slice(None)] * vals.ndim
-            edge_lo[ax] = slice(0, 1)
-            up[tuple(edge_hi)] = -np.inf
-            dn[tuple(edge_lo)] = -np.inf
-            local &= (vals >= up) & (vals >= dn)
-        if vals.ndim == 2:
-            for sx in (-1, 1):
-                for sy in (-1, 1):
-                    diag = np.roll(np.roll(vals, sx, axis=0), sy, axis=1)
-                    edge = [slice(None)] * 2
-                    edge[0] = slice(0, 1) if sx == 1 else slice(-1, None)
-                    diag[tuple(edge)] = -np.inf
-                    edge = [slice(None)] * 2
-                    edge[1] = slice(0, 1) if sy == 1 else slice(-1, None)
-                    diag[tuple(edge)] = -np.inf
-                    local &= vals >= diag
-        for idx in np.argwhere(local & (vals >= cut)):
-            candidates.append(tuple(idx))
+        cut = vals.max() - u.epsilon * np.log(MULTI_MAX_DROP_FACTOR)
+        candidates = [tuple(idx) for idx in
+                      np.argwhere(_local_maxima(vals) & (vals >= cut))]
     else:
-        candidates.append(np.unravel_index(int(np.argmax(vals)), shape))
+        candidates = [np.unravel_index(int(np.argmax(vals)), shape)]
 
     out = []
+    d = u.grid.dimension
     for idx in candidates:
         if not _is_interior(idx, shape):
             warnings.warn(f"maximum at boundary node {tuple(int(i) for i in idx)}; "
                           "refinement skipped", RuntimeWarning)
-            node = np.array([u.grid.axis_coords(j)[idx[j]]
-                             for j in range(u.grid.dimension)])
-            out.append((node, float(vals[tuple(idx)])))
+            node = np.array([u.grid.axis_coords(j)[idx[j]] for j in range(d)])
+            out.append((node, float(vals[tuple(idx)]),
+                        np.full((d, d), np.nan)))
         else:
             out.append(_refine_max(u, tuple(idx)))
-    out.sort(key=lambda pv: -pv[1])
+    out.sort(key=lambda peak: -peak[1])
     return out
-
-
-def hessian_at(u: WkbField, x_bar) -> np.ndarray:
-    """Curvature of u at a point, from the same quadratic fit as locate_max."""
-    idx = u.grid.nearest_index(np.asarray(x_bar, dtype=float))
-    if not _is_interior(idx, u.values.shape, margin=2):
-        raise WkbError(f"point {np.asarray(x_bar).tolist()} is within two "
-                       "cells of the boundary; Hessian unavailable")
-    _, _, h = _fit_quadratic(u.values, idx, u.grid)
-    return 0.5 * (h + h.T)
 
 
 # --- regularity monitors -----------------------------------------------------

@@ -429,6 +429,21 @@ def test_gaussian_kernel_params_validated(tmp_path, capsys, command, field,
     assert not (tmp_path / "o").exists()
 
 
+def test_series_residual_matches_reported_post_layer(tmp_path):
+    """series.csv's residual_R and reports.json's post-layer residual are one
+    formula, |R(x̄, rho)| for the local model."""
+    raw = _local_scenario()
+    raw["config"]["steps"] = 40
+    scen = write_scenario(tmp_path, raw)
+    assert main(["run", scen, "--out", str(tmp_path / "o")]) == 0
+    art = pathlib.Path(_only_artifact_dir(tmp_path / "o"))
+    data = np.genfromtxt(art / "series.csv", delimiter=",", names=True)
+    post = json.loads((art / "reports.json").read_text())[
+        "constraint_residual_post_layer"]
+    t_layer = 10 * raw["config"]["dt"]
+    assert data["residual_R"][data["t"] >= t_layer].max() == post
+
+
 def _run_python(code):
     """Run `code` in a fresh interpreter that imports this checkout's
     package."""

@@ -390,6 +390,23 @@ def test_run_boundary_mass_warning():
     assert any("boundary ring mass" in msg for msg in result.warnings)
 
 
+def test_bench_interface_names():
+    """The names the benchmark's set-up probe and its mass-drift gate call:
+    renaming one would drop that check without notice."""
+    sc = load_bundled("quadratic_concave")
+    grid, model, cfg = sc.build_grid(), sc.build_model(), sc.build_config()
+    engine = ImexIntegrator(grid, model, cfg, b=sc.build_diffusion())
+    density = init_density(grid, sc.u0, cfg.epsilon, cfg.mass_target)
+    rate, macro = engine.rate_field(density, None)
+    assert rate.shape == grid.shape and macro == engine.macro_of(density)
+    new = engine.step(SimulationState(0.0, density, macro)).density
+    assert new.values.shape == grid.shape
+    assert (engine.config.dt, engine.config.epsilon) == (cfg.dt, cfg.epsilon)
+    for name in ("locate_max", "to_wkb", "regularity_monitor",
+                 "boundary_ring_mass"):
+        assert callable(getattr(pde, name))
+
+
 def test_series_csv_roundtrip(tmp_path):
     result, _, _ = _quick_run(steps=10)
     path = tmp_path / "series.csv"

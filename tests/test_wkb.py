@@ -5,11 +5,14 @@ import warnings
 import numpy as np
 import pytest
 
+from concentra import wkb
 from concentra.grid import DensityField, build_grid
 from concentra.models import AssumptionConstants
+from concentra.pde import SimulationConfig, init_density, run_simulation
+from concentra.scenarios import load_bundled
 from concentra.wkb import (DENSITY_FLOOR, WkbError, WkbField, from_wkb,
-                           hessian_at, locate_max, regularity_monitor,
-                           to_wkb, well_resolved_mask)
+                           locate_max, regularity_monitor, to_wkb,
+                           well_resolved_mask)
 
 
 def _grid2(n=50, lower=0.0, upper=1.0):
@@ -94,7 +97,7 @@ def test_locate_max_recovers_offnode_center():
     g = _grid2(50)
     center = (0.5037, 0.4473)      # deliberately off-node
     u = WkbField(g, _quad_u(g, center, (2.0, 3.0)), 0.01)
-    [(pt, val)] = locate_max(u)
+    [(pt, val, _)] = locate_max(u)
     assert np.max(np.abs(pt - np.asarray(center))) <= 1e-10
     assert val == pytest.approx(0.0, abs=1e-10)
 
@@ -103,8 +106,8 @@ def test_locate_max_constant_shift_invariance():
     g = _grid2(50)
     u1 = WkbField(g, _quad_u(g, (0.41, 0.63), (1.0, 2.0)), 0.01)
     u2 = WkbField(g, u1.values + 3.25, 0.01)
-    [(p1, v1)] = locate_max(u1)
-    [(p2, v2)] = locate_max(u2)
+    [(p1, v1, _)] = locate_max(u1)
+    [(p2, v2, _)] = locate_max(u2)
     assert np.max(np.abs(p1 - p2)) <= 1e-12
     assert v2 - v1 == pytest.approx(3.25, abs=1e-12)
 
@@ -116,7 +119,7 @@ def test_locate_max_multi_reports_two_bumps():
     u = WkbField(g, np.maximum(a, b), 0.01)
     peaks = locate_max(u, multi=True)
     assert len(peaks) == 2
-    pts = sorted(tuple(np.round(p, 2)) for p, _ in peaks)
+    pts = sorted(tuple(np.round(p, 2)) for p, _, _ in peaks)
     assert pts == [(0.3, 0.3), (0.7, 0.7)]
 
 
@@ -135,8 +138,9 @@ def test_locate_max_boundary_warns_and_returns_node():
     x = g.axis_coords(0)
     u = WkbField(g, x.copy(), 0.01)    # increasing: max at the last node
     with pytest.warns(RuntimeWarning, match="boundary"):
-        [(pt, _)] = locate_max(u)
+        [(pt, _, H)] = locate_max(u)
     assert pt[0] == x[-1]
+    assert np.isnan(H).all()
 
 
 def test_locate_max_quartic_center_improves_with_resolution():
@@ -146,7 +150,7 @@ def test_locate_max_quartic_center_improves_with_resolution():
         g = build_grid(1, 0.0, 1.0, n)
         x = g.axis_coords(0)
         u = WkbField(g, -(x - center) ** 4, 0.01)
-        [(pt, _)] = locate_max(u)
+        [(pt, _, _)] = locate_max(u)
         errs.append(abs(pt[0] - center))
         assert errs[-1] <= g.spacing[0]
     assert errs[1] < errs[0]
@@ -154,18 +158,29 @@ def test_locate_max_quartic_center_improves_with_resolution():
 
 # --- curvature ---------------------------------------------------------------------
 
+def _hessian(u):
+    [(_, _, H)] = locate_max(u)
+    return H
+
+
 def test_hessian_exact_on_axis_aligned_quadratic():
     g = _grid2(50)
     u = WkbField(g, _quad_u(g, (0.5, 0.5), (1.0, 5.0)), 0.01)
-    H = hessian_at(u, (0.5, 0.5))
-    assert np.max(np.abs(H - np.diag([-2.0, -10.0]))) <= 1e-10
+    assert np.max(np.abs(_hessian(u) - np.diag([-2.0, -10.0]))) <= 1e-10
+
+
+def test_hessian_exact_on_1d_quadratic():
+    g = build_grid(1, 0.0, 1.0, 64)
+    x = g.axis_coords(0)
+    u = WkbField(g, -3.5 * (x - 0.4123) ** 2, 0.01)
+    assert _hessian(u) == pytest.approx(np.array([[-7.0]]), abs=1e-9)
 
 
 def test_hessian_initial_bump_coefficients():
     eps = 0.005
     g = _grid2(100)
     n = DensityField(g, np.exp(_quad_u(g, (0.7, 0.7), (1.0, 5.0)) / eps))
-    H = hessian_at(to_wkb(n, eps), (0.7, 0.7))
+    H = _hessian(to_wkb(n, eps))
     assert np.max(np.abs(H - np.diag([-2.0, -10.0]))) <= 1e-8
 
 
@@ -177,7 +192,7 @@ def test_hessian_rotated_quadratic_cross_term():
     A = R @ np.diag([-2.0, -8.0]) @ R.T
     nodes = g.nodes() - np.array([0.5, 0.5])
     u_vals = 0.5 * np.einsum("...i,ij,...j->...", nodes, A, nodes)
-    H = hessian_at(WkbField(g, u_vals, 0.01), (0.5, 0.5))
+    H = _hessian(WkbField(g, u_vals, 0.01))
     assert np.max(np.abs(H - A)) <= 1e-8
 
 
@@ -186,16 +201,133 @@ def test_hessian_affine_invariance():
     base = _quad_u(g, (0.5, 0.5), (1.0, 3.0))
     nodes = g.nodes()
     affine = 0.7 * nodes[..., 0] - 1.3 * nodes[..., 1] + 0.25
-    H1 = hessian_at(WkbField(g, base, 0.01), (0.5, 0.5))
-    H2 = hessian_at(WkbField(g, base + affine, 0.01), (0.5, 0.5))
+    H1 = _hessian(WkbField(g, base, 0.01))
+    H2 = _hessian(WkbField(g, base + affine, 0.01))
     assert np.max(np.abs(H1 - H2)) <= 1e-10
 
 
 def test_hessian_rejects_boundary_proximity():
+    """Within two cells of the boundary the peak is still refined, but its
+    Hessian is nan; on the boundary ring the peak stays at the node."""
     g = _grid2(50)
-    u = WkbField(g, _quad_u(g, (0.5, 0.5), (1.0, 1.0)), 0.01)
-    with pytest.raises(WkbError):
-        hessian_at(u, (0.005, 0.5))
+    h = g.spacing[0]
+    x1 = g.axis_coords(0)[1]
+    u = WkbField(g, _quad_u(g, (x1 + 0.2 * h, 0.5), (1.0, 1.0)), 0.01)
+    [(pt, _, H)] = locate_max(u)
+    assert pt[0] == pytest.approx(x1 + 0.2 * h, abs=1e-10)
+    assert H.shape == (2, 2) and np.isnan(H).all()
+
+    u = WkbField(g, _quad_u(g, (0.005, 0.5), (1.0, 1.0)), 0.01)
+    with pytest.warns(RuntimeWarning, match="boundary"):
+        [(pt, _, H)] = locate_max(u)
+    assert pt[0] == g.axis_coords(0)[0]
+    assert H.shape == (2, 2) and np.isnan(H).all()
+
+
+def test_hessian_gaussian_density_1d():
+    eps = 0.01
+    g = build_grid(1, 0.0, 1.0, 200)
+    x = g.axis_coords(0)
+    n = DensityField(g, np.exp(-2.5 * (x - 0.617) ** 2 / eps))
+    [(pt, _, H)] = locate_max(to_wkb(n, eps))
+    assert pt[0] == pytest.approx(0.617, abs=1e-9)
+    assert H == pytest.approx(np.array([[-5.0]]), abs=1e-7)
+
+
+def test_hessian_on_face_vertex_is_the_refinement_node_fit():
+    """Two nodes tie for the maximum, so the fitted vertex lies on the face
+    between them, and the nearest node to it may be the other one.  The
+    Hessian is the fit at the argmax node the vertex was refined from."""
+    g = build_grid(1, 0.0, 1.0, 40)
+    h = g.spacing[0]
+    k0 = 17
+    k = np.arange(40, dtype=float)
+    vals = -((k - k0 - 0.5) * h) ** 2
+    vals[k0 + 2:] *= 3.0         # differs from the mirror image past the tie
+    assert vals[k0] == vals[k0 + 1]
+    u = WkbField(g, vals, 0.01)
+    [(pt, _, H)] = locate_max(u)
+    assert pt[0] == pytest.approx(g.axis_coords(0)[k0] + 0.5 * h, abs=1e-12)
+    assert H.tobytes() == wkb._fit_quadratic(vals, (k0,), g)[2].tobytes()
+    assert H[0, 0] == pytest.approx(-2.0, abs=1e-9)
+    other = wkb._fit_quadratic(vals, (k0 + 1,), g)[2]
+    assert other[0, 0] == pytest.approx(-6.5, abs=1e-9)
+
+
+def test_hessian_scenario1_step0_is_the_refinement_node_fit():
+    """scenario1's initial bump is centred on a cell face: the nearest node
+    to the peak is not the argmax node."""
+    sc = load_bundled("scenario1_anisotropic")
+    grid, cfg = sc.build_grid(), sc.build_config()
+    u = to_wkb(init_density(grid, sc.u0, cfg.epsilon, cfg.mass_target),
+               cfg.epsilon)
+    idx = np.unravel_index(int(np.argmax(u.values)), grid.shape)
+    [(pt, _, H)] = locate_max(u)
+    assert grid.nearest_index(pt) != tuple(int(i) for i in idx)
+    assert H.tobytes() == wkb._fit_quadratic(u.values, idx, grid)[2].tobytes()
+
+
+def test_fit_quadratic_runs_once_per_candidate(monkeypatch):
+    calls = []
+    fit = wkb._fit_quadratic
+
+    def counting(values, idx, grid):
+        calls.append(tuple(int(i) for i in idx))
+        return fit(values, idx, grid)
+
+    monkeypatch.setattr(wkb, "_fit_quadratic", counting)
+    g = _grid2(60)
+    two = np.maximum(_quad_u(g, (0.3, 0.3), (4.0, 4.0)),
+                     _quad_u(g, (0.7, 0.7), (4.0, 4.0)))
+    assert len(locate_max(WkbField(g, two, 0.01), multi=True)) == 2
+    assert len(calls) == 2 and len(set(calls)) == 2
+
+    calls.clear()
+    sc = load_bundled("quadratic_concave")
+    cfg = sc.build_config()
+    cfg = SimulationConfig(cfg.epsilon, cfg.dt, 5)
+    result = run_simulation(cfg, sc.build_model(), sc.build_grid(), sc.u0)
+    assert len(calls) == len(result.series.times) == 6
+
+
+def _roll_local_maxima(vals):
+    """The np.roll form of the multi-peak mask that _local_maxima replaced:
+    the reference it must agree with."""
+    local = np.ones(vals.shape, dtype=bool)
+    for ax in range(vals.ndim):
+        up = np.roll(vals, -1, axis=ax)
+        dn = np.roll(vals, 1, axis=ax)
+        edge_hi = [slice(None)] * vals.ndim
+        edge_hi[ax] = slice(-1, None)
+        edge_lo = [slice(None)] * vals.ndim
+        edge_lo[ax] = slice(0, 1)
+        up[tuple(edge_hi)] = -np.inf
+        dn[tuple(edge_lo)] = -np.inf
+        local &= (vals >= up) & (vals >= dn)
+    if vals.ndim == 2:
+        for sx in (-1, 1):
+            for sy in (-1, 1):
+                diag = np.roll(np.roll(vals, sx, axis=0), sy, axis=1)
+                edge = [slice(None)] * 2
+                edge[0] = slice(0, 1) if sx == 1 else slice(-1, None)
+                diag[tuple(edge)] = -np.inf
+                edge = [slice(None)] * 2
+                edge[1] = slice(0, 1) if sy == 1 else slice(-1, None)
+                diag[tuple(edge)] = -np.inf
+                local &= vals >= diag
+    return local
+
+
+def test_local_maxima_matches_roll_reference():
+    rng = np.random.default_rng(7)
+    for trial in range(600):
+        shape = ((int(rng.integers(1, 12)),) if trial % 2 else
+                 tuple(int(n) for n in rng.integers(1, 9, size=2)))
+        # few distinct levels, so ties (plateaus) are common
+        levels = int(rng.integers(1, 4)) if trial % 3 else 1000
+        vals = rng.integers(0, levels, size=shape).astype(float)
+        assert np.array_equal(wkb._local_maxima(vals),
+                              _roll_local_maxima(vals)), vals
 
 
 # --- regularity monitors --------------------------------------------------------------
