@@ -6,12 +6,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
 
 from .models import (ConstraintInfeasibleError, GlobalInteractionModel,
-                     LocalCompetitionModel, ModelError)
+                     LocalCompetitionModel, ModelError, float_law)
 
 
 class ClosureError(ValueError):
@@ -97,27 +98,30 @@ class HessianClosure:
             self.initial_hessian = H
 
 
-def _solve_neg(hessian, vec, checked=False):
-    """(-H)^{-1} vec; `checked` skips the definiteness test for a matrix
-    already known to be negative definite."""
+def _check_negative_definite(H):
+    """Raise ClosureError unless the symmetric part of H is negative
+    definite."""
+    ev = np.linalg.eigvalsh(0.5 * (H + H.T))
+    if ev.max() >= 0:
+        raise ClosureError(f"closure matrix not negative definite "
+                           f"(eigenvalues {ev.tolist()})")
+
+
+def _solve_neg(hessian, vec):
+    """(-H)^{-1} vec for a negative definite H."""
     H = np.atleast_2d(np.asarray(hessian, dtype=float))
-    if not checked:
-        ev = np.linalg.eigvalsh(0.5 * (H + H.T))
-        if ev.max() >= 0:
-            raise ClosureError(f"closure matrix not negative definite "
-                               f"(eigenvalues {ev.tolist()})")
+    _check_negative_definite(H)
     if H.shape == (1, 1):   # bitwise what LAPACK's 1x1 solve returns
         return np.atleast_1d(vec) / -H[0, 0]
     return np.linalg.solve(-H, np.atleast_1d(vec))
 
 
-def canonical_rhs(x_bar, hessian, model, macro=None, checked=False):
+def canonical_rhs(x_bar, hessian, model, macro=None):
     """Velocity (-D2u)^{-1} grad_x R(x, m) of the concentration point, m the
-    multiplier (I or rho) at x unless given; `checked` as in `_solve_neg`."""
+    multiplier (I or rho) at x unless given."""
     x = np.asarray(x_bar, dtype=float)
     m = model.multiplier(x) if macro is None else float(macro)
-    return _solve_neg(hessian, np.asarray(model.grad_x_rate(x, m), dtype=float),
-                      checked)
+    return _solve_neg(hessian, np.asarray(model.grad_x_rate(x, m), dtype=float))
 
 
 def riccati_hessian_rhs(x_bar, macro, hessian, model):
@@ -130,6 +134,48 @@ def riccati_hessian_rhs(x_bar, macro, hessian, model):
     return 0.5 * (out + out.T)
 
 
+def _point_arithmetic(model, d):
+    """What the canonical RK4 computes at one point of a d-trait model.
+
+    point(a) turns an array (the start, a closure matrix, a domain bound)
+    into the loop's form; multiplier(x); velocity(x, m, neg) solves
+    neg v = grad_x R(x, m) for neg = -H; riccati(x, m, H) is dH/dt;
+    check(H) raises ClosureError unless H is negative definite; and
+    outside(x, lower, upper) tests the domain.  For d >= 2 these are numpy
+    arrays and LAPACK's solve.  For d = 1 they are Python floats, a
+    division and a sign test, doing the 1-element arrays' operations in
+    their order, so the results are bitwise the same.
+    """
+    if d > 1:
+        def velocity(x, m, neg):
+            return np.linalg.solve(
+                neg, np.asarray(model.grad_x_rate(x, m), dtype=float))
+
+        def riccati(x, m, H):
+            return riccati_hessian_rhs(x, m, H, model)
+
+        def outside(x, lower, upper):
+            return np.any(x < lower) or np.any(x > upper)
+
+        return SimpleNamespace(point=lambda a: a, multiplier=model.multiplier,
+                               velocity=velocity, riccati=riccati,
+                               check=_check_negative_definite,
+                               outside=outside)
+
+    multiplier, grad, hess = float_law(model)
+
+    def check(h):
+        if h >= 0:   # the 1x1 eigenvalue test
+            raise ClosureError(f"closure matrix not negative definite "
+                               f"(eigenvalues {[h]})")
+
+    return SimpleNamespace(
+        point=lambda a: float(a.flat[0]), multiplier=multiplier,
+        velocity=lambda x, m, neg: grad(x, m) / neg,
+        riccati=lambda x, m, h: hess(x, m) + 2.0 * h * h, check=check,
+        outside=lambda x, lower, upper: x < lower or x > upper)
+
+
 def integrate_canonical(x0, closure: HessianClosure, model, dt: float,
                         T: float, domain=None) -> ConcentrationTrajectory:
     """Classical RK4 on the canonical ODE, sampling every dt.
@@ -137,81 +183,81 @@ def integrate_canonical(x0, closure: HessianClosure, model, dt: float,
     The multiplier is recomputed algebraically at every stage.  In riccati
     mode the Hessian integrates alongside the position; in from_pde mode it
     is read from the measured series.  The trajectory truncates (with
-    exit_time recorded) if the point leaves `domain`.
+    exit_time recorded) if the point leaves `domain`.  The frozen -H is
+    negated once per run, and a 1D run keeps its point and Hessian on
+    Python floats (see _point_arithmetic).
     """
-    x = np.atleast_1d(np.asarray(x0, dtype=float))
-    d = x.size
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    d = x0.size
     steps = max(1, int(round(T / dt)))
-    source = f"canonical_{closure.mode}"
-
-    feed_interp = closure.feed.hessian_interpolant() \
-        if closure.mode == "from_pde" else None
-    # the frozen matrix was checked once, by HessianClosure; the riccati and
-    # from_pde matrices change per stage and are checked at every solve
-    frozen = closure.mode == "frozen"
-
-    def hess_at(t, H_state):
-        if closure.mode == "frozen":
-            return closure.initial_hessian
-        if closure.mode == "riccati":
-            return H_state
-        return feed_interp(t)
-
-    H = None
-    if closure.mode == "riccati":
-        H = closure.initial_hessian.copy()
-    elif closure.mode == "frozen":
-        H = closure.initial_hessian
+    frozen, riccati = closure.mode == "frozen", closure.mode == "riccati"
+    ops = _point_arithmetic(model, d)
+    point, multiplier, velocity = ops.point, ops.multiplier, ops.velocity
+    x = point(x0)
     if domain is not None:
-        lower, upper = (np.atleast_1d(np.asarray(v, dtype=float))
+        lower, upper = (point(np.atleast_1d(np.asarray(v, dtype=float)))
                         for v in domain)
 
-    m = model.multiplier(x)
-    times = [0.0]
-    pts = [x.copy()]
-    macros = [m]
-    hessians = [np.atleast_2d(hess_at(0.0, H))]
-    exit_time = None
+    feed = None
+    if closure.mode == "from_pde":
+        interp = closure.feed.hessian_interpolant()
+        H = None
+
+        def feed(tau):
+            return point(interp(tau))
+    else:
+        # the riccati state, or the frozen matrix, which HessianClosure
+        # checked: the stages do not check it again
+        H = point(closure.initial_hessian)
+        neg_frozen = -H
 
     def rhs(tau, xs, Hs, m=None):
+        """(dx/dt, dH/dt) at one stage; dH/dt is None unless riccati."""
         if m is None:
-            m = model.multiplier(xs)
-        Hc = hess_at(tau, Hs)
-        v = canonical_rhs(xs, Hc, model, macro=m, checked=frozen)
-        dH = riccati_hessian_rhs(xs, m, Hs, model) \
-            if closure.mode == "riccati" else None
-        return v, dH
+            m = multiplier(xs)
+        if frozen:
+            return velocity(xs, m, neg_frozen), None
+        Hc = Hs if riccati else feed(tau)
+        ops.check(Hc)
+        return (velocity(xs, m, -Hc),
+                ops.riccati(xs, m, Hs) if riccati else None)
 
-    def h_stage(kH, w):
-        if closure.mode == "riccati":
-            return H + w * dt * kH
-        return H  # frozen matrix, or None (from_pde reads the feed)
-
+    m = multiplier(x)
+    times = [0.0]
+    pts = [x]
+    macros = [m]
+    hessians = [H if feed is None else feed(0.0)]
+    exit_time = None
     t = 0.0
     for _ in range(steps):
+        # kH is None unless riccati: the stage matrix is then the frozen
+        # one, or None (from_pde reads the feed)
         k1x, k1H = rhs(t, x, H, m)   # m is the multiplier at x, recorded
-        k2x, k2H = rhs(t + 0.5 * dt, x + 0.5 * dt * k1x, h_stage(k1H, 0.5))
-        k3x, k3H = rhs(t + 0.5 * dt, x + 0.5 * dt * k2x, h_stage(k2H, 0.5))
-        k4x, k4H = rhs(t + dt, x + dt * k3x, h_stage(k3H, 1.0))
+        k2x, k2H = rhs(t + 0.5 * dt, x + 0.5 * dt * k1x,
+                       H if k1H is None else H + 0.5 * dt * k1H)
+        k3x, k3H = rhs(t + 0.5 * dt, x + 0.5 * dt * k2x,
+                       H if k2H is None else H + 0.5 * dt * k2H)
+        k4x, k4H = rhs(t + dt, x + dt * k3x,
+                       H if k3H is None else H + dt * k3H)
         x = x + dt / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
-        if closure.mode == "riccati":
+        if k1H is not None:
             H = H + dt / 6.0 * (k1H + 2 * k2H + 2 * k3H + k4H)
         t += dt
-        if domain is not None:
-            if np.any(x < lower) or np.any(x > upper):
-                exit_time = t
-                warnings.warn(f"canonical trajectory left the domain at "
-                              f"t={t:.6g}; truncated", RuntimeWarning)
-                break
-        m = model.multiplier(x)
+        if domain is not None and ops.outside(x, lower, upper):
+            exit_time = t
+            warnings.warn(f"canonical trajectory left the domain at "
+                          f"t={t:.6g}; truncated", RuntimeWarning)
+            break
+        m = multiplier(x)
         times.append(t)
-        pts.append(x.copy())
+        pts.append(x)
         macros.append(m)
-        hessians.append(np.atleast_2d(hess_at(t, H)))
+        hessians.append(H if feed is None else feed(t))
 
-    return ConcentrationTrajectory(np.array(times), np.array(pts),
-                                   np.array(macros), np.array(hessians),
-                                   source=source, exit_time=exit_time)
+    return ConcentrationTrajectory(
+        np.array(times), np.array(pts, dtype=float).reshape(-1, d),
+        np.array(macros), np.array(hessians, dtype=float).reshape(-1, d, d),
+        source=f"canonical_{closure.mode}", exit_time=exit_time)
 
 
 def gradient_flow_rate(x_bar, hessian, model: GlobalInteractionModel,

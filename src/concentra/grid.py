@@ -70,15 +70,6 @@ class TraitGrid:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack(mesh, axis=-1)
 
-    def nearest_index(self, x) -> tuple:
-        """Index of the node closest to the point x."""
-        x = np.asarray(x, dtype=float)
-        idx = []
-        for j in range(self.dimension):
-            i = int(np.floor((x[j] - self.lower[j]) / self.spacing[j]))
-            idx.append(min(max(i, 0), self.points_per_axis[j] - 1))
-        return tuple(idx)
-
 
 def build_grid(dimension, lower, upper, points_per_axis) -> TraitGrid:
     """Build a cell-centered grid; scalars are broadcast across axes."""

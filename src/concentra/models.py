@@ -3,7 +3,9 @@
 Trait points are numpy arrays of shape (..., d); every model method is
 vectorized over the leading dimensions.  Models and diffusion coefficients
 are frozen data: a growth law is its scalar function families and
-constants, and its derivatives are methods over theirs.
+constants, and its derivatives are methods over theirs.  `float_law` gives
+a one-trait growth law at one point on Python floats, bitwise equal to the
+array methods.
 """
 
 from __future__ import annotations
@@ -64,6 +66,18 @@ class QuadraticFunction:
         eye = np.diag(2.0 * self.weights)
         return np.broadcast_to(-eye, x.shape + (len(self.weights),)).copy()
 
+    def on_floats(self):
+        """(value, grad, hess) of the 1D function on a Python float, with
+        the array methods' operations in their order."""
+        c0, c, w = self.c0, float(self.center[0]), float(self.weights[0])
+        curvature = -(2.0 * w)
+
+        def value(x):
+            dx = x - c
+            return c0 - dx * dx * w
+
+        return value, lambda x: -2.0 * w * (x - c), lambda x: curvature
+
 
 class LinearFunction:
     """f(x) = c0 + slope . x with analytic derivatives."""
@@ -85,14 +99,24 @@ class LinearFunction:
         d = len(self.slope)
         return np.zeros(x.shape[:-1] + (d, d))
 
+    def on_floats(self):
+        """(value, grad, hess) of the 1D function on a Python float."""
+        c0, s = self.c0, float(self.slope[0])
+        return lambda x: c0 + s * x, lambda x: s, lambda x: 0.0
+
 
 # --- competition kernels ---------------------------------------------------
+#
+# A kernel's `diagonal` is C(x, x) when that is one constant for every x,
+# as it is for an even translation-invariant kernel, whose grad_x C(x, x)
+# is then 0; it is None when C(x, x) has to be evaluated at x.
 
 class ConstantKernel:
     separable = True
 
     def __init__(self, value=1.0):
         self.value = float(value)
+        self.diagonal = self.value
 
     def __call__(self, x, y):
         x = np.asarray(x, dtype=float)
@@ -128,6 +152,7 @@ class GaussianKernel:
         self.floor = float(floor)
         self.amp = float(amp)
         self.width = float(width)
+        self.diagonal = self.floor + self.amp    # profile(0), bitwise
 
     def profile(self, offsets):
         s = (np.asarray(offsets, dtype=float) ** 2).sum(axis=-1)
@@ -164,6 +189,7 @@ class SeparableKernel:
     the global-interaction one."""
 
     separable = True
+    diagonal = None
 
     def __init__(self, phi, psi):
         self._phi = phi
@@ -197,7 +223,8 @@ class GlobalInteractionModel:
     constraint R = 0 has the closed-form root growth(x) / coef_I."""
 
     dimension: int
-    growth: object      # scalar family with value/grad/hess in x
+    growth: object      # scalar family with value/grad/hess in x, and
+                        # on_floats for a 1D model
     coef_I: float
     psi: float = 1.0
     name: str = ""
@@ -224,6 +251,12 @@ class GlobalInteractionModel:
         """The I that puts x on the constraint R(x, I) = 0."""
         return invert_constraint(self, x)
 
+    def on_floats(self):
+        """float_law of a 1D model whose growth family has on_floats."""
+        value, grad, hess = self.growth.on_floats()
+        return (lambda x: _constraint_root(self, value(x), x),
+                lambda x, I: grad(x), lambda x, I: hess(x))
+
 
 @dataclass(frozen=True)
 class LocalCompetitionModel:
@@ -244,8 +277,10 @@ class LocalCompetitionModel:
                 - rho * np.asarray(self.kernel(x, x), dtype=float))
 
     def grad_x_rate(self, x, rho):
-        return (np.asarray(self.intrinsic.grad(x), dtype=float)
-                - rho * np.asarray(self.kernel.grad_x(x, x), dtype=float))
+        g = np.asarray(self.intrinsic.grad(x), dtype=float)
+        if self.kernel.diagonal is not None:    # grad_x C(x, x) = 0
+            return g
+        return g - rho * np.asarray(self.kernel.grad_x(x, x), dtype=float)
 
     def hess_x_rate(self, x, rho):
         return (np.asarray(self.intrinsic.hess(x), dtype=float)
@@ -257,7 +292,26 @@ class LocalCompetitionModel:
     def multiplier(self, x):
         """Weight max(r, 0) / C(x, x) of the Dirac steady state at x."""
         r = float(self.intrinsic.value(x))
-        return max(r, 0.0) / float(self.kernel(x, x))
+        c = self.kernel.diagonal
+        return max(r, 0.0) / (float(self.kernel(x, x)) if c is None else c)
+
+    def on_floats(self):
+        """float_law of a 1D model, or None when C(x, x) is not a constant
+        (a separable kernel evaluates it at every point)."""
+        c = self.kernel.diagonal
+        if c is None:
+            return None
+        value, grad, hess = self.intrinsic.on_floats()
+        zero = np.zeros(1)
+        # a constant diagonal makes D2_x C(x, x) one constant too
+        c_hess = float(self.kernel.hess_x(zero, zero)[0, 0])
+
+        def multiplier(x):
+            r = value(x)
+            return (0.0 if 0.0 > r else r) / c   # max(r, 0.0) sans call
+
+        return (multiplier, lambda x, rho: grad(x),
+                lambda x, rho: hess(x) - rho * c_hess)
 
 
 @dataclass(frozen=True)
@@ -379,16 +433,46 @@ def eval_growth(model, x, macro):
 def invert_constraint(model: GlobalInteractionModel, x):
     """The nonnegative root I = g(x) / c of R(x, I) = g(x) - c I = 0."""
     x = np.asarray(x, dtype=float)
-    f0 = float(model.growth.value(x))
+    return _constraint_root(model, float(model.growth.value(x)), x)
+
+
+def _constraint_root(model: GlobalInteractionModel, f0: float, x):
+    """invert_constraint given f0 = g(x); x, an array or a 1D point's
+    float, only names the point in errors."""
     if not math.isfinite(f0):
-        raise ModelError(f"non-finite growth rate at x={x.tolist()}")
+        raise ModelError(f"non-finite growth rate at "
+                         f"x={np.atleast_1d(x).tolist()}")
     if f0 <= 0.0:
         if f0 < -ROOT_TOL:
-            raise ConstraintInfeasibleError(x, f0, f0, 0.0)
+            raise ConstraintInfeasibleError(np.atleast_1d(x), f0, f0, 0.0)
         return 0.0
     if not model.coef_I > 0.0:   # R(x, I) >= g(x) > 0 at every I
-        raise ConstraintInfeasibleError(x, f0, f0, math.inf)
+        raise ConstraintInfeasibleError(np.atleast_1d(x), f0, f0, math.inf)
     return f0 / model.coef_I
+
+
+def float_law(model):
+    """(multiplier(x), grad_x_rate(x, m), hess_x_rate(x, m)) of a one-trait
+    growth law at one point, taking and returning Python floats.
+
+    A model whose `on_floats` gives them evaluates on floats throughout,
+    with the array methods' operations in their order; any other is
+    evaluated through its array methods on a one-element point.  Either
+    way the results are bitwise those of the array methods."""
+    on_floats = getattr(model, "on_floats", None)
+    law = on_floats() if on_floats is not None else None
+    if law is not None:
+        return law
+
+    def grad(x, m):
+        return float(np.asarray(model.grad_x_rate(np.array([x]), m),
+                                dtype=float)[0])
+
+    def hess(x, m):
+        return float(np.asarray(model.hess_x_rate(np.array([x]), m),
+                                dtype=float)[0, 0])
+
+    return lambda x: model.multiplier(np.array([x])), grad, hess
 
 
 def steady_state_weight(model, y):

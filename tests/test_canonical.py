@@ -1,5 +1,6 @@
 """Limit dynamics: canonical ODE, closures, weight ODE, long-time diagnostics."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +14,10 @@ from concentra.canonical import (ClosureError, ConcentrationTrajectory,
                                  riccati_hessian_rhs)
 from concentra.diagnostics import constraint_residual
 from concentra.models import (ROOT_TOL, LocalCompetitionModel, ModelError,
-                              QuadraticFunction, SeparableKernel, build_model)
+                              QuadraticFunction, SeparableKernel, build_model,
+                              phi_potential)
+from concentra.pde import run_simulation, u0_peaks
+from concentra.scenarios import load_bundled
 
 
 def affine_2d(a=2.0, slope=(1.0, 1.0)):
@@ -150,10 +154,13 @@ def test_integrate_frozen_anisotropic_straight_line():
 
 def test_frozen_closure_checks_definiteness_once(monkeypatch):
     """HessianClosure checks the frozen matrix; the RK4 stages do not
-    repeat it.  riccati's matrix changes per stage and is checked at each."""
+    repeat it.  riccati's matrix changes per stage and is checked at each,
+    in 1D by a sign test that calls no eigvalsh."""
     m = affine_2d()
     frozen = HessianClosure("frozen", initial_hessian=np.diag([-2.0, -10.0]))
     riccati = HessianClosure("riccati", initial_hessian=np.diag([-2.0, -10.0]))
+    frozen_1d = HessianClosure("frozen", initial_hessian=[[-2.0]])
+    riccati_1d = HessianClosure("riccati", initial_hessian=[[-3.0]])
     calls = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -165,6 +172,21 @@ def test_frozen_closure_checks_definiteness_once(monkeypatch):
     assert calls == []
     integrate_canonical((0.7, 0.7), riccati, m, 0.01, 0.1)
     assert len(calls) == 4 * 10
+    calls.clear()
+    integrate_canonical((0.5,), frozen_1d, quadratic_1d(), 0.01, 0.1)
+    integrate_canonical((0.5,), riccati_1d, quadratic_1d(), 0.01, 0.1)
+    assert calls == []
+
+
+def test_from_pde_feed_turning_nonnegative_raises():
+    """The 1D sign test raises where the measured H crosses 0 (t = 5/3)."""
+    feed = ConcentrationTrajectory(
+        np.array([0.0, 1.0, 2.0]), np.zeros((3, 1)), np.zeros(3),
+        np.array([[[-2.0]], [[-2.0]], [[1.0]]]))
+    closure = HessianClosure("from_pde", feed=feed)
+    integrate_canonical((0.5,), closure, quadratic_1d(), 0.01, 1.6)
+    with pytest.raises(ClosureError, match="not negative definite"):
+        integrate_canonical((0.5,), closure, quadratic_1d(), 0.01, 2.0)
 
 
 def test_integrate_truncates_on_domain_exit():
@@ -175,6 +197,19 @@ def test_integrate_truncates_on_domain_exit():
                                    domain=(np.zeros(2), np.ones(2)))
     assert traj.exit_time is not None
     assert traj.times[-1] < 5.0
+
+
+def test_integrate_truncates_on_one_trait_domain_exit():
+    m = build_model({"family": "affine_global",
+                     "params": {"a": 2.0, "slope": [1.0]}}, 1)
+    closure = HessianClosure("frozen", initial_hessian=[[-1.0]])
+    with pytest.warns(RuntimeWarning, match="left the domain"):
+        traj = integrate_canonical((0.205,), closure, m, 0.01, 5.0,
+                                   domain=(np.zeros(1), np.ones(1)))
+    # x = 0.205 - t leaves [0, 1] between t = 0.2 and t = 0.21
+    assert traj.exit_time == pytest.approx(0.21)
+    assert traj.times[-1] == pytest.approx(0.2)
+    assert traj.points.min() >= 0.0
 
 
 def test_integrate_from_pde_closure_reads_feed():
@@ -339,6 +374,22 @@ def test_lyapunov_increases_along_canonical_flow():
     assert np.all(np.diff(rep["series"]) > 0)
 
 
+def test_two_trait_gaussian_kernel_run_climbs_the_potential():
+    """local_logistic_2d, ODE only: rho^2 C(x, x) never decreases along
+    the frozen run, which ends within one cell of the grid argmax of
+    phi_potential."""
+    sc = load_bundled("local_logistic_2d")
+    x0, closure, model, dt, T, domain = _scenario_case("local_logistic_2d",
+                                                       "frozen")
+    traj = integrate_canonical(x0, closure, model, dt, T, domain=domain)
+    assert traj.exit_time is None
+    assert lyapunov_local(traj, model)["passed"]
+    grid = sc.build_grid()
+    nodes = grid.nodes().reshape(-1, 2)
+    best = nodes[np.argmax(phi_potential(model, nodes))]
+    assert np.all(np.abs(traj.points[-1] - best) <= grid.spacing)
+
+
 def test_lyapunov_not_applicable_for_asymmetric_kernel():
     m = build_model({"family": "logistic_local",
                      "params": {"r": {"c0": 1.0, "center": [0.0],
@@ -383,3 +434,108 @@ def test_separable_kernel_reduces_local_to_global_dynamics():
     tb = integrate_canonical((0.5,), closure_b, glob, 0.01, 1.0)
     assert np.max(np.abs(ta.points - tb.points)) <= 1e-9
     assert np.max(np.abs(ta.macro - tb.macro)) <= 1e-9
+
+
+# --- the integrator against the array RK4 it replaced ------------------------------
+
+def _array_rk4(x0, closure, model, dt, T, domain=None):
+    """Reference: RK4 on numpy arrays (1-element ones in 1D) through the
+    pointwise canonical_rhs and riccati_hessian_rhs, checking every stage."""
+    x = np.atleast_1d(np.asarray(x0, dtype=float))
+    riccati = closure.mode == "riccati"
+    feed = (closure.feed.hessian_interpolant()
+            if closure.mode == "from_pde" else None)
+    H = closure.initial_hessian
+
+    def rhs(t, xs, Hs):
+        m = model.multiplier(xs)
+        v = canonical_rhs(xs, Hs if feed is None else feed(t), model, macro=m)
+        return v, (riccati_hessian_rhs(xs, m, Hs, model) if riccati else None)
+
+    def stage(k, w):
+        return H + w * dt * k if riccati else H
+
+    times, pts, hess = [0.0], [x], [H if feed is None else feed(0.0)]
+    t = 0.0
+    for _ in range(max(1, int(round(T / dt)))):
+        k1x, k1H = rhs(t, x, H)
+        k2x, k2H = rhs(t + 0.5 * dt, x + 0.5 * dt * k1x, stage(k1H, 0.5))
+        k3x, k3H = rhs(t + 0.5 * dt, x + 0.5 * dt * k2x, stage(k2H, 0.5))
+        k4x, k4H = rhs(t + dt, x + dt * k3x, stage(k3H, 1.0))
+        x = x + dt / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
+        if riccati:
+            H = H + dt / 6.0 * (k1H + 2 * k2H + 2 * k3H + k4H)
+        t += dt
+        if domain is not None and (np.any(x < domain[0])
+                                   or np.any(x > domain[1])):
+            break
+        times.append(t)
+        pts.append(x)
+        hess.append(H if feed is None else feed(t))
+    return (np.array(times), np.array(pts),
+            np.array([model.multiplier(p) for p in pts]), np.array(hess))
+
+
+def _scenario_case(name, mode, T=None, pde_steps=None):
+    sc = load_bundled(name)
+    model = sc.build_model()
+    settings = sc.canonical_settings()
+    x0, H0 = u0_peaks(sc.u0)[0]
+    dt, T = settings["dt"], T or settings["T"]
+    if mode == "from_pde":
+        cfg = dataclasses.replace(sc.build_config(), steps=pde_steps)
+        feed = run_simulation(cfg, model, sc.build_grid(), sc.u0).trajectory
+        closure = HessianClosure("from_pde", feed=feed)
+        T = pde_steps * cfg.dt
+    else:
+        closure = HessianClosure(mode, initial_hessian=H0)
+    return x0, closure, model, dt, T, sc.domain()
+
+
+def _separable_case():
+    phi = QuadraticFunction(2.0, [0.0], [0.5])
+    psi = QuadraticFunction(1.0, [0.7], [0.3])
+    model = LocalCompetitionModel(1, QuadraticFunction(1.0, [0.2], [1.0]),
+                                  SeparableKernel(phi, psi), symmetric=False)
+    return ((0.5,), HessianClosure("riccati", initial_hessian=[[-2.0]]),
+            model, 0.01, 1.0, None)
+
+
+def _coarse_case(mode):
+    """A step of a quarter time unit towards the rate's critical point at
+    0: |x| shrinks with the stage increments, so a changed last bit of a
+    velocity shows in the trajectory."""
+    return ((0.5,), HessianClosure(mode, initial_hessian=[[-1.5]]),
+            quadratic_1d(), 0.25, 30.0, None)
+
+
+BITWISE_CASES = {
+    "coarse_dt_frozen": lambda: _coarse_case("frozen"),
+    "coarse_dt_riccati": lambda: _coarse_case("riccati"),
+    "local_logistic_frozen": lambda: _scenario_case("local_logistic",
+                                                    "frozen"),
+    "local_logistic_riccati": lambda: _scenario_case("local_logistic",
+                                                     "riccati", T=2.0),
+    "quadratic_concave_from_pde": lambda: _scenario_case(
+        "quadratic_concave", "from_pde", pde_steps=100),
+    "quadratic_concave_riccati": lambda: _scenario_case(
+        "quadratic_concave", "riccati"),
+    "separable_kernel_riccati": _separable_case,
+    "scenario2_frozen": lambda: _scenario_case("scenario2", "frozen"),
+    "scenario2_riccati": lambda: _scenario_case("scenario2", "riccati"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BITWISE_CASES))
+def test_integrate_canonical_bitwise_equals_array_rk4(name):
+    """1D stages on Python floats, the frozen -H negated once and a
+    kernel's constant diagonal change no bit of the trajectory."""
+    x0, closure, model, dt, T, domain = BITWISE_CASES[name]()
+    traj = integrate_canonical(x0, closure, model, dt, T, domain=domain)
+    times, pts, macro, hess = _array_rk4(x0, closure, model, dt, T,
+                                         domain=domain)
+    assert len(traj) > 100
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(traj.points, pts)
+    assert np.array_equal(traj.macro, macro)
+    assert np.array_equal(traj.hessians, hess)

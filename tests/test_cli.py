@@ -655,6 +655,20 @@ def test_canonical_frozen_writes_trajectory(tmp_path, capsys):
     assert reports["attractor"]["found"] is True
 
 
+def test_canonical_command_trajectory_equals_the_run_one(tmp_path, capsys):
+    """`canonical --closure frozen` on local_logistic writes, byte for
+    byte, the trajectory.csv that `run` writes."""
+    scen = os.path.join(os.path.dirname(concentra.__file__), "scenarios",
+                        "local_logistic.json")
+    assert main(["run", scen, "--out", str(tmp_path / "run")]) == 0
+    assert main(["canonical", scen, "--closure", "frozen",
+                 "--out", str(tmp_path / "can")]) == 0
+    run_csv, can_csv = (
+        pathlib.Path(_only_artifact_dir(tmp_path / sub), "trajectory.csv")
+        for sub in ("run", "can"))
+    assert run_csv.read_bytes() == can_csv.read_bytes()
+
+
 def test_canonical_from_pde_requires_pde_dir(tmp_path, capsys):
     scen = write_scenario(tmp_path, BASE)
     assert main(["canonical", scen, "--closure", "from_pde",

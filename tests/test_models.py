@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 
 from concentra.models import (ROOT_TOL, AssumptionConstants, ConstantKernel,
-                              ConstraintInfeasibleError,
+                              ConstraintInfeasibleError, GaussianKernel,
                               GlobalInteractionModel, LocalCompetitionModel,
                               ModelError, NoPositiveSteadyStateError,
-                              PotentialDomainError, build_model,
+                              PotentialDomainError, QuadraticFunction,
+                              SeparableKernel, build_model,
                               check_assumptions, constant_diffusion,
-                              eval_growth, invert_constraint, phi_potential,
-                              sine_diffusion, steady_state_weight)
+                              eval_growth, float_law, invert_constraint,
+                              phi_potential, sine_diffusion,
+                              steady_state_weight)
 from concentra.scenarios import bundled_scenario_names, load_bundled
 
 
@@ -239,6 +241,44 @@ def test_growth_law_interface_bitwise_equals_forked_formulas(name):
             == rate.tobytes())
 
 
+ONE_TRAIT_LAWS = {
+    **{name: GROWTH_LAWS[name] for name in (
+        "local_logistic", "quadratic_concave", "local_constant_kernel",
+        "local_separable_kernel")},
+    "affine_global": lambda: build_model(
+        {"family": "affine_global", "params": {"a": 2.0, "slope": [1.0]}},
+        1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_TRAIT_LAWS))
+def test_float_law_bitwise_equals_array_methods(name):
+    m = ONE_TRAIT_LAWS[name]()
+    multiplier, grad, hess = float_law(m)
+    rng = np.random.default_rng(59)
+    for x in [0.0, 0.2, 0.4, 0.5, *rng.uniform(0.0, 1.0, 200)]:
+        p = np.array([x])
+        mult = m.multiplier(p)
+        assert np.float64(multiplier(float(x))).tobytes() == \
+            np.float64(mult).tobytes()
+        assert np.float64(grad(float(x), mult)).tobytes() == \
+            np.asarray(m.grad_x_rate(p, mult), dtype=float).tobytes()
+        assert np.float64(hess(float(x), mult)).tobytes() == \
+            np.asarray(m.hess_x_rate(p, mult), dtype=float).tobytes()
+
+
+def test_float_law_names_the_point_of_an_infeasible_root():
+    m = build_model({"family": "affine_global",
+                     "params": {"a": -1.0, "slope": [0.0]}}, 1)
+    multiplier, _, _ = float_law(m)
+    with pytest.raises(ConstraintInfeasibleError) as on_floats:
+        multiplier(0.5)
+    with pytest.raises(ConstraintInfeasibleError) as on_arrays:
+        m.multiplier(np.array([0.5]))
+    assert str(on_floats.value) == str(on_arrays.value)
+    assert on_floats.value.x.tolist() == [0.5]
+
+
 # --- steady states and potential ------------------------------------------------
 
 def test_steady_state_weight_global_unit():
@@ -429,6 +469,23 @@ def test_sine_diffusion_positivity_guard():
 def test_constant_kernel_diagonal():
     k = ConstantKernel(2.0)
     assert float(k(np.zeros(1), np.zeros(1))) == 2.0
+    assert k.diagonal == 2.0
+
+
+@pytest.mark.parametrize("kernel", [
+    ConstantKernel(1.3), GaussianKernel(floor=0.8, amp=0.2, width=0.5),
+    GaussianKernel(amp=1.0, width=0.3)], ids=["constant", "gaussian_floor",
+                                              "gaussian"])
+def test_translation_invariant_kernel_states_its_diagonal(kernel):
+    """C(x, x) is the stated constant, bitwise, and grad_x C(x, x) = 0."""
+    x = np.random.default_rng(61).uniform(-2.0, 2.0, size=(100, 2))
+    assert kernel(x, x).tobytes() == np.full(100, kernel.diagonal).tobytes()
+    assert not np.any(kernel.grad_x(x, x))
+
+
+def test_separable_kernel_has_no_constant_diagonal():
+    phi = QuadraticFunction(2.0, [0.0], [0.5])
+    assert SeparableKernel(phi, phi).diagonal is None
 
 
 def test_assumption_constants_reject_unknown_names():
