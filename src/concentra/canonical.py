@@ -93,18 +93,17 @@ class HessianClosure:
                                    "Hessian")
         if self.initial_hessian is not None:
             H = np.atleast_2d(np.asarray(self.initial_hessian, dtype=float))
-            if np.linalg.eigvalsh(0.5 * (H + H.T)).max() >= 0:
-                raise ClosureError("initial Hessian must be negative definite")
+            _check_negative_definite(H)
             self.initial_hessian = H
 
 
 def _check_negative_definite(H):
     """Raise ClosureError unless the symmetric part of H is negative
-    definite."""
+    definite; a NaN eigenvalue fails the `< 0` test too."""
     ev = np.linalg.eigvalsh(0.5 * (H + H.T))
-    if ev.max() >= 0:
-        raise ClosureError(f"closure matrix not negative definite "
-                           f"(eigenvalues {ev.tolist()})")
+    if not ev.max() < 0:
+        raise ClosureError(f"closure matrix {H.tolist()} not negative "
+                           f"definite (eigenvalues {ev.tolist()})")
 
 
 def _solve_neg(hessian, vec):
@@ -165,9 +164,8 @@ def _point_arithmetic(model, d):
     multiplier, grad, hess = float_law(model)
 
     def check(h):
-        if h >= 0:   # the 1x1 eigenvalue test
-            raise ClosureError(f"closure matrix not negative definite "
-                               f"(eigenvalues {[h]})")
+        if not h < 0:   # the 1x1 eigenvalue test; eigvalsh only to fail
+            _check_negative_definite(np.array([[h]]))
 
     return SimpleNamespace(
         point=lambda a: float(a.flat[0]), multiplier=multiplier,

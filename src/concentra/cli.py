@@ -32,8 +32,9 @@ from . import diagnostics as diag
 from .grid import GridError, write_field_npy
 from .models import (ConstraintInfeasibleError, LocalCompetitionModel,
                      ModelError, QuadraticFunction, check_assumptions)
-from .pde import (CG_RTOL, ConfigError, SolverError, run_simulation, u0_peaks,
-                  write_series_csv, write_trajectory_csv, read_trajectory_csv)
+from .pde import (CG_RTOL, ConfigError, SeriesFormatError, SolverError,
+                  run_simulation, u0_peaks, write_series_csv,
+                  write_trajectory_csv, read_trajectory_csv)
 from .scenarios import Scenario, ScenarioError, load_scenario
 from .wkb import DENSITY_FLOOR, WkbError
 
@@ -367,9 +368,14 @@ def _cmd_canonical(args) -> int:
         if mode == "from_pde":
             if not args.pde_dir:
                 raise ScenarioError("from_pde closure requires --pde-dir")
-            feed = read_trajectory_csv(os.path.join(args.pde_dir,
-                                                    "series.csv"))
-    except (ScenarioError, ConfigError, ModelError, OSError) as exc:
+            path = os.path.join(args.pde_dir, "series.csv")
+            feed = read_trajectory_csv(path)
+            if feed.points.shape[1] != sc.dimension:
+                raise ScenarioError(f"{path}: series of dimension "
+                                    f"{feed.points.shape[1]}, scenario "
+                                    f"{sc.name} of dimension {sc.dimension}")
+    except (ScenarioError, SeriesFormatError, ConfigError, ModelError,
+            OSError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -831,13 +831,33 @@ def build_logistic_local(params, dimension):
                                  "logistic_local")
 
 
-# A spec, checked by check_spec, maps each key an object reads to its kind:
-# "number" (finite, not a boolean), "vector" (a list of one number per
-# axis), "axis" (an axis index), "flag" (a boolean), "weight" (a number or a
-# constant-weight object) or a nested spec; a spec whose one key is "type"
-# maps each type to the spec of an object of that type ("constant" when the
-# object names none).
-_QUADRATIC = {"c0": "number", "center": "vector", "weights": "vector"}
+@dataclass(frozen=True)
+class Required:
+    """Spec of a key that an object must hold."""
+
+    spec: object
+
+
+@dataclass(frozen=True)
+class PerAxis:
+    """Spec of a list of one `entry` per trait axis; with `broadcast`, one
+    bare entry also stands for every axis."""
+
+    entry: object
+    broadcast: bool = False
+
+
+# A spec, checked by check_spec, states what a JSON value may be:
+# - a kind of _KINDS, or "weight" (a number or a constant-weight object);
+# - a tuple of the values it may take;
+# - [entry], a list of values of the spec `entry`; [entry, ...] holds one
+#   or more;
+# - a PerAxis, or Required around any spec (for an object's key);
+# - a dict mapping each key an object reads to its spec; a dict whose one
+#   key is "type" maps each type to the spec of an object of that type
+#   ("constant" when the object names none).
+_VECTOR = PerAxis("number")
+_QUADRATIC = {"c0": "number", "center": _VECTOR, "weights": _VECTOR}
 _WEIGHT = {"type": {"constant": {"value": "number"}}}
 _KERNEL = {"type": {"constant": {"value": "number"},
                     "gaussian": {"floor": "number", "amp": "number",
@@ -847,11 +867,11 @@ _KERNEL = {"type": {"constant": {"value": "number"},
 # family -> (builder, spec of the params it reads)
 MODEL_FAMILIES = {
     "affine_global": (build_affine_global,
-                      {"a": "number", "slope": "vector", "coef_I": "number",
+                      {"a": "number", "slope": _VECTOR, "coef_I": "number",
                        "psi": "weight"}),
     "quadratic_global": (build_quadratic_global,
-                         {"k0": "number", "center": "vector",
-                          "weights": "vector", "coef_I": "number",
+                         {"k0": "number", "center": _VECTOR,
+                          "weights": _VECTOR, "coef_I": "number",
                           "psi": "weight"}),
     "scenario2": (build_scenario2,
                   {"a": "number", "cy": "number", "cx": "number",
@@ -865,44 +885,71 @@ MODEL_FAMILIES = {
 }
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def is_finite_number(v) -> bool:
     return (isinstance(v, (int, float)) and not isinstance(v, bool)
             and math.isfinite(v))
 
 
+# kind -> (test of a value in `dimension` traits, what a value of it is)
+_KINDS = {
+    "number": (lambda v, d: is_finite_number(v), "a finite number"),
+    "positive": (lambda v, d: is_finite_number(v) and v > 0,
+                 "a positive finite number"),
+    "count": (lambda v, d: _is_int(v) and v >= 0, "a nonnegative integer"),
+    "positive count": (lambda v, d: _is_int(v) and v > 0,
+                       "a positive integer"),
+    "axis": (lambda v, d: _is_int(v) and 0 <= v < d, "an integer in [0, {d})"),
+    "flag": (lambda v, d: isinstance(v, bool), "true or false"),
+    "text": (lambda v, d: isinstance(v, str), "a string"),
+    "object": (lambda v, d: isinstance(v, dict),   # checked where it is read
+               "an object"),
+}
+
+
 def check_spec(value, spec, dimension, path):
     """Raise ModelError naming the first entry of `value`, found at `path`,
     that `spec` does not allow."""
+    if isinstance(spec, Required):
+        spec = spec.spec
     if spec == "weight":
         spec = _WEIGHT if isinstance(value, dict) else "number"
-    if spec == "number":
-        if not is_finite_number(value):
-            raise ModelError(f"field {path} must be a finite number, "
-                             f"got {value!r}")
-    elif spec == "axis":
-        if not (isinstance(value, int) and not isinstance(value, bool)
-                and 0 <= value < dimension):
-            raise ModelError(f"field {path} must be an integer in "
-                             f"[0, {dimension}), got {value!r}")
-    elif spec == "flag":
-        if not isinstance(value, bool):
-            raise ModelError(f"field {path} must be true or false, "
-                             f"got {value!r}")
-    elif spec == "vector":
-        if not (isinstance(value, (list, tuple)) and len(value) == dimension):
+    if isinstance(spec, PerAxis):
+        if spec.broadcast and not isinstance(value, (list, tuple)):
+            spec = spec.entry
+        elif not (isinstance(value, (list, tuple))
+                  and len(value) == dimension):
             raise ModelError(f"field {path} must be a list of length "
                              f"{dimension}, got {value!r}")
+        else:
+            spec = [spec.entry]
+    if isinstance(spec, str):
+        test, what = _KINDS[spec]
+        if not test(value, dimension):
+            raise ModelError(f"field {path} must be "
+                             f"{what.format(d=dimension)}, got {value!r}")
+    elif isinstance(spec, tuple):
+        if value not in spec:
+            raise ModelError(f"field {path} must be one of {sorted(spec)}, "
+                             f"got {value!r}")
+    elif isinstance(spec, list):
+        if not (isinstance(value, (list, tuple))
+                and len(value) >= len(spec) - 1):   # 1 for [entry, ...]
+            raise ModelError(f"field {path} must be a list of "
+                             f"{'one or more ' if len(spec) > 1 else ''}"
+                             f"entries, got {value!r}")
         for k, v in enumerate(value):
-            check_spec(v, "number", dimension, f"{path}[{k}]")
+            check_spec(v, spec[0], dimension, f"{path}[{k}]")
     else:
         if not isinstance(value, dict):
             raise ModelError(f"field {path} must be an object, "
                              f"got {value!r}")
         if "type" in spec:
             kind = value.get("type", "constant")
-            if not (isinstance(kind, str) and kind in spec["type"]):
-                raise ModelError(f"field {path}.type must be one of "
-                                 f"{sorted(spec['type'])}, got {kind!r}")
+            check_spec(kind, tuple(spec["type"]), dimension, f"{path}.type")
             spec = spec["type"][kind]
             value = {k: v for k, v in value.items() if k != "type"}
         for key, v in value.items():
@@ -910,6 +957,9 @@ def check_spec(value, spec, dimension, path):
                 raise ModelError(f"field {path}.{key} is not read; the keys "
                                  f"read are {sorted(spec)}")
             check_spec(v, spec[key], dimension, f"{path}.{key}")
+        for key, v in spec.items():
+            if isinstance(v, Required) and key not in value:
+                raise ModelError(f"missing field {path}.{key}")
 
 
 def build_model(spec: dict, dimension: int):

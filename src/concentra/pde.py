@@ -36,6 +36,10 @@ class DegenerateInitializationError(ConfigError):
     """Initial density underflowed to zero everywhere."""
 
 
+class SeriesFormatError(ValueError):
+    """A series or trajectory CSV lacks a column or rows it is read for."""
+
+
 class SolverError(RuntimeError):
     """A PDE step failed: reaction overflow or a failed diffusion solve."""
 
@@ -375,25 +379,25 @@ def write_trajectory_csv(traj: ConcentrationTrajectory, path,
 
 def read_trajectory_csv(path) -> ConcentrationTrajectory:
     """Rebuild a trajectory (times, points, macro, Hessians) from a series or
-    trajectory CSV."""
+    trajectory CSV; SeriesFormatError names the path and what it lacks."""
     with open(path) as f:
         header = f.readline().strip().split(",")
         rows = [line.strip().split(",") for line in f if line.strip()]
-    offset = 1 if header[0] == "source" else 0
-    cols = header[offset:]
-    d = 2 if "xbar_2" in cols else 1
-    idx = {name: offset + cols.index(name) for name in cols}
-    times, pts, macro, hess = [], [], [], []
-    source = rows[0][0] if offset else "pde"
-    for r in rows:
-        times.append(float(r[idx["t"]]))
-        pts.append([float(r[idx[f"xbar_{j + 1}"]]) for j in range(d)])
-        macro.append(float(r[idx["I"]]))
-        if d == 1:
-            hess.append([[float(r[idx["H_11"]])]])
-        else:
-            h11, h12, h22 = (float(r[idx[k]]) for k in ("H_11", "H_12", "H_22"))
-            hess.append([[h11, h12], [h12, h22]])
-    return ConcentrationTrajectory(np.array(times), np.array(pts),
-                                   np.array(macro), np.array(hess),
-                                   source=source)
+    d = 2 if "xbar_2" in header else 1
+    names = (["t", "I"] + [f"xbar_{j + 1}" for j in range(d)]
+             + (["H_11"] if d == 1 else ["H_11", "H_12", "H_22"]))
+    for name in names:
+        if name not in header:
+            raise SeriesFormatError(f"{path}: no column {name!r}")
+    if not rows:
+        raise SeriesFormatError(f"{path}: no rows")
+    cols = [header.index(name) for name in names]
+    try:
+        data = np.array([[float(r[c]) for c in cols] for r in rows])
+    except (IndexError, ValueError) as exc:   # a short or non-numeric row
+        raise SeriesFormatError(f"{path}: unreadable row ({exc})") from exc
+    # H_12 is both off-diagonal entries
+    hess = data[:, 2 + d:][:, [[0]] if d == 1 else [[0, 1], [1, 2]]]
+    return ConcentrationTrajectory(
+        data[:, 0], data[:, 2:2 + d], data[:, 1], hess,
+        source=rows[0][0] if header[0] == "source" else "pde")

@@ -189,6 +189,26 @@ def test_from_pde_feed_turning_nonnegative_raises():
         integrate_canonical((0.5,), closure, quadratic_1d(), 0.01, 2.0)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_nan_closure_matrix_fails_the_definiteness_check(d):
+    """`nan >= 0` is false, so the check asks `< 0` of the largest
+    eigenvalue: a NaN Hessian is named, in the 1D sign test, the 2D
+    eigenvalue test and HessianClosure alike."""
+    model, x0 = ((quadratic_1d(), (0.5,)) if d == 1 else
+                 (quadratic_2d(), (0.2, 0.2)))
+    nan = np.full((d, d), np.nan)
+    feed = ConcentrationTrajectory(np.array([0.0, 1.0]), np.zeros((2, d)),
+                                   np.zeros(2), np.array([-2.0 * np.eye(d),
+                                                          nan]))
+    closure = HessianClosure("from_pde", feed=feed)
+    named = rf"closure matrix {nan.tolist()} not negative definite".replace(
+        "[", r"\[")
+    with pytest.raises(ClosureError, match=named):
+        integrate_canonical(x0, closure, model, 0.01, 1.0)
+    with pytest.raises(ClosureError, match=named):
+        HessianClosure("frozen", initial_hessian=nan)
+
+
 def test_integrate_truncates_on_domain_exit():
     m = affine_2d()
     closure = HessianClosure("frozen", initial_hessian=-np.eye(2))

@@ -167,6 +167,19 @@ def test_scenario_roundtrips_raw_json():
                 "params": {"kernel": {"type": "separable",
                                       "phi": {"center": [0.1, 0.2]}}}}},
      "$.model.params.kernel.phi.center"),
+    # a misspelt key anywhere in the file is named, not silently ignored
+    ({"config__snapshot_every": None, "config__snapshot_evry": 15},
+     "$.config.snapshot_evry"),
+    ({"grid": {"lower": 0.0, "upper": 1.0, "pionts": 64}}, "$.grid.pionts"),
+    ({"canonical": {"clsoure": "from_pde"}}, "$.canonical.clsoure"),
+    ({"u0": [{"centre": [0.8], "weights": [1.0]}]}, "$.u0[0].centre"),
+    ({"probes": None, "probe": [0, 30]}, "$.probe"),
+    ({"model": {"famly": "quadratic_global",
+                "params": {"k0": 0.5, "center": [0.5], "weights": [1.0]}}},
+     "$.model.famly"),
+    ({"constants": {"K_3": "2"}}, "$.constants.K_3"),
+    ({"constants": {"K_3": None}}, "$.constants.K_3"),
+    ({"canonical": [1]}, "$.canonical must be an object"),
 ])
 def test_scenario_validation_names_field(edits, needle):
     with pytest.raises(ScenarioError, match=needle.replace("$", r"\$")
@@ -337,6 +350,18 @@ def test_run_invalid_canonical_or_probes_exits_2_without_artifacts(
     out = tmp_path / "out"
     assert main(["run", scen, "--out", str(out)]) == 2
     assert "validation error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_non_numeric_constant_exits_2_without_artifacts(tmp_path, capsys,
+                                                         command):
+    scen = write_scenario(tmp_path, variant(constants={"K_3": "2"}))
+    out = tmp_path / "out"
+    args = {"run": ["run", scen, "--out", str(out)],
+            "check": ["check", scen]}[command]
+    assert main(args) == 2
+    assert "$.constants.K_3" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -687,6 +712,52 @@ def test_canonical_from_pde_consumes_run_artifacts(tmp_path, capsys):
                  "--pde-dir", pde_dir, "--out", str(out)]) == 0
     art = _only_artifact_dir(out)
     assert os.path.exists(os.path.join(art, "trajectory.csv"))
+
+
+SERIES_1D = ("t,I,rho,J,xbar_1,H_11,residual_R,boundary_mass\n"
+             "0,0.3,0.3,0,0.8,-2,0,0\n0.005,0.3,0.3,0,0.79,-2,0,0\n")
+SERIES_2D = ("t,I,rho,J,xbar_1,xbar_2,H_11,H_12,H_22,residual_R,"
+             "boundary_mass\n0,0.3,0.3,0,0.7,0.2,-2,0,-2,0,0\n"
+             "0.005,0.3,0.3,0,0.69,0.2,-2,0,-2,0,0\n")
+
+
+@pytest.mark.parametrize("raw,series,needle", [
+    (BASE, "", "no column 't'"),
+    (BASE, SERIES_1D.replace("xbar_1", "xbar"), "no column 'xbar_1'"),
+    (BASE, SERIES_1D.splitlines()[0] + "\n", "no rows"),
+    (BASE, SERIES_1D + "0.01,0.3\n", "unreadable row"),
+    (BASE_2D, SERIES_1D, "dimension 1, scenario tiny2d of dimension 2"),
+    (BASE, SERIES_2D, "dimension 2, scenario tiny of dimension 1"),
+], ids=["empty", "no_xbar_1", "header_only", "short_row", "1d_into_2d",
+        "2d_into_1d"])
+def test_canonical_rejects_an_unusable_pde_series(tmp_path, capsys, raw,
+                                                  series, needle):
+    scen = write_scenario(tmp_path, raw)
+    pde_dir = tmp_path / "pde"
+    pde_dir.mkdir()
+    (pde_dir / "series.csv").write_text(series)
+    out = tmp_path / "can"
+    assert main(["canonical", scen, "--closure", "from_pde",
+                 "--pde-dir", str(pde_dir), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(pde_dir / "series.csv") in err and needle in err
+    assert not out.exists()
+
+
+def test_canonical_nan_pde_hessian_names_the_matrix(tmp_path, capsys):
+    """A NaN Hessian in the measured series fails the definiteness check
+    and is named, instead of being integrated into a NaN point."""
+    scen = write_scenario(tmp_path, BASE_2D)
+    pde_dir = tmp_path / "pde"
+    pde_dir.mkdir()
+    (pde_dir / "series.csv").write_text(SERIES_2D.replace(",-2,0,-2,",
+                                                          ",nan,nan,nan,"))
+    assert main(["canonical", scen, "--closure", "from_pde",
+                 "--pde-dir", str(pde_dir), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "closure matrix [[nan, nan], [nan, nan]] not negative definite" \
+        in err
+    assert "non-finite growth rate" not in err
 
 
 def test_canonical_infeasible_start_exits_3(tmp_path, capsys):

@@ -9,11 +9,12 @@ from concentra.grid import DensityField, build_grid, integrate
 from concentra.models import (GaussianKernel, build_model, constant_diffusion,
                               sine_diffusion)
 from concentra import pde
+from concentra.canonical import ConcentrationTrajectory
 from concentra.pde import (CG_MAXITER, CG_RTOL, ConfigError,
                            DegenerateInitializationError, ImexIntegrator,
                            SimulationConfig, SimulationState, SolverError,
                            init_density, read_trajectory_csv, run_simulation,
-                           u0_peaks, write_series_csv)
+                           u0_peaks, write_series_csv, write_trajectory_csv)
 from concentra.scenarios import load_bundled
 
 
@@ -417,4 +418,22 @@ def test_series_csv_roundtrip(tmp_path):
     assert np.array_equal(back.times, result.series.times)
     assert np.array_equal(back.points, result.trajectory.points)
     assert np.array_equal(back.macro, result.series.I)
+    assert np.array_equal(back.hessians, result.trajectory.hessians,
+                          equal_nan=True)
     assert back.source == "pde"
+
+
+def test_trajectory_csv_roundtrip_2d(tmp_path):
+    """H_12 fills both off-diagonal entries of the rebuilt Hessians."""
+    hess = np.array([[[-2.0, 0.25], [0.25, -3.0]],
+                     [[-1.5, -0.5], [-0.5, -4.0]]])
+    traj = ConcentrationTrajectory(np.array([0.0, 0.1]),
+                                   np.array([[0.7, 0.2], [0.6, 0.3]]),
+                                   np.array([0.3, 0.4]), hess,
+                                   source="canonical_frozen")
+    path = tmp_path / "trajectory.csv"
+    write_trajectory_csv(traj, path)
+    back = read_trajectory_csv(path)
+    for name in ("times", "points", "macro", "hessians"):
+        assert np.array_equal(getattr(back, name), getattr(traj, name))
+    assert back.source == "canonical_frozen"
