@@ -32,8 +32,8 @@ from . import diagnostics as diag
 from .grid import GridError, write_field_npy
 from .models import (ConstraintInfeasibleError, LocalCompetitionModel,
                      ModelError, QuadraticFunction, check_assumptions)
-from .pde import (CG_RTOL, ConfigError, SeriesFormatError, SolverError,
-                  run_simulation, u0_peaks, write_series_csv,
+from .pde import (ConfigError, SeriesFormatError, SolverError,
+                  diffusion_solve, run_simulation, u0_peaks, write_series_csv,
                   write_trajectory_csv, read_trajectory_csv)
 from .scenarios import Scenario, ScenarioError, load_scenario
 from .wkb import DENSITY_FLOOR, WkbError
@@ -78,7 +78,7 @@ def _resolved_params(sc: Scenario, overrides=None) -> dict:
         "boundary_rule": "no-flux",
         "weight_note": "interaction weight psi taken identically 1 in all "
                        "bundled scenarios",
-        "cg_rtol": CG_RTOL,
+        "diffusion_solve": diffusion_solve(sc.dimension),
         "density_floor": DENSITY_FLOOR,
     }
     return resolved

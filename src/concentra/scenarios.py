@@ -95,6 +95,20 @@ class Scenario:
                 raise ScenarioError(msg if msg.startswith("field $.") else
                                     f"field $.{key}: {msg}") from exc
 
+        # checks across fields, which the spec table states one at a time
+        steps = d["config"]["steps"]
+        for i, probe in enumerate(self.probes):
+            if probe > steps:
+                raise ScenarioError(f"field $.probes[{i}] must be at most "
+                                    f"$.config.steps = {steps}, got {probe}")
+        can = self.canonical_settings()
+        dt, T = can["dt"], can["T"]
+        whole = T / dt
+        if dt > T or abs(whole - round(whole)) > 1e-9 * whole:
+            raise ScenarioError(f"field $.canonical.dt must divide "
+                                f"$.canonical.T = {T!r} into whole steps, "
+                                f"got {dt!r}")
+
     # --- accessors -----------------------------------------------------
 
     @property

@@ -180,6 +180,12 @@ def test_scenario_roundtrips_raw_json():
     ({"constants": {"K_3": "2"}}, "$.constants.K_3"),
     ({"constants": {"K_3": None}}, "$.constants.K_3"),
     ({"canonical": [1]}, "$.canonical must be an object"),
+    # checks across fields
+    ({"probes": [0, 30, 500]}, "$.probes[2]"),
+    ({"canonical": {"closure": "frozen", "dt": 1.0, "T": 0.1}},
+     "$.canonical.dt"),
+    ({"canonical__dt": 0.04, "canonical__T": 0.1}, "$.canonical.dt"),
+    ({"canonical__dt": 0.5}, "$.canonical.dt"),   # T = steps * dt = 0.15
 ])
 def test_scenario_validation_names_field(edits, needle):
     with pytest.raises(ScenarioError, match=needle.replace("$", r"\$")
@@ -353,6 +359,27 @@ def test_run_invalid_canonical_or_probes_exits_2_without_artifacts(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "canonical"])
+@pytest.mark.parametrize("edits,needle", [
+    ({"probes": [0, 30, 500]}, "$.probes[2]"),
+    ({"canonical": {"closure": "frozen", "dt": 1.0, "T": 0.1}},
+     "$.canonical.dt"),
+])
+def test_probe_past_the_end_or_partial_ode_step_exits_2(tmp_path, capsys,
+                                                         command, edits,
+                                                         needle):
+    """A probe after the last step would be dropped, and an ODE step longer
+    than T would run past it: both are refused before anything runs."""
+    scen = write_scenario(tmp_path, variant(**edits))
+    out = tmp_path / "out"
+    args = [command, scen, "--out", str(out)]
+    if command == "canonical":
+        args += ["--closure", "frozen"]
+    assert main(args) == 2
+    assert needle in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["run", "check"])
 def test_non_numeric_constant_exits_2_without_artifacts(tmp_path, capsys,
                                                          command):
@@ -431,6 +458,7 @@ def test_run_malformed_json_exits_2(tmp_path, capsys):
 def _local_scenario(**kernel):
     raw = load_bundled("local_logistic").raw
     raw["config"]["steps"] = 2
+    raw["probes"] = [0, 2]   # probes past the last step are refused
     raw["grid"]["points_per_axis"] = 32
     raw["canonical"]["T"] = 0.01
     raw["model"]["params"]["kernel"].update(kernel)

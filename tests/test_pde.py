@@ -1,6 +1,7 @@
 """IMEX stepping: splitting correctness, conservation, positivity, runs, CSV."""
 
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -117,16 +118,60 @@ def test_reaction_update_exact_for_constant_rate():
 
 
 def test_pure_diffusion_mass_conserved_per_step():
+    """The 1D solve conserves the total mass to round-off, step by step."""
     g = build_grid(1, 0.0, 1.0, 256)
     cfg = SimulationConfig(0.01, 0.01, 1)
     engine = ImexIntegrator(g, zero_rate_model(1), cfg)
     state = SimulationState(
         0.0, init_density(g, [{"center": [0.5], "weights": [2.0]}], 0.01, 0.3),
         None)
-    for _ in range(50):
-        before = integrate(state.density)
+    for _ in range(100):
+        before = state.density.values.sum()
         state = engine.step(state)
-        assert abs(integrate(state.density) - before) <= 1e-10
+        assert abs(state.density.values.sum() / before - 1.0) <= 1e-14
+
+
+def _exact_tridiagonal_solve(k, rhs):
+    """Thomas elimination in rational arithmetic: the exact solution of
+    x_i + k_{i-1} (x_i - x_{i-1}) + k_i (x_i - x_{i+1}) = rhs_i."""
+    k = [Fraction(0)] + k + [Fraction(0)]
+    n = len(rhs)
+    pivots, ys = [], []
+    for i in range(n):
+        diag = 1 + k[i] + k[i + 1]
+        y = Fraction(rhs[i])
+        if i:
+            mult = k[i] / pivots[-1]
+            diag -= mult * k[i]
+            y += mult * ys[-1]
+        pivots.append(diag)
+        ys.append(y)
+    x = [Fraction(0)] * n
+    for i in reversed(range(n)):
+        x[i] = (ys[i] + (k[i + 1] * x[i + 1] if i + 1 < n else 0)) / pivots[i]
+    return x
+
+
+@pytest.mark.parametrize("variable", [False, True], ids=["uniform", "faces"])
+def test_1d_solve_exact_entry_by_entry(variable):
+    """Every entry of the 1D diffusion solve, down to the far tails, is
+    accurate relative to itself: an rhs spanning 1e-250 to 1 against the
+    exact rational solve of the same operator."""
+    engine = _diffusion_engine(1, variable)
+    g, cfg = engine.grid, engine.config
+    w = (engine._faces[0][1:-1] if variable
+         else np.ones(g.num_nodes - 1))
+    coef = Fraction(cfg.epsilon * cfg.dt) / Fraction(g.spacing[0]) ** 2
+    k = [Fraction(v) * coef for v in w.tolist()]
+    rhs = np.logspace(-250.0, 0.0, g.num_nodes)
+    x = engine.step(SimulationState(0.0, DensityField(g, rhs), None))
+    x = x.density.values
+    exact = np.array([float(v) for v in _exact_tridiagonal_solve(
+        k, rhs.tolist())])
+    assert exact.min() < 1e-30
+    assert np.max(np.abs(x - exact) / exact) <= 1e-12
+    assert (np.linalg.norm(engine._matvec(x) - rhs)
+            <= 1e-13 * np.linalg.norm(rhs))
 
 
 def test_heat_kernel_variance_growth():
@@ -376,6 +421,21 @@ def test_run_determinism_bitwise():
     b, _, _ = _quick_run(steps=20)
     assert np.array_equal(a.series.I, b.series.I)
     assert np.array_equal(a.trajectory.points, b.trajectory.points)
+
+
+def test_quadratic_concave_regularity_monitor_sees_concave_u():
+    """With tails exact to round-off the monitor measures u itself: on the
+    concave quadratic scenario the Hessian stays near -2 * weights = -1 and
+    the third differences stay small at the later probes."""
+    sc = load_bundled("quadratic_concave")
+    result = run_simulation(sc.build_config(), sc.build_model(),
+                            sc.build_grid(), sc.u0, probes=[200, 400],
+                            constants=sc.build_constants())
+    assert [r["step"] for r in result.regularity_reports] == [200, 400]
+    for report in result.regularity_reports:
+        hess = report["hessian"]
+        assert -1.0 <= hess["eig_min"] <= hess["eig_max"] <= -0.75
+        assert report["third_derivative_max"] < 1.0
 
 
 def test_run_advisory_recorded_for_stiff_reaction():
