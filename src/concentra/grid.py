@@ -8,6 +8,7 @@ makes discrete mass conservation exact and keeps the stencil symmetric.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,20 +43,23 @@ class TraitGrid:
             if n < 8:
                 raise GridError(f"points_per_axis must be >= 8, got {n}")
 
-    @property
+    # Geometry is computed once per grid: a cached value is stored in the
+    # instance __dict__, not as a field, so equality, hashing, replace()
+    # and the manifests see only the four fields above.
+    @cached_property
     def spacing(self) -> tuple:
         return tuple((u - l) / n for l, u, n in
                      zip(self.lower, self.upper, self.points_per_axis))
 
-    @property
+    @cached_property
     def shape(self) -> tuple:
         return tuple(self.points_per_axis)
 
-    @property
+    @cached_property
     def num_nodes(self) -> int:
         return int(np.prod(self.points_per_axis))
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
 
@@ -213,12 +217,11 @@ def integrate(field: ScalarField, weight=1) -> float:
 def boundary_ring_mass(density: DensityField, width: int = 2) -> float:
     """Mass carried by the outermost `width`-cell ring of the box."""
     v = density.values
-    interior = v
-    for ax in range(v.ndim):
-        n = v.shape[ax]
-        interior = np.take(interior, np.arange(width, n - width), axis=ax)
-    total = v.sum()
-    return float((total - interior.sum()) * density.grid.cell_volume)
+    # summed as a contiguous copy, the interior adds up in flat order; a
+    # strided 2D view would sum row by row, with other round-off
+    interior = np.ascontiguousarray(
+        v[tuple(slice(width, n - width) for n in v.shape)])
+    return float((v.sum() - interior.sum()) * density.grid.cell_volume)
 
 
 def kernel_convolution(grid: TraitGrid, kernel, chunk: int = 512):

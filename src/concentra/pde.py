@@ -11,7 +11,6 @@ warm-started matrix-free conjugate-gradient iteration in numpy.
 from __future__ import annotations
 
 import numbers
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -349,11 +348,10 @@ def run_simulation(config: SimulationConfig, model, grid: TraitGrid, u0_spec,
                 "affecting the run")
 
         u = to_wkb(n, config.epsilon)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            peaks = locate_max(u, multi=multi)
-        for w in caught:
-            msg = f"step {step_index}: {w.message}"
+        notes = []
+        peaks = locate_max(u, multi=multi, notes=notes)
+        for note in notes:
+            msg = f"step {step_index}: {note}"
             if msg not in run_warnings:
                 run_warnings.append(msg)
         x_bar, _, H = peaks[0]
@@ -401,10 +399,24 @@ def _series_columns(dimension):
     return cols
 
 
-def _hess_entries(H, dimension):
+def _write_rows(f, columns, prefix: str = "") -> None:
+    """Write equal-length columns (1D, or 2D for several) as CSV rows, each
+    through one `%` format: 17 significant digits per value, the same text
+    as `f"{v:.17g}"` (nan, inf and -0 included).  Rows are converted to
+    Python floats 256 at a time: a whole table of them would add megabytes
+    to the peak memory of a 10k-step trajectory."""
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    width = sum(1 if c.ndim == 1 else c.shape[1] for c in columns)
+    fmt = prefix.replace("%", "%%") + ",".join(["%.17g"] * width) + "\n"
+    for start in range(0, len(columns[0]), 256):
+        block = np.column_stack([c[start:start + 256] for c in columns])
+        f.writelines(fmt % tuple(row) for row in block.tolist())
+
+
+def _hess_columns(hessians, dimension):
     if dimension == 1:
-        return [H[0, 0]]
-    return [H[0, 0], H[0, 1], H[1, 1]]
+        return [hessians[:, 0, 0]]
+    return [hessians[:, 0, 0], hessians[:, 0, 1], hessians[:, 1, 1]]
 
 
 def write_series_csv(result: RunResult, path) -> None:
@@ -414,12 +426,9 @@ def write_series_csv(result: RunResult, path) -> None:
     d = traj.points.shape[1]
     with open(path, "w") as f:
         f.write(",".join(_series_columns(d)) + "\n")
-        for k in range(len(s.times)):
-            row = [s.times[k], s.I[k], s.rho[k], s.J[k]]
-            row += list(traj.points[k])
-            row += _hess_entries(traj.hessians[k], d)
-            row += [result.residuals[k], s.boundary_mass[k]]
-            f.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        _write_rows(f, [s.times, s.I, s.rho, s.J, traj.points,
+                        *_hess_columns(traj.hessians, d), result.residuals,
+                        s.boundary_mass])
 
 
 def write_trajectory_csv(traj: ConcentrationTrajectory, path,
@@ -427,16 +436,13 @@ def write_trajectory_csv(traj: ConcentrationTrajectory, path,
     """Canonical-trajectory CSV: the series schema plus a leading source
     column; fields with no ODE counterpart (J, boundary_mass) are nan."""
     d = traj.points.shape[1]
+    nan = np.broadcast_to(np.nan, traj.times.shape)
     with open(path, "w") as f:
         f.write("source," + ",".join(_series_columns(d)) + "\n")
-        for k in range(len(traj.times)):
-            row = [traj.times[k], traj.macro[k], traj.macro[k], float("nan")]
-            row += list(traj.points[k])
-            row += _hess_entries(traj.hessians[k], d)
-            res = residuals[k] if residuals is not None else float("nan")
-            row += [res, float("nan")]
-            f.write(traj.source + "," + ",".join(f"{v:.17g}" for v in row)
-                    + "\n")
+        _write_rows(f, [traj.times, traj.macro, traj.macro, nan, traj.points,
+                        *_hess_columns(traj.hessians, d),
+                        nan if residuals is None else residuals, nan],
+                    prefix=traj.source + ",")
 
 
 def read_trajectory_csv(path) -> ConcentrationTrajectory:

@@ -101,16 +101,33 @@ def _fit_quadratic(values: np.ndarray, idx: tuple, grid: TraitGrid):
     return float(c0), grad, hess
 
 
+def _node(grid: TraitGrid, idx) -> np.ndarray:
+    """Coordinates of node `idx`: entry idx of each `grid.axis_coords`."""
+    return np.array([lo + (i + 0.5) * h
+                     for lo, i, h in zip(grid.lower, idx, grid.spacing)])
+
+
 def _refine_max(u: WkbField, idx: tuple):
     """Sub-grid peak, its value and its curvature, from one quadratic fit at
     the node.  The peak falls back to the node when the fitted vertex is
     degenerate or more than one cell away; the Hessian is nan when the node
     is within two cells of the boundary."""
     grid = u.grid
-    node = np.array([grid.axis_coords(j)[idx[j]] for j in range(grid.dimension)])
+    node = _node(grid, idx)
     f0, g, h = _fit_quadratic(u.values, idx, grid)
     hess = h if _is_interior(idx, u.values.shape, margin=2) \
         else np.full_like(h, np.nan)
+    if grid.dimension == 1:
+        # the 1x1 solve and eigenvalue on floats, bitwise what LAPACK gives;
+        # exact zero curvature keeps the node, as a singular solve does
+        g1, h11 = float(g[0]), float(h[0, 0])
+        if h11 >= 0:
+            return node, f0, hess
+        d = -g1 / h11
+        if abs(d) > grid.spacing[0]:
+            return node, f0, hess
+        # f0 + g @ delta + 0.5 * delta @ h @ delta, associated alike
+        return node + d, f0 + g1 * d + ((0.5 * d) * h11) * d, hess
     try:
         delta = np.linalg.solve(h, -g)
     except np.linalg.LinAlgError:
@@ -134,14 +151,15 @@ def _local_maxima(vals: np.ndarray) -> np.ndarray:
     return local
 
 
-def locate_max(u: WkbField, multi: bool = False):
+def locate_max(u: WkbField, multi: bool = False, notes: list = None):
     """Peak(s) of u as (point, value, hessian): grid argmax refined by a
     local quadratic fit, whose Hessian is the curvature of u there.
 
     With `multi`, every local maximum within eps*ln(1e6) of the global one
     is reported (coexisting concentration points).  Peaks on the boundary
-    ring are returned at the raw node, with a nan Hessian and a warning
-    (fit window unavailable).
+    ring are returned at the raw node, with a nan Hessian and a message
+    (fit window unavailable): appended to `notes` when a list is given,
+    raised as a RuntimeWarning otherwise.
     """
     vals = u.values
     shape = vals.shape
@@ -156,10 +174,13 @@ def locate_max(u: WkbField, multi: bool = False):
     d = u.grid.dimension
     for idx in candidates:
         if not _is_interior(idx, shape):
-            warnings.warn(f"maximum at boundary node {tuple(int(i) for i in idx)}; "
-                          "refinement skipped", RuntimeWarning)
-            node = np.array([u.grid.axis_coords(j)[idx[j]] for j in range(d)])
-            out.append((node, float(vals[tuple(idx)]),
+            msg = (f"maximum at boundary node {tuple(int(i) for i in idx)}; "
+                   "refinement skipped")
+            if notes is None:
+                warnings.warn(msg, RuntimeWarning)
+            else:
+                notes.append(msg)
+            out.append((_node(u.grid, idx), float(vals[tuple(idx)]),
                         np.full((d, d), np.nan)))
         else:
             out.append(_refine_max(u, tuple(idx)))

@@ -1,5 +1,6 @@
 """Grid construction, stencils, quadrature, kernel convolution, snapshot CSV."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -36,6 +37,31 @@ def test_spacing_150_squared():
 def test_cell_centered_first_node_1d():
     g = _grid1(8)
     assert g.axis_coords(0)[0] == 0.0625
+
+
+def test_grid_geometry_cached_bitwise_and_not_fields():
+    g = build_grid(2, (-0.3, 0.1), (1.7, 0.9), (37, 53))
+    spacing = tuple((u - l) / n for l, u, n in
+                    zip(g.lower, g.upper, g.points_per_axis))
+    assert np.array(g.spacing).tobytes() == np.array(spacing).tobytes()
+    assert (np.float64(g.cell_volume).tobytes()
+            == np.float64(float(np.prod(spacing))).tobytes())
+    assert g.shape == (37, 53) and g.num_nodes == 37 * 53
+    assert type(g.num_nodes) is int and type(g.cell_volume) is float
+    assert g.spacing is g.spacing        # computed once
+
+    fresh = TraitGrid(2, (-0.3, 0.1), (1.7, 0.9), (37, 53))
+    assert g == fresh and hash(g) == hash(fresh)
+    assert [f.name for f in dataclasses.fields(g)] == [
+        "dimension", "lower", "upper", "points_per_axis"]
+    assert dataclasses.asdict(g) == {"dimension": 2, "lower": (-0.3, 0.1),
+                                     "upper": (1.7, 0.9),
+                                     "points_per_axis": (37, 53)}
+    wider = dataclasses.replace(g, points_per_axis=(40, 53))
+    assert wider.spacing[0] == 2.0 / 40 and wider.num_nodes == 40 * 53
+    assert wider != g
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.lower = (0.0, 0.0)
 
 
 def test_degenerate_box_rejected():
@@ -215,6 +241,32 @@ def test_boundary_ring_mass_uniform_field():
     n = DensityField(g, np.ones(g.shape))
     expected = rho * (1.0 - (16 / 20) ** 2)
     assert boundary_ring_mass(n) == pytest.approx(expected, abs=1e-12)
+
+
+def _take_ring_mass(density, width):
+    """The ring mass as np.take copies of the interior once gave it: the
+    reference the sliced form must match bitwise."""
+    v = density.values
+    interior = v
+    for ax in range(v.ndim):
+        interior = np.take(interior, np.arange(width, v.shape[ax] - width),
+                           axis=ax)
+    return float((v.sum() - interior.sum()) * density.grid.cell_volume)
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_boundary_ring_mass_bitwise_take_formula(dimension):
+    rng = np.random.default_rng(300 + dimension)
+    for _ in range(100):
+        n = rng.integers(8, 200, size=dimension).tolist()
+        g = build_grid(dimension, 0.0, rng.uniform(0.5, 3.0), n)
+        values = rng.exponential(size=n) * 10.0 ** rng.uniform(-8, 8)
+        density = DensityField(g, values)
+        for width in (0, 1, 2):
+            got = boundary_ring_mass(density, width)
+            assert (np.float64(got).tobytes()
+                    == np.float64(_take_ring_mass(density, width)).tobytes())
+        assert boundary_ring_mass(density, 0) == 0.0
 
 
 # --- mass conservation / symmetry identities ---------------------------------

@@ -1,6 +1,7 @@
 """IMEX stepping: splitting correctness, conservation, positivity, runs, CSV."""
 
 import dataclasses
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -451,6 +452,50 @@ def test_run_boundary_mass_warning():
     assert any("boundary ring mass" in msg for msg in result.warnings)
 
 
+def _scenario1_isotropic_run():
+    sc = load_bundled("scenario1_isotropic")
+    return run_simulation(sc.build_config(), sc.build_model(),
+                          sc.build_grid(), sc.u0, probes=sc.probes,
+                          b=sc.build_diffusion())
+
+
+SCENARIO1_FIRST_BOUNDARY_NODE = \
+    "step 33: maximum at boundary node (0, 14); refinement skipped"
+
+
+def test_run_warnings_pinned_on_scenario1_isotropic():
+    """The run's warning list: one ring-mass warning, then one message per
+    distinct boundary-node peak, in step order."""
+    result = _scenario1_isotropic_run()
+    boundary = [w for w in result.warnings if "at boundary node" in w]
+    assert len(result.warnings) == 49 and len(boundary) == 48
+    assert result.warnings[0].startswith("boundary ring mass 1.675e-08 ")
+    assert boundary[0] == SCENARIO1_FIRST_BOUNDARY_NODE
+    assert len(set(result.warnings)) == 49
+
+
+def test_locate_max_wrapped_like_the_traced_bench(monkeypatch):
+    """The run loop calls `pde.locate_max` by that name once per recorded
+    step, and its boundary messages travel through the `notes` keyword: a
+    wrapper that forwards args and kwargs, as the traced bench installs,
+    sees every call and changes no warning."""
+    calls = []
+    target = pde.locate_max
+
+    @functools.wraps(target)
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("notes"))
+        return target(*args, **kwargs)
+
+    monkeypatch.setattr(pde, "locate_max", counting)
+    result = _scenario1_isotropic_run()
+    assert len(calls) == len(result.series.times) == 81
+    assert all(isinstance(notes, list) for notes in calls)
+    assert sum(len(notes) for notes in calls) >= 48
+    assert result.warnings[1] == SCENARIO1_FIRST_BOUNDARY_NODE
+    assert len(result.warnings) == 49
+
+
 def test_bench_interface_names():
     """The names the benchmark's set-up probe and its mass-drift gate call:
     renaming one would drop that check without notice."""
@@ -481,6 +526,38 @@ def test_series_csv_roundtrip(tmp_path):
     assert np.array_equal(back.hessians, result.trajectory.hessians,
                           equal_nan=True)
     assert back.source == "pde"
+
+
+def test_trajectory_csv_text_is_17g_per_value(tmp_path):
+    """Each value is written as f"{v:.17g}" would write it: nan, inf, -0
+    and 17 significant digits included, over more rows than one chunk."""
+    rng = np.random.default_rng(5)
+    rows = 600
+    hess = rng.normal(size=(rows, 2, 2)) * 10.0 ** rng.uniform(-20, 20,
+                                                                (rows, 1, 1))
+    hess[:2] = [[[-0.0, np.inf], [np.inf, 1e-300]],
+                [[np.nan, -np.inf], [-np.inf, 2.0 / 3.0]]]
+    points = rng.uniform(-1.0, 1.0, (rows, 2))
+    points[:2] = [[-0.0, 1e16], [0.1, np.nan]]
+    macro = rng.uniform(0.0, 5.0, rows)
+    macro[:2] = [0.0, 5e-324]
+    residuals = rng.normal(size=rows)
+    residuals[:2] = [-1.5e-17, 123456789.123456789]
+    traj = ConcentrationTrajectory(np.arange(rows) * 0.1, points, macro,
+                                   hess, source="pc%t")
+    path = tmp_path / "trajectory.csv"
+    write_trajectory_csv(traj, path, residuals=residuals)
+    lines = path.read_text().splitlines()
+    assert lines[0] == ("source,t,I,rho,J,xbar_1,xbar_2,H_11,H_12,H_22,"
+                        "residual_R,boundary_mass")
+    assert len(lines) == rows + 1
+    for k, line in enumerate(lines[1:]):
+        row = [traj.times[k], macro[k], macro[k], float("nan"), *points[k],
+               hess[k, 0, 0], hess[k, 0, 1], hess[k, 1, 1], residuals[k],
+               float("nan")]
+        assert line == "pc%t," + ",".join(f"{v:.17g}" for v in row)
+    assert lines[1] == ("pc%t,0,0,0,nan,-0,10000000000000000,-0,inf,1e-300,"
+                        "-1.5e-17,nan")
 
 
 def test_trajectory_csv_roundtrip_2d(tmp_path):

@@ -292,6 +292,128 @@ def test_fit_quadratic_runs_once_per_candidate(monkeypatch):
     assert len(calls) == len(result.series.times) == 6
 
 
+def _lapack_refine(u, idx):
+    """The vertex as `_refine_max` once computed it, with a LAPACK solve and
+    eigvalsh on the fit: the reference the 1D float formula must match
+    bitwise."""
+    grid = u.grid
+    node = np.array([grid.axis_coords(j)[idx[j]]
+                     for j in range(grid.dimension)])
+    f0, g, h = wkb._fit_quadratic(u.values, idx, grid)
+    hess = h if wkb._is_interior(idx, u.values.shape, margin=2) \
+        else np.full_like(h, np.nan)
+    try:
+        delta = np.linalg.solve(h, -g)
+    except np.linalg.LinAlgError:
+        return node, f0, hess
+    ev = np.linalg.eigvalsh(h)
+    if ev.max() >= 0 or np.any(np.abs(delta) > np.asarray(grid.spacing)):
+        return node, f0, hess
+    value = f0 + g @ delta + 0.5 * delta @ h @ delta
+    return node + delta, float(value), hess
+
+
+def _peak_bytes(peak):
+    point, value, hess = peak
+    return (point.dtype, point.tobytes(), np.float64(value).tobytes(),
+            hess.tobytes())
+
+
+def _random_grids(rng, count, n=12):
+    return [build_grid(1, lo, lo + 10.0 ** rng.uniform(-2, 1), n)
+            for lo in rng.uniform(-2.0, 1.0, count)]
+
+
+def test_1d_vertex_bitwise_lapack_formula_through_locate_max():
+    """10 000 random 3-point windows whose centre is the argmax, at every
+    interior node (next to the edge the Hessian is nan), over value scales
+    from 1e-3 to 1e3 and differences from 1e-14 to 10."""
+    rng = np.random.default_rng(20261018)
+    grids = _random_grids(rng, 8)
+    n = grids[0].shape[0]
+    checked = nan_hessians = 0
+    while checked < 10_000:
+        f0 = rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-3, 3)
+        a, b = 10.0 ** rng.uniform(-14, 1, 2) * rng.uniform(0.0, 1.0, 2)
+        if rng.uniform() < 0.05:
+            b = 0.0                      # a tie after the argmax node
+        fm, fp = f0 - a, f0 - b
+        if not fm < f0:
+            continue                     # the argmax would be the left node
+        k = int(rng.integers(1, n - 1))
+        vals = np.full(n, min(fm, fp) - 1.0 - abs(f0))
+        vals[k - 1:k + 2] = (fm, f0, fp)
+        u = WkbField(grids[checked % len(grids)], vals, 0.01)
+        [peak] = locate_max(u)
+        assert _peak_bytes(peak) == _peak_bytes(_lapack_refine(u, (k,)))
+        nan_hessians += bool(np.isnan(peak[2]).all())
+        checked += 1
+    assert nan_hessians > 1000
+
+
+def test_1d_vertex_bitwise_lapack_formula_on_any_window():
+    """Windows no argmax yields: convex, exactly flat or linear (zero
+    curvature), and vertices more than one cell away."""
+    rng = np.random.default_rng(77)
+    grids = _random_grids(rng, 4)
+    n = grids[0].shape[0]
+    windows = [(0.5, 1.0, 1.5), (2.0, 2.0, 2.0), (-0.25, -0.25, -0.25),
+               (1.0, 0.0, 1.0), (0.0, 1.0, 1.0), (-3.0, 0.0, 2.99)]
+    for _ in range(5000):
+        scale = 10.0 ** rng.uniform(-3, 3)
+        windows.append(tuple(rng.uniform(-1.0, 1.0, 3) * scale))
+    kinds = {"convex": 0, "flat": 0, "far": 0, "moved": 0}
+    for i, window in enumerate(windows):
+        g = grids[i % len(grids)]
+        k = int(rng.integers(1, n - 1))
+        vals = np.zeros(n)
+        vals[k - 1:k + 2] = window
+        u = WkbField(g, vals, 0.01)
+        peak = wkb._refine_max(u, (k,))
+        assert _peak_bytes(peak) == _peak_bytes(_lapack_refine(u, (k,)))
+        _, grad, hess = wkb._fit_quadratic(vals, (k,), g)
+        if hess[0, 0] > 0:
+            kinds["convex"] += 1
+        elif hess[0, 0] == 0:
+            kinds["flat"] += 1
+        elif abs(grad[0] / hess[0, 0]) > g.spacing[0]:
+            kinds["far"] += 1
+        else:
+            kinds["moved"] += 1
+    assert min(kinds.values()) >= 3, kinds
+
+
+def test_1d_flat_top_through_locate_max_keeps_the_node():
+    """Three tied maxima: the middle one has exactly zero curvature and
+    stays at its node, as a singular 1x1 solve left it."""
+    g = build_grid(1, 0.0, 1.0, 16)
+    vals = np.full(16, -1.0)
+    vals[6:9] = 0.5
+    u = WkbField(g, vals, 0.01)
+    got = sorted(_peak_bytes(p) for p in locate_max(u, multi=True))
+    assert got == sorted(_peak_bytes(_lapack_refine(u, (k,)))
+                         for k in (6, 7, 8))
+    middle = wkb._refine_max(u, (7,))
+    assert middle[0][0] == g.axis_coords(0)[7] and middle[1] == 0.5
+
+
+def test_locate_max_boundary_message_goes_to_notes():
+    """With a notes list the boundary message is appended to it and no
+    warning is raised."""
+    g = build_grid(2, 0.0, 1.0, 20)
+    vals = _quad_u(g, (0.5, 0.5), (1.0, 1.0))
+    vals[0, 14] = 1.0
+    notes = ["earlier"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        [(pt, _, H)] = locate_max(WkbField(g, vals, 0.01), notes=notes)
+    assert notes == ["earlier",
+                     "maximum at boundary node (0, 14); refinement skipped"]
+    assert pt.tobytes() == np.array([g.axis_coords(0)[0],
+                                     g.axis_coords(1)[14]]).tobytes()
+    assert np.isnan(H).all()
+
+
 def _roll_local_maxima(vals):
     """The np.roll form of the multi-peak mask that _local_maxima replaced:
     the reference it must agree with."""
