@@ -10,8 +10,13 @@ canonical <file> [--closure m] [--pde-dir d]   limit ODE only
 check <file>          validate and print the assumption report
 
 CONCENTRA_THREADS caps the number of sweep worker processes; with 1 the
-rows run in this process, in order.  Exit codes: 0 success, 2 validation
-failure, 3 numerical failure.
+rows run in this process, in order.  sweep.csv's `dir` column names each
+row's directory under --out.
+
+Exit codes: 0 success, 2 validation failure, 3 numerical failure.  `main`
+alone maps errors to codes: an unreadable or invalid scenario file, series
+or --out (VALIDATION_ERRORS) exits 2; a failure of the numerics once the
+scenario has loaded (NUMERICAL_ERRORS) exits 3.  Either prints one line.
 """
 
 from __future__ import annotations
@@ -30,8 +35,8 @@ import numpy as np
 from . import canonical as canon
 from . import diagnostics as diag
 from .grid import GridError, write_field_npy
-from .models import (ConstraintInfeasibleError, LocalCompetitionModel,
-                     ModelError, QuadraticFunction, check_assumptions)
+from .models import (LocalCompetitionModel, ModelError, QuadraticFunction,
+                     check_assumptions)
 from .pde import (ConfigError, SeriesFormatError, SolverError,
                   diffusion_solve, run_simulation, u0_peaks, write_series_csv,
                   write_trajectory_csv, read_trajectory_csv)
@@ -42,8 +47,12 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
-NUMERICAL_ERRORS = (SolverError, WkbError, ModelError,
-                    ConstraintInfeasibleError, FloatingPointError,
+VALIDATION_ERRORS = (ScenarioError, SeriesFormatError, ConfigError, OSError)
+# A scenario that loads has built its grid, model, diffusion and config, so
+# a later ModelError or GridError comes from the numerics; a later
+# ConfigError (an initial density that underflows, a diffusion coefficient
+# that is not positive on the grid) is still the input's.
+NUMERICAL_ERRORS = (SolverError, WkbError, ModelError, FloatingPointError,
                     np.linalg.LinAlgError, canon.ClosureError, GridError)
 
 
@@ -112,8 +121,8 @@ def _assumption_report(sc: Scenario, model, b):
     return rep.to_dict()
 
 
-def _canonical_run(sc: Scenario, model, closure_mode, pde_result=None,
-                   feed=None, dt=None, T=None):
+def _canonical_run(sc: Scenario, model, closure_mode, feed=None, dt=None,
+                   T=None):
     """Integrate the limit ODE per the scenario's settings; returns
     (trajectory, reports dict)."""
     settings = sc.canonical_settings()
@@ -122,11 +131,6 @@ def _canonical_run(sc: Scenario, model, closure_mode, pde_result=None,
     T = T if T is not None else settings["T"]
     x0, H0 = u0_peaks(sc.u0)[0]
     if mode == "from_pde":
-        feed = feed if feed is not None else (
-            pde_result.trajectory if pde_result is not None else None)
-        if feed is None:
-            raise ScenarioError("from_pde closure requires an attached PDE "
-                                "run (or --pde-dir)")
         closure = canon.HessianClosure("from_pde", feed=feed)
     else:
         closure = canon.HessianClosure(mode, initial_hessian=H0)
@@ -177,7 +181,7 @@ def _pde_run(sc: Scenario, out_root, sweep=False):
             mode, dt, T = (("from_pde", config.dt, config.steps * config.dt)
                            if sweep else (None, None, None))
             traj, c_res, c_reports = _canonical_run(
-                sc, model, mode, pde_result=result, dt=dt, T=T)
+                sc, model, mode, feed=result.trajectory, dt=dt, T=T)
             sup, _, _ = diag.compare_trajectories(result.trajectory, traj)
             c_reports["pde_vs_canonical_sup_distance"] = sup
             canonical = (traj, c_res, c_reports)
@@ -187,62 +191,48 @@ def _pde_run(sc: Scenario, out_root, sweep=False):
 
 
 def _cmd_run(args) -> int:
-    try:
-        sc = load_scenario(args.scenario)
-    except (ScenarioError, OSError) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    sc = load_scenario(args.scenario)
+    with _pde_run(sc, args.out) as run:
+        result, model, outdir = run.result, run.model, run.outdir
+        for step, snap in sorted(result.snapshots.items()):
+            write_field_npy(snap, os.path.join(outdir, f"snap_{step:06d}.npy"))
+        reports = {
+            "assumptions": _assumption_report(sc, model, run.b),
+            "regularity": result.regularity_reports,
+            "probe_maxima": result.probe_maxima,
+            "warnings": result.warnings,
+            "advisories": result.advisories,
+            "constraint_residual_post_layer": run.residual_post_layer,
+            "I_monotonicity_violation": diag.monotonicity_violation(
+                result.series.I),
+            "I_total_variation": diag.total_variation(result.series.I),
+        }
+        if isinstance(model, LocalCompetitionModel):
+            reports["persistence"] = canon.persistence_envelope(
+                result.trajectory, model)
+        if run.canonical is not None:
+            traj, c_res, reports["canonical"] = run.canonical
+            write_trajectory_csv(traj, os.path.join(outdir, "trajectory.csv"),
+                                 residuals=c_res)
 
-    try:
-        with _pde_run(sc, args.out) as run:
-            result, model, outdir = run.result, run.model, run.outdir
-            for step, snap in sorted(result.snapshots.items()):
-                write_field_npy(snap, os.path.join(outdir,
-                                                   f"snap_{step:06d}.npy"))
-            reports = {
-                "assumptions": _assumption_report(sc, model, run.b),
-                "regularity": result.regularity_reports,
-                "probe_maxima": result.probe_maxima,
-                "warnings": result.warnings,
-                "advisories": result.advisories,
-                "constraint_residual_post_layer": run.residual_post_layer,
-                "I_monotonicity_violation": diag.monotonicity_violation(
-                    result.series.I),
-                "I_total_variation": diag.total_variation(result.series.I),
-            }
-            if isinstance(model, LocalCompetitionModel):
-                reports["persistence"] = canon.persistence_envelope(
-                    result.trajectory, model)
-            if run.canonical is not None:
-                traj, c_res, reports["canonical"] = run.canonical
-                write_trajectory_csv(traj, os.path.join(outdir,
-                                                        "trajectory.csv"),
-                                     residuals=c_res)
+        if len(sc.u0) > 1 and result.probe_maxima:
+            last = max(result.probe_maxima)
+            peaks = result.probe_maxima[last]
+            if len(peaks) >= 2:
+                # peaks are value-sorted; mark the weaker one as dominated
+                reports["dominated_bump"] = {"step": last,
+                                             "point": peaks[-1][0],
+                                             "peak_value": peaks[-1][1]}
+            else:
+                reports["dominated_bump"] = {"step": last,
+                                             "note": "single peak survives"}
 
-            if len(sc.u0) > 1 and result.probe_maxima:
-                last = max(result.probe_maxima)
-                peaks = result.probe_maxima[last]
-                if len(peaks) >= 2:
-                    # peaks are value-sorted; mark the weaker one as dominated
-                    reports["dominated_bump"] = {"step": last,
-                                                 "point": peaks[-1][0],
-                                                 "peak_value": peaks[-1][1]}
-                else:
-                    reports["dominated_bump"] = {"step": last,
-                                                 "note": "single peak survives"}
-
-            manifest = dict(run.resolved)
-            manifest["artifact_dir"] = os.path.basename(outdir)
-            with open(os.path.join(outdir, "manifest.json"), "w") as f:
-                json.dump(_jsonable(manifest), f, indent=2, sort_keys=True)
-            with open(os.path.join(outdir, "reports.json"), "w") as f:
-                json.dump(_jsonable(reports), f, indent=2, sort_keys=True)
-    except NUMERICAL_ERRORS as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except ConfigError as exc:   # e.g. an initial density that underflows
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        manifest = dict(run.resolved)
+        manifest["artifact_dir"] = os.path.basename(outdir)
+        with open(os.path.join(outdir, "manifest.json"), "w") as f:
+            json.dump(_jsonable(manifest), f, indent=2, sort_keys=True)
+        with open(os.path.join(outdir, "reports.json"), "w") as f:
+            json.dump(_jsonable(reports), f, indent=2, sort_keys=True)
     print(outdir)
     return EXIT_OK
 
@@ -285,7 +275,8 @@ def _sweep_row(raw: dict, eps: float, out_root: str) -> dict:
     _, _, c_reports = run.canonical
     return {"epsilon": eps, "residual_post_layer": run.residual_post_layer,
             "sup_distance": c_reports["pde_vs_canonical_sup_distance"],
-            "monotonicity_violation": mono, "dir": run.outdir,
+            "monotonicity_violation": mono,
+            "dir": os.path.basename(run.outdir),
             "status": "ok"}
 
 
@@ -316,35 +307,36 @@ def _sweep_rows(raw: dict, values: list, out_root: str, workers: int):
     return rows
 
 
-def _cmd_sweep(args) -> int:
-    try:
-        sc = load_scenario(args.scenario)
-        values = []
-        for tok in args.epsilon.split(","):
-            tok = tok.strip()
-            if not tok:
-                continue
+def _epsilon_values(text: str) -> list:
+    """The distinct epsilons of a comma-separated --epsilon list."""
+    values = []
+    for tok in text.split(","):
+        tok = tok.strip()
+        if not tok:
+            continue
+        try:
             eps = float(tok)
-            if not (np.isfinite(eps) and eps > 0):
-                raise ScenarioError(f"epsilon values must be positive and "
-                                    f"finite: {tok}")
-            if eps in values:
-                print(f"warning: duplicate epsilon {eps} dropped",
-                      file=sys.stderr)
-            else:
-                values.append(eps)
-        if len(values) < 2:
-            raise ScenarioError("sweep needs at least two distinct epsilon "
-                                "values")
-        workers = _worker_count(len(values))
-    except (ScenarioError, ConfigError, ModelError, ValueError,
-            OSError) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        except ValueError:
+            raise ScenarioError(f"epsilon value {tok!r} is not a number")
+        if not (np.isfinite(eps) and eps > 0):
+            raise ScenarioError(f"epsilon values must be positive and "
+                                f"finite: {tok}")
+        if eps in values:
+            print(f"warning: duplicate epsilon {eps} dropped", file=sys.stderr)
+        else:
+            values.append(eps)
+    if len(values) < 2:
+        raise ScenarioError("sweep needs at least two distinct epsilon values")
+    return values
 
+
+def _cmd_sweep(args) -> int:
+    sc = load_scenario(args.scenario)
+    values = _epsilon_values(args.epsilon)
+    workers = _worker_count(len(values))
+    os.makedirs(args.out, exist_ok=True)
     rows = _sweep_rows(sc.raw, values, args.out, workers)
     rows.sort(key=lambda r: -r["epsilon"])
-    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "sweep.csv")
     cols = ["epsilon", "residual_post_layer", "sup_distance",
             "monotonicity_violation", "dir", "status"]
@@ -360,51 +352,36 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_canonical(args) -> int:
-    try:
-        sc = load_scenario(args.scenario)
-        model = sc.build_model()
-        mode = args.closure or sc.canonical_settings()["closure"]
-        feed = None
-        if mode == "from_pde":
-            if not args.pde_dir:
-                raise ScenarioError("from_pde closure requires --pde-dir")
-            path = os.path.join(args.pde_dir, "series.csv")
-            feed = read_trajectory_csv(path)
-            if feed.points.shape[1] != sc.dimension:
-                raise ScenarioError(f"{path}: series of dimension "
-                                    f"{feed.points.shape[1]}, scenario "
-                                    f"{sc.name} of dimension {sc.dimension}")
-    except (ScenarioError, SeriesFormatError, ConfigError, ModelError,
-            OSError) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-
+    sc = load_scenario(args.scenario)
+    mode = args.closure or sc.canonical_settings()["closure"]
+    feed = None
+    if mode == "from_pde":
+        if not args.pde_dir:
+            raise ScenarioError("from_pde closure requires --pde-dir")
+        path = os.path.join(args.pde_dir, "series.csv")
+        feed = read_trajectory_csv(path)
+        if feed.points.shape[1] != sc.dimension:
+            raise ScenarioError(f"{path}: series of dimension "
+                                f"{feed.points.shape[1]}, scenario "
+                                f"{sc.name} of dimension {sc.dimension}")
     resolved = _resolved_params(sc, overrides={"canonical_only": True,
                                                "closure": mode})
-    try:
-        with _artifact_dir(args.out, sc, resolved) as outdir:
-            traj, residuals, reports = _canonical_run(sc, model, mode,
-                                                      feed=feed)
-            write_trajectory_csv(traj, os.path.join(outdir, "trajectory.csv"),
-                                 residuals=residuals)
-            with open(os.path.join(outdir, "manifest.json"), "w") as f:
-                json.dump(_jsonable(resolved), f, indent=2, sort_keys=True)
-            with open(os.path.join(outdir, "reports.json"), "w") as f:
-                json.dump(_jsonable(reports), f, indent=2, sort_keys=True)
-    except NUMERICAL_ERRORS as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    with _artifact_dir(args.out, sc, resolved) as outdir:
+        traj, residuals, reports = _canonical_run(sc, sc.build_model(), mode,
+                                                  feed=feed)
+        write_trajectory_csv(traj, os.path.join(outdir, "trajectory.csv"),
+                             residuals=residuals)
+        with open(os.path.join(outdir, "manifest.json"), "w") as f:
+            json.dump(_jsonable(resolved), f, indent=2, sort_keys=True)
+        with open(os.path.join(outdir, "reports.json"), "w") as f:
+            json.dump(_jsonable(reports), f, indent=2, sort_keys=True)
     print(outdir)
     return EXIT_OK
 
 
 def _cmd_check(args) -> int:
-    try:
-        sc = load_scenario(args.scenario)
-        report = _assumption_report(sc, sc.build_model(), sc.build_diffusion())
-    except (ScenarioError, ConfigError, ModelError, OSError) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    sc = load_scenario(args.scenario)
+    report = _assumption_report(sc, sc.build_model(), sc.build_diffusion())
     print(json.dumps(_jsonable({"scenario": sc.name, "valid": True,
                                 "assumptions": report}), indent=2,
                      sort_keys=True))
@@ -445,7 +422,14 @@ def main(argv=None) -> int:
     p_check.set_defaults(func=_cmd_check)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except VALIDATION_ERRORS as exc:
+        print(f"validation error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except NUMERICAL_ERRORS as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

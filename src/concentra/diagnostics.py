@@ -87,8 +87,8 @@ def compare_trajectories(a, b):
     return float(dist.max()), common, dist
 
 
-def monotonicity_violation(series, tol: float = 0.0) -> float:
-    """Worst (most negative) increment; >= -tol means monotone up to tol."""
+def monotonicity_violation(series) -> float:
+    """Smallest increment of `series`; negative where it decreases."""
     s = np.asarray(series, dtype=float)
     if s.size < 2:
         raise DiagnosticsError("monotonicity needs at least two samples")

@@ -737,14 +737,12 @@ def build_affine_global(params, dimension):
 
 
 def build_quadratic_global(params, dimension):
-    ci = float(params.get("coef_I", 1.0))
-    if ci <= 0:
-        raise ModelError(f"field $.model.params.coef_I must be positive, "
-                         f"got {ci}")
     g = QuadraticFunction(params.get("k0", 1.0),
                           params.get("center", [0.0] * dimension),
                           params.get("weights", [1.0] * dimension))
-    return GlobalInteractionModel(dimension, g, ci, _weight(params.get("psi")),
+    return GlobalInteractionModel(dimension, g,
+                                  float(params.get("coef_I", 1.0)),
+                                  _weight(params.get("psi")),
                                   "quadratic_global")
 
 
@@ -809,15 +807,9 @@ def _build_kernel(spec, dimension):
     if kind == "constant":
         return ConstantKernel(spec.get("value", 1.0))
     if kind == "gaussian":
-        params = {"floor": spec.get("floor", 0.0), "amp": spec.get("amp", 1.0),
-                  "width": spec.get("width", 1.0)}
-        for key, v in params.items():
-            floor = key == "floor"
-            if not (v >= 0 if floor else v > 0):
-                raise ModelError(f"field $.model.params.kernel.{key} must be "
-                                 f"{'nonnegative' if floor else 'positive'}, "
-                                 f"got {v!r}")
-        return GaussianKernel(**params)
+        return GaussianKernel(floor=spec.get("floor", 0.0),
+                              amp=spec.get("amp", 1.0),
+                              width=spec.get("width", 1.0))
     return SeparableKernel(_quadratic(spec.get("phi", {}), dimension),
                            _quadratic(spec.get("psi", {}), dimension))
 
@@ -860,8 +852,8 @@ _VECTOR = PerAxis("number")
 _QUADRATIC = {"c0": "number", "center": _VECTOR, "weights": _VECTOR}
 _WEIGHT = {"type": {"constant": {"value": "number"}}}
 _KERNEL = {"type": {"constant": {"value": "number"},
-                    "gaussian": {"floor": "number", "amp": "number",
-                                 "width": "number"},
+                    "gaussian": {"floor": "nonnegative", "amp": "positive",
+                                 "width": "positive"},
                     "separable": {"phi": _QUADRATIC, "psi": _QUADRATIC}}}
 
 # family -> (builder, spec of the params it reads)
@@ -871,7 +863,7 @@ MODEL_FAMILIES = {
                        "psi": "weight"}),
     "quadratic_global": (build_quadratic_global,
                          {"k0": "number", "center": _VECTOR,
-                          "weights": _VECTOR, "coef_I": "number",
+                          "weights": _VECTOR, "coef_I": "positive",
                           "psi": "weight"}),
     "scenario2": (build_scenario2,
                   {"a": "number", "cy": "number", "cx": "number",
@@ -899,6 +891,8 @@ _KINDS = {
     "number": (lambda v, d: is_finite_number(v), "a finite number"),
     "positive": (lambda v, d: is_finite_number(v) and v > 0,
                  "a positive finite number"),
+    "nonnegative": (lambda v, d: is_finite_number(v) and v >= 0,
+                    "a nonnegative finite number"),
     "count": (lambda v, d: _is_int(v) and v >= 0, "a nonnegative integer"),
     "positive count": (lambda v, d: _is_int(v) and v > 0,
                        "a positive integer"),

@@ -448,9 +448,12 @@ def write_trajectory_csv(traj: ConcentrationTrajectory, path,
 def read_trajectory_csv(path) -> ConcentrationTrajectory:
     """Rebuild a trajectory (times, points, macro, Hessians) from a series or
     trajectory CSV; SeriesFormatError names the path and what it lacks."""
-    with open(path) as f:
-        header = f.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in f if line.strip()]
+    try:
+        with open(path, encoding="utf-8") as f:
+            header = f.readline().strip().split(",")
+            rows = [line.strip().split(",") for line in f if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise SeriesFormatError(f"{path}: not UTF-8 text ({exc})") from exc
     d = 2 if "xbar_2" in header else 1
     names = (["t", "I"] + [f"xbar_{j + 1}" for j in range(d)]
              + (["H_11"] if d == 1 else ["H_11", "H_12", "H_22"]))

@@ -171,11 +171,13 @@ class Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         try:
             raw = json.load(f)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ScenarioError(f"{path}: invalid JSON ({exc})") from exc
+        except RecursionError as exc:
+            raise ScenarioError(f"{path}: JSON nested too deeply") from exc
     return Scenario(raw)
 
 

@@ -2,6 +2,7 @@
 layout, determinism, exit codes."""
 
 import copy
+import csv
 import json
 import os
 import pathlib
@@ -15,7 +16,7 @@ import concentra
 from concentra import cli
 from concentra.cli import main
 from concentra.grid import ScalarField, build_grid, write_field_csv
-from concentra.models import ConstraintInfeasibleError
+from concentra.models import ConstraintInfeasibleError, ModelError
 from concentra.pde import run_simulation
 from concentra.scenarios import (Scenario, ScenarioError,
                                  bundled_scenario_names, load_bundled)
@@ -497,14 +498,15 @@ def test_series_residual_matches_reported_post_layer(tmp_path):
     assert data["residual_R"][data["t"] >= t_layer].max() == post
 
 
-def _run_python(code):
-    """Run `code` in a fresh interpreter that imports this checkout's
-    package."""
+def _run_python(*args):
+    """Run `python *args` in a fresh interpreter that imports this
+    checkout's package; one bare argument is code for `-c`."""
     src = os.path.dirname(os.path.dirname(concentra.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    return subprocess.run([sys.executable, "-c", code], env=env,
+    argv = ["-c", *args] if len(args) == 1 else list(args)
+    return subprocess.run([sys.executable, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
 
 
@@ -618,6 +620,20 @@ def _sweep_outputs(out):
     series = {d: (out / d / "series.csv").read_bytes()
               for d in os.listdir(out) if (out / d).is_dir()}
     return table, series
+
+
+def test_sweep_dir_column_names_a_directory_under_out(tmp_path, monkeypatch):
+    """`dir` does not depend on where --out is, so neither do sweep.csv's
+    bytes."""
+    monkeypatch.setenv("CONCENTRA_THREADS", "1")
+    out = tmp_path / "o"
+    assert main(["sweep", write_scenario(tmp_path, BASE), "--epsilon",
+                 "0.02,0.01", "--out", str(out)]) == 0
+    with open(out / "sweep.csv", newline="") as f:
+        dirs = [row["dir"] for row in csv.DictReader(f)]
+    assert len(dirs) == 2
+    for d in dirs:
+        assert os.sep not in d and (out / d).is_dir()
 
 
 def test_sweep_workers_match_serial_run(tmp_path, monkeypatch):
@@ -815,3 +831,117 @@ def test_check_prints_assumption_report(tmp_path, capsys):
 def test_check_rejects_bad_scenario(tmp_path, capsys):
     scen = write_scenario(tmp_path, variant(dimension=3))
     assert main(["check", scen]) == 2
+
+
+# --- exit codes ------------------------------------------------------------------------
+
+def _command_args(command, scen, out):
+    return {"run": ["run", scen, "--out", out],
+            "sweep": ["sweep", scen, "--epsilon", "0.02,0.01", "--out", out],
+            "canonical": ["canonical", scen, "--closure", "frozen",
+                          "--out", out],
+            "check": ["check", scen]}[command]
+
+
+def _one_line(err, kind):
+    assert err.startswith(f"{kind} error: ") and err.count("\n") == 1, err
+    return err
+
+
+# a valid scenario in Latin-1
+NOT_UTF8 = json.dumps(variant(name="caf\u00e9"),
+                      ensure_ascii=False).encode("latin-1")
+# file content -> what the message names (None: the file's path)
+UNUSABLE_SCENARIO_FILES = {
+    "missing": (None, None),
+    "not_utf8": (NOT_UTF8, None),
+    "deep_nesting": (b"[" * 100000, None),
+    "invalid_json": (b"{not json", None),
+    "bad_field": (json.dumps(variant(config__dt=-1.0)).encode(),
+                  "$.config.dt"),
+}
+
+
+@pytest.mark.parametrize("content,needle", UNUSABLE_SCENARIO_FILES.values(),
+                         ids=UNUSABLE_SCENARIO_FILES)
+@pytest.mark.parametrize("command", ["run", "sweep", "canonical", "check"])
+def test_unusable_scenario_file_exits_2(tmp_path, capsys, command, content,
+                                        needle):
+    scen = tmp_path / "scen.json"
+    if content is not None:
+        scen.write_bytes(content)
+    out = tmp_path / "out"
+    assert main(_command_args(command, str(scen), str(out))) == 2
+    err = _one_line(capsys.readouterr().err, "validation")
+    assert (needle or str(scen)) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "canonical"])
+def test_out_that_is_a_file_exits_2_before_running(tmp_path, capsys,
+                                                   monkeypatch, command):
+    def not_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli, "run_simulation", not_run)
+    monkeypatch.setattr(cli.canon, "integrate_canonical", not_run)
+    monkeypatch.setenv("CONCENTRA_THREADS", "1")
+    out = tmp_path / "out"
+    out.write_text("a file")
+    scen = write_scenario(tmp_path, BASE)
+    assert main(_command_args(command, scen, str(out))) == 2
+    assert str(out) in _one_line(capsys.readouterr().err, "validation")
+    assert out.read_text() == "a file"
+
+
+def test_canonical_non_utf8_pde_series_exits_2(tmp_path, capsys):
+    pde_dir = tmp_path / "pde"
+    pde_dir.mkdir()
+    (pde_dir / "series.csv").write_bytes(SERIES_1D.encode("utf-16"))
+    out = tmp_path / "can"
+    assert main(["canonical", write_scenario(tmp_path, BASE), "--closure",
+                 "from_pde", "--pde-dir", str(pde_dir), "--out",
+                 str(out)]) == 2
+    err = _one_line(capsys.readouterr().err, "validation")
+    assert str(pde_dir / "series.csv") in err and "not UTF-8" in err
+    assert not out.exists()
+
+
+def test_sweep_non_numeric_epsilon_exits_2(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["sweep", write_scenario(tmp_path, BASE), "--epsilon",
+                 "0.02,1e-2x", "--out", str(out)]) == 2
+    err = _one_line(capsys.readouterr().err, "validation")
+    assert "epsilon value '1e-2x' is not a number" in err
+    assert not out.exists()
+
+
+def test_error_tuples_are_disjoint():
+    for valid in cli.VALIDATION_ERRORS:
+        for numerical in cli.NUMERICAL_ERRORS:
+            assert not issubclass(valid, numerical), (valid, numerical)
+            assert not issubclass(numerical, valid), (valid, numerical)
+    assert issubclass(ConstraintInfeasibleError, cli.NUMERICAL_ERRORS)
+
+
+@pytest.mark.parametrize("error", [ModelError("no root"),
+                                   np.linalg.LinAlgError("singular")])
+def test_check_numerical_failure_after_loading_exits_3(tmp_path, capsys,
+                                                       monkeypatch, error):
+    def fails(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "check_assumptions", fails)
+    assert main(["check", write_scenario(tmp_path, BASE)]) == 3
+    assert str(error) in _one_line(capsys.readouterr().err, "numerical")
+
+
+def test_module_entry_point_exits_2_without_traceback(tmp_path):
+    """`python -m concentra.cli` passes main's code to sys.exit."""
+    scen = tmp_path / "scen.json"
+    scen.write_bytes(NOT_UTF8)
+    proc = _run_python("-m", "concentra.cli", "run", str(scen),
+                       "--out", str(tmp_path / "o"))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("validation error: ")
