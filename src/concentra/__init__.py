@@ -7,9 +7,8 @@ descriptions can be compared quantitatively.
 """
 
 from .grid import (DensityField, GridError, ScalarField, TraitGrid,
-                   build_grid, convolve_kernel, div_b_grad, integrate,
-                   laplacian, read_field_csv, write_field_csv,
-                   write_field_npy)
+                   build_grid, integrate, laplacian, read_field_csv,
+                   write_field_csv, write_field_npy)
 from .models import (AssumptionConstants, ConstraintInfeasibleError,
                      DiffusionCoefficient, GlobalInteractionModel,
                      LocalCompetitionModel, ModelError,

@@ -24,8 +24,8 @@ class ConcentrationTrajectory:
     """Sampled motion of the concentration point.
 
     macro holds the multiplier (global: I, local: rho); hessians the closure
-    matrix used/measured at each time.  exit_time records truncation when the
-    point left the domain.
+    matrix used/measured at each time.  exit_time and exit_point record
+    truncation: when and where the point left the domain.
     """
 
     times: np.ndarray
@@ -34,6 +34,7 @@ class ConcentrationTrajectory:
     hessians: np.ndarray    # (n, d, d)
     source: str = "canonical"
     exit_time: Optional[float] = None
+    exit_point: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -225,7 +226,7 @@ def integrate_canonical(x0, closure: HessianClosure, model, dt: float,
     pts = [x]
     macros = [m]
     hessians = [H if feed is None else feed(0.0)]
-    exit_time = None
+    exit_time = exit_point = None
     t = 0.0
     for _ in range(steps):
         # kH is None unless riccati: the stage matrix is then the frozen
@@ -242,9 +243,10 @@ def integrate_canonical(x0, closure: HessianClosure, model, dt: float,
             H = H + dt / 6.0 * (k1H + 2 * k2H + 2 * k3H + k4H)
         t += dt
         if domain is not None and ops.outside(x, lower, upper):
-            exit_time = t
+            exit_time, exit_point = t, np.array(x, dtype=float).reshape(d)
             warnings.warn(f"canonical trajectory left the domain at "
-                          f"t={t:.6g}; truncated", RuntimeWarning)
+                          f"t={t:.6g}, x={exit_point.tolist()}; truncated",
+                          RuntimeWarning)
             break
         m = multiplier(x)
         times.append(t)
@@ -255,7 +257,8 @@ def integrate_canonical(x0, closure: HessianClosure, model, dt: float,
     return ConcentrationTrajectory(
         np.array(times), np.array(pts, dtype=float).reshape(-1, d),
         np.array(macros), np.array(hessians, dtype=float).reshape(-1, d, d),
-        source=f"canonical_{closure.mode}", exit_time=exit_time)
+        source=f"canonical_{closure.mode}", exit_time=exit_time,
+        exit_point=exit_point)
 
 
 def gradient_flow_rate(x_bar, hessian, model: GlobalInteractionModel,

@@ -87,7 +87,7 @@ def _resolved_params(sc: Scenario, overrides=None) -> dict:
         "boundary_rule": "no-flux",
         "weight_note": "interaction weight psi taken identically 1 in all "
                        "bundled scenarios",
-        "diffusion_solve": diffusion_solve(sc.dimension),
+        "diffusion_solve": diffusion_solve(grid),
         "density_floor": DENSITY_FLOOR,
     }
     return resolved
@@ -136,6 +136,11 @@ def _canonical_run(sc: Scenario, model, closure_mode, feed=None, dt=None,
         closure = canon.HessianClosure(mode, initial_hessian=H0)
     traj = canon.integrate_canonical(x0, closure, model, dt, T,
                                      domain=sc.domain())
+    if traj.times.size < 2:
+        raise SolverError(f"canonical trajectory left the domain on its "
+                          f"first step, at t={traj.exit_time:.6g}, "
+                          f"x={traj.exit_point.tolist()}: no second sample "
+                          "to report")
     residuals, post = diag.constraint_residual(traj, model,
                                                t_layer=10 * dt)
     reports = {

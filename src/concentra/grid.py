@@ -2,7 +2,10 @@
 
 All fields live on cell centers of a rectangular box.  The diffusion stencils
 are written in conservative flux form with zero-flux boundary faces, which
-makes discrete mass conservation exact and keeps the stencil symmetric.
+makes discrete mass conservation exact and keeps the stencil symmetric.  The
+competition convolution is built once per grid and kernel: a rank-one
+product for separable kernels, one nonnegative matrix per axis for a
+Gaussian kernel, and the direct midpoint sum for any other.
 """
 
 from __future__ import annotations
@@ -178,31 +181,6 @@ def face_coefficients(grid: TraitGrid, b_values: np.ndarray) -> list:
     return faces
 
 
-def div_b_grad(field: ScalarField, b, bc: str = "no-flux") -> ScalarField:
-    """Conservative variable-coefficient diffusion: div(b grad f).
-
-    `b` may be a DiffusionCoefficient-like object (with .value), a callable
-    on node coordinates, or a node-sampled array.  Face coefficients are the
-    arithmetic mean of the two adjacent nodes; b == 1 reproduces `laplacian`
-    bitwise.
-    """
-    if bc != "no-flux":
-        raise GridError(f"unsupported boundary rule {bc!r}")
-    grid = field.grid
-    if hasattr(b, "value"):
-        b_nodes = np.asarray(b.value(grid.nodes()), dtype=float)
-    elif callable(b):
-        b_nodes = np.asarray(b(grid.nodes()), dtype=float)
-    else:
-        b_nodes = np.asarray(b, dtype=float)
-    b_nodes = np.broadcast_to(b_nodes, grid.shape)
-    if np.any(b_nodes <= 0):
-        raise GridError("diffusion coefficient must be positive on the grid")
-    faces = face_coefficients(grid, b_nodes)
-    return ScalarField(grid, diffusion_stencil(field.values, grid.spacing,
-                                               faces))
-
-
 def integrate(field: ScalarField, weight=1) -> float:
     """Midpoint quadrature sum(w(x_i) f_i) * cell volume."""
     v = field.values
@@ -230,9 +208,12 @@ def kernel_convolution(grid: TraitGrid, kernel, chunk: int = 512):
 
     - Separable kernels (kernel.separable with .phi/.psi) factorize:
       phi(x) * sum_j psi(y_j) n_j.
-    - Translation-invariant kernels (a .profile with C(x, y) =
-      profile(x - y)) use a zero-padded linear FFT convolution; every
-      offset (i - j) h is sampled once into the kernel spectrum.
+    - Kernels that are a floor plus a product of one-axis factors,
+      C = floor + amp * prod_a axis_factor(x_a - y_a) (an .axis_factor
+      method), apply one nonnegative matrix K_a[i, j] = axis_factor(x_i -
+      x_j) per axis: amp vol K_x @ N @ K_y.T + floor vol sum(N).  Each
+      output entry is a sum of nonnegative products, accurate relative to
+      itself down to the far tails of the kernel.
     - Any other kernel takes the direct O(N^2) midpoint rule, evaluated in
       row chunks to bound memory.
 
@@ -251,23 +232,23 @@ def kernel_convolution(grid: TraitGrid, kernel, chunk: int = 512):
             return ScalarField(grid, (phi_x * total).reshape(shape))
         return separable
 
-    if callable(getattr(kernel, "profile", None)):
-        # offsets m h for m in -(N-1)..N-1, laid out circularly per axis so
-        # that index m mod 2N holds offset m; 2N >= 2N-1 leaves no wrap-around
-        lengths = tuple(2 * n for n in shape)
-        steps = [np.concatenate([np.arange(n), np.arange(n - L, 0)]) * h
-                 for n, L, h in zip(shape, lengths, grid.spacing)]
-        offsets = np.stack(np.meshgrid(*steps, indexing="ij"), axis=-1)
-        profile = np.asarray(kernel.profile(offsets), dtype=float)
-        spectrum = np.fft.rfftn(profile * vol)
-        axes = tuple(range(grid.dimension))
-        window = tuple(slice(0, n) for n in shape)
+    if callable(getattr(kernel, "axis_factor", None)):
+        mats = []
+        for ax in range(grid.dimension):
+            x = grid.axis_coords(ax)
+            k = np.subtract.outer(x, x)
+            mats.append(kernel.axis_factor(k, out=k))
+        amp, floor = kernel.amp * vol, kernel.floor * vol
 
-        def fft(density):
-            f = np.fft.rfftn(density.values, s=lengths, axes=axes)
-            out = np.fft.irfftn(f * spectrum, s=lengths, axes=axes)[window]
+        def per_axis(density):
+            n = density.values
+            out = mats[0] @ n
+            if grid.dimension == 2:
+                out = out @ mats[1].T
+            out *= amp
+            out += floor * n.sum()
             return ScalarField(grid, out)
-        return fft
+        return per_axis
 
     def direct(density):
         n = density.values.reshape(-1)
@@ -279,13 +260,6 @@ def kernel_convolution(grid: TraitGrid, kernel, chunk: int = 512):
         out *= vol
         return ScalarField(grid, out.reshape(shape))
     return direct
-
-
-def convolve_kernel(density: DensityField, kernel, chunk: int = 512) -> ScalarField:
-    """Competition field x -> sum_j C(x_i, y_j) n_j * cell volume, by the
-    path `kernel_convolution` picks for this kernel.  A run applies one map
-    per step; build it once with `kernel_convolution` instead."""
-    return kernel_convolution(density.grid, kernel, chunk)(density)
 
 
 # --- field snapshot formats ----------------------------------------------

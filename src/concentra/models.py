@@ -11,6 +11,7 @@ array methods.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -143,8 +144,9 @@ class ConstantKernel:
 class GaussianKernel:
     """C(x, y) = floor + amp * exp(-|x-y|^2 / (2 width^2)).
 
-    Translation-invariant: C(x, y) = profile(x - y), which lets the
-    competition convolution run as an FFT."""
+    Translation-invariant, C(x, y) = profile(x - y), and a product over the
+    axes: C = floor + amp * prod_a axis_factor(x_a - y_a), which lets the
+    competition convolution run as one nonnegative matrix per axis."""
 
     separable = False
 
@@ -157,6 +159,13 @@ class GaussianKernel:
     def profile(self, offsets):
         s = (np.asarray(offsets, dtype=float) ** 2).sum(axis=-1)
         return self.floor + self.amp * np.exp(-s / (2.0 * self.width ** 2))
+
+    def axis_factor(self, offsets, out=None):
+        """exp(-d^2 / (2 width^2)) of each one-axis offset d, written to
+        `out` when given (it may be `offsets` itself)."""
+        out = np.square(offsets, out=out)
+        np.divide(out, -2.0 * self.width ** 2, out=out)
+        return np.exp(out, out=out)
 
     def __call__(self, x, y):
         return self.profile(np.asarray(x, dtype=float)
@@ -904,6 +913,12 @@ _KINDS = {
 }
 
 
+# the repr of an offending value in a message: deep nesting, long lists and
+# long strings are cut short with '...'
+_SHORT = reprlib.Repr()
+_SHORT.maxlevel, _SHORT.maxstring, _SHORT.maxother = 3, 60, 60
+
+
 def check_spec(value, spec, dimension, path):
     """Raise ModelError naming the first entry of `value`, found at `path`,
     that `spec` does not allow."""
@@ -917,30 +932,31 @@ def check_spec(value, spec, dimension, path):
         elif not (isinstance(value, (list, tuple))
                   and len(value) == dimension):
             raise ModelError(f"field {path} must be a list of length "
-                             f"{dimension}, got {value!r}")
+                             f"{dimension}, got {_SHORT.repr(value)}")
         else:
             spec = [spec.entry]
     if isinstance(spec, str):
         test, what = _KINDS[spec]
         if not test(value, dimension):
             raise ModelError(f"field {path} must be "
-                             f"{what.format(d=dimension)}, got {value!r}")
+                             f"{what.format(d=dimension)}, "
+                             f"got {_SHORT.repr(value)}")
     elif isinstance(spec, tuple):
         if value not in spec:
             raise ModelError(f"field {path} must be one of {sorted(spec)}, "
-                             f"got {value!r}")
+                             f"got {_SHORT.repr(value)}")
     elif isinstance(spec, list):
         if not (isinstance(value, (list, tuple))
                 and len(value) >= len(spec) - 1):   # 1 for [entry, ...]
             raise ModelError(f"field {path} must be a list of "
                              f"{'one or more ' if len(spec) > 1 else ''}"
-                             f"entries, got {value!r}")
+                             f"entries, got {_SHORT.repr(value)}")
         for k, v in enumerate(value):
             check_spec(v, spec[0], dimension, f"{path}[{k}]")
     else:
         if not isinstance(value, dict):
             raise ModelError(f"field {path} must be an object, "
-                             f"got {value!r}")
+                             f"got {_SHORT.repr(value)}")
         if "type" in spec:
             kind = value.get("type", "constant")
             check_spec(kind, tuple(spec["type"]), dimension, f"{path}.type")

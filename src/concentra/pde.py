@@ -3,8 +3,10 @@
 Splitting per step: the stiff reaction term is applied explicitly through an
 exponential (positivity-preserving, exact for frozen rates), then diffusion
 implicitly by solving (Id - eps dt L) n_new = n_star.  On a 1D grid the
-tridiagonal operator is factored once per run and each step is one Thomas
-sweep, exact to round-off entry by entry; on a 2D grid the solve is a
+tridiagonal operator is factored once per run; up to GREEN_MAX_NODES nodes
+its inverse G is built once from the factors and each step is one
+matrix-vector product G @ n_star, above that each step is one Thomas sweep.
+Both are exact to round-off entry by entry.  On a 2D grid the solve is a
 warm-started matrix-free conjugate-gradient iteration in numpy.
 """
 
@@ -25,6 +27,11 @@ from .wkb import locate_max, regularity_monitor, to_wkb
 
 CG_RTOL = 1e-10
 CG_MAXITER = 2000
+# Largest 1D grid that builds G = (Id - eps dt L)^{-1}.  G @ n costs O(n^2)
+# per step against the sweep's O(n); in a 400-step run, build included, G
+# wins at 384 nodes, ties at 448 and loses from 512 (2-vCPU Xeon, OpenBLAS
+# on 1 thread).
+GREEN_MAX_NODES = 384
 NEGATIVE_CLAMP = 1e-10   # relative tolerance for solver round-off below zero
 BOUNDARY_MASS_FRACTION = 1e-8
 
@@ -42,7 +49,8 @@ class SeriesFormatError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """A PDE step failed: reaction overflow or a failed diffusion solve."""
+    """A time step failed: a PDE reaction overflow or diffusion solve, or a
+    canonical ODE that left the domain before its second sample."""
 
 
 @dataclass
@@ -144,7 +152,7 @@ def _cg(matvec, b, x0, rtol, maxiter):
     return x, maxiter
 
 
-def _thomas_solver(k: np.ndarray):
+def _thomas_solver(k: np.ndarray, green: bool):
     """Solver of the tridiagonal M-matrix with off-diagonals -k[i] between
     nodes i and i+1 and unit row sums (diagonal 1 + k[i-1] + k[i], k = 0
     past the ends): the 1D operator Id - eps dt L with k the face weights
@@ -155,7 +163,12 @@ def _thomas_solver(k: np.ndarray):
     they are sums of positive terms; the forward multipliers k[i] / p[i],
     the off-diagonals and the reciprocal pivots are positive too.  A solve
     then only adds and multiplies nonnegative numbers: each entry of the
-    solution is accurate relative to itself, down to the far tails."""
+    solution is accurate relative to itself, down to the far tails.
+
+    With `green` the factors build the inverse G once, by the same sweep on
+    the identity, row by row in one array, and a solve is G @ rhs: every
+    entry of G is positive, so the product keeps that accuracy.  Without
+    it a solve is the sweep itself, over Python floats."""
     k = k.tolist()
     mult, inv = [], []
     q = 1.0
@@ -165,6 +178,22 @@ def _thomas_solver(k: np.ndarray):
         mult.append(ki / p)
         q = 1.0 + ki * q / p
     inv_last = 1.0 / q
+
+    if green:
+        # row i of g is row i of the forward sweep on the identity, then of
+        # the back substitution; column j is the sweep of e_j, bitwise
+        g = np.empty((len(k) + 1,) * 2)
+        g[0] = 0.0
+        g[0, 0] = 1.0
+        for i, m in enumerate(mult, 1):
+            np.multiply(g[i - 1], m, out=g[i])
+            g[i, i] += 1.0
+        g[-1] *= inv_last
+        for i in reversed(range(len(k))):
+            g[i] += k[i] * g[i + 1]
+            g[i] *= inv[i]
+        return lambda rhs: g @ rhs
+
     k_back, inv_back = k[::-1], inv[::-1]
 
     def solve(rhs):
@@ -185,19 +214,21 @@ def _thomas_solver(k: np.ndarray):
     return solve
 
 
-def diffusion_solve(dimension: int) -> dict:
-    """The implicit diffusion solve `ImexIntegrator` runs on a grid of this
-    dimension, as a run's manifest records it."""
-    if dimension == 1:
-        return {"method": "tridiagonal"}
-    return {"method": "cg", "rtol": CG_RTOL}
+def diffusion_solve(grid: TraitGrid) -> dict:
+    """The implicit diffusion solve `ImexIntegrator` runs on this grid, as a
+    run's manifest records it."""
+    if grid.dimension == 2:
+        return {"method": "cg", "rtol": CG_RTOL}
+    if grid.num_nodes <= GREEN_MAX_NODES:
+        return {"method": "green_matrix"}
+    return {"method": "tridiagonal"}
 
 
 class ImexIntegrator:
     """One-step integrator with cached stencil data, a once-built
     competition convolution (local model) and b = 1 unless `b` is given.
-    The diffusion solve follows the grid: once-factored Thomas sweeps in
-    1D, warm-started CG in 2D."""
+    The diffusion solve follows the grid (`diffusion_solve`): a once-built
+    inverse or once-factored Thomas sweeps in 1D, warm-started CG in 2D."""
 
     def __init__(self, grid: TraitGrid, model, config: SimulationConfig,
                  b: DiffusionCoefficient = None):
@@ -237,10 +268,12 @@ class ImexIntegrator:
                                      coef).reshape(-1)
 
         self._matvec = matvec
-        self._thomas = None
+        self._solve_1d = None
         if grid.dimension == 1:
             w = faces[0][1:-1] if faces is not None else np.ones(shape[0] - 1)
-            self._thomas = _thomas_solver(w * (coef / spacing[0] ** 2))
+            self._solve_1d = _thomas_solver(
+                w * (coef / spacing[0] ** 2),
+                green=diffusion_solve(grid)["method"] == "green_matrix")
 
     def macro_of(self, density: DensityField):
         """Macro coupling computed from a density: scalar I (global) or the
@@ -276,8 +309,8 @@ class ImexIntegrator:
             raise SolverError(f"reaction update overflowed: dt*sup|R|/eps = "
                               f"{advisory:.3g}; reduce dt or raise epsilon")
         rhs = n_star.reshape(-1)
-        if self._thomas is not None:
-            sol = self._thomas(rhs)
+        if self._solve_1d is not None:
+            sol = self._solve_1d(rhs)
         else:
             # warm-started CG, inline: x0 is freed after np.maximum below
             # allocates, an order that spares glibc trimming the heap and

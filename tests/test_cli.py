@@ -511,8 +511,8 @@ def _run_python(*args):
 
 
 def test_local_run_leaves_scipy_fft_unimported(tmp_path):
-    """The FFT convolution uses numpy.fft; importing scipy.fft as well costs
-    about 5 MB of resident memory."""
+    """The competition convolution is one BLAS product per axis; importing
+    scipy.fft would cost about 5 MB of resident memory."""
     scen = write_scenario(tmp_path, _local_scenario())
     code = ("import sys\n"
             "import concentra.cli\n"
@@ -934,6 +934,39 @@ def test_check_numerical_failure_after_loading_exits_3(tmp_path, capsys,
     monkeypatch.setattr(cli, "check_assumptions", fails)
     assert main(["check", write_scenario(tmp_path, BASE)]) == 3
     assert str(error) in _one_line(capsys.readouterr().err, "numerical")
+
+
+def _first_step_exit_scenario():
+    """A growth maximum far outside the box and a start one step from its
+    edge: the frozen canonical ODE leaves on its first step."""
+    return variant(model__params__center=[5.0], model__params__weights=[0.01],
+                   u0=[{"center": [0.99], "weights": [0.01]}],
+                   canonical={"closure": "frozen", "dt": 0.15, "T": 0.15})
+
+
+@pytest.mark.parametrize("command", ["run", "canonical"])
+def test_canonical_first_step_domain_exit_exits_3(tmp_path, capsys, command):
+    scen = write_scenario(tmp_path, _first_step_exit_scenario())
+    out = tmp_path / "out"
+    with pytest.warns(RuntimeWarning, match="left the domain"):
+        assert main(_command_args(command, scen, str(out))) == 3
+    err = _one_line(capsys.readouterr().err, "numerical")
+    assert "left the domain on its first step, at t=0.15, x=[1.54" in err
+    assert not any(os.scandir(out))
+
+
+def test_spec_message_shortens_a_deeply_nested_value(tmp_path):
+    raw = copy.deepcopy(BASE)
+    raw["probes"] = "PROBES"
+    nested = "[" * 980 + "]" * 980
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps(raw).replace('"PROBES"', f"[{nested}]"))
+    # a fresh interpreter: the parser's recursion starts from a short stack
+    proc = _run_python("-m", "concentra.cli", "check", str(scen))
+    assert proc.returncode == 2, proc.stderr
+    err = _one_line(proc.stderr, "validation")
+    assert "field $.probes[0] must be a nonnegative integer, got [[" in err
+    assert len(err) < 200, len(err)
 
 
 def test_module_entry_point_exits_2_without_traceback(tmp_path):

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from concentra.grid import (DensityField, GridError, ScalarField, TraitGrid,
-                            boundary_ring_mass, build_grid, convolve_kernel,
-                            diffusion_stencil, div_b_grad, face_coefficients,
-                            integrate, kernel_convolution, laplacian,
-                            read_field_csv, write_field_csv)
-from concentra.models import GaussianKernel, QuadraticFunction, SeparableKernel
+                            boundary_ring_mass, build_grid, diffusion_stencil,
+                            face_coefficients, integrate, kernel_convolution,
+                            laplacian, read_field_csv, write_field_csv)
+from concentra.models import (GaussianKernel, QuadraticFunction,
+                              SeparableKernel, build_model)
+from concentra.pde import ConfigError, ImexIntegrator, SimulationConfig
 
 
 def _grid2(n=32, lower=0.0, upper=1.0):
@@ -130,22 +131,29 @@ def test_laplacian_rejects_unknown_bc():
         laplacian(ScalarField(g, np.zeros(g.shape)), bc="periodic")
 
 
-# --- div(b grad) ------------------------------------------------------------
+# --- div(b grad), as the run builds it ---------------------------------------
+
+def _div_b_grad(values, grid, b_nodes):
+    """div(b grad f) with face weights from the node-sampled b, as
+    `ImexIntegrator` builds its stencil."""
+    return diffusion_stencil(values, grid.spacing,
+                             face_coefficients(grid, b_nodes))
+
 
 def test_div_b_grad_unit_coefficient_is_laplacian_bitwise():
     rng = np.random.default_rng(7)
     g = _grid2(24)
     f = ScalarField(g, rng.standard_normal(g.shape))
     a = laplacian(f).values
-    b = div_b_grad(f, np.ones(g.shape)).values
+    b = _div_b_grad(f.values, g, np.ones(g.shape))
     assert np.array_equal(a, b)
 
 
 def test_div_b_grad_constant_scaling():
     g = _grid2(32)
     nodes = g.nodes()
-    f = ScalarField(g, (nodes ** 2).sum(axis=-1))
-    out = div_b_grad(f, 3.0 * np.ones(g.shape)).values
+    f = (nodes ** 2).sum(axis=-1)
+    out = _div_b_grad(f, g, 3.0 * np.ones(g.shape))
     assert np.max(np.abs(out[1:-1, 1:-1] - 12.0)) <= 1e-9
 
 
@@ -153,15 +161,22 @@ def test_div_b_grad_affine_coefficient_1d():
     # b(x) = 1 + x, f = x: d/dx((1+x) * 1) = 1 exactly on interior nodes.
     g = _grid1(64)
     x = g.axis_coords(0)
-    f = ScalarField(g, x.copy())
-    out = div_b_grad(f, lambda pts: 1.0 + pts[..., 0]).values
+    out = _div_b_grad(x.copy(), g, 1.0 + x)
     assert np.max(np.abs(out[1:-1] - 1.0)) <= 1e-12
 
 
 def test_div_b_grad_rejects_nonpositive_coefficient():
+    class Vanishing:   # zero at every node; a DiffusionCoefficient refuses it
+        def value(self, x):
+            return np.zeros(np.shape(x)[:-1])
+
     g = _grid1()
-    with pytest.raises(GridError):
-        div_b_grad(ScalarField(g, np.zeros(g.shape)), np.zeros(g.shape))
+    model = build_model({"family": "affine_global",
+                         "params": {"a": 0.0, "slope": [0.0],
+                                    "coef_I": 0.0}}, 1)
+    with pytest.raises(ConfigError, match="must be positive on the grid"):
+        ImexIntegrator(g, model, SimulationConfig(0.01, 0.01, 1),
+                       b=Vanishing())
 
 
 def _padded_stencil(values, spacing, faces=None):
@@ -295,8 +310,8 @@ def test_convolve_constant_kernel_gives_total_mass():
     g = _grid2(16)
     n = DensityField(g, rng.random(g.shape))
     rho = integrate(n)
-    out = convolve_kernel(n, lambda x, y: np.ones(
-        np.broadcast_shapes(x.shape[:-1], y.shape[:-1])))
+    out = kernel_convolution(g, lambda x, y: np.ones(
+        np.broadcast_shapes(x.shape[:-1], y.shape[:-1])))(n)
     assert np.max(np.abs(out.values - rho)) <= 1e-13
 
 
@@ -307,9 +322,9 @@ def test_convolve_separable_fast_path_matches_direct():
     phi = QuadraticFunction(2.0, [0.3], [0.5])
     psi = QuadraticFunction(1.5, [0.7], [0.25])
     kern = SeparableKernel(phi, psi)
-    fast = convolve_kernel(n, kern).values
-    direct = convolve_kernel(
-        n, lambda x, y: phi.value(x) * psi.value(y)).values
+    fast = kernel_convolution(g, kern)(n).values
+    direct = kernel_convolution(
+        g, lambda x, y: phi.value(x) * psi.value(y))(n).values
     assert np.max(np.abs(fast - direct)) <= 1e-13
 
 
@@ -318,7 +333,7 @@ def test_convolve_matches_bruteforce_double_loop():
     g = _grid2(8)
     n = DensityField(g, rng.random(g.shape))
     kern = GaussianKernel(floor=0.1, amp=0.9, width=0.4)
-    got = convolve_kernel(n, kern).values.reshape(-1)
+    got = kernel_convolution(g, kern)(n).values.reshape(-1)
     nodes = g.nodes().reshape(-1, 2)
     flat = n.values.reshape(-1)
     vol = g.cell_volume
@@ -333,10 +348,10 @@ def test_convolve_linearity_in_density():
     g = _grid1(32)
     n1 = rng.random(g.shape)
     n2 = rng.random(g.shape)
-    kern = GaussianKernel(amp=1.0, width=0.3)
-    mix = convolve_kernel(DensityField(g, 2 * n1 + 3 * n2), kern).values
-    parts = (2 * convolve_kernel(DensityField(g, n1), kern).values
-             + 3 * convolve_kernel(DensityField(g, n2), kern).values)
+    conv = kernel_convolution(g, GaussianKernel(amp=1.0, width=0.3))
+    mix = conv(DensityField(g, 2 * n1 + 3 * n2)).values
+    parts = (2 * conv(DensityField(g, n1)).values
+             + 3 * conv(DensityField(g, n2)).values)
     assert np.max(np.abs(mix - parts)) <= 1e-13
 
 
@@ -346,10 +361,10 @@ def test_convolve_chunking_agrees_with_single_block():
     n = DensityField(g, rng.random(g.shape))
     gauss = GaussianKernel(amp=1.0, width=0.2)
 
-    def kern(x, y):   # no .profile: the direct, chunked path
+    def kern(x, y):   # no .axis_factor: the direct, chunked path
         return gauss(x, y)
-    a = convolve_kernel(n, kern, chunk=7).values
-    b = convolve_kernel(n, kern, chunk=10_000).values
+    a = kernel_convolution(g, kern, chunk=7)(n).values
+    b = kernel_convolution(g, kern, chunk=10_000)(n).values
     # chunking changes the summation grouping, not the integral: allow the
     # last couple of ulps
     assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b))
@@ -361,30 +376,62 @@ def test_convolve_chunking_agrees_with_single_block():
     build_grid(2, [0.0, -1.0], [1.0, 2.0], [24, 19]),
 ], ids=["1d_256", "2d_24x19"])
 def test_convolve_fft_matches_direct(grid, floor):
+    """The Gaussian kernel's fast path, one nonnegative matrix per axis,
+    against the direct midpoint sum."""
     rng = np.random.default_rng(41)
     n = DensityField(grid, rng.random(grid.shape))
     kern = GaussianKernel(floor=floor, amp=0.2 if floor else 1.0, width=0.3)
-    assert callable(kern.profile)
-    fft = convolve_kernel(n, kern).values
-    direct = convolve_kernel(n, lambda x, y: kern(x, y)).values
-    assert np.max(np.abs(fft - direct)) <= 1e-13 * np.max(np.abs(direct))
+    assert callable(kern.axis_factor)
+    fast = kernel_convolution(grid, kern)(n).values
+    direct = kernel_convolution(grid, lambda x, y: kern(x, y))(n).values
+    assert np.max(np.abs(fast - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+
+@pytest.mark.parametrize("grid,width", [
+    (build_grid(1, 0.0, 1.0, 96), 0.05),
+    (build_grid(2, [0.0, -1.0], [1.0, 2.0], [20, 27]), 0.12),
+], ids=["1d_96", "2d_20x27"])
+def test_convolve_narrow_kernel_tails_entry_by_entry(grid, width):
+    """With no floor, a narrow width and a density concentrated near one
+    corner, the competition field spans tens of decades; every entry, down
+    to the far tails, is accurate relative to itself against the midpoint
+    sum evaluated in long double."""
+    rng = np.random.default_rng(47)
+    corner = ((grid.nodes() - np.asarray(grid.lower) - 0.1) ** 2).sum(-1)
+    n = DensityField(grid, (0.5 + rng.random(grid.shape))
+                     * np.exp(-corner / 0.004))
+    kern = GaussianKernel(floor=0.0, amp=1.3, width=width)
+    got = kernel_convolution(grid, kern)(n).values
+    ld = np.longdouble
+    nodes = grid.nodes().reshape(-1, grid.dimension).astype(ld)
+    d2 = ((nodes[:, None, :] - nodes[None, :, :]) ** 2).sum(axis=-1)
+    brute = ((ld(kern.amp) * np.exp(-d2 / (2 * ld(kern.width) ** 2)))
+             @ n.values.reshape(-1).astype(ld)) * ld(grid.cell_volume)
+    brute = brute.reshape(grid.shape)
+    assert brute.min() < 1e-20 * brute.max()
+    rel = np.abs(got.astype(ld) - brute) / brute
+    assert float(rel.max()) <= 1e-13
 
 
 def test_kernel_convolution_samples_kernel_once():
     calls = []
 
     class Counted(GaussianKernel):
-        def profile(self, offsets):
+        def axis_factor(self, offsets, out=None):
             calls.append(np.shape(offsets))
+            return super().axis_factor(offsets, out=out)
+
+        def profile(self, offsets):
+            calls.append("profile")
             return super().profile(offsets)
 
-    g = _grid2(12)
+    g = build_grid(2, 0.0, 1.0, [12, 10])
     conv = kernel_convolution(g, Counted(width=0.3))
     rng = np.random.default_rng(43)
     for _ in range(3):
         conv(DensityField(g, rng.random(g.shape)))
-    # one call, on every offset (i - j) h of the zero-padded 2N x 2N layout
-    assert calls == [(24, 24, 2)]
+    # one call per axis, on every offset (i - j) h of that axis
+    assert calls == [(12, 12), (10, 10)]
 
 
 # --- snapshot CSV -------------------------------------------------------------

@@ -153,13 +153,24 @@ def _exact_tridiagonal_solve(k, rhs):
     return x
 
 
-@pytest.mark.parametrize("variable", [False, True], ids=["uniform", "faces"])
-def test_1d_solve_exact_entry_by_entry(variable):
+@pytest.mark.parametrize("variable,green_max", [
+    pytest.param(False, None, id="uniform"),
+    pytest.param(True, None, id="faces"),
+    pytest.param(False, 63, id="uniform-sweep"),
+    pytest.param(True, 63, id="faces-sweep"),
+])
+def test_1d_solve_exact_entry_by_entry(monkeypatch, variable, green_max):
     """Every entry of the 1D diffusion solve, down to the far tails, is
     accurate relative to itself: an rhs spanning 1e-250 to 1 against the
-    exact rational solve of the same operator."""
+    exact rational solve of the same operator.  The 64-node grid applies
+    the once-built inverse; with GREEN_MAX_NODES lowered below 64 it sweeps
+    (a rational solve past the real constant takes seconds)."""
+    if green_max is not None:
+        monkeypatch.setattr(pde, "GREEN_MAX_NODES", green_max)
     engine = _diffusion_engine(1, variable)
     g, cfg = engine.grid, engine.config
+    assert pde.diffusion_solve(g)["method"] == (
+        "tridiagonal" if green_max else "green_matrix")
     w = (engine._faces[0][1:-1] if variable
          else np.ones(g.num_nodes - 1))
     coef = Fraction(cfg.epsilon * cfg.dt) / Fraction(g.spacing[0]) ** 2
@@ -173,6 +184,28 @@ def test_1d_solve_exact_entry_by_entry(variable):
     assert np.max(np.abs(x - exact) / exact) <= 1e-12
     assert (np.linalg.norm(engine._matvec(x) - rhs)
             <= 1e-13 * np.linalg.norm(rhs))
+
+
+@pytest.mark.parametrize("variable", [False, True], ids=["uniform", "faces"])
+def test_1d_solve_forms_meet_at_the_node_constant(monkeypatch, variable):
+    """GREEN_MAX_NODES alone picks the 1D form.  Just past it the grid
+    sweeps; the inverse built for that grid gives the same solve, entry by
+    entry, on an rhs spanning 1e-250 to 1."""
+    assert (pde.diffusion_solve(build_grid(1, 0.0, 1.0, pde.GREEN_MAX_NODES))
+            == {"method": "green_matrix"})
+    nodes = pde.GREEN_MAX_NODES + 1
+    rhs = np.logspace(-250.0, 0.0, nodes)
+    methods, solves = [], []
+    for green_max in (pde.GREEN_MAX_NODES, nodes):
+        monkeypatch.setattr(pde, "GREEN_MAX_NODES", green_max)
+        engine = _diffusion_engine(1, variable, nodes)
+        methods.append(pde.diffusion_solve(engine.grid)["method"])
+        solves.append(engine.step(SimulationState(
+            0.0, DensityField(engine.grid, rhs), None)).density.values)
+    assert methods == ["tridiagonal", "green_matrix"]
+    sweep, green = solves
+    assert sweep.min() < 1e-30
+    assert np.max(np.abs(green - sweep) / sweep) <= 1e-13
 
 
 def test_heat_kernel_variance_growth():
@@ -271,8 +304,9 @@ def test_zero_density_is_absorbing_for_local_model():
     assert np.all(out.density.values == 0.0)
 
 
-def _diffusion_engine(dimension, variable):
-    g = build_grid(dimension, 0.0, 1.0, 24 if dimension == 2 else 64)
+def _diffusion_engine(dimension, variable, nodes=None):
+    g = build_grid(dimension, 0.0, 1.0,
+                   nodes or (24 if dimension == 2 else 64))
     cfg = SimulationConfig(0.01, 0.01, 1)
     b = sine_diffusion(1.0, 0.5, 1.0) if variable else None
     return ImexIntegrator(g, zero_rate_model(dimension), cfg, b=b)
@@ -359,6 +393,10 @@ def test_run_local_samples_kernel_once_per_run():
     class Counted(GaussianKernel):
         calls = 0
 
+        def axis_factor(self, offsets, out=None):
+            Counted.calls += 1
+            return super().axis_factor(offsets, out=out)
+
         def profile(self, offsets):
             Counted.calls += 1
             return super().profile(offsets)
@@ -422,6 +460,21 @@ def test_run_determinism_bitwise():
     b, _, _ = _quick_run(steps=20)
     assert np.array_equal(a.series.I, b.series.I)
     assert np.array_equal(a.trajectory.points, b.trajectory.points)
+
+
+def test_run_local_determinism_bitwise():
+    """A 1D local run, through the once-built inverse and the per-axis
+    competition matrix, repeats bit for bit in one process."""
+    sc = load_bundled("local_logistic")
+    grid = build_grid(1, 0.0, 1.0, 96)
+    cfg = SimulationConfig(0.01, 0.002, 40, snapshot_every=20)
+    runs = [run_simulation(cfg, sc.build_model(), grid, sc.u0, probes=[40],
+                           constants=sc.build_constants()) for _ in range(2)]
+    a, b = ([r.series.I, r.series.rho, r.series.J, r.series.boundary_mass,
+             r.trajectory.points, r.trajectory.hessians, r.residuals,
+             *(r.snapshots[k].values for k in (0, 20, 40))] for r in runs)
+    assert [x.tobytes() for x in a] == [x.tobytes() for x in b]
+    assert runs[0].probe_maxima == runs[1].probe_maxima
 
 
 def test_quadratic_concave_regularity_monitor_sees_concave_u():
