@@ -118,38 +118,56 @@ class DensityField(ScalarField):
                             f"(min {self.values.min():g})")
 
 
-def diffusion_stencil(values: np.ndarray, spacing, faces=None,
-                      coef=None) -> np.ndarray:
-    """Flux-form no-flux diffusion stencil, built without padding.
+def diffusion_stencil(values: np.ndarray, spacing, faces=None, coef=None,
+                      out=None, work=None) -> np.ndarray:
+    """Flux-form no-flux diffusion stencil on the flattened grid.
 
-    Per axis the face fluxes are F = b * (f_{i+1} - f_i) on interior faces
-    (b = 1 without `faces`; the boundary entries of `faces` are ignored) and
-    F = 0 on the boundary faces; the node value is (F_{i+1/2} - F_{i-1/2})
-    / h^2, summed over axes.  With `coef` the result is
-    `values - coef * stencil`, the operator of an implicit diffusion step.
-    Every entry is bitwise what padding the differences with zeros gives:
-    the boundary nodes take F_{1/2} - 0 and 0 - F_{n-3/2}, and the axis sum
-    starts from a zero array.
+    Along axis a, with flat stride s (the product of the later axis
+    lengths) over the N nodes, the face fluxes are one shift,
+    F = w * (v[s:] - v[:-s]) with w the flat face weights of `faces`
+    (`face_coefficients`; w = 1 without), and F is set to +0.0 on each
+    line's last node, where the shift wraps into the next line (a product
+    w * F there could be -0.0).  The node values
+    are another shift, t[s:N-s] = F[s:] - F[:-s] over h^2; the first and
+    last s nodes take F_{1/2} - 0 and 0 - F_{n-3/2}, and a zero flux makes
+    the same two differences at the ends of the inner lines.  The terms are
+    summed over axes; with `coef` the result is `values - coef * stencil`,
+    the operator of an implicit diffusion step.  Every entry is bitwise
+    what padding the differences with zeros gives, signed zeros included.
+
+    The result goes to `out` (C-contiguous with N entries; returned in its
+    own shape) and the fluxes and terms to the two rows of `work`, shape
+    (2, N); each is allocated when not given, and neither is read before
+    it is written.
     """
-    out = np.empty_like(values)
-    for ax in range(values.ndim):
-        # views with axis `ax` first; writing to them fills flux and term
-        flux = np.moveaxis(np.diff(values, axis=ax), ax, 0)
+    if out is None:
+        out = np.empty(values.shape)
+    if work is None:
+        work = np.empty((2, values.size))
+    v = values.reshape(-1)
+    res = out.reshape(-1)
+    flux, term = work
+    n = v.size
+    s = n
+    for ax, length in enumerate(values.shape):
+        s //= length
+        f = flux[:n - s]
+        np.subtract(v[s:], v[:-s], out=f)
         if faces is not None:
-            flux *= np.moveaxis(faces[ax], ax, 0)[1:-1]
-        term = np.empty_like(values) if ax else out
-        t = np.moveaxis(term, ax, 0)
-        t[0] = flux[0]
-        np.subtract(flux[1:], flux[:-1], out=t[1:-1])
-        np.subtract(0.0, flux[-1:], out=t[-1:])
-        term /= spacing[ax] ** 2
+            f *= faces[ax][:n - s]
+        flux.reshape(-1, length, s)[:, -1] = 0.0
+        t = term if ax else res
+        t[:s] = f[:s]
+        np.subtract(f[s:], f[:-s], out=t[s:n - s])
+        np.subtract(0.0, f[-s:], out=t[n - s:])
+        t /= spacing[ax] ** 2
         if ax:
-            out += term
+            res += t
         else:
-            out += 0.0   # 0 + t: a sum that starts from zeros has no -0.0
+            res += 0.0   # 0 + t: a sum that starts from zeros has no -0.0
     if coef is not None:
-        out *= coef
-        np.subtract(values, out, out=out)
+        res *= coef
+        np.subtract(v, res, out=res)
     return out
 
 
@@ -166,18 +184,19 @@ def laplacian(field: ScalarField, bc: str = "no-flux") -> ScalarField:
 
 
 def face_coefficients(grid: TraitGrid, b_values: np.ndarray) -> list:
-    """Arithmetic face averages of a node-sampled coefficient, per axis.
-
-    Returned arrays include boundary faces (coefficient there is irrelevant
-    under no-flux; set to 0).
-    """
+    """Arithmetic face averages of a node-sampled coefficient: one flat
+    array of grid.num_nodes weights per axis, in `diffusion_stencil`'s
+    layout.  Entry k weighs the face between flat node k and its successor
+    along the axis; it is 0 on each line's last node, whose face is the
+    no-flux boundary."""
     faces = []
     for ax in range(grid.dimension):
-        interior = 0.5 * (np.take(b_values, np.arange(1, grid.shape[ax]), axis=ax)
-                          + np.take(b_values, np.arange(grid.shape[ax] - 1), axis=ax))
-        pad = [(0, 0)] * grid.dimension
-        pad[ax] = (1, 1)
-        faces.append(np.pad(interior, pad))
+        lo = [slice(None)] * grid.dimension
+        hi = list(lo)
+        lo[ax], hi[ax] = slice(None, -1), slice(1, None)
+        w = np.zeros(grid.shape)
+        w[tuple(lo)] = 0.5 * (b_values[tuple(hi)] + b_values[tuple(lo)])
+        faces.append(w.reshape(-1))
     return faces
 
 

@@ -7,7 +7,10 @@ tridiagonal operator is factored once per run; up to GREEN_MAX_NODES nodes
 its inverse G is built once from the factors and each step is one
 matrix-vector product G @ n_star, above that each step is one Thomas sweep.
 Both are exact to round-off entry by entry.  On a 2D grid the solve is a
-warm-started matrix-free conjugate-gradient iteration in numpy.
+warm-started matrix-free conjugate-gradient iteration in numpy that
+allocates nothing: its vectors are work rows the integrator allocates once,
+and its matrix-vector product is the flat-stride `grid.diffusion_stencil`
+writing into them.
 """
 
 from __future__ import annotations
@@ -81,6 +84,7 @@ class SimulationState:
     time: float
     density: DensityField
     macro: object = None     # scalar I (global) or competition field (local)
+    rate: np.ndarray = None  # R on the nodes for this density and macro
 
 
 # --- initial data -----------------------------------------------------------
@@ -123,31 +127,43 @@ def u0_peaks(u0_spec):
 
 # --- the IMEX engine ----------------------------------------------------------
 
-def _cg(matvec, b, x0, rtol, maxiter):
+def _cg(matvec, b, work, rtol, maxiter):
     """Unpreconditioned conjugate gradients for a symmetric positive-definite
     operator, stopping when ||r|| < rtol ||b||.  Operation for operation the
     recurrence of scipy.sparse.linalg.cg (scipy 1.17, atol 0), so the
-    iterates are bitwise the same.  Returns (x, info): info is 0 on
+    iterates are bitwise the same; ||r|| is sqrt(r . r), as np.linalg.norm
+    computes it, from the one dot product that is also rho.
+
+    `work` holds five vectors of b's size, (x, r, p, q, tmp), and the solve
+    allocates none: x is the initial guess on entry and the solution on
+    return, the others are overwritten.  `matvec(v, out)` writes the
+    product into `out`; tmp serves only between products, so it may be
+    scratch that matvec overwrites.  Returns (x, info): info is 0 on
     convergence and maxiter when the iterations ran out."""
-    x = np.array(x0, dtype=float)
+    x, r, p, q, tmp = work
     bnrm2 = np.linalg.norm(b)
     if bnrm2 == 0:
-        return b, 0
+        x[:] = b
+        return x, 0
     atol = rtol * bnrm2
-    r = b - matvec(x) if x.any() else b.copy()
+    if x.any():
+        matvec(x, r)
+        np.subtract(b, r, out=r)
+    else:
+        r[:] = b
     for iteration in range(maxiter):
-        if np.linalg.norm(r) < atol:
-            return x, 0
         rho = np.dot(r, r)
+        if np.sqrt(rho) < atol:
+            return x, 0
         if iteration:
             p *= rho / rho_prev
             p += r
         else:
-            p = r.copy()
-        q = matvec(p)
+            p[:] = r
+        matvec(p, q)
         alpha = rho / np.dot(p, q)
-        x += alpha * p
-        r -= alpha * q
+        x += np.multiply(p, alpha, out=tmp)
+        r -= np.multiply(q, alpha, out=q)
         rho_prev = rho
     return x, maxiter
 
@@ -228,7 +244,11 @@ class ImexIntegrator:
     """One-step integrator with cached stencil data, a once-built
     competition convolution (local model) and b = 1 unless `b` is given.
     The diffusion solve follows the grid (`diffusion_solve`): a once-built
-    inverse or once-factored Thomas sweeps in 1D, warm-started CG in 2D."""
+    inverse or once-factored Thomas sweeps in 1D, warm-started CG in 2D,
+    run in six work rows of grid size allocated here: the CG's x (which
+    keeps the last solution as the next warm start), r, p and q, and the
+    stencil's flux and term rows, the first of which is also the CG's
+    scratch."""
 
     def __init__(self, grid: TraitGrid, model, config: SimulationConfig,
                  b: DiffusionCoefficient = None):
@@ -237,7 +257,8 @@ class ImexIntegrator:
         self.config = config
         self.nodes = grid.nodes()
         self.advisories = []
-        self._prev = None
+        self._work = np.empty((6, grid.num_nodes))
+        self._warm = False
 
         self._local = isinstance(model, LocalCompetitionModel)
         if self._local:
@@ -261,16 +282,18 @@ class ImexIntegrator:
         spacing = grid.spacing
         coef = config.epsilon * config.dt
         faces = self._faces
+        stencil_work = self._work[4:]
 
-        def matvec(v):
-            """(Id - eps dt L) v on the flattened grid."""
-            return diffusion_stencil(v.reshape(shape), spacing, faces,
-                                     coef).reshape(-1)
+        def matvec(v, out=None):
+            """(Id - eps dt L) v on the flattened grid, into `out` if given
+            (a new array otherwise)."""
+            return diffusion_stencil(v.reshape(shape), spacing, faces, coef,
+                                     out=out, work=stencil_work).reshape(-1)
 
         self._matvec = matvec
         self._solve_1d = None
         if grid.dimension == 1:
-            w = faces[0][1:-1] if faces is not None else np.ones(shape[0] - 1)
+            w = faces[0][:-1] if faces is not None else np.ones(shape[0] - 1)
             self._solve_1d = _thomas_solver(
                 w * (coef / spacing[0] ** 2),
                 green=diffusion_solve(grid)["method"] == "green_matrix")
@@ -295,7 +318,9 @@ class ImexIntegrator:
     def step(self, state: SimulationState) -> SimulationState:
         cfg = self.config
         n = state.density.values
-        rate, _ = self.rate_field(state.density, state.macro)
+        rate = state.rate
+        if rate is None:
+            rate, _ = self.rate_field(state.density, state.macro)
 
         advisory = cfg.dt * float(np.abs(rate).max()) / cfg.epsilon
         if advisory > 1.0 and not self.advisories:
@@ -312,16 +337,15 @@ class ImexIntegrator:
         if self._solve_1d is not None:
             sol = self._solve_1d(rhs)
         else:
-            # warm-started CG, inline: x0 is freed after np.maximum below
-            # allocates, an order that spares glibc trimming the heap and
-            # page-faulting it back every step (8x the faults otherwise)
-            x0 = self._prev if self._prev is not None else rhs
-            sol, info = _cg(self._matvec, rhs, x0, CG_RTOL, CG_MAXITER)
+            if not self._warm:
+                self._work[0] = rhs
+                self._warm = True
+            sol, info = _cg(self._matvec, rhs, self._work[:5], CG_RTOL,
+                            CG_MAXITER)
             if info != 0:
                 res = np.linalg.norm(self._matvec(sol) - rhs)
                 raise SolverError(f"diffusion solve did not converge "
                                   f"(info={info}, residual={res:.3e})")
-            self._prev = sol
         peak = float(sol.max())
         low = float(sol.min())
         if low < -NEGATIVE_CLAMP * max(peak, 1.0):
@@ -368,7 +392,7 @@ def run_simulation(config: SimulationConfig, model, grid: TraitGrid, u0_spec,
     def record(step_index):
         n = state.density
         rate, macro = engine.rate_field(n, state.macro)
-        state.macro = macro
+        state.macro, state.rate = macro, rate
         rho = float(n.values.sum() * vol)
         i_val = rho if engine._local else macro
         psi_rn = engine._psi * rate * n.values

@@ -180,14 +180,17 @@ def test_div_b_grad_rejects_nonpositive_coefficient():
 
 
 def _padded_stencil(values, spacing, faces=None):
-    """Reference: face differences padded with zero boundary fluxes."""
+    """Reference: face differences padded with zero boundary fluxes.  The
+    flat weights of `face_coefficients` (the face after each node) take the
+    grid's shape and the first face's zero weight in front."""
     out = np.zeros_like(values)
     for ax in range(values.ndim):
         pad = [(0, 0)] * values.ndim
         pad[ax] = (1, 1)
         flux = np.pad(np.diff(values, axis=ax), pad)
         if faces is not None:
-            flux = faces[ax] * flux
+            pad[ax] = (1, 0)
+            flux = np.pad(faces[ax].reshape(values.shape), pad) * flux
         out += np.diff(flux, axis=ax) / spacing[ax] ** 2
     return out
 
@@ -199,10 +202,15 @@ def _padded_stencil(values, spacing, faces=None):
                                         "2d_150"])
 @pytest.mark.parametrize("variable", [False, True], ids=["uniform", "faces"])
 def test_stencil_bitwise_equals_padded_formula(grid, variable):
+    """Allocated or written into reused buffers filled with NaN before each
+    call, the stencil is the padded formula byte for byte: a stale read of
+    a wrap or boundary entry would show."""
     rng = np.random.default_rng(11)
     faces = (face_coefficients(grid, rng.uniform(0.5, 2.0, grid.shape))
              if variable else None)
     coef = 0.37
+    out = np.empty(grid.shape)
+    work = np.empty((2, grid.num_nodes))
     for _ in range(5):
         f = rng.standard_normal(grid.shape)
         zeros = rng.random(grid.shape) < 0.3   # signed zeros must match too
@@ -212,6 +220,12 @@ def test_stencil_bitwise_equals_padded_formula(grid, variable):
         assert got.tobytes() == ref.tobytes()
         assert (diffusion_stencil(f, grid.spacing, faces, coef).tobytes()
                 == (f - coef * ref).tobytes())
+        for c, expected in ((None, ref), (coef, f - coef * ref)):
+            out.fill(np.nan)
+            work.fill(np.nan)
+            assert diffusion_stencil(f, grid.spacing, faces, c, out=out,
+                                     work=work) is out
+            assert out.tobytes() == expected.tobytes()
 
 
 # --- quadrature -------------------------------------------------------------

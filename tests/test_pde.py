@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -171,7 +172,7 @@ def test_1d_solve_exact_entry_by_entry(monkeypatch, variable, green_max):
     g, cfg = engine.grid, engine.config
     assert pde.diffusion_solve(g)["method"] == (
         "tridiagonal" if green_max else "green_matrix")
-    w = (engine._faces[0][1:-1] if variable
+    w = (engine._faces[0][:-1] if variable
          else np.ones(g.num_nodes - 1))
     coef = Fraction(cfg.epsilon * cfg.dt) / Fraction(g.spacing[0]) ** 2
     k = [Fraction(v) * coef for v in w.tolist()]
@@ -315,6 +316,8 @@ def _diffusion_engine(dimension, variable, nodes=None):
 @pytest.mark.parametrize("dimension", [1, 2])
 @pytest.mark.parametrize("variable", [False, True], ids=["uniform", "faces"])
 def test_cg_bitwise_equals_scipy_cg(dimension, variable):
+    """The five solves run back to back in one engine's work rows, so each
+    starts from the buffers the one before left dirty."""
     linalg = pytest.importorskip("scipy.sparse.linalg")
     engine = _diffusion_engine(dimension, variable)
     g = engine.grid
@@ -328,15 +331,42 @@ def test_cg_bitwise_equals_scipy_cg(dimension, variable):
     cases = [(b, b, CG_MAXITER), (b, warm, CG_MAXITER),
              (b, np.zeros(n), CG_MAXITER), (b, warm, 3),
              (np.zeros(n), warm, CG_MAXITER)]
+    work = engine._work[:5]
     for rhs, x0, maxiter in cases:
         x0_before = x0.copy()
-        ours, info = pde._cg(engine._matvec, rhs, x0, CG_RTOL, maxiter)
+        work[0] = x0
+        ours, info = pde._cg(engine._matvec, rhs, work, CG_RTOL, maxiter)
         ref, ref_info = linalg.cg(op, rhs, x0=x0, rtol=CG_RTOL, atol=0.0,
                                   maxiter=maxiter)
         assert info == ref_info
         assert ours.tobytes() == ref.tobytes()
         assert np.array_equal(x0, x0_before)
-    assert pde._cg(engine._matvec, b, warm, CG_RTOL, 3)[1] == 3
+    work[0] = warm
+    assert pde._cg(engine._matvec, b, work, CG_RTOL, 3)[1] == 3
+
+
+def test_cg_allocates_no_grid_vector():
+    """A cold 2D solve runs in the engine's work rows: forced to 10 or to
+    150 iterations, its traced allocations peak below an eighth of one grid
+    vector.  The work set itself is six grid vectors."""
+    g = build_grid(2, 0.0, 1.0, 128)
+    engine = ImexIntegrator(g, zero_rate_model(2),
+                            SimulationConfig(1.0, 1.0, 1))
+    b = init_density(g, [{"center": [0.4, 0.6], "weights": [1.0, 1.0]}],
+                     0.01, 0.3).values.reshape(-1)
+    assert engine._work.nbytes == 6 * b.nbytes
+    work = engine._work[:5]
+    peaks = []
+    for maxiter in (10, 150):
+        work[0] = 0.0
+        tracemalloc.start()
+        try:
+            info = pde._cg(engine._matvec, b, work, CG_RTOL, maxiter)[1]
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert info == maxiter
+    assert max(peaks) < b.nbytes / 8
 
 
 def test_cg_non_convergence_raises_solver_error(monkeypatch):
@@ -475,6 +505,72 @@ def test_run_local_determinism_bitwise():
              *(r.snapshots[k].values for k in (0, 20, 40))] for r in runs)
     assert [x.tobytes() for x in a] == [x.tobytes() for x in b]
     assert runs[0].probe_maxima == runs[1].probe_maxima
+
+
+def test_run_global_2d_determinism_bitwise():
+    """A 2D global run, through the warm-started CG in the engine's work
+    rows, repeats bit for bit in one process, with another engine stepped
+    in between."""
+    sc = load_bundled("scenario2")
+    grid = build_grid(2, 0.0, 1.0, 40)
+    cfg = dataclasses.replace(sc.build_config(), steps=20, snapshot_every=10)
+    runs = []
+    for _ in range(2):
+        runs.append(run_simulation(cfg, sc.build_model(), grid, sc.u0,
+                                   probes=[10, 20],
+                                   constants=sc.build_constants()))
+        other = _diffusion_engine(2, True)
+        _run_steps(other, SimulationState(0.0, init_density(
+            other.grid, sc.u0, 0.01, 0.3), None), 3)
+    a, b = ([r.series.I, r.series.rho, r.series.J, r.series.boundary_mass,
+             r.trajectory.points, r.trajectory.hessians, r.residuals,
+             *(r.snapshots[k].values for k in (0, 10, 20))] for r in runs)
+    assert [x.tobytes() for x in a] == [x.tobytes() for x in b]
+    assert runs[0].probe_maxima == runs[1].probe_maxima
+    assert len(runs[0].regularity_reports) == 2
+
+
+@pytest.mark.parametrize("name", ["quadratic_concave", "scenario2",
+                                  "local_logistic"])
+def test_step_given_the_rate_equals_one_that_computes_it(name):
+    """`record()` hands its R to the next step.  A step given that R is
+    byte-equal to one that evaluates it, over a few chained steps."""
+    sc = load_bundled(name)
+    grid = build_grid(2, 0.0, 1.0, 24) if name == "scenario2" \
+        else sc.build_grid()
+    cfg = sc.build_config()
+    density = init_density(grid, sc.u0, cfg.epsilon, cfg.mass_target)
+    given, computed = (ImexIntegrator(grid, sc.build_model(), cfg)
+                       for _ in range(2))
+    a = b = SimulationState(0.0, density, None)
+    for _ in range(3):
+        rate, macro = given.rate_field(a.density, None)
+        a = given.step(SimulationState(a.time, a.density, macro, rate))
+        b = computed.step(b)
+        assert a.density.values.tobytes() == b.density.values.tobytes()
+
+
+@pytest.mark.parametrize("name,dimension", [("quadratic_concave", 1),
+                                            ("scenario2", 2)])
+def test_global_run_evaluates_rate_on_the_grid_once_per_step(monkeypatch,
+                                                             name, dimension):
+    """An N-step global run evaluates the model's R over the grid N + 1
+    times, once per recorded step: the step reuses the record's R."""
+    sc = load_bundled(name)
+    model = sc.build_model()
+    grid = build_grid(dimension, 0.0, 1.0, 32)
+    calls = []
+    rate = type(model).rate
+
+    def counted(self, x, I):
+        if np.shape(x)[:-1] == grid.shape:
+            calls.append(I)
+        return rate(self, x, I)
+
+    monkeypatch.setattr(type(model), "rate", counted)
+    cfg = dataclasses.replace(sc.build_config(), steps=12)
+    run_simulation(cfg, model, grid, sc.u0)
+    assert len(calls) == 13
 
 
 def test_quadratic_concave_regularity_monitor_sees_concave_u():
