@@ -252,7 +252,10 @@ def _worker_count(n_jobs: int) -> int:
         if cap < 1:
             raise ScenarioError("CONCENTRA_THREADS must be >= 1")
     else:
-        cap = os.cpu_count() or 1
+        try:   # the CPUs this process may run on, not the machine's
+            cap = len(os.sched_getaffinity(0))
+        except AttributeError:
+            cap = os.cpu_count() or 1
     return max(1, min(n_jobs, cap))
 
 

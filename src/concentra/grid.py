@@ -236,7 +236,7 @@ def kernel_convolution(grid: TraitGrid, kernel, chunk: int = 512):
     - Any other kernel takes the direct O(N^2) midpoint rule, evaluated in
       row chunks to bound memory.
 
-    Returns a callable DensityField -> ScalarField.
+    Returns a callable from density values to field values (grid shape).
     """
     nodes = grid.nodes().reshape(-1, grid.dimension)
     vol = grid.cell_volume
@@ -246,9 +246,9 @@ def kernel_convolution(grid: TraitGrid, kernel, chunk: int = 512):
         psi_y = np.asarray(kernel.psi(nodes), dtype=float)
         phi_x = np.asarray(kernel.phi(nodes), dtype=float)
 
-        def separable(density):
-            total = float((psi_y * density.values.reshape(-1)).sum() * vol)
-            return ScalarField(grid, (phi_x * total).reshape(shape))
+        def separable(n):
+            total = float((psi_y * n.reshape(-1)).sum() * vol)
+            return (phi_x * total).reshape(shape)
         return separable
 
     if callable(getattr(kernel, "axis_factor", None)):
@@ -259,25 +259,24 @@ def kernel_convolution(grid: TraitGrid, kernel, chunk: int = 512):
             mats.append(kernel.axis_factor(k, out=k))
         amp, floor = kernel.amp * vol, kernel.floor * vol
 
-        def per_axis(density):
-            n = density.values
+        def per_axis(n):
             out = mats[0] @ n
             if grid.dimension == 2:
                 out = out @ mats[1].T
             out *= amp
             out += floor * n.sum()
-            return ScalarField(grid, out)
+            return out
         return per_axis
 
-    def direct(density):
-        n = density.values.reshape(-1)
+    def direct(n):
+        n = n.reshape(-1)
         out = np.empty(nodes.shape[0])
         for start in range(0, nodes.shape[0], chunk):
             stop = min(start + chunk, nodes.shape[0])
             block = kernel(nodes[start:stop, None, :], nodes[None, :, :])
             out[start:stop] = block @ n
         out *= vol
-        return ScalarField(grid, out.reshape(shape))
+        return out.reshape(shape)
     return direct
 
 

@@ -83,7 +83,7 @@ class SimulationConfig:
 class SimulationState:
     time: float
     density: DensityField
-    macro: object = None     # scalar I (global) or competition field (local)
+    macro: object = None     # scalar I (global) or competition array (local)
     rate: np.ndarray = None  # R on the nodes for this density and macro
 
 
@@ -253,26 +253,30 @@ class ImexIntegrator:
     def __init__(self, grid: TraitGrid, model, config: SimulationConfig,
                  b: DiffusionCoefficient = None):
         self.grid = grid
-        self.model = model
         self.config = config
-        self.nodes = grid.nodes()
+        nodes = grid.nodes()
         self.advisories = []
         self._work = np.empty((6, grid.num_nodes))
         self._warm = False
 
+        # R is affine in the macro, R = base + slope * macro, with base and
+        # slope fixed per run: R(x, 0) and dR/dI, or r(x) and -1 on C * n
         self._local = isinstance(model, LocalCompetitionModel)
         if self._local:
-            self._r_nodes = np.asarray(model.intrinsic.value(self.nodes),
-                                       dtype=float)
+            self._base = np.asarray(model.intrinsic.value(nodes), dtype=float)
+            self._slope = -1.0
             self._convolve = kernel_convolution(grid, model.kernel)
-        elif not isinstance(model, GlobalInteractionModel):
+        elif isinstance(model, GlobalInteractionModel):
+            self._base = np.asarray(model.rate(nodes, 0.0), dtype=float)
+            self._slope = np.asarray(model.d_rate_dI(nodes, 0.0), dtype=float)
+        else:
             raise ConfigError(f"unsupported model type "
                               f"{type(model).__name__}")
         self._psi = model.psi   # the weight of I and J; 1 for the local model
 
         self._faces = None
         if b is not None:
-            b_nodes = np.asarray(b.value(self.nodes), dtype=float)
+            b_nodes = np.asarray(b.value(nodes), dtype=float)
             if np.any(b_nodes <= 0):
                 raise ConfigError("diffusion coefficient must be positive "
                                   "on the grid")
@@ -300,20 +304,17 @@ class ImexIntegrator:
 
     def macro_of(self, density: DensityField):
         """Macro coupling computed from a density: scalar I (global) or the
-        competition field (local)."""
+        competition field on the nodes, an array (local)."""
         if self._local:
-            return self._convolve(density)
+            return self._convolve(density.values)
         return float((self._psi * density.values).sum()
                      * self.grid.cell_volume)
 
     def rate_field(self, density: DensityField, macro=None):
-        """(R values on nodes, macro used)."""
+        """(R values on nodes, macro used): R = base + slope * macro."""
         if macro is None:
             macro = self.macro_of(density)
-        if self._local:
-            return self._r_nodes - macro.values, macro
-        return (np.asarray(self.model.rate(self.nodes, macro), dtype=float),
-                macro)
+        return self._base + self._slope * macro, macro
 
     def step(self, state: SimulationState) -> SimulationState:
         cfg = self.config
@@ -407,10 +408,7 @@ def run_simulation(config: SimulationConfig, model, grid: TraitGrid, u0_spec,
         u = to_wkb(n, config.epsilon)
         notes = []
         peaks = locate_max(u, multi=multi, notes=notes)
-        for note in notes:
-            msg = f"step {step_index}: {note}"
-            if msg not in run_warnings:
-                run_warnings.append(msg)
+        run_warnings.extend(f"step {step_index}: {note}" for note in notes)
         x_bar, _, H = peaks[0]
 
         times.append(state.time)

@@ -704,6 +704,21 @@ def test_sweep_bad_thread_env_exits_2(tmp_path, capsys, monkeypatch):
     assert "CONCENTRA_THREADS" in capsys.readouterr().err
 
 
+def test_sweep_workers_capped_by_usable_cpus(monkeypatch):
+    """Under a one-CPU affinity mask on an 8-CPU machine a 3-row sweep
+    starts one worker; CONCENTRA_THREADS overrides the cap as before."""
+    monkeypatch.delenv("CONCENTRA_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    assert cli._worker_count(3) == 1
+    monkeypatch.setenv("CONCENTRA_THREADS", "2")
+    assert cli._worker_count(3) == 2
+    monkeypatch.delenv("CONCENTRA_THREADS")
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli._worker_count(3) == 3
+
+
 # --- canonical command -----------------------------------------------------------------
 
 def test_canonical_frozen_writes_trajectory(tmp_path, capsys):

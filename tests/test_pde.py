@@ -8,7 +8,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from concentra.grid import DensityField, build_grid, integrate
+from concentra.grid import (DensityField, ScalarField, build_grid, integrate,
+                            kernel_convolution)
 from concentra.models import (GaussianKernel, build_model, constant_diffusion,
                               sine_diffusion)
 from concentra import pde
@@ -554,8 +555,8 @@ def test_step_given_the_rate_equals_one_that_computes_it(name):
                                             ("scenario2", 2)])
 def test_global_run_evaluates_rate_on_the_grid_once_per_step(monkeypatch,
                                                              name, dimension):
-    """An N-step global run evaluates the model's R over the grid N + 1
-    times, once per recorded step: the step reuses the record's R."""
+    """A global run evaluates the model's R over the grid once, at I = 0
+    when the engine is built: every step's R is base + slope * I."""
     sc = load_bundled(name)
     model = sc.build_model()
     grid = build_grid(dimension, 0.0, 1.0, 32)
@@ -570,7 +571,89 @@ def test_global_run_evaluates_rate_on_the_grid_once_per_step(monkeypatch,
     monkeypatch.setattr(type(model), "rate", counted)
     cfg = dataclasses.replace(sc.build_config(), steps=12)
     run_simulation(cfg, model, grid, sc.u0)
-    assert len(calls) == 13
+    assert calls == [0.0]
+
+
+@pytest.mark.parametrize("name", ["scenario1_isotropic", "quadratic_concave",
+                                  "scenario2", "scenario3_circle"])
+def test_engine_rate_is_the_global_growth_law_bitwise(name):
+    """R = base + slope * I, built once, is bitwise `model.rate` on the
+    nodes, at I = 0, at the run's initial I and away from both."""
+    sc = load_bundled(name)
+    model, grid, cfg = sc.build_model(), sc.build_grid(), sc.build_config()
+    engine = ImexIntegrator(grid, model, cfg)
+    density = init_density(grid, sc.u0, cfg.epsilon, cfg.mass_target)
+    nodes = grid.nodes()
+    for macro in (0.0, engine.macro_of(density), 0.3, 1.7, 12.5):
+        rate, used = engine.rate_field(density, macro)
+        want = np.asarray(model.rate(nodes, macro), dtype=float)
+        assert used == macro and rate.shape == grid.shape
+        assert rate.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ["local_logistic", "local_logistic_2d"])
+def test_engine_rate_is_growth_minus_competition_bitwise(name):
+    """On the local family the macro is the competition array C * n, and R
+    is bitwise r(x) - (C * n)(x) on the nodes."""
+    sc = load_bundled(name)
+    model, grid, cfg = sc.build_model(), sc.build_grid(), sc.build_config()
+    engine = ImexIntegrator(grid, model, cfg)
+    conv = kernel_convolution(grid, model.kernel)
+    r = np.asarray(model.intrinsic.value(grid.nodes()), dtype=float)
+    rng = np.random.default_rng(53)
+    for density in (init_density(grid, sc.u0, cfg.epsilon, cfg.mass_target),
+                    DensityField(grid, rng.random(grid.shape))):
+        rate, macro = engine.rate_field(density)
+        field = conv(density.values)
+        assert type(macro) is np.ndarray and macro.shape == grid.shape
+        assert macro.tobytes() == field.tobytes()
+        assert rate.tobytes() == (r - field).tobytes()
+
+
+def test_local_step_validates_only_its_density(monkeypatch):
+    """Each local step validates one field, the `DensityField` it returns:
+    the competition field stays an array, so 10 more steps make 10 more
+    field checks."""
+    sc = load_bundled("local_logistic")
+    checks = []
+    check = ScalarField.__post_init__
+
+    def counted(self):
+        checks.append(type(self))
+        return check(self)
+
+    monkeypatch.setattr(ScalarField, "__post_init__", counted)
+    counts = []
+    for steps in (10, 20):
+        checks.clear()
+        cfg = dataclasses.replace(sc.build_config(), steps=steps)
+        run_simulation(cfg, sc.build_model(), sc.build_grid(), sc.u0)
+        counts.append(len(checks))
+    assert counts[1] - counts[0] == 10
+
+
+@pytest.mark.parametrize("name", ["quadratic_concave", "local_logistic"])
+def test_run_steps_through_public_step_once_per_step(monkeypatch, name):
+    """The benchmark's mass-drift gate wraps `ImexIntegrator.step` and calls
+    `rate_field(state.density, state.macro)` before each call.  The run
+    loop calls `step` once per step, on a state whose density and macro
+    `rate_field` accepts and whose R is the one `rate_field` returns."""
+    sc = load_bundled(name)
+    grid = sc.build_grid()
+    seen = []
+    step = ImexIntegrator.step
+
+    def hooked(self, state):
+        rate, macro = self.rate_field(state.density, state.macro)
+        seen.append(state.density.values.shape == grid.shape
+                    and macro is state.macro
+                    and rate.tobytes() == state.rate.tobytes())
+        return step(self, state)
+
+    monkeypatch.setattr(ImexIntegrator, "step", hooked)
+    cfg = dataclasses.replace(sc.build_config(), steps=12)
+    run_simulation(cfg, sc.build_model(), grid, sc.u0)
+    assert seen == [True] * 12
 
 
 def test_quadratic_concave_regularity_monitor_sees_concave_u():
