@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from .models import (ConstraintInfeasibleError, GlobalInteractionModel,
-                     LocalCompetitionModel, ModelError, float_law)
+                     LocalCompetitionModel, ModelError)
 
 
 class ClosureError(ValueError):
@@ -141,12 +141,15 @@ def _point_arithmetic(model, d):
     into the loop's form; multiplier(x); velocity(x, m, neg) solves
     neg v = grad_x R(x, m) for neg = -H; riccati(x, m, H) is dH/dt;
     check(H) raises ClosureError unless H is negative definite; and
-    outside(x, lower, upper) tests the domain.  For d >= 2 these are numpy
-    arrays and LAPACK's solve.  For d = 1 they are Python floats, a
-    division and a sign test, doing the 1-element arrays' operations in
-    their order, so the results are bitwise the same.
+    outside(x, lower, upper) tests the domain.  A 1D model whose
+    `on_floats()` gives its (multiplier, grad_x_rate, hess_x_rate) on Python
+    floats runs on floats: a division and a sign test, doing the 1-element
+    arrays' operations in their order, so the results are bitwise the same.
+    Any other model runs on numpy arrays and LAPACK's solve.
     """
-    if d > 1:
+    on_floats = getattr(model, "on_floats", None) if d == 1 else None
+    law = on_floats() if on_floats is not None else None
+    if law is None:
         def velocity(x, m, neg):
             return np.linalg.solve(
                 neg, np.asarray(model.grad_x_rate(x, m), dtype=float))
@@ -162,7 +165,7 @@ def _point_arithmetic(model, d):
                                check=_check_negative_definite,
                                outside=outside)
 
-    multiplier, grad, hess = float_law(model)
+    multiplier, grad, hess = law
 
     def check(h):
         if not h < 0:   # the 1x1 eigenvalue test; eigvalsh only to fail
@@ -351,7 +354,7 @@ def long_time_attractor(model, domain):
             return np.atleast_2d(np.asarray(
                 model.hess_x_rate(x, model.multiplier(x)), dtype=float))
     else:
-        if not model.symmetric:
+        if not model.kernel.symmetric:
             return None, "attractor theory requires a symmetric kernel"
 
         def grad(x):
@@ -412,7 +415,7 @@ def persistence_envelope(traj: ConcentrationTrajectory,
 def lyapunov_local(traj: ConcentrationTrajectory,
                    model: LocalCompetitionModel, tol: float = 1e-8) -> dict:
     """Series rho^2 C(x,x), which is non-decreasing for symmetric kernels."""
-    if not model.symmetric:
+    if not model.kernel.symmetric:
         return {"applicable": False}
     pts = np.asarray(traj.points, dtype=float)
     rho = np.asarray(traj.macro, dtype=float)

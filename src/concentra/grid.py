@@ -171,14 +171,12 @@ def diffusion_stencil(values: np.ndarray, spacing, faces=None, coef=None,
     return out
 
 
-def laplacian(field: ScalarField, bc: str = "no-flux") -> ScalarField:
+def laplacian(field: ScalarField) -> ScalarField:
     """Second-order diffusion stencil (3-point in 1D, 5-point in 2D).
 
     Flux form: (f_{i+1}-f_i) - (f_i-f_{i-1}) over h^2, with zero flux on
     boundary faces.  Exact on quadratics at interior nodes.
     """
-    if bc != "no-flux":
-        raise GridError(f"unsupported boundary rule {bc!r}")
     return ScalarField(field.grid,
                        diffusion_stencil(field.values, field.grid.spacing))
 
@@ -221,7 +219,10 @@ def boundary_ring_mass(density: DensityField, width: int = 2) -> float:
     return float((v.sum() - interior.sum()) * density.grid.cell_volume)
 
 
-def kernel_convolution(grid: TraitGrid, kernel, chunk: int = 512):
+CONVOLUTION_CHUNK = 512   # rows per block of the direct convolution
+
+
+def kernel_convolution(grid: TraitGrid, kernel):
     """The competition map n -> (x_i -> sum_j C(x_i, y_j) n_j * cell volume)
     on `grid`, with everything that does not depend on n built once.
 
@@ -271,8 +272,8 @@ def kernel_convolution(grid: TraitGrid, kernel, chunk: int = 512):
     def direct(n):
         n = n.reshape(-1)
         out = np.empty(nodes.shape[0])
-        for start in range(0, nodes.shape[0], chunk):
-            stop = min(start + chunk, nodes.shape[0])
+        for start in range(0, nodes.shape[0], CONVOLUTION_CHUNK):
+            stop = min(start + CONVOLUTION_CHUNK, nodes.shape[0])
             block = kernel(nodes[start:stop, None, :], nodes[None, :, :])
             out[start:stop] = block @ n
         out *= vol

@@ -1,18 +1,21 @@
-"""Growth laws with analytic derivatives, assumption ledger, constraint inversion.
+"""Growth laws with analytic derivatives, the assumption audit, constraint
+inversion.
 
 Trait points are numpy arrays of shape (..., d); every model method is
 vectorized over the leading dimensions.  Models and diffusion coefficients
 are frozen data: a growth law is its scalar function families and
-constants, and its derivatives are methods over theirs.  `float_law` gives
-a one-trait growth law at one point on Python floats, bitwise equal to the
-array methods.
+constants, and its derivatives are methods over theirs.  A competition
+kernel states its own symmetry.  A one-trait model's `on_floats()` gives
+its law at one point on Python floats, bitwise equal to the array methods.
+`check_assumptions` audits the concavity framework's inequalities on sample
+points, each as a margin that is >= 0 where the inequality holds.
 """
 
 from __future__ import annotations
 
 import math
 import reprlib
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -110,10 +113,13 @@ class LinearFunction:
 #
 # A kernel's `diagonal` is C(x, x) when that is one constant for every x,
 # as it is for an even translation-invariant kernel, whose grad_x C(x, x)
-# is then 0; it is None when C(x, x) has to be evaluated at x.
+# is then 0; it is None when C(x, x) has to be evaluated at x.  Its
+# `symmetric` states C(x, y) = C(y, x), which the Lyapunov and attractor
+# theory of the local model needs.
 
 class ConstantKernel:
     separable = True
+    symmetric = True
 
     def __init__(self, value=1.0):
         self.value = float(value)
@@ -149,6 +155,7 @@ class GaussianKernel:
     competition convolution run as one nonnegative matrix per axis."""
 
     separable = False
+    symmetric = True
 
     def __init__(self, floor=0.0, amp=1.0, width=1.0):
         self.floor = float(floor)
@@ -195,7 +202,8 @@ class GaussianKernel:
 
 class SeparableKernel:
     """Product kernel C(x, y) = phi(x) * psi(y); reduces the local model to
-    the global-interaction one."""
+    the global-interaction one.  It is taken as symmetric when phi and psi
+    are one family with equal parameters."""
 
     separable = True
     diagonal = None
@@ -203,6 +211,9 @@ class SeparableKernel:
     def __init__(self, phi, psi):
         self._phi = phi
         self._psi = psi
+        a, b = vars(phi), vars(psi)
+        self.symmetric = (type(phi) is type(psi) and a.keys() == b.keys()
+                          and all(np.array_equal(a[k], b[k]) for k in a))
 
     def __call__(self, x, y):
         return self.phi(x) * self.psi(y)
@@ -261,7 +272,9 @@ class GlobalInteractionModel:
         return invert_constraint(self, x)
 
     def on_floats(self):
-        """float_law of a 1D model whose growth family has on_floats."""
+        """(multiplier, grad_x_rate, hess_x_rate) of a 1D model on Python
+        floats, bitwise the array methods' results; the growth family must
+        have on_floats."""
         value, grad, hess = self.growth.on_floats()
         return (lambda x: _constraint_root(self, value(x), x),
                 lambda x, I: grad(x), lambda x, I: hess(x))
@@ -276,7 +289,6 @@ class LocalCompetitionModel:
     dimension: int
     intrinsic: QuadraticFunction
     kernel: object
-    symmetric: bool = True
     name: str = ""
 
     psi = 1.0   # the weight of I = int psi n, a class attribute, not a field
@@ -305,8 +317,9 @@ class LocalCompetitionModel:
         return max(r, 0.0) / (float(self.kernel(x, x)) if c is None else c)
 
     def on_floats(self):
-        """float_law of a 1D model, or None when C(x, x) is not a constant
-        (a separable kernel evaluates it at every point)."""
+        """(multiplier, grad_x_rate, hess_x_rate) of a 1D model on Python
+        floats, bitwise the array methods' results, or None when C(x, x) is
+        not a constant (a separable kernel evaluates it at every point)."""
         c = self.kernel.diagonal
         if c is None:
             return None
@@ -460,30 +473,6 @@ def _constraint_root(model: GlobalInteractionModel, f0: float, x):
     return f0 / model.coef_I
 
 
-def float_law(model):
-    """(multiplier(x), grad_x_rate(x, m), hess_x_rate(x, m)) of a one-trait
-    growth law at one point, taking and returning Python floats.
-
-    A model whose `on_floats` gives them evaluates on floats throughout,
-    with the array methods' operations in their order; any other is
-    evaluated through its array methods on a one-element point.  Either
-    way the results are bitwise those of the array methods."""
-    on_floats = getattr(model, "on_floats", None)
-    law = on_floats() if on_floats is not None else None
-    if law is not None:
-        return law
-
-    def grad(x, m):
-        return float(np.asarray(model.grad_x_rate(np.array([x]), m),
-                                dtype=float)[0])
-
-    def hess(x, m):
-        return float(np.asarray(model.hess_x_rate(np.array([x]), m),
-                                dtype=float)[0, 0])
-
-    return lambda x: model.multiplier(np.array([x])), grad, hess
-
-
 def steady_state_weight(model, y):
     """Weight of the Dirac steady state at trait y."""
     y = np.asarray(y, dtype=float)
@@ -512,6 +501,9 @@ def phi_potential(model: LocalCompetitionModel, x):
 
 # --- assumption checking -----------------------------------------------------
 
+SAMPLE_TOL = 1e-12   # round-off a sampled inequality may fall short by
+
+
 @dataclass
 class CheckResult:
     name: str
@@ -520,23 +512,22 @@ class CheckResult:
     worst_point: Optional[list] = None
     detail: str = ""
 
-    def to_dict(self):
-        return {"name": self.name, "passed": self.passed,
-                "margin": self.margin, "worst_point": self.worst_point,
-                "detail": self.detail}
-
 
 @dataclass
 class AssumptionReport:
     checks: list
-    warnings: list
+
+    @property
+    def warnings(self):
+        """Names of the failed checks: the 'outside concave framework' list."""
+        return [c.name for c in self.checks if c.passed is False]
 
     @property
     def all_passed(self):
         return all(c.passed is not False for c in self.checks)
 
     def to_dict(self):
-        return {"checks": [c.to_dict() for c in self.checks],
+        return {"checks": [asdict(c) for c in self.checks],
                 "outside_concave_framework": self.warnings,
                 "all_passed": self.all_passed}
 
@@ -548,17 +539,20 @@ def _sample_box(domain, per_axis):
     return np.stack(mesh, axis=-1).reshape(-1, len(lower))
 
 
-def _record(checks, warnings, name, passed, margin, worst, detail=""):
-    checks.append(CheckResult(name, passed, margin,
-                              None if worst is None else list(np.atleast_1d(worst))
-                              , detail))
-    if passed is False:
-        warnings.append(name)
+def _eig_bracket(k_under, k_bar, mats, upper_mats=None):
+    """Margin of -2 k_under <= eig <= -2 k_bar at each point: the least
+    eigenvalue of `mats` against the lower end, the greatest of
+    `upper_mats` (default `mats`) against the upper."""
+    ev = np.linalg.eigvalsh(mats)
+    ev_hi = ev if upper_mats is None else np.linalg.eigvalsh(upper_mats)
+    return np.minimum(ev.min(axis=-1) + 2.0 * k_under,
+                      -2.0 * k_bar - ev_hi.max(axis=-1))
 
 
-def _min_where(values, points):
-    k = int(np.argmin(values))
-    return float(values[k]), points[k]
+def _chain(l_bar, k_bar, k_under, l_under):
+    """Margin of 4 l_bar^2 <= k_bar <= k_under <= 4 l_under^2."""
+    return min(k_bar - 4.0 * l_bar ** 2, k_under - k_bar,
+               4.0 * l_under ** 2 - k_under)
 
 
 def check_assumptions(model, constants: AssumptionConstants, domain,
@@ -570,7 +564,21 @@ def check_assumptions(model, constants: AssumptionConstants, domain,
     'outside concave framework' warning list.  `u0` may supply callables
     value/hess for the initial-data checks.
     """
-    checks, warnings = [], []
+    checks = []
+
+    def record(name, margins, points=None, detail="", floor=-SAMPLE_TOL,
+               positive=False):
+        """Record the least of `margins`, an array whose last axis runs over
+        the rows of `points` (a number when points is None), the point where
+        it occurs, and whether it is > 0 (`positive`) or >= `floor`."""
+        margins = np.asarray(margins, dtype=float)
+        k = int(np.argmin(margins))
+        m = float(margins.flat[k])
+        worst = (None if points is None
+                 else list(points[np.unravel_index(k, margins.shape)[-1]]))
+        passed = m > 0 if positive else m >= floor
+        checks.append(CheckResult(name, bool(passed), m, worst, detail))
+
     c = constants
     dim = model.dimension
     per_axis = max(2, int(round(samples ** (1.0 / dim))) if dim == 2 else samples)
@@ -579,153 +587,104 @@ def check_assumptions(model, constants: AssumptionConstants, domain,
 
     if isinstance(model, GlobalInteractionModel):
         psi = float(model.psi)
-        _record(checks, warnings, "weight_bounds(7)", bool(psi > 0), psi,
-                pts[0], f"psi in [{psi:.6g}, {psi:.6g}]")
+        record("weight_bounds(7)", [psi], pts,
+               f"psi in [{psi:.6g}, {psi:.6g}]", positive=True)
 
         if c.I_M is not None:
             r_at_im = np.asarray(model.rate(pts, c.I_M), dtype=float)
-            top = float(r_at_im.max())
-            _record(checks, warnings, "normalization(8)",
-                    bool(abs(top) <= 1e-3), -abs(top),
-                    pts[int(np.argmax(r_at_im))],
-                    f"max R(x, I_M) = {top:.6g}")
+            k = int(np.argmax(r_at_im))
+            top = float(r_at_im[k])
+            record("normalization(8)", [-abs(top)], pts[k:k + 1],
+                   f"max R(x, I_M) = {top:.6g}", floor=-1e-3)
 
-        if c.K_bar_0 is not None and c.K_bar_1 is not None and c.K_under_1 is not None:
+        if None not in (c.K_bar_0, c.K_bar_1, c.K_under_1):
             i_grid = (np.linspace(0.0, c.I_M, 9) if c.I_M
                       else np.array([0.0]))
-            worst_m, worst_pt = math.inf, None
-            for i_val in i_grid:
-                r = np.asarray(model.rate(pts, i_val), dtype=float)
-                lo_m = r + c.K_under_1 * norms2
-                up_m = c.K_bar_0 - c.K_bar_1 * norms2 - r
-                marg = np.minimum(lo_m, up_m)
-                mm, mp = _min_where(marg, pts)
-                if mm < worst_m:
-                    worst_m, worst_pt = mm, mp
-            _record(checks, warnings, "quadratic_envelope(8b)",
-                    bool(worst_m >= -1e-12), worst_m, worst_pt)
+            r = np.asarray(model.rate(pts, i_grid[:, None]), dtype=float)
+            record("quadratic_envelope(8b)",
+                   np.minimum(r + c.K_under_1 * norms2,
+                              c.K_bar_0 - c.K_bar_1 * norms2 - r), pts)
 
         # D2R and dR/dI of R = g(x) - coef_I I do not depend on I
         hess = np.asarray(model.hess_x_rate(pts, 0.0), dtype=float)
-        if c.K_bar_1 is not None and c.K_under_1 is not None:
-            ev = np.linalg.eigvalsh(hess)
-            marg = np.minimum(ev.min(axis=-1) + 2.0 * c.K_under_1,
-                              -2.0 * c.K_bar_1 - ev.max(axis=-1))
-            mm, mp = _min_where(marg, pts)
-            _record(checks, warnings, "hessian_bounds(9)",
-                    bool(mm >= -1e-12), mm, mp,
-                    "requires -2K_under_1 <= D2R <= -2K_bar_1 < 0")
+        if None not in (c.K_bar_1, c.K_under_1):
+            record("hessian_bounds(9)",
+                   _eig_bracket(c.K_under_1, c.K_bar_1, hess), pts,
+                   "requires -2K_under_1 <= D2R <= -2K_bar_1 < 0")
 
-        if c.K_bar_2 is not None and c.K_under_2 is not None:
+        if None not in (c.K_bar_2, c.K_under_2):
             di = np.asarray(model.d_rate_dI(pts, 0.0), dtype=float)
-            marg = np.minimum(di + c.K_under_2, -c.K_bar_2 - di)
-            mm, mp = _min_where(marg, pts)
-            _record(checks, warnings, "I_monotonicity(10)",
-                    bool(mm >= -1e-12), mm, mp)
+            record("I_monotonicity(10)",
+                   np.minimum(di + c.K_under_2, -c.K_bar_2 - di), pts)
 
         if c.K_3 is not None:
-            lap = np.trace(hess, axis1=-2, axis2=-1) * psi
-            mm, mp = _min_where(lap + c.K_3, pts)
-            _record(checks, warnings, "laplacian_psi_R(10b)",
-                    bool(mm >= -1e-12), mm, mp)
+            record("laplacian_psi_R(10b)",
+                   np.trace(hess, axis1=-2, axis2=-1) * psi + c.K_3, pts)
 
-        if all(v is not None for v in (c.L_bar_1, c.K_bar_1, c.K_under_1,
-                                       c.L_under_1)):
-            chain = (c.K_bar_1 - 4.0 * c.L_bar_1 ** 2,
-                     c.K_under_1 - c.K_bar_1,
-                     4.0 * c.L_under_1 ** 2 - c.K_under_1)
-            m = float(min(chain))
-            _record(checks, warnings, "compatibility(17)", bool(m >= 0), m, None,
-                    "4 Lbar1^2 <= Kbar1 <= Kunder1 <= 4 Lunder1^2")
+        chain = (c.L_bar_1, c.K_bar_1, c.K_under_1, c.L_under_1)
+        if None not in chain:
+            record("compatibility(17)", _chain(*chain),
+                   detail="4 Lbar1^2 <= Kbar1 <= Kunder1 <= 4 Lunder1^2",
+                   floor=0.0)
 
     else:  # local competition
-        cxx = np.asarray(model.kernel(pts, pts), dtype=float)
-        m, mp = _min_where(cxx, pts)
-        _record(checks, warnings, "kernel_diag_positive(50)", bool(m > 0), m, mp)
+        record("kernel_diag_positive(50)", model.kernel(pts, pts), pts,
+               positive=True)
 
         if c.rho_M is not None:
             coarse = _sample_box(domain, min(per_axis, 24))
             r_x = np.asarray(model.intrinsic.value(coarse), dtype=float)
             cxy = np.asarray(model.kernel(coarse[:, None, :],
                                           coarse[None, :, :]), dtype=float)
-            marg = cxy - r_x[:, None] / c.rho_M
-            k = int(np.argmin(marg))
-            i, j = np.unravel_index(k, marg.shape)
-            _record(checks, warnings, "competition_dominance(51)",
-                    bool(marg[i, j] >= -1e-12), float(marg[i, j]),
-                    coarse[i], "pointwise sufficient condition "
-                    "C(x,y) >= r(x)/rho_M")
+            record("competition_dominance(51)",
+                   (cxy - r_x[:, None] / c.rho_M).min(axis=1), coarse,
+                   "pointwise sufficient condition C(x,y) >= r(x)/rho_M")
 
-        if (c.rho_M is not None and c.K_bar_1_prime is not None
-                and c.K_under_1_prime is not None):
-            hr = np.asarray(model.intrinsic.hess(pts), dtype=float)
-            coarse = _sample_box(domain, min(per_axis, 24))
-            hc = np.asarray(model.kernel.hess_x(pts[:, None, :],
-                                                coarse[None, :, :]), dtype=float)
-            sup_pos = np.maximum(hc, 0.0).max(axis=1)
-            sup_neg = np.minimum(hc, 0.0).max(axis=1)
-            ev_lo = np.linalg.eigvalsh(hr - c.rho_M * sup_pos).min(axis=-1)
-            ev_hi = np.linalg.eigvalsh(hr + c.rho_M * sup_neg).max(axis=-1)
-            marg = np.minimum(ev_lo + 2.0 * c.K_under_1_prime,
-                              -2.0 * c.K_bar_1_prime - ev_hi)
-            mm, mp = _min_where(marg, pts)
-            _record(checks, warnings, "local_concavity(52)",
-                    bool(mm >= -1e-12), mm, mp)
+            if None not in (c.K_bar_1_prime, c.K_under_1_prime):
+                hr = np.asarray(model.intrinsic.hess(pts), dtype=float)
+                hc = np.asarray(model.kernel.hess_x(pts[:, None, :],
+                                                    coarse[None, :, :]),
+                                dtype=float)
+                sup_pos = np.maximum(hc, 0.0).max(axis=1)
+                sup_neg = np.minimum(hc, 0.0).max(axis=1)
+                record("local_concavity(52)",
+                       _eig_bracket(c.K_under_1_prime, c.K_bar_1_prime,
+                                    hr - c.rho_M * sup_pos,
+                                    hr + c.rho_M * sup_neg), pts)
 
-        if all(v is not None for v in (c.L_bar_1, c.K_bar_1_prime,
-                                       c.K_under_1_prime, c.L_under_1)):
-            chain = (c.K_bar_1_prime - 4.0 * c.L_bar_1 ** 2,
-                     c.K_under_1_prime - c.K_bar_1_prime,
-                     4.0 * c.L_under_1 ** 2 - c.K_under_1_prime)
-            m = float(min(chain))
-            _record(checks, warnings, "compatibility(57)", bool(m >= 0), m, None)
+        chain = (c.L_bar_1, c.K_bar_1_prime, c.K_under_1_prime, c.L_under_1)
+        if None not in chain:
+            record("compatibility(57)", _chain(*chain), floor=0.0)
 
-    if u0 is not None and all(v is not None for v in
-                              (c.L_bar_0, c.L_bar_1, c.L_under_0, c.L_under_1)):
+    if u0 is not None and None not in (c.L_bar_0, c.L_bar_1, c.L_under_0,
+                                       c.L_under_1):
         uv = np.asarray(u0.value(pts), dtype=float)
-        lo_m = uv + c.L_under_0 + c.L_under_1 * norms2
-        up_m = c.L_bar_0 - c.L_bar_1 * norms2 - uv
-        marg = np.minimum(lo_m, up_m)
-        mm, mp = _min_where(marg, pts)
-        _record(checks, warnings, "initial_envelope(13)",
-                bool(mm >= -1e-12), mm, mp)
-        hu = np.asarray(u0.hess(pts), dtype=float)
-        ev = np.linalg.eigvalsh(hu)
-        marg = np.minimum(ev.min(axis=-1) + 2.0 * c.L_under_1,
-                          -2.0 * c.L_bar_1 - ev.max(axis=-1))
-        mm, mp = _min_where(marg, pts)
-        _record(checks, warnings, "initial_concavity(14)",
-                bool(mm >= -1e-12), mm, mp)
+        record("initial_envelope(13)",
+               np.minimum(uv + c.L_under_0 + c.L_under_1 * norms2,
+                          c.L_bar_0 - c.L_bar_1 * norms2 - uv), pts)
+        record("initial_concavity(14)",
+               _eig_bracket(c.L_under_1, c.L_bar_1,
+                            np.asarray(u0.hess(pts), dtype=float)), pts)
 
     if b is not None:
         bv = np.asarray(b.value(pts), dtype=float)
-        m = float(bv.min())
-        _record(checks, warnings, "diffusion_bounds(31)", bool(m > 0), m,
-                pts[int(np.argmin(bv))],
-                f"b in [{m:.6g}, {bv.max():.6g}]")
+        record("diffusion_bounds(31)", bv, pts,
+               f"b in [{bv.min():.6g}, {bv.max():.6g}]", positive=True)
+        radial = 1.0 + np.sqrt(norms2)
         if c.B_1 is not None:
             gn = np.linalg.norm(np.asarray(b.grad(pts), dtype=float), axis=-1)
-            marg = c.B_1 / (1.0 + np.sqrt(norms2)) - gn
-            mm, mp = _min_where(marg, pts)
-            _record(checks, warnings, "diffusion_gradient(31b)",
-                    bool(mm >= -1e-12), mm, mp)
+            record("diffusion_gradient(31b)", c.B_1 / radial - gn, pts)
         if c.B_2 is not None:
             tr = np.abs(np.asarray(b.hess_trace(pts), dtype=float))
-            marg = c.B_2 / (1.0 + np.sqrt(norms2)) ** 2 - tr
-            mm, mp = _min_where(marg, pts)
-            _record(checks, warnings, "diffusion_hess_trace(31c)",
-                    bool(mm >= -1e-12), mm, mp)
+            record("diffusion_hess_trace(31c)", c.B_2 / radial ** 2 - tr, pts)
         if c.B_3 is not None:
-            m = c.B_3 - b.third_bound
-            _record(checks, warnings, "diffusion_third(31d)",
-                    bool(m >= 0), float(m), None)
-        if c.B_2 is not None and c.C_grad_u is not None and c.K_bar_1 is not None:
-            m = 2.0 * c.K_bar_1 - c.B_2 * c.C_grad_u ** 2
-            _record(checks, warnings, "diffusion_compatibility(34)",
-                    bool(m > 0), float(m), None,
-                    "B2 Cgrad^2 - 2 Kbar1 < 0")
+            record("diffusion_third(31d)", c.B_3 - b.third_bound, floor=0.0)
+        if None not in (c.B_2, c.C_grad_u, c.K_bar_1):
+            record("diffusion_compatibility(34)",
+                   2.0 * c.K_bar_1 - c.B_2 * c.C_grad_u ** 2,
+                   detail="B2 Cgrad^2 - 2 Kbar1 < 0", positive=True)
 
-    return AssumptionReport(checks, warnings)
+    return AssumptionReport(checks)
 
 
 # --- registry of built-in families ------------------------------------------
@@ -826,10 +785,7 @@ def _build_kernel(spec, dimension):
 def build_logistic_local(params, dimension):
     r = _quadratic(params.get("r", {}), dimension)
     kernel = _build_kernel(params.get("kernel"), dimension)
-    symmetric = params.get("symmetric",
-                           not isinstance(kernel, SeparableKernel))
-    return LocalCompetitionModel(dimension, r, kernel, symmetric,
-                                 "logistic_local")
+    return LocalCompetitionModel(dimension, r, kernel, "logistic_local")
 
 
 @dataclass(frozen=True)
@@ -881,8 +837,7 @@ MODEL_FAMILIES = {
                   {"a": "number", "k": "number", "r_e": "number",
                    "coef_I": "number", "psi": "weight"}),
     "logistic_local": (build_logistic_local,
-                       {"r": _QUADRATIC, "kernel": _KERNEL,
-                        "symmetric": "flag"}),
+                       {"r": _QUADRATIC, "kernel": _KERNEL}),
 }
 
 
@@ -906,7 +861,6 @@ _KINDS = {
     "positive count": (lambda v, d: _is_int(v) and v > 0,
                        "a positive integer"),
     "axis": (lambda v, d: _is_int(v) and 0 <= v < d, "an integer in [0, {d})"),
-    "flag": (lambda v, d: isinstance(v, bool), "true or false"),
     "text": (lambda v, d: isinstance(v, str), "a string"),
     "object": (lambda v, d: isinstance(v, dict),   # checked where it is read
                "an object"),

@@ -410,13 +410,34 @@ def test_two_trait_gaussian_kernel_run_climbs_the_potential():
     assert np.all(np.abs(traj.points[-1] - best) <= grid.spacing)
 
 
+PHI = {"c0": 2.0, "center": [0.0], "weights": [0.5]}
+
+
+def _separable_local(phi, psi):
+    return build_model({"family": "logistic_local",
+                        "params": {"r": {"c0": 1.0, "center": [0.0],
+                                         "weights": [1.0]},
+                                   "kernel": {"type": "separable",
+                                              "phi": phi, "psi": psi}}}, 1)
+
+
 def test_lyapunov_not_applicable_for_asymmetric_kernel():
-    m = build_model({"family": "logistic_local",
-                     "params": {"r": {"c0": 1.0, "center": [0.0],
-                                      "weights": [1.0]},
-                                "symmetric": False}}, 1)
+    m = _separable_local(PHI, {"c0": 1.0, "center": [0.7], "weights": [0.3]})
+    assert m.kernel.symmetric is False
     traj = _traj_1d([0.0, 1.0], [0.1, 0.1], macro=[0.5, 0.5])
     assert lyapunov_local(traj, m) == {"applicable": False}
+    assert long_time_attractor(m, ([-1.0], [1.0])) == (
+        None, "attractor theory requires a symmetric kernel")
+
+
+def test_separable_kernel_with_equal_factors_is_symmetric():
+    m = _separable_local(PHI, dict(PHI))
+    assert m.kernel.symmetric is True
+    traj = _traj_1d([0.0, 1.0], [0.1, 0.1], macro=[0.5, 0.5])
+    out = lyapunov_local(traj, m)
+    assert out["applicable"] is True and out["passed"] is True
+    (x, _), why = long_time_attractor(m, ([-1.0], [1.0]))
+    assert why is None and abs(float(x[0])) <= 1e-6   # max of ln r - ln C
 
 
 # --- local/global reduction -------------------------------------------------------------
@@ -446,7 +467,7 @@ def test_separable_kernel_reduces_local_to_global_dynamics():
     psi = QuadraticFunction(1.0, [0.0], [0.0])     # identically 1
     r = QuadraticFunction(1.0, [0.2], [1.0])
     local = LocalCompetitionModel(1, r, SeparableKernel(phi, psi),
-                                  symmetric=False, name="reduced")
+                                  name="reduced")
     glob = _PhiWeightedGlobal(r, phi)
     closure_a = HessianClosure("frozen", initial_hessian=[[-2.0]])
     closure_b = HessianClosure("frozen", initial_hessian=[[-2.0]])
@@ -516,7 +537,7 @@ def _separable_case():
     phi = QuadraticFunction(2.0, [0.0], [0.5])
     psi = QuadraticFunction(1.0, [0.7], [0.3])
     model = LocalCompetitionModel(1, QuadraticFunction(1.0, [0.2], [1.0]),
-                                  SeparableKernel(phi, psi), symmetric=False)
+                                  SeparableKernel(phi, psi))
     return ((0.5,), HessianClosure("riccati", initial_hessian=[[-2.0]]),
             model, 0.01, 1.0, None)
 

@@ -187,6 +187,10 @@ def test_scenario_roundtrips_raw_json():
      "$.canonical.dt"),
     ({"canonical__dt": 0.04, "canonical__T": 0.1}, "$.canonical.dt"),
     ({"canonical__dt": 0.5}, "$.canonical.dt"),   # T = steps * dt = 0.15
+    # a kernel states its own symmetry; the key is no longer read
+    ({"model": {"family": "logistic_local",
+                "params": {"symmetric": True}}},
+     "$.model.params.symmetric is not read"),
 ])
 def test_scenario_validation_names_field(edits, needle):
     with pytest.raises(ScenarioError, match=needle.replace("$", r"\$")

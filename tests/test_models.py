@@ -13,7 +13,7 @@ from concentra.models import (ROOT_TOL, AssumptionConstants, ConstantKernel,
                               PotentialDomainError, QuadraticFunction,
                               SeparableKernel, build_model,
                               check_assumptions, constant_diffusion,
-                              eval_growth, float_law, invert_constraint,
+                              eval_growth, invert_constraint,
                               phi_potential, sine_diffusion,
                               steady_state_weight)
 from concentra.scenarios import bundled_scenario_names, load_bundled
@@ -243,8 +243,7 @@ def test_growth_law_interface_bitwise_equals_forked_formulas(name):
 
 ONE_TRAIT_LAWS = {
     **{name: GROWTH_LAWS[name] for name in (
-        "local_logistic", "quadratic_concave", "local_constant_kernel",
-        "local_separable_kernel")},
+        "local_logistic", "quadratic_concave", "local_constant_kernel")},
     "affine_global": lambda: build_model(
         {"family": "affine_global", "params": {"a": 2.0, "slope": [1.0]}},
         1),
@@ -254,7 +253,7 @@ ONE_TRAIT_LAWS = {
 @pytest.mark.parametrize("name", sorted(ONE_TRAIT_LAWS))
 def test_float_law_bitwise_equals_array_methods(name):
     m = ONE_TRAIT_LAWS[name]()
-    multiplier, grad, hess = float_law(m)
+    multiplier, grad, hess = m.on_floats()
     rng = np.random.default_rng(59)
     for x in [0.0, 0.2, 0.4, 0.5, *rng.uniform(0.0, 1.0, 200)]:
         p = np.array([x])
@@ -270,13 +269,24 @@ def test_float_law_bitwise_equals_array_methods(name):
 def test_float_law_names_the_point_of_an_infeasible_root():
     m = build_model({"family": "affine_global",
                      "params": {"a": -1.0, "slope": [0.0]}}, 1)
-    multiplier, _, _ = float_law(m)
+    multiplier, _, _ = m.on_floats()
     with pytest.raises(ConstraintInfeasibleError) as on_floats:
         multiplier(0.5)
     with pytest.raises(ConstraintInfeasibleError) as on_arrays:
         m.multiplier(np.array([0.5]))
     assert str(on_floats.value) == str(on_arrays.value)
     assert on_floats.value.x.tolist() == [0.5]
+
+
+def test_kernels_state_their_symmetry():
+    q = QuadraticFunction(2.0, [0.1], [0.5])
+    assert ConstantKernel(1.3).symmetric is True
+    assert GaussianKernel(floor=0.8, amp=0.2, width=0.5).symmetric is True
+    assert SeparableKernel(q, QuadraticFunction(2.0, [0.1], [0.5])).symmetric
+    for other in (QuadraticFunction(1.0, [0.1], [0.5]),
+                  QuadraticFunction(2.0, [0.7], [0.5]),
+                  QuadraticFunction(2.0, [0.1], [0.3])):
+        assert SeparableKernel(q, other).symmetric is False
 
 
 # --- steady states and potential ------------------------------------------------
@@ -380,6 +390,85 @@ def test_check_assumptions_diffusion_entries():
                             samples=100, b=b)
     assert _get(rep, "diffusion_bounds(31)").passed is True
     assert _get(rep, "diffusion_third(31d)").passed is True
+
+
+def test_check_assumptions_runs_every_check():
+    """All twenty audits on two models: R = 0.5 - x^2 - I with u0 = -x^2/2,
+    a sine b and every global constant; a Gaussian-kernel local model with
+    u0 = -(x - 0.5)^2/2 and every local constant.  Bracket, chain and
+    scalar margins are computed here from the constants."""
+    c = AssumptionConstants(
+        I_M=0.5, K_bar_0=0.75, K_bar_1=0.75, K_under_1=1.2, K_bar_2=0.5,
+        K_under_2=2.0, K_3=1.0, L_bar_0=0.25, L_under_0=0.5, L_bar_1=0.25,
+        L_under_1=0.75, B_1=10.0, B_2=100.0, B_3=50.0, C_grad_u=0.1)
+    rep = check_assumptions(
+        quadratic_1d(k0=0.5), c, (np.array([-1.0]), np.array([1.0])),
+        samples=9, b=sine_diffusion(base=1.0, amp=0.4, freq=1.0),
+        u0=QuadraticFunction(0.0, [0.0], [0.5]))
+    assert [ch.name for ch in rep.checks] == [
+        "weight_bounds(7)", "normalization(8)", "quadratic_envelope(8b)",
+        "hessian_bounds(9)", "I_monotonicity(10)", "laplacian_psi_R(10b)",
+        "compatibility(17)", "initial_envelope(13)", "initial_concavity(14)",
+        "diffusion_bounds(31)", "diffusion_gradient(31b)",
+        "diffusion_hess_trace(31c)", "diffusion_third(31d)",
+        "diffusion_compatibility(34)"]
+    margin = {ch.name: ch.margin for ch in rep.checks}
+    # D2R = -2, dR/dI = -1, D2u0 = -1 and b = 1 + 0.4 sin(2 pi x)
+    assert margin["weight_bounds(7)"] == 1.0
+    assert margin["normalization(8)"] == 0.0        # max R(x, 0.5) = 0 at 0
+    assert margin["hessian_bounds(9)"] == pytest.approx(
+        min(-2.0 + 2.0 * c.K_under_1, -2.0 * c.K_bar_1 + 2.0))      # 0.4
+    assert margin["I_monotonicity(10)"] == min(-1.0 + c.K_under_2,
+                                               -c.K_bar_2 + 1.0)
+    assert margin["laplacian_psi_R(10b)"] == -2.0 + c.K_3
+    assert margin["compatibility(17)"] == pytest.approx(min(
+        c.K_bar_1 - 4.0 * c.L_bar_1 ** 2, c.K_under_1 - c.K_bar_1,
+        4.0 * c.L_under_1 ** 2 - c.K_under_1))                      # 0.45
+    assert margin["initial_concavity(14)"] == min(
+        -1.0 + 2.0 * c.L_under_1, -2.0 * c.L_bar_1 + 1.0)           # 0.5
+    assert margin["diffusion_bounds(31)"] == pytest.approx(0.6)
+    assert margin["diffusion_gradient(31b)"] == pytest.approx(
+        c.B_1 / 2.0 - 0.8 * math.pi)                                # at x = -1
+    assert margin["diffusion_hess_trace(31c)"] == pytest.approx(
+        c.B_2 / 1.75 ** 2 - 1.6 * math.pi ** 2)                     # at -0.75
+    assert margin["diffusion_third(31d)"] == pytest.approx(
+        c.B_3 - 3.2 * math.pi ** 3)
+    assert margin["diffusion_compatibility(34)"] == pytest.approx(
+        2.0 * c.K_bar_1 - c.B_2 * c.C_grad_u ** 2)
+    assert _get(rep, "diffusion_gradient(31b)").worst_point == [-1.0]
+    assert _get(rep, "diffusion_hess_trace(31c)").worst_point == [-0.75]
+    assert rep.warnings == ["laplacian_psi_R(10b)", "diffusion_third(31d)"]
+    assert rep.warnings == [ch.name for ch in rep.checks
+                            if ch.passed is False]
+    assert rep.all_passed is False
+    assert rep.to_dict()["outside_concave_framework"] == rep.warnings
+
+    c = AssumptionConstants(rho_M=1.25, K_bar_1_prime=0.5,
+                            K_under_1_prime=2.0, L_bar_0=0.25, L_under_0=0.5,
+                            L_bar_1=0.25, L_under_1=0.5)
+    local = logistic_local(c0=1.0, center=0.5, weight=1.0,
+                           kernel={"type": "gaussian", "floor": 0.8,
+                                   "amp": 0.2, "width": 0.5})
+    rep = check_assumptions(local, c, (np.array([0.0]), np.array([1.0])),
+                            u0=QuadraticFunction(0.0, [0.5], [0.5]))
+    assert [ch.name for ch in rep.checks] == [
+        "kernel_diag_positive(50)", "competition_dominance(51)",
+        "local_concavity(52)", "compatibility(57)", "initial_envelope(13)",
+        "initial_concavity(14)"]
+    margin = {ch.name: ch.margin for ch in rep.checks}
+    assert margin["kernel_diag_positive(50)"] == 1.0      # floor + amp
+    # every x has a sample y at least 0.5 away, where D2_x C >= 0: the
+    # upper end of the bracket reads D2 r = -2 and binds
+    assert margin["local_concavity(52)"] == -2.0 * c.K_bar_1_prime + 2.0
+    assert margin["compatibility(57)"] == min(
+        c.K_bar_1_prime - 4.0 * c.L_bar_1 ** 2,
+        c.K_under_1_prime - c.K_bar_1_prime,
+        4.0 * c.L_under_1 ** 2 - c.K_under_1_prime)              # -1
+    assert margin["initial_concavity(14)"] == min(
+        -1.0 + 2.0 * c.L_under_1, -2.0 * c.L_bar_1 + 1.0)        # 0
+    assert _get(rep, "compatibility(57)").worst_point is None
+    assert rep.warnings == ["compatibility(57)"]
+    assert rep.all_passed is False
 
 
 # --- analytic derivatives against central differences ---------------------------
