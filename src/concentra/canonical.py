@@ -51,18 +51,25 @@ class ConcentrationTrajectory:
 
     def hessian_interpolant(self):
         """Componentwise linear-in-time interpolation of the Hessian series,
-        clamped to the sampled range."""
+        clamped to the sampled range.  It keeps its last time and matrix,
+        since an RK4 step asks for the same time two or three times; the
+        matrix is read-only, as every caller of that time shares it."""
         t = self.times
         H = self.hessians
+        last = (None, None)
 
         def interp(s):
+            nonlocal last
             s = min(max(float(s), t[0]), t[-1])
-            d = H.shape[-1]
-            out = np.empty((d, d))
-            for i in range(d):
-                for j in range(d):
-                    out[i, j] = np.interp(s, t, H[:, i, j])
-            return out
+            if s != last[0]:
+                d = H.shape[-1]
+                out = np.empty((d, d))
+                for i in range(d):
+                    for j in range(d):
+                        out[i, j] = np.interp(s, t, H[:, i, j])
+                out.flags.writeable = False
+                last = (s, out)
+            return last[1]
 
         return interp
 

@@ -10,6 +10,7 @@ Gaussian kernel, and the direct midpoint sum for any other.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -103,7 +104,11 @@ class ScalarField:
                 raise GridError(
                     f"field has {self.values.size} values, grid has "
                     f"{self.grid.num_nodes} nodes")
-        if not np.all(np.isfinite(self.values)):
+        # NaN propagates through min and max, and +-inf is an extreme
+        self._check_range(float(self.values.min()), float(self.values.max()))
+
+    def _check_range(self, low: float, high: float) -> None:
+        if not (math.isfinite(low) and math.isfinite(high)):
             raise GridError("field contains non-finite values")
 
 
@@ -111,11 +116,11 @@ class ScalarField:
 class DensityField(ScalarField):
     """Nonnegative population density on a grid."""
 
-    def __post_init__(self):
-        super().__post_init__()
-        if np.any(self.values < 0):
-            raise GridError("density field has negative entries "
-                            f"(min {self.values.min():g})")
+    def _check_range(self, low: float, high: float) -> None:
+        super()._check_range(low, high)
+        if low < 0:
+            raise GridError(f"density field has negative entries "
+                            f"(min {low:g})")
 
 
 def diffusion_stencil(values: np.ndarray, spacing, faces=None, coef=None,

@@ -5,12 +5,13 @@ exponential (positivity-preserving, exact for frozen rates), then diffusion
 implicitly by solving (Id - eps dt L) n_new = n_star.  On a 1D grid the
 tridiagonal operator is factored once per run; up to GREEN_MAX_NODES nodes
 its inverse G is built once from the factors and each step is one
-matrix-vector product G @ n_star, above that each step is one Thomas sweep.
-Both are exact to round-off entry by entry.  On a 2D grid the solve is a
-warm-started matrix-free conjugate-gradient iteration in numpy that
-allocates nothing: its vectors are work rows the integrator allocates once,
-and its matrix-vector product is the flat-stride `grid.diffusion_stencil`
-writing into them.
+matrix-vector product G @ n_star, above that each step runs the two
+recurrences of the factored solve as log-depth scans over nonnegative
+numbers.  Both are exact to round-off entry by entry.  On a 2D grid the
+solve is a warm-started matrix-free conjugate-gradient iteration in numpy
+that allocates nothing: its vectors are work rows the integrator allocates
+once, and its matrix-vector product is the flat-stride
+`grid.diffusion_stencil` writing into them.
 """
 
 from __future__ import annotations
@@ -31,10 +32,17 @@ from .wkb import locate_max, regularity_monitor, to_wkb
 CG_RTOL = 1e-10
 CG_MAXITER = 2000
 # Largest 1D grid that builds G = (Id - eps dt L)^{-1}.  G @ n costs O(n^2)
-# per step against the sweep's O(n); in a 400-step run, build included, G
-# wins at 384 nodes, ties at 448 and loses from 512 (2-vCPU Xeon, OpenBLAS
-# on 1 thread).
-GREEN_MAX_NODES = 384
+# per step against the scan's O(n log n).  Whole runs, build included
+# (2-vCPU Xeon, OpenBLAS on 1 thread): seconds for G, then for the scan, as
+# the range of three rounds' medians, and the alternating pairs the scan won
+#   nodes  quadratic_concave, 400 steps     local_logistic, 2500 steps
+#   256    0.036-0.052 0.033-0.047 15/21    0.32-0.42 0.34-0.42  5/15
+#   288    0.039-0.058 0.045-0.056 15/21    0.41-0.44 0.37-0.43  7/15
+#   320    0.047-0.055 0.034-0.044 21/21    0.40-0.46 0.30-0.42 15/15
+#   384    0.050-0.067 0.031-0.043 21/21    0.63-0.66 0.50-0.52 15/15
+#   448    0.072-0.094 0.038-0.052 21/21
+# G ties the scan up to 288 nodes and loses every pair from 320.
+GREEN_MAX_NODES = 288
 NEGATIVE_CLAMP = 1e-10   # relative tolerance for solver round-off below zero
 BOUNDARY_MASS_FRACTION = 1e-8
 
@@ -176,15 +184,23 @@ def _thomas_solver(k: np.ndarray, green: bool):
 
     The factors are built once, as Python floats.  The pivots are
     p[i] = q[i] + k[i] with q[0] = 1 and q[i+1] = 1 + k[i] q[i] / p[i], so
-    they are sums of positive terms; the forward multipliers k[i] / p[i],
-    the off-diagonals and the reciprocal pivots are positive too.  A solve
+    they are sums of positive terms; the multipliers m[i] = k[i] / p[i] and
+    the reciprocal pivots are positive too.  The matrix is symmetric, so
+    the same m[i] serves the forward elimination y[i+1] = r[i+1] + m[i] y[i]
+    and the back substitution x[i] = y[i] / p[i] + m[i] x[i+1].  A solve
     then only adds and multiplies nonnegative numbers: each entry of the
     solution is accurate relative to itself, down to the far tails.
 
-    With `green` the factors build the inverse G once, by the same sweep on
-    the identity, row by row in one array, and a solve is G @ rhs: every
+    With `green` the factors build the inverse G once, by the elimination
+    on the identity, row by row in one array, and a solve is G @ rhs: every
     entry of G is positive, so the product keeps that accuracy.  Without
-    it a solve is the sweep itself, over Python floats."""
+    it a solve runs each recurrence as a Hillis-Steele scan: at level
+    d = 1, 2, 4, ... every entry takes in the one d places behind it
+    (ahead of it, going back) times the product of the d multipliers in
+    between, so after ceil(log2 n) levels each entry carries O(log n)
+    roundings instead of the sequential sweep's O(n).  The products per
+    level are built once per run, and the solution is written into a row
+    the solver owns: it is overwritten by the next solve."""
     k = k.tolist()
     mult, inv = [], []
     q = 1.0
@@ -210,29 +226,39 @@ def _thomas_solver(k: np.ndarray, green: bool):
             g[i] *= inv[i]
         return lambda rhs: g @ rhs
 
-    k_back, inv_back = k[::-1], inv[::-1]
+    n = len(k) + 1
+    inv_pivots = np.array(inv + [inv_last])
+    y, tmp = np.empty(n), np.empty(n)
+    # per level: the products m[j] ... m[j+d-1], then the views the
+    # forward and the backward pass read and write, fixed once
+    forward, backward = [], []
+    d, prod = 1, np.array(mult)
+    while d < n:
+        forward.append((prod, y[:-d], tmp[:n - d], y[d:]))
+        backward.append((prod, y[d:], tmp[:n - d], y[:-d]))
+        prod = prod[:-d] * prod[d:]
+        d *= 2
+
+    def scan(levels):
+        for prod, src, term, dst in levels:
+            np.multiply(prod, src, out=term)
+            np.add(dst, term, out=dst)
 
     def solve(rhs):
-        r = rhs.tolist()
-        ys = []
-        y = r[0]
-        for ri, m in zip(r[1:], mult):
-            ys.append(y)
-            y = ri + m * y
-        x = y * inv_last
-        xs = [x]
-        for yi, ki, vi in zip(reversed(ys), k_back, inv_back):
-            x = (yi + ki * x) * vi
-            xs.append(x)
-        xs.reverse()
-        return np.array(xs)
+        np.copyto(y, rhs)
+        scan(forward)
+        np.multiply(y, inv_pivots, out=y)
+        scan(backward)
+        return y
 
     return solve
 
 
 def diffusion_solve(grid: TraitGrid) -> dict:
     """The implicit diffusion solve `ImexIntegrator` runs on this grid, as a
-    run's manifest records it."""
+    run's manifest records it: `green_matrix` (G @ n, 1D up to
+    GREEN_MAX_NODES), `tridiagonal` (the factored solve as two log-depth
+    scans, larger 1D grids) or `cg` (2D)."""
     if grid.dimension == 2:
         return {"method": "cg", "rtol": CG_RTOL}
     if grid.num_nodes <= GREEN_MAX_NODES:
@@ -244,7 +270,7 @@ class ImexIntegrator:
     """One-step integrator with cached stencil data, a once-built
     competition convolution (local model) and b = 1 unless `b` is given.
     The diffusion solve follows the grid (`diffusion_solve`): a once-built
-    inverse or once-factored Thomas sweeps in 1D, warm-started CG in 2D,
+    inverse or once-factored log-depth scans in 1D, warm-started CG in 2D,
     run in six work rows of grid size allocated here: the CG's x (which
     keeps the last solution as the next warm start), r, p and q, and the
     stencil's flux and term rows, the first of which is also the CG's

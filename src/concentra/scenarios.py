@@ -33,6 +33,12 @@ _DIFFUSION_TYPES = {"constant": (constant_diffusion, {"value": "number"}),
 # spec of its family
 _BUMP = {"center": Required(PerAxis("number")),
          "weights": Required(PerAxis("positive"))}   # concave bumps
+# the sign of each assumption constant: a divisor, an end of an eigenvalue
+# bracket or a strict bound is positive, an additive bound nonnegative
+_POSITIVE_CONSTANTS = {"I_M", "I_0", "rho_M", "K_bar_1", "K_under_1",
+                       "K_bar_2", "K_under_2", "L_bar_1", "L_under_1",
+                       "K_bar_b", "K_under_b", "K_bar_1_prime",
+                       "K_under_1_prime"}
 _SCENARIO_SPEC = {
     "name": Required("text"),
     "dimension": Required((1, 2)),
@@ -52,7 +58,9 @@ _SCENARIO_SPEC = {
     "probes": ["count"],
     "canonical": {"closure": Required(("from_pde", "frozen", "riccati")),
                   "dt": "positive", "T": "positive"},
-    "constants": {f.name: "number" for f in fields(AssumptionConstants)},
+    "constants": {f.name: ("positive" if f.name in _POSITIVE_CONSTANTS
+                           else "nonnegative")
+                  for f in fields(AssumptionConstants)},
     "diffusion": {"type": {kind: keys for kind, (_, keys)
                            in _DIFFUSION_TYPES.items()}},
 }

@@ -567,6 +567,44 @@ BITWISE_CASES = {
 }
 
 
+def _uncached_interpolant(traj):
+    """Reference: the Hessian interpolant evaluated afresh at every call."""
+    t, H = traj.times, traj.hessians
+
+    def interp(s):
+        s = min(max(float(s), t[0]), t[-1])
+        d = H.shape[-1]
+        out = np.empty((d, d))
+        for i in range(d):
+            for j in range(d):
+                out[i, j] = np.interp(s, t, H[:, i, j])
+        return out
+
+    return interp
+
+
+def test_from_pde_feed_interpolates_each_time_once(monkeypatch):
+    """Each RK4 step asks the feed for t, t + dt/2 twice, t + dt, and t + dt
+    again for the record: a 400-step run interpolates at its start and at
+    two new times per step, and its trajectory is the bytes of one that
+    interpolates at every call."""
+    case = _scenario_case("quadratic_concave", "from_pde", pde_steps=400)
+    calls = []
+    interp = np.interp
+    monkeypatch.setattr(np, "interp",
+                        lambda *a: calls.append(a[0]) or interp(*a))
+    traj = integrate_canonical(*case[:5], domain=case[5])
+    monkeypatch.undo()
+    assert len(traj) == 401
+    assert len(calls) == 1 + 2 * 400
+    assert not case[1].feed.hessian_interpolant()(0.1).flags.writeable
+    monkeypatch.setattr(ConcentrationTrajectory, "hessian_interpolant",
+                        _uncached_interpolant)
+    ref = integrate_canonical(*case[:5], domain=case[5])
+    for name in ("times", "points", "macro", "hessians"):
+        assert getattr(traj, name).tobytes() == getattr(ref, name).tobytes()
+
+
 @pytest.mark.parametrize("name", sorted(BITWISE_CASES))
 def test_integrate_canonical_bitwise_equals_array_rk4(name):
     """1D stages on Python floats, the frozen -H negated once and a

@@ -191,6 +191,13 @@ def test_scenario_roundtrips_raw_json():
     ({"model": {"family": "logistic_local",
                 "params": {"symmetric": True}}},
      "$.model.params.symmetric is not read"),
+    # assumption constants carry their signs: rho_M divides, K_bar_1 ends a
+    # bracket, K_3 and L_under_0 bound from one side
+    ({"constants": {"rho_M": -1.0}}, "$.constants.rho_M"),
+    ({"constants": {"rho_M": 0}}, "$.constants.rho_M"),
+    ({"constants": {"K_bar_1": 0.0}}, "$.constants.K_bar_1"),
+    ({"constants": {"K_3": -2.0}}, "$.constants.K_3"),
+    ({"constants": {"L_under_0": -1e-9}}, "$.constants.L_under_0"),
 ])
 def test_scenario_validation_names_field(edits, needle):
     with pytest.raises(ScenarioError, match=needle.replace("$", r"\$")

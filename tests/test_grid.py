@@ -95,6 +95,38 @@ def test_field_rejects_non_finite():
         ScalarField(g, v)
 
 
+@pytest.mark.parametrize("entries,message", [
+    ({3: np.nan}, "non-finite"),
+    ({3: np.inf}, "non-finite"),
+    ({3: -np.inf}, "non-finite"),
+    ({3: -1e-300}, "negative entries"),
+    ({3: np.nan, 5: -1.0}, "non-finite"),
+    ({3: -1.0, 5: np.nan}, "non-finite"),
+], ids=["nan", "+inf", "-inf", "negative", "nan-then-negative",
+        "negative-then-nan"])
+def test_density_checks_name_the_first_fault(entries, message):
+    """One min and one max find every fault; a non-finite entry is named
+    before a negative one, wherever each lies."""
+    g = _grid1()
+    v = np.ones(g.shape)
+    for i, x in entries.items():
+        v[i] = x
+    with pytest.raises(GridError, match=message):
+        DensityField(g, v)
+    if message == "non-finite":
+        with pytest.raises(GridError, match=message):
+            ScalarField(g, v)
+    else:
+        assert ScalarField(g, v).values[3] < 0
+
+
+def test_density_accepts_negative_zero():
+    g = _grid1()
+    v = np.ones(g.shape)
+    v[[0, 4]] = -0.0
+    assert DensityField(g, v).values[4] == 0.0
+
+
 # --- laplacian --------------------------------------------------------------
 
 def test_laplacian_annihilates_constants():

@@ -165,8 +165,9 @@ def test_1d_solve_exact_entry_by_entry(monkeypatch, variable, green_max):
     """Every entry of the 1D diffusion solve, down to the far tails, is
     accurate relative to itself: an rhs spanning 1e-250 to 1 against the
     exact rational solve of the same operator.  The 64-node grid applies
-    the once-built inverse; with GREEN_MAX_NODES lowered below 64 it sweeps
-    (a rational solve past the real constant takes seconds)."""
+    the once-built inverse; with GREEN_MAX_NODES lowered below 64 it runs
+    the log-depth scan (a rational solve past the real constant takes
+    seconds)."""
     if green_max is not None:
         monkeypatch.setattr(pde, "GREEN_MAX_NODES", green_max)
     engine = _diffusion_engine(1, variable)
@@ -191,8 +192,8 @@ def test_1d_solve_exact_entry_by_entry(monkeypatch, variable, green_max):
 @pytest.mark.parametrize("variable", [False, True], ids=["uniform", "faces"])
 def test_1d_solve_forms_meet_at_the_node_constant(monkeypatch, variable):
     """GREEN_MAX_NODES alone picks the 1D form.  Just past it the grid
-    sweeps; the inverse built for that grid gives the same solve, entry by
-    entry, on an rhs spanning 1e-250 to 1."""
+    runs the log-depth scan; the inverse built for that grid gives the same
+    solve, entry by entry, on an rhs spanning 1e-250 to 1."""
     assert (pde.diffusion_solve(build_grid(1, 0.0, 1.0, pde.GREEN_MAX_NODES))
             == {"method": "green_matrix"})
     nodes = pde.GREEN_MAX_NODES + 1
@@ -208,6 +209,55 @@ def test_1d_solve_forms_meet_at_the_node_constant(monkeypatch, variable):
     sweep, green = solves
     assert sweep.min() < 1e-30
     assert np.max(np.abs(green - sweep) / sweep) <= 1e-13
+
+
+def _float_sweep(k, rhs):
+    """Reference: the Thomas sweep over Python floats, with the factors of
+    `pde._thomas_solver` built the same way, one entry after the other."""
+    k = k.tolist()
+    mult, inv = [], []
+    q = 1.0
+    for ki in k:
+        p = q + ki
+        inv.append(1.0 / p)
+        mult.append(ki / p)
+        q = 1.0 + ki * q / p
+    r = rhs.tolist()
+    ys = [r[0]]
+    for ri, m in zip(r[1:], mult):
+        ys.append(ri + m * ys[-1])
+    xs = [ys[-1] * (1.0 / q)]
+    for yi, ki, vi in zip(ys[-2::-1], k[::-1], inv[::-1]):
+        xs.append((yi + ki * xs[-1]) * vi)
+    return np.array(xs[::-1])
+
+
+def _quadratic_concave_k():
+    """eps dt / h^2 of the bundled quadratic_concave run."""
+    sc = load_bundled("quadratic_concave")
+    cfg = sc.build_config()
+    return cfg.epsilon * cfg.dt / sc.build_grid().spacing[0] ** 2
+
+
+@pytest.mark.parametrize("variable", [False, True], ids=["uniform", "faces"])
+@pytest.mark.parametrize("nodes", [385, 512, 1024, 2048])
+def test_1d_scan_matches_float_sweep_entry_by_entry(nodes, variable):
+    """The log-depth scan against the float sweep it replaced, entry by
+    entry, on rhs spanning 1e-250 to 1, sorted and permuted, for face
+    weights from the smallest to the largest k a 1D run meets; repeated
+    solves reuse the scan's rows."""
+    rng = np.random.default_rng(nodes)
+    w = rng.uniform(0.25, 4.0, nodes - 1) if variable else np.ones(nodes - 1)
+    rhs = np.logspace(-250.0, 0.0, nodes)
+    smallest = 1.0
+    for coef in (1e-4, _quadratic_concave_k(), 50.0, 1e3):
+        k = w * coef
+        solve = pde._thomas_solver(k, green=False)
+        for r in (rhs, rng.permutation(rhs)):
+            ref = _float_sweep(k, r)
+            smallest = min(smallest, ref.min())
+            assert np.max(np.abs(solve(r) - ref) / ref) <= 1e-12
+    assert smallest < 1e-200
 
 
 def test_heat_kernel_variance_growth():
@@ -504,6 +554,29 @@ def test_run_local_determinism_bitwise():
     a, b = ([r.series.I, r.series.rho, r.series.J, r.series.boundary_mass,
              r.trajectory.points, r.trajectory.hessians, r.residuals,
              *(r.snapshots[k].values for k in (0, 20, 40))] for r in runs)
+    assert [x.tobytes() for x in a] == [x.tobytes() for x in b]
+    assert runs[0].probe_maxima == runs[1].probe_maxima
+
+
+def test_run_scan_determinism_bitwise():
+    """A 512-node quadratic_concave run, through the log-depth scan and the
+    rows it reuses, repeats bit for bit in one process, with another scan
+    engine stepped in between."""
+    sc = load_bundled("quadratic_concave")
+    grid = sc.build_grid()
+    assert pde.diffusion_solve(grid) == {"method": "tridiagonal"}
+    cfg = dataclasses.replace(sc.build_config(), steps=20, snapshot_every=10)
+    runs = []
+    for _ in range(2):
+        runs.append(run_simulation(cfg, sc.build_model(), grid, sc.u0,
+                                   probes=[10, 20],
+                                   constants=sc.build_constants()))
+        other = _diffusion_engine(1, True, 600)
+        _run_steps(other, SimulationState(0.0, init_density(
+            other.grid, sc.u0, 0.01, 0.3), None), 3)
+    a, b = ([r.series.I, r.series.rho, r.series.J, r.series.boundary_mass,
+             r.trajectory.points, r.trajectory.hessians, r.residuals,
+             *(r.snapshots[k].values for k in (0, 10, 20))] for r in runs)
     assert [x.tobytes() for x in a] == [x.tobytes() for x in b]
     assert runs[0].probe_maxima == runs[1].probe_maxima
 
