@@ -76,8 +76,11 @@ def compare_trajectories(a, b):
         raise DiagnosticsError(
             f"trajectories do not overlap: [{ta[0]:g},{ta[-1]:g}] vs "
             f"[{tb[0]:g},{tb[-1]:g}]")
-    common = np.unique(np.concatenate([ta[(ta >= lo) & (ta <= hi)],
-                                       tb[(tb >= lo) & (tb <= hi)]]))
+    # np.unique's first call imports numpy.ma; sorting and keeping each
+    # first occurrence gives the same array
+    common = np.sort(np.concatenate([ta[(ta >= lo) & (ta <= hi)],
+                                     tb[(tb >= lo) & (tb <= hi)]]))
+    common = common[np.concatenate(([True], common[1:] != common[:-1]))]
     pa = np.asarray(a.points, dtype=float)
     pb = np.asarray(b.points, dtype=float)
     d = pa.shape[1]

@@ -123,57 +123,70 @@ class DensityField(ScalarField):
                             f"(min {low:g})")
 
 
-def diffusion_stencil(values: np.ndarray, spacing, faces=None, coef=None,
-                      out=None, work=None) -> np.ndarray:
-    """Flux-form no-flux diffusion stencil on the flattened grid.
+def diffusion_stencil(values: np.ndarray, weights, identity: bool = False,
+                      out=None, flux=None) -> np.ndarray:
+    """Flux-form no-flux diffusion stencil on the flattened grid, with no
+    division: `values - div(w grad values)` with `identity`, and
+    `-div(w grad values)` without.
 
     Along axis a, with flat stride s (the product of the later axis
-    lengths) over the N nodes, the face fluxes are one shift,
-    F = w * (v[s:] - v[:-s]) with w the flat face weights of `faces`
-    (`face_coefficients`; w = 1 without), and F is set to +0.0 on each
-    line's last node, where the shift wraps into the next line (a product
-    w * F there could be -0.0).  The node values
-    are another shift, t[s:N-s] = F[s:] - F[:-s] over h^2; the first and
-    last s nodes take F_{1/2} - 0 and 0 - F_{n-3/2}, and a zero flux makes
-    the same two differences at the ends of the inner lines.  The terms are
-    summed over axes; with `coef` the result is `values - coef * stencil`,
-    the operator of an implicit diffusion step.  Every entry is bitwise
-    what padding the differences with zeros gives, signed zeros included.
+    lengths) over the N nodes, the face fluxes are one shift and one scale,
+    F = w_a * (v[s:] - v[:-s]), with the weights folded once by
+    `stencil_weights`.  In the flux row F follows s leading entries, so
+    that the row read from there holds the face before each node; those s
+    entries and every line's first entry, where the shift wraps in from the
+    line before, are set to +0.0, the no-flux boundary faces.  Each node
+    then takes one subtract of the face after it and one add of the face
+    before it.  Every entry is bitwise what padding the fluxes with +0.0 at
+    both ends of each line gives, signed zeros included.
 
     The result goes to `out` (C-contiguous with N entries; returned in its
-    own shape) and the fluxes and terms to the two rows of `work`, shape
-    (2, N); each is allocated when not given, and neither is read before
-    it is written.
+    own shape) and the fluxes to `flux`, one row of at least N + 7 entries;
+    each is allocated when not given, and neither is read before it is
+    written.
     """
     if out is None:
         out = np.empty(values.shape)
-    if work is None:
-        work = np.empty((2, values.size))
+    if flux is None:
+        flux = np.empty(values.size + 7)
     v = values.reshape(-1)
     res = out.reshape(-1)
-    flux, term = work
     n = v.size
+    # the first axis subtracts from the values (or zeros) into `out`, and
+    # the last s nodes, which have no face after them, take them as they are
+    start = v if identity else np.broadcast_to(0.0, v.shape)
     s = n
-    for ax, length in enumerate(values.shape):
+    for w, length in zip(weights, values.shape):
         s //= length
-        f = flux[:n - s]
+        # F starts at a multiple of 8 entries: in a row that starts on a
+        # 64-byte line, numpy's SIMD loops then write whole lines, which
+        # took half the time of unaligned writes on an AVX-512 Xeon
+        lead = -(-s // 8) * 8
+        f = flux[lead:lead + n - s]
+        before = flux[lead - s:lead - s + n]
         np.subtract(v[s:], v[:-s], out=f)
-        if faces is not None:
-            f *= faces[ax][:n - s]
-        flux.reshape(-1, length, s)[:, -1] = 0.0
-        t = term if ax else res
-        t[:s] = f[:s]
-        np.subtract(f[s:], f[:-s], out=t[s:n - s])
-        np.subtract(0.0, f[-s:], out=t[n - s:])
-        t /= spacing[ax] ** 2
-        if ax:
-            res += t
-        else:
-            res += 0.0   # 0 + t: a sum that starts from zeros has no -0.0
-    if coef is not None:
-        res *= coef
-        np.subtract(v, res, out=res)
+        f *= w
+        before.reshape(-1, length, s)[:, 0] = 0.0
+        np.subtract(start[:-s], f, out=res[:-s])
+        res[n - s:] = start[n - s:]
+        res += before
+        start = res
     return out
+
+
+def stencil_weights(grid: TraitGrid, scale: float, faces=None) -> list:
+    """The per-axis weights of `diffusion_stencil`, folded once: the
+    scalar scale / h_a^2, or with `faces` (`face_coefficients`) the array
+    of the grid's first N - s faces along each axis times it.  The implicit
+    step Id - eps dt div(b grad) takes scale = eps dt; `laplacian` takes -1.
+    """
+    weights = []
+    s = grid.num_nodes
+    for ax, (h, length) in enumerate(zip(grid.spacing, grid.shape)):
+        s //= length
+        w = scale / h ** 2
+        weights.append(w if faces is None else faces[ax][:-s] * w)
+    return weights
 
 
 def laplacian(field: ScalarField) -> ScalarField:
@@ -182,16 +195,16 @@ def laplacian(field: ScalarField) -> ScalarField:
     Flux form: (f_{i+1}-f_i) - (f_i-f_{i-1}) over h^2, with zero flux on
     boundary faces.  Exact on quadratics at interior nodes.
     """
-    return ScalarField(field.grid,
-                       diffusion_stencil(field.values, field.grid.spacing))
+    return ScalarField(field.grid, diffusion_stencil(
+        field.values, stencil_weights(field.grid, -1.0)))
 
 
 def face_coefficients(grid: TraitGrid, b_values: np.ndarray) -> list:
     """Arithmetic face averages of a node-sampled coefficient: one flat
-    array of grid.num_nodes weights per axis, in `diffusion_stencil`'s
-    layout.  Entry k weighs the face between flat node k and its successor
-    along the axis; it is 0 on each line's last node, whose face is the
-    no-flux boundary."""
+    array of grid.num_nodes weights per axis.  Entry k weighs the face
+    between flat node k and its successor along the axis; it is 0 on each
+    line's last node, whose face is the no-flux boundary.
+    `stencil_weights` folds them into the stencil's weights."""
     faces = []
     for ax in range(grid.dimension):
         lo = [slice(None)] * grid.dimension

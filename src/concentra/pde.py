@@ -9,9 +9,10 @@ matrix-vector product G @ n_star, above that each step runs the two
 recurrences of the factored solve as log-depth scans over nonnegative
 numbers.  Both are exact to round-off entry by entry.  On a 2D grid the
 solve is a warm-started matrix-free conjugate-gradient iteration in numpy
-that allocates nothing: its vectors are work rows the integrator allocates
-once, and its matrix-vector product is the flat-stride
-`grid.diffusion_stencil` writing into them.
+that allocates nothing: its vectors are five work rows the integrator
+allocates once, and its matrix-vector product is the flat-stride,
+divide-free `grid.diffusion_stencil` writing into them, with weights
+eps dt b_face / h^2 folded once per run.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ import numpy as np
 from .canonical import ConcentrationTrajectory
 from .diagnostics import MacroSeries, constraint_residual
 from .grid import (DensityField, TraitGrid, boundary_ring_mass,
-                   diffusion_stencil, face_coefficients, kernel_convolution)
+                   diffusion_stencil, face_coefficients, kernel_convolution,
+                   stencil_weights)
 from .models import (AssumptionConstants, DiffusionCoefficient,
                      GlobalInteractionModel, LocalCompetitionModel)
 from .wkb import locate_max, regularity_monitor, to_wkb
@@ -254,6 +256,15 @@ def _thomas_solver(k: np.ndarray, green: bool):
     return solve
 
 
+def _aligned_rows(count: int, length: int) -> np.ndarray:
+    """`count` float rows of at least `length` entries, each starting on a
+    64-byte line (see `grid.diffusion_stencil`)."""
+    width = -(-length // 8) * 8
+    buf = np.empty(count * width + 7)
+    start = (-buf.ctypes.data // 8) % 8
+    return buf[start:start + count * width].reshape(count, width)
+
+
 def diffusion_solve(grid: TraitGrid) -> dict:
     """The implicit diffusion solve `ImexIntegrator` runs on this grid, as a
     run's manifest records it: `green_matrix` (G @ n, 1D up to
@@ -271,10 +282,11 @@ class ImexIntegrator:
     competition convolution (local model) and b = 1 unless `b` is given.
     The diffusion solve follows the grid (`diffusion_solve`): a once-built
     inverse or once-factored log-depth scans in 1D, warm-started CG in 2D,
-    run in six work rows of grid size allocated here: the CG's x (which
-    keeps the last solution as the next warm start), r, p and q, and the
-    stencil's flux and term rows, the first of which is also the CG's
-    scratch."""
+    run in five work rows of grid size allocated here, each on a 64-byte
+    line: the CG's x (which keeps the last solution as the next warm
+    start), r, p and q, and the stencil's flux row, which is also the CG's
+    tmp.  The stencil's weights are folded once, and in 1D they are
+    the tridiagonal solve's off-diagonals."""
 
     def __init__(self, grid: TraitGrid, model, config: SimulationConfig,
                  b: DiffusionCoefficient = None):
@@ -282,7 +294,8 @@ class ImexIntegrator:
         self.config = config
         nodes = grid.nodes()
         self.advisories = []
-        self._work = np.empty((6, grid.num_nodes))
+        rows = _aligned_rows(5, grid.num_nodes + 7)
+        self._work = rows[:, :grid.num_nodes]
         self._warm = False
 
         # R is affine in the macro, R = base + slope * macro, with base and
@@ -309,23 +322,21 @@ class ImexIntegrator:
             self._faces = face_coefficients(grid, b_nodes)
 
         shape = grid.shape
-        spacing = grid.spacing
         coef = config.epsilon * config.dt
-        faces = self._faces
-        stencil_work = self._work[4:]
+        weights = stencil_weights(grid, coef, self._faces)
+        flux = rows[4]
 
         def matvec(v, out=None):
             """(Id - eps dt L) v on the flattened grid, into `out` if given
             (a new array otherwise)."""
-            return diffusion_stencil(v.reshape(shape), spacing, faces, coef,
-                                     out=out, work=stencil_work).reshape(-1)
+            return diffusion_stencil(v.reshape(shape), weights, True,
+                                     out=out, flux=flux).reshape(-1)
 
         self._matvec = matvec
         self._solve_1d = None
         if grid.dimension == 1:
-            w = faces[0][:-1] if faces is not None else np.ones(shape[0] - 1)
             self._solve_1d = _thomas_solver(
-                w * (coef / spacing[0] ** 2),
+                np.broadcast_to(weights[0], (grid.num_nodes - 1,)),
                 green=diffusion_solve(grid)["method"] == "green_matrix")
 
     def macro_of(self, density: DensityField):

@@ -7,6 +7,7 @@ Hessian there.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import warnings
 from dataclasses import dataclass, field
@@ -76,6 +77,21 @@ def _is_interior(idx, shape, margin=1):
     return all(margin <= i < n - margin for i, n in zip(idx, shape))
 
 
+@functools.lru_cache(maxsize=8)
+def _fit_operator(hx: float, hy: float) -> np.ndarray:
+    """The 6x9 least-squares operator of the 3x3 quadratic fit at spacing
+    (hx, hy), the pseudo-inverse of its design matrix, built once per
+    spacing and read-only."""
+    dx = np.array([-hx, 0.0, hx])
+    dy = np.array([-hy, 0.0, hy])
+    X, Y = np.meshgrid(dx, dy, indexing="ij")
+    design = np.column_stack([np.ones(9), X.ravel(), Y.ravel(),
+                              X.ravel() ** 2, (X * Y).ravel(), Y.ravel() ** 2])
+    op = np.linalg.pinv(design)
+    op.flags.writeable = False
+    return op
+
+
 def _fit_quadratic(values: np.ndarray, idx: tuple, grid: TraitGrid):
     """Least-squares quadratic on the 3x3 (or 3-point) window around a node.
 
@@ -89,16 +105,10 @@ def _fit_quadratic(values: np.ndarray, idx: tuple, grid: TraitGrid):
         c1 = (fp - fm) / (2.0 * h[0])
         c2 = (fp - 2.0 * f0 + fm) / (2.0 * h[0] ** 2)
         return float(f0), np.array([c1]), np.array([[2.0 * c2]])
-    dx = np.array([-h[0], 0.0, h[0]])
-    dy = np.array([-h[1], 0.0, h[1]])
-    X, Y = np.meshgrid(dx, dy, indexing="ij")
-    design = np.column_stack([np.ones(9), X.ravel(), Y.ravel(),
-                              X.ravel() ** 2, (X * Y).ravel(), Y.ravel() ** 2])
-    coef, *_ = np.linalg.lstsq(design, window.ravel(), rcond=None)
-    c0, c1, c2, c3, c4, c5 = coef
+    c0, c1, c2, c3, c4, c5 = (_fit_operator(*h) @ window.ravel()).tolist()
     grad = np.array([c1, c2])
     hess = np.array([[2.0 * c3, c4], [c4, 2.0 * c5]])
-    return float(c0), grad, hess
+    return c0, grad, hess
 
 
 def _node(grid: TraitGrid, idx) -> np.ndarray:
@@ -128,15 +138,19 @@ def _refine_max(u: WkbField, idx: tuple):
             return node, f0, hess
         # f0 + g @ delta + 0.5 * delta @ h @ delta, associated alike
         return node + d, f0 + g1 * d + ((0.5 * d) * h11) * d, hess
-    try:
-        delta = np.linalg.solve(h, -g)
-    except np.linalg.LinAlgError:
+    # the 2x2 vertex in closed form: h is negative definite exactly when
+    # h11 < 0 and det h > 0, and then delta = -h^{-1} g
+    g1, g2 = g.tolist()
+    (a, b), (_, c) = h.tolist()
+    det = a * c - b * b
+    if not (a < 0 and det > 0):
         return node, f0, hess
-    ev = np.linalg.eigvalsh(h)
-    if ev.max() >= 0 or np.any(np.abs(delta) > np.asarray(grid.spacing)):
+    dx, dy = (b * g2 - c * g1) / det, (b * g1 - a * g2) / det
+    if abs(dx) > grid.spacing[0] or abs(dy) > grid.spacing[1]:
         return node, f0, hess
-    value = f0 + g @ delta + 0.5 * delta @ h @ delta
-    return node + delta, float(value), hess
+    value = f0 + g1 * dx + g2 * dy + 0.5 * (a * dx * dx + 2.0 * b * dx * dy
+                                             + c * dy * dy)
+    return node + np.array([dx, dy]), value, hess
 
 
 def _local_maxima(vals: np.ndarray) -> np.ndarray:

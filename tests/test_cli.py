@@ -560,6 +560,31 @@ def test_runs_leave_scipy_unimported(tmp_path):
     assert len(os.listdir(tmp_path / "o")) == 3
 
 
+def test_run_imports_no_numpy_module_past_import_numpy(tmp_path):
+    """A run imports no numpy module that `import numpy` has not: the first
+    call of np.unique, for one, imports numpy.ma, which cost 13-15 ms per
+    process and about 22 ms in each forked sweep worker.  (numpy 1.x
+    imports numpy.ma with numpy, so this holds at the declared floor.)"""
+    raw = load_bundled("scenario2").raw
+    raw["config"]["steps"] = 2
+    raw["grid"]["points_per_axis"] = 32
+    raw["probes"] = [0, 2]
+    scen = write_scenario(tmp_path, raw)
+    code = ("import sys\n"
+            "import numpy\n"
+            "before = set(sys.modules)\n"
+            "import concentra.cli\n"
+            f"rc = concentra.cli.main(['run', {scen!r}, '--out', "
+            f"{str(tmp_path / 'o')!r}])\n"
+            "assert rc == 0, rc\n"
+            "added = sorted(m for m in set(sys.modules) - before\n"
+            "               if m.split('.')[0] == 'numpy')\n"
+            "assert not added, added\n")
+    proc = _run_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert len(os.listdir(tmp_path / "o")) == 1
+
+
 def test_cli_import_leaves_process_pool_unimported():
     """The sweep imports its worker pool when it needs one: importing
     multiprocessing and concurrent.futures costs about 9 ms per process."""

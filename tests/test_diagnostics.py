@@ -148,6 +148,23 @@ def test_compare_interpolates_mismatched_sampling():
     assert sup <= 1e-15
 
 
+def test_compare_common_times_bitwise_np_unique():
+    """The merged time grid is np.unique's array byte for byte: shared,
+    interleaved and out-of-overlap times, and -0.0 against +0.0."""
+    rng = np.random.default_rng(3)
+    ta = np.concatenate(([-0.0], np.cumsum(rng.uniform(0.0, 0.1, 60))))
+    tb = np.concatenate(([0.0], ta[5:40:3], ta[41:] + 1e-3, [ta[-1] + 1.0]))
+    tb = np.unique(tb)
+    for a_t, b_t in ((ta, tb), (tb, ta), (ta, ta)):
+        a = _traj(a_t, np.sin(a_t), np.zeros(a_t.size))
+        b = _traj(b_t, np.cos(b_t), np.zeros(b_t.size))
+        _, common, _ = compare_trajectories(a, b)
+        lo, hi = max(a_t[0], b_t[0]), min(a_t[-1], b_t[-1])
+        expected = np.unique(np.concatenate(
+            [a_t[(a_t >= lo) & (a_t <= hi)], b_t[(b_t >= lo) & (b_t <= hi)]]))
+        assert common.tobytes() == expected.tobytes()
+
+
 def test_compare_disjoint_ranges_raises():
     a = _traj([0.0, 1.0], [0.0, 0.0], [0.0, 0.0])
     b = _traj([2.0, 3.0], [0.0, 0.0], [0.0, 0.0])

@@ -10,7 +10,8 @@ from concentra import grid as grid_mod
 from concentra.grid import (DensityField, GridError, ScalarField, TraitGrid,
                             boundary_ring_mass, build_grid, diffusion_stencil,
                             face_coefficients, integrate, kernel_convolution,
-                            laplacian, read_field_csv, write_field_csv)
+                            laplacian, read_field_csv, stencil_weights,
+                            write_field_csv)
 from concentra.models import (GaussianKernel, QuadraticFunction,
                               SeparableKernel, build_model)
 from concentra.pde import ConfigError, ImexIntegrator, SimulationConfig
@@ -163,8 +164,8 @@ def test_laplacian_second_order_on_sine():
 def _div_b_grad(values, grid, b_nodes):
     """div(b grad f) with face weights from the node-sampled b, as
     `ImexIntegrator` builds its stencil."""
-    return diffusion_stencil(values, grid.spacing,
-                             face_coefficients(grid, b_nodes))
+    return diffusion_stencil(values, stencil_weights(
+        grid, -1.0, face_coefficients(grid, b_nodes)))
 
 
 def test_div_b_grad_unit_coefficient_is_laplacian_bitwise():
@@ -206,10 +207,32 @@ def test_div_b_grad_rejects_nonpositive_coefficient():
                        b=Vanishing())
 
 
-def _padded_stencil(values, spacing, faces=None):
-    """Reference: face differences padded with zero boundary fluxes.  The
-    flat weights of `face_coefficients` (the face after each node) take the
-    grid's shape and the first face's zero weight in front."""
+def _padded_stencil(values, grid, faces=None, coef=None):
+    """Reference: face differences scaled by coef / h^2 (-1 / h^2 without
+    coef, the Laplacian), times the face weights of `face_coefficients`
+    (the face after each node, cut to the grid's inner faces), padded with
+    +0.0 fluxes at both ends of each line.  Each node subtracts the flux
+    after it and adds the one before it, starting from the values with
+    coef and from zeros without."""
+    out = np.zeros_like(values) if coef is None else values.copy()
+    scale = -1.0 if coef is None else coef
+    for ax, h in enumerate(grid.spacing):
+        inner = [slice(None)] * values.ndim
+        inner[ax] = slice(None, -1)
+        w = scale / h ** 2
+        if faces is not None:
+            w = faces[ax].reshape(values.shape)[tuple(inner)] * w
+        pad = [(0, 0)] * values.ndim
+        pad[ax] = (1, 1)
+        flux = np.pad(np.diff(values, axis=ax) * w, pad)
+        out -= np.delete(flux, 0, axis=ax)
+        out += np.delete(flux, -1, axis=ax)
+    return out
+
+
+def _divide_stencil(values, spacing, faces=None):
+    """Second reference, the stencil's earlier arithmetic: the padded face
+    fluxes' differences divided by h^2, summed over axes from zeros."""
     out = np.zeros_like(values)
     for ax in range(values.ndim):
         pad = [(0, 0)] * values.ndim
@@ -222,11 +245,22 @@ def _padded_stencil(values, spacing, faces=None):
     return out
 
 
-@pytest.mark.parametrize("grid", [
+_STENCIL_GRIDS = pytest.mark.parametrize("grid", [
     build_grid(1, 0.0, 1.0, 64), build_grid(1, -0.5, 2.0, 9),
     build_grid(2, [0.0, -1.0], [1.0, 2.0], [24, 19]),
     build_grid(2, 0.0, 1.0, 150)], ids=["1d_64", "1d_9", "2d_24x19",
                                         "2d_150"])
+
+
+def _stencil_data(grid, rng):
+    """Normal values with 30 % signed zeros: -0.0 and +0.0 must match too."""
+    f = rng.standard_normal(grid.shape)
+    zeros = rng.random(grid.shape) < 0.3
+    f[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+    return f
+
+
+@_STENCIL_GRIDS
 @pytest.mark.parametrize("variable", [False, True], ids=["uniform", "faces"])
 def test_stencil_bitwise_equals_padded_formula(grid, variable):
     """Allocated or written into reused buffers filled with NaN before each
@@ -236,23 +270,57 @@ def test_stencil_bitwise_equals_padded_formula(grid, variable):
     faces = (face_coefficients(grid, rng.uniform(0.5, 2.0, grid.shape))
              if variable else None)
     coef = 0.37
+    lap = stencil_weights(grid, -1.0, faces)
+    implicit = stencil_weights(grid, coef, faces)
     out = np.empty(grid.shape)
-    work = np.empty((2, grid.num_nodes))
+    flux = np.empty(grid.num_nodes + 7)
     for _ in range(5):
-        f = rng.standard_normal(grid.shape)
-        zeros = rng.random(grid.shape) < 0.3   # signed zeros must match too
-        f[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
-        ref = _padded_stencil(f, grid.spacing, faces)
-        got = diffusion_stencil(f, grid.spacing, faces)
-        assert got.tobytes() == ref.tobytes()
-        assert (diffusion_stencil(f, grid.spacing, faces, coef).tobytes()
-                == (f - coef * ref).tobytes())
-        for c, expected in ((None, ref), (coef, f - coef * ref)):
+        f = _stencil_data(grid, rng)
+        ref = _padded_stencil(f, grid, faces)
+        ref_implicit = _padded_stencil(f, grid, faces, coef)
+        assert diffusion_stencil(f, lap).tobytes() == ref.tobytes()
+        assert (diffusion_stencil(f, implicit, True).tobytes()
+                == ref_implicit.tobytes())
+        for weights, identity, expected in ((lap, False, ref),
+                                            (implicit, True, ref_implicit)):
             out.fill(np.nan)
-            work.fill(np.nan)
-            assert diffusion_stencil(f, grid.spacing, faces, c, out=out,
-                                     work=work) is out
+            flux.fill(np.nan)
+            assert diffusion_stencil(f, weights, identity, out=out,
+                                     flux=flux) is out
             assert out.tobytes() == expected.tobytes()
+
+
+@_STENCIL_GRIDS
+@pytest.mark.parametrize("variable", [False, True], ids=["uniform", "faces"])
+def test_stencil_meets_divide_formula_within_ulps(grid, variable):
+    """Scaling the differences by the folded weights rounds otherwise than
+    dividing their differences by h^2, but every entry stays within 4 ulps
+    of the size of the terms it sums: the largest weight / h^2 times 2d
+    |v_i| plus the magnitudes of its 2d neighbours (|v_i| more with the
+    identity).  The gap measured on these grids is at most 2.3 ulps."""
+    rng = np.random.default_rng(13)
+    faces = (face_coefficients(grid, rng.uniform(0.5, 2.0, grid.shape))
+             if variable else None)
+    coef = 0.37
+    ulp = np.finfo(float).eps
+    wmax = 2.0 if variable else 1.0
+    for _ in range(5):
+        f = _stencil_data(grid, rng)
+        size = 2 * f.ndim * np.abs(f)
+        for ax in range(f.ndim):
+            pad = [(0, 0)] * f.ndim
+            pad[ax] = (1, 1)
+            nbrs = np.pad(np.abs(f), pad)
+            size += (np.delete(nbrs, [0, 1], axis=ax)
+                     + np.delete(nbrs, [-1, -2], axis=ax))
+        size *= wmax * max(h ** -2 for h in grid.spacing)
+        old = _divide_stencil(f, grid.spacing, faces)
+        new = diffusion_stencil(f, stencil_weights(grid, -1.0, faces))
+        assert np.all(np.abs(new - old) <= 4 * ulp * size)
+        new_implicit = diffusion_stencil(
+            f, stencil_weights(grid, coef, faces), True)
+        assert np.all(np.abs(new_implicit - (f - coef * old))
+                      <= 4 * ulp * (np.abs(f) + coef * size))
 
 
 # --- quadrature -------------------------------------------------------------
