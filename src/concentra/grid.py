@@ -4,8 +4,8 @@ All fields live on cell centers of a rectangular box.  The diffusion stencils
 are written in conservative flux form with zero-flux boundary faces, which
 makes discrete mass conservation exact and keeps the stencil symmetric.  The
 competition convolution is built once per grid and kernel: a rank-one
-product for separable kernels, one nonnegative matrix per axis for a
-Gaussian kernel, and the direct midpoint sum for any other.
+product for separable kernels and one nonnegative matrix per axis for a
+Gaussian kernel; any other kernel is rejected.
 """
 
 from __future__ import annotations
@@ -237,9 +237,6 @@ def boundary_ring_mass(density: DensityField, width: int = 2) -> float:
     return float((v.sum() - interior.sum()) * density.grid.cell_volume)
 
 
-CONVOLUTION_CHUNK = 512   # rows per block of the direct convolution
-
-
 def kernel_convolution(grid: TraitGrid, kernel):
     """The competition map n -> (x_i -> sum_j C(x_i, y_j) n_j * cell volume)
     on `grid`, with everything that does not depend on n built once.
@@ -252,16 +249,15 @@ def kernel_convolution(grid: TraitGrid, kernel):
       x_j) per axis: amp vol K_x @ N @ K_y.T + floor vol sum(N).  Each
       output entry is a sum of nonnegative products, accurate relative to
       itself down to the far tails of the kernel.
-    - Any other kernel takes the direct O(N^2) midpoint rule, evaluated in
-      row chunks to bound memory.
 
     Returns a callable from density values to field values (grid shape).
+    A kernel with neither form raises GridError naming its type.
     """
-    nodes = grid.nodes().reshape(-1, grid.dimension)
     vol = grid.cell_volume
     shape = grid.shape
 
     if getattr(kernel, "separable", False):
+        nodes = grid.nodes().reshape(-1, grid.dimension)
         psi_y = np.asarray(kernel.psi(nodes), dtype=float)
         phi_x = np.asarray(kernel.phi(nodes), dtype=float)
 
@@ -287,16 +283,8 @@ def kernel_convolution(grid: TraitGrid, kernel):
             return out
         return per_axis
 
-    def direct(n):
-        n = n.reshape(-1)
-        out = np.empty(nodes.shape[0])
-        for start in range(0, nodes.shape[0], CONVOLUTION_CHUNK):
-            stop = min(start + CONVOLUTION_CHUNK, nodes.shape[0])
-            block = kernel(nodes[start:stop, None, :], nodes[None, :, :])
-            out[start:stop] = block @ n
-        out *= vol
-        return out.reshape(shape)
-    return direct
+    raise GridError(f"kernel of type {type(kernel).__name__} is neither "
+                    "separable nor a product of axis factors")
 
 
 # --- field snapshot formats ----------------------------------------------

@@ -24,7 +24,7 @@ import numpy as np
 
 from .canonical import ConcentrationTrajectory
 from .diagnostics import MacroSeries, constraint_residual
-from .grid import (DensityField, TraitGrid, boundary_ring_mass,
+from .grid import (DensityField, GridError, TraitGrid, boundary_ring_mass,
                    diffusion_stencil, face_coefficients, kernel_convolution,
                    stencil_weights)
 from .models import (AssumptionConstants, DiffusionCoefficient,
@@ -304,7 +304,10 @@ class ImexIntegrator:
         if self._local:
             self._base = np.asarray(model.intrinsic.value(nodes), dtype=float)
             self._slope = -1.0
-            self._convolve = kernel_convolution(grid, model.kernel)
+            try:
+                self._convolve = kernel_convolution(grid, model.kernel)
+            except GridError as exc:
+                raise ConfigError(str(exc)) from exc
         elif isinstance(model, GlobalInteractionModel):
             self._base = np.asarray(model.rate(nodes, 0.0), dtype=float)
             self._slope = np.asarray(model.d_rate_dI(nodes, 0.0), dtype=float)

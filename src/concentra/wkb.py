@@ -209,36 +209,48 @@ def well_resolved_mask(u: WkbField) -> np.ndarray:
                               - WELL_RESOLVED_DROP * u.epsilon)
 
 
-def _interior_mask(shape, margin=1):
-    m = np.ones(shape, dtype=bool)
-    for ax in range(len(shape)):
-        idx = [slice(None)] * len(shape)
-        idx[ax] = slice(0, margin)
-        m[tuple(idx)] = False
-        idx[ax] = slice(-margin, None)
-        m[tuple(idx)] = False
-    return m
+def _at_offsets(values, offsets):
+    """Views of `values` at each node offset in `offsets` (one int per
+    axis), all over the core of nodes from which every offset stays on the
+    grid: entry i of the view for offset o is values[i + o]."""
+    lo = [max(0, -min(o[ax] for o in offsets)) for ax in range(values.ndim)]
+    hi = [n - max(0, max(o[ax] for o in offsets))
+          for ax, n in enumerate(values.shape)]
+    return [values[tuple(slice(l + k, h + k) for l, h, k in zip(lo, hi, o))]
+            for o in offsets]
 
 
-def _second_differences(values, spacing):
-    """Per-node symmetric Hessian entries on the interior (nan elsewhere)."""
+# the node, its neighbours along each axis (+ then -) and, in 2D, the four
+# diagonal neighbours of the mixed difference
+_HESSIAN_OFFSETS = {1: [(0,), (1,), (-1,)],
+                    2: [(0, 0), (1, 0), (0, 1), (-1, 0), (0, -1),
+                        (1, 1), (1, -1), (-1, 1), (-1, -1)]}
+
+
+def _eigenvalues_2x2(a, b, c):
+    """Lower and upper eigenvalues of the symmetric [[a, b], [b, c]],
+    entry by entry: (a + c)/2 -+ hypot((a - c)/2, b)."""
+    mean, radius = (a + c) / 2, np.hypot((a - c) / 2, b)
+    return mean - radius, mean + radius
+
+
+def _hessian_bracket(values, spacing, mask):
+    """Smallest and largest Hessian eigenvalue over the masked nodes that
+    have every neighbour on the grid.  The Hessian is the second
+    differences a (and c) along the axes and, in 2D, the mixed difference
+    b; in 1D its eigenvalue is a itself."""
     d = values.ndim
-    out = np.full(values.shape + (d, d), np.nan)
-    inner = tuple(slice(1, -1) for _ in range(d))
-    for ax in range(d):
-        sl_p = [slice(1, -1)] * d
-        sl_p[ax] = slice(2, None)
-        sl_m = [slice(1, -1)] * d
-        sl_m[ax] = slice(0, -2)
-        sl_0 = [slice(1, -1)] * d
-        out[inner + (ax, ax)] = (values[tuple(sl_p)] - 2 * values[tuple(sl_0)]
-                                 + values[tuple(sl_m)]) / spacing[ax] ** 2
-    if d == 2:
-        mixed = (values[2:, 2:] - values[2:, :-2] - values[:-2, 2:]
-                 + values[:-2, :-2]) / (4.0 * spacing[0] * spacing[1])
-        out[inner + (0, 1)] = mixed
-        out[inner + (1, 0)] = mixed
-    return out
+    offsets = _HESSIAN_OFFSETS[d]
+    f0, *f = _at_offsets(values, offsets)
+    m = _at_offsets(mask, offsets)[0]
+    second = [((f[ax] - 2 * f0 + f[d + ax]) / spacing[ax] ** 2)[m]
+              for ax in range(d)]
+    if d == 1:
+        return float(second[0].min()), float(second[0].max())
+    pp, pm, mp, mm = f[4:]
+    b = ((pp - pm - mp + mm) / (4.0 * spacing[0] * spacing[1]))[m]
+    lower, upper = _eigenvalues_2x2(second[0], b, second[1])
+    return float(lower.min()), float(upper.max())
 
 
 def _third_difference_max(values, spacing, mask):
@@ -253,22 +265,11 @@ def _third_difference_max(values, spacing, mask):
         step = np.hypot(*(s * h for s, h in zip(direction, spacing))) if d == 2 \
             else abs(direction[0]) * spacing[0]
         # node offsets of the 4-point stencil along `direction`
-        shifted = [[k * s for s in direction] for k in (-1, 0, 1, 2)]
-        n = values.shape
-        lo = [max(0, -min(sl[ax] for sl in shifted)) for ax in range(d)]
-        hi = [n[ax] - max(0, max(sl[ax] for sl in shifted)) for ax in range(d)]
-        if any(hi[ax] <= lo[ax] for ax in range(d)):
-            continue
-        def take(offsets):
-            sl = tuple(slice(lo[ax] + offsets[ax], hi[ax] + offsets[ax])
-                       for ax in range(d))
-            return values[sl]
-        f0, f1, f2, fm = (take(shifted[1]), take(shifted[2]),
-                          take(shifted[3]), take(shifted[0]))
-        third = np.abs(f2 - 3 * f1 + 3 * f0 - fm) / step ** 3
-        core = tuple(slice(lo[ax], hi[ax]) for ax in range(d))
-        m = mask[core]
+        offsets = [tuple(k * s for s in direction) for k in (-1, 0, 1, 2)]
+        fm, f0, f1, f2 = _at_offsets(values, offsets)
+        m = _at_offsets(mask, offsets)[1]
         if m.any():
+            third = np.abs(f2 - 3 * f1 + 3 * f0 - fm) / step ** 3
             worst = max(worst, float(third[m].max()))
     return worst
 
@@ -277,9 +278,9 @@ def regularity_monitor(u: WkbField, constants, time: float = 0.0) -> dict:
     """Audit u against the concavity-regime bounds.
 
     Reports the quadratic envelope (with the time-growing slack), the Hessian
-    eigenvalue range over well-resolved nodes, the largest third difference,
-    and the measured gradient-growth constant.  Checks lacking constants are
-    reported as null.
+    eigenvalue range over well-resolved nodes (in closed form), the largest
+    third difference, and the measured gradient-growth constant.  Checks
+    lacking constants are reported as null.
     """
     grid = u.grid
     c = constants
@@ -304,11 +305,12 @@ def regularity_monitor(u: WkbField, constants, time: float = 0.0) -> dict:
         report["envelope"] = {"margin": margin, "slack": slack,
                               "passed": bool(margin >= -1e-10)}
 
-    interior = mask & _interior_mask(grid.shape)
+    # the well-resolved nodes off the outer ring
+    inner = (slice(1, -1),) * grid.dimension
+    interior = np.zeros_like(mask)
+    interior[inner] = mask[inner]
     if interior.any():
-        hess = _second_differences(u.values, grid.spacing)
-        ev = np.linalg.eigvalsh(hess[interior])
-        lo, hi = float(ev.min()), float(ev.max())
+        lo, hi = _hessian_bracket(u.values, grid.spacing, interior)
         entry = {"eig_min": lo, "eig_max": hi}
         if getattr(c, "L_bar_1", None) is not None and \
                 getattr(c, "L_under_1", None) is not None:

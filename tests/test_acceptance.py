@@ -338,6 +338,23 @@ def test_criterion_09_potential_ascends_to_its_argmax(local_run):
             f"(tolerance -1e-8), final gap to argmax {gap:.3g} <= 1e-6")
 
 
+def test_local_monitor_wall_layer_readings_pinned(local_run):
+    """local_logistic's regularity readings at the later probes come from
+    the convex layer of u next to the no-flux wall, not from the peak
+    region (no distance-to-wall margin isolates it); pinned to 1e-12
+    relative, so a change in the monitor or in the 1D run shows here."""
+    _, _, _, result, _ = local_run
+    got = {rep["step"]: (rep["hessian"]["eig_min"], rep["hessian"]["eig_max"],
+                         rep["third_derivative_max"])
+           for rep in result.regularity_reports}
+    pinned = {1250: (-0.855662655344986, 15.239044498900512,
+                     533.3260016089771),
+              2500: (-0.8547798781178244, 15.156016793033814,
+                     528.9082468454726)}
+    for step, readings in pinned.items():
+        assert got[step] == pytest.approx(readings, rel=1e-12), step
+
+
 # --- criterion 10: numerical bedrock ------------------------------------------------
 
 def test_criterion_10_heat_kernel_variance():

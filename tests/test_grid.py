@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from concentra import grid as grid_mod
 from concentra.grid import (DensityField, GridError, ScalarField, TraitGrid,
                             boundary_ring_mass, build_grid, diffusion_stencil,
                             face_coefficients, integrate, kernel_convolution,
@@ -414,13 +413,22 @@ def test_discrete_integration_by_parts_symmetry():
 
 # --- kernel convolution -------------------------------------------------------
 
+def _midpoint_sum(grid, kernel, n):
+    """The reference convolution: the midpoint rule
+    sum_j C(x_i, y_j) n_j * cell volume, with the whole N x N kernel
+    matrix evaluated at once."""
+    nodes = grid.nodes().reshape(-1, grid.dimension)
+    matrix = kernel(nodes[:, None, :], nodes[None, :, :])
+    return (matrix @ n.reshape(-1) * grid.cell_volume).reshape(grid.shape)
+
+
 def test_convolve_constant_kernel_gives_total_mass():
     rng = np.random.default_rng(17)
     g = _grid2(16)
     n = DensityField(g, rng.random(g.shape))
     rho = integrate(n)
-    out = kernel_convolution(g, lambda x, y: np.ones(
-        np.broadcast_shapes(x.shape[:-1], y.shape[:-1])))(n.values)
+    out = _midpoint_sum(g, lambda x, y: np.ones(
+        np.broadcast_shapes(x.shape[:-1], y.shape[:-1])), n.values)
     assert np.max(np.abs(out - rho)) <= 1e-13
 
 
@@ -432,8 +440,8 @@ def test_convolve_separable_fast_path_matches_direct():
     psi = QuadraticFunction(1.5, [0.7], [0.25])
     kern = SeparableKernel(phi, psi)
     fast = kernel_convolution(g, kern)(n.values)
-    direct = kernel_convolution(
-        g, lambda x, y: phi.value(x) * psi.value(y))(n.values)
+    direct = _midpoint_sum(
+        g, lambda x, y: phi.value(x) * psi.value(y), n.values)
     assert np.max(np.abs(fast - direct)) <= 1e-13
 
 
@@ -463,23 +471,6 @@ def test_convolve_linearity_in_density():
     assert np.max(np.abs(mix - parts)) <= 1e-13
 
 
-def test_convolve_chunking_agrees_with_single_block(monkeypatch):
-    rng = np.random.default_rng(31)
-    g = _grid1(64)
-    n = DensityField(g, rng.random(g.shape))
-    gauss = GaussianKernel(amp=1.0, width=0.2)
-
-    def kern(x, y):   # no .axis_factor: the direct, chunked path
-        return gauss(x, y)
-    monkeypatch.setattr(grid_mod, "CONVOLUTION_CHUNK", 7)
-    a = kernel_convolution(g, kern)(n.values)
-    monkeypatch.setattr(grid_mod, "CONVOLUTION_CHUNK", 10_000)
-    b = kernel_convolution(g, kern)(n.values)
-    # chunking changes the summation grouping, not the integral: allow the
-    # last couple of ulps
-    assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b))
-
-
 @pytest.mark.parametrize("floor", [0.0, 0.8])
 @pytest.mark.parametrize("grid", [
     build_grid(1, 0.0, 1.0, 256),
@@ -493,7 +484,7 @@ def test_convolve_fft_matches_direct(grid, floor):
     kern = GaussianKernel(floor=floor, amp=0.2 if floor else 1.0, width=0.3)
     assert callable(kern.axis_factor)
     fast = kernel_convolution(grid, kern)(n.values)
-    direct = kernel_convolution(grid, lambda x, y: kern(x, y))(n.values)
+    direct = _midpoint_sum(grid, kern, n.values)
     assert np.max(np.abs(fast - direct)) <= 1e-13 * np.max(np.abs(direct))
 
 
@@ -542,6 +533,25 @@ def test_kernel_convolution_samples_kernel_once():
         conv(rng.random(g.shape))
     # one call per axis, on every offset (i - j) h of that axis
     assert calls == [(12, 12), (10, 10)]
+
+
+def test_kernel_of_neither_form_rejected_when_integrator_is_built():
+    """A kernel that is neither separable nor a product of axis factors
+    has no once-built convolution: the engine rejects it up front and
+    names its type."""
+    class PlainKernel:
+        def __call__(self, x, y):
+            return np.ones(np.broadcast_shapes(np.shape(x)[:-1],
+                                               np.shape(y)[:-1]))
+
+    model = dataclasses.replace(
+        build_model({"family": "logistic_local",
+                     "params": {"r": {"c0": 1.0, "center": [0.5],
+                                      "weights": [1.0]},
+                                "kernel": {"type": "gaussian"}}}, 1),
+        kernel=PlainKernel())
+    with pytest.raises(ConfigError, match="kernel of type PlainKernel "):
+        ImexIntegrator(_grid1(32), model, SimulationConfig(0.01, 0.01, 1))
 
 
 # --- snapshot CSV -------------------------------------------------------------

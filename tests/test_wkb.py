@@ -555,6 +555,101 @@ def test_regularity_linear_gradient_constant():
     assert rep["gradient_growth"]["passed"]
 
 
+def _symmetric_2x2_sets(rng):
+    """(a, b, c) of 1600 random symmetric [[a, b], [b, c]]: 1000 with
+    signed entries from 1e-8 to 1e4, then 200 each with a = c and b = 0,
+    with |b| >> |a - c| (a and c 1e-12 apart), and with a = c."""
+    def entries(k):
+        return rng.choice([-1.0, 1.0], k) * 10.0 ** rng.uniform(-8, 4, k)
+    same, near = entries(200), entries(200)
+    apart = near * (1 + 1e-12 * rng.standard_normal(200))
+    a = np.concatenate([entries(1000), same, near, same])
+    c = np.concatenate([entries(1000), same, apart, same])
+    b = np.concatenate([entries(1000), np.zeros(200),
+                        near * 10.0 ** rng.uniform(-6, 2, 200), entries(200)])
+    return a, b, c
+
+
+def test_eigenvalues_2x2_closed_form_meets_eigvalsh():
+    """The monitor's closed form against LAPACK's eigvalsh, matrix by
+    matrix: both eigenvalues within 4 ulps of the larger |eigenvalue|."""
+    a, b, c = _symmetric_2x2_sets(np.random.default_rng(71))
+    lower, upper = wkb._eigenvalues_2x2(a, b, c)
+    ref = np.linalg.eigvalsh(np.stack([np.stack([a, b], -1),
+                                       np.stack([b, c], -1)], -2))
+    ulp = np.spacing(np.abs(ref).max(axis=-1))
+    assert np.all(np.abs(lower - ref[:, 0]) <= 4 * ulp)
+    assert np.all(np.abs(upper - ref[:, 1]) <= 4 * ulp)
+    tie = slice(1000, 1200)     # a = c, b = 0: both eigenvalues are a
+    assert np.array_equal(lower[tie], a[tie])
+    assert np.array_equal(upper[tie], a[tie])
+
+
+def _eigvalsh_bracket(values, spacing, mask):
+    """The reference bracket: the (nodes, d, d) stack of second and mixed
+    differences on the interior, through eigvalsh."""
+    d = values.ndim
+    inner = (slice(1, -1),) * d
+    hess = np.empty(values[inner].shape + (d, d))
+    for ax in range(d):
+        plus, minus = list(inner), list(inner)
+        plus[ax], minus[ax] = slice(2, None), slice(0, -2)
+        hess[..., ax, ax] = (values[tuple(plus)] - 2 * values[inner]
+                             + values[tuple(minus)]) / spacing[ax] ** 2
+    if d == 2:
+        mixed = (values[2:, 2:] - values[2:, :-2] - values[:-2, 2:]
+                 + values[:-2, :-2]) / (4.0 * spacing[0] * spacing[1])
+        hess[..., 0, 1] = hess[..., 1, 0] = mixed
+    ev = np.linalg.eigvalsh(hess[mask[inner]])
+    return ev.min(), ev.max()
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_regularity_hessian_bracket_meets_eigvalsh(dimension):
+    """On a rough concave u with part of the grid under the well-resolved
+    cut, the monitor's bracket meets the eigvalsh of the Hessian stack:
+    bitwise in 1D, within 4 ulps of the larger |eigenvalue| in 2D."""
+    rng = np.random.default_rng(73)
+    g = build_grid(dimension, -1.0, 1.0, [41, 37][:dimension])
+    nodes = g.nodes()
+    u = WkbField(g, -(nodes ** 2).sum(axis=-1)
+                 + 1e-3 * rng.standard_normal(g.shape), 0.01)
+    mask = well_resolved_mask(u)
+    assert 0 < mask.sum() < mask.size
+    rep = regularity_monitor(u, AssumptionConstants())
+    lo, hi = _eigvalsh_bracket(u.values, g.spacing, mask)
+    if dimension == 1:
+        assert (rep["hessian"]["eig_min"], rep["hessian"]["eig_max"]) \
+            == (lo, hi)
+    else:
+        ulp = np.spacing(max(abs(lo), abs(hi)))
+        assert abs(rep["hessian"]["eig_min"] - lo) <= 4 * ulp
+        assert abs(rep["hessian"]["eig_max"] - hi) <= 4 * ulp
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_third_difference_max_matches_node_loop(dimension):
+    """The largest directional third difference over a random mask, node
+    by node against a loop over the masked nodes whose 4-point stencil
+    stays on the grid."""
+    rng = np.random.default_rng(79)
+    g = build_grid(dimension, 0.0, 1.0, [13, 11][:dimension])
+    values = rng.standard_normal(g.shape)
+    mask = rng.random(g.shape) < 0.2
+    dirs = [(1,)] if dimension == 1 else [(1, 0), (0, 1), (1, 1), (1, -1)]
+    worst = 0.0
+    for node in zip(*np.nonzero(mask)):
+        for direction in dirs:
+            stencil = [tuple(i + k * s for i, s in zip(node, direction))
+                       for k in (-1, 0, 1, 2)]
+            if all(0 <= i < n for p in stencil for i, n in zip(p, g.shape)):
+                fm, f0, f1, f2 = (values[p] for p in stencil)
+                step = g.spacing[0] if dimension == 1 else np.hypot(
+                    *(s * h for s, h in zip(direction, g.spacing)))
+                worst = max(worst, abs(f2 - 3 * f1 + 3 * f0 - fm) / step ** 3)
+    assert wkb._third_difference_max(values, g.spacing, mask) == worst
+
+
 def test_well_resolved_mask_thresholds_at_forty_epsilon():
     g = build_grid(1, 0.0, 1.0, 64)
     eps = 0.01
