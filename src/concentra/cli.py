@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import json
 import os
@@ -73,9 +74,7 @@ def _jsonable(obj):
 
 
 def _resolved_params(sc: Scenario, overrides=None) -> dict:
-    cfg = dict(sc.raw["config"])
-    cfg.setdefault("snapshot_every", 0)
-    cfg.setdefault("mass_target", 0.3)
+    cfg = dataclasses.asdict(sc.build_config())
     if overrides:
         cfg.update(overrides)
     grid = sc.build_grid()
@@ -218,7 +217,7 @@ def _cmd_run(args) -> int:
         if run.canonical is not None:
             traj, c_res, reports["canonical"] = run.canonical
             write_trajectory_csv(traj, os.path.join(outdir, "trajectory.csv"),
-                                 residuals=c_res)
+                                 residuals=c_res, psi=model.psi)
 
         if len(sc.u0) > 1 and result.probe_maxima:
             last = max(result.probe_maxima)
@@ -375,10 +374,10 @@ def _cmd_canonical(args) -> int:
     resolved = _resolved_params(sc, overrides={"canonical_only": True,
                                                "closure": mode})
     with _artifact_dir(args.out, sc, resolved) as outdir:
-        traj, residuals, reports = _canonical_run(sc, sc.build_model(), mode,
-                                                  feed=feed)
+        model = sc.build_model()
+        traj, residuals, reports = _canonical_run(sc, model, mode, feed=feed)
         write_trajectory_csv(traj, os.path.join(outdir, "trajectory.csv"),
-                             residuals=residuals)
+                             residuals=residuals, psi=model.psi)
         with open(os.path.join(outdir, "manifest.json"), "w") as f:
             json.dump(_jsonable(resolved), f, indent=2, sort_keys=True)
         with open(os.path.join(outdir, "reports.json"), "w") as f:

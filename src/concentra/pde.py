@@ -28,7 +28,8 @@ from .grid import (DensityField, GridError, TraitGrid, boundary_ring_mass,
                    diffusion_stencil, face_coefficients, kernel_convolution,
                    stencil_weights)
 from .models import (AssumptionConstants, DiffusionCoefficient,
-                     GlobalInteractionModel, LocalCompetitionModel)
+                     GlobalInteractionModel, LocalCompetitionModel,
+                     QuadraticFunction)
 from .wkb import locate_max, regularity_monitor, to_wkb
 
 CG_RTOL = 1e-10
@@ -99,12 +100,6 @@ class SimulationState:
 
 # --- initial data -----------------------------------------------------------
 
-def _bump_exponent(nodes, bump):
-    center = np.asarray(bump["center"], dtype=float)
-    weights = np.asarray(bump["weights"], dtype=float)
-    return -((nodes - center) ** 2 * weights).sum(axis=-1)
-
-
 def init_density(grid: TraitGrid, u0_spec, epsilon: float,
                  mass_target: float) -> DensityField:
     """Sum of concave quadratic bumps exp(q_k/eps), scaled so the total mass
@@ -116,7 +111,8 @@ def init_density(grid: TraitGrid, u0_spec, epsilon: float,
     nodes = grid.nodes()
     raw = np.zeros(grid.shape)
     for bump in u0_spec:
-        raw += np.exp(_bump_exponent(nodes, bump) / epsilon)
+        q = QuadraticFunction(0.0, bump["center"], bump["weights"])
+        raw += np.exp(q.value(nodes) / epsilon)
     total = raw.sum() * grid.cell_volume
     if total == 0.0:
         raise DegenerateInitializationError(
@@ -483,15 +479,16 @@ def run_simulation(config: SimulationConfig, model, grid: TraitGrid, u0_spec,
 
 # --- series CSV ---------------------------------------------------------------
 
+# the Hessian entries a series row holds: the upper triangle, H_12 standing
+# for both off-diagonal entries
+_HESSIAN_ENTRIES = {1: [(0, 0)], 2: [(0, 0), (0, 1), (1, 1)]}
+
+
 def _series_columns(dimension):
-    cols = ["t", "I", "rho", "J"]
-    cols += [f"xbar_{j + 1}" for j in range(dimension)]
-    if dimension == 1:
-        cols += ["H_11"]
-    else:
-        cols += ["H_11", "H_12", "H_22"]
-    cols += ["residual_R", "boundary_mass"]
-    return cols
+    return (["t", "I", "rho", "J"]
+            + [f"xbar_{j + 1}" for j in range(dimension)]
+            + [f"H_{i + 1}{j + 1}" for i, j in _HESSIAN_ENTRIES[dimension]]
+            + ["residual_R", "boundary_mass"])
 
 
 def _write_rows(f, columns, prefix: str = "") -> None:
@@ -509,9 +506,7 @@ def _write_rows(f, columns, prefix: str = "") -> None:
 
 
 def _hess_columns(hessians, dimension):
-    if dimension == 1:
-        return [hessians[:, 0, 0]]
-    return [hessians[:, 0, 0], hessians[:, 0, 1], hessians[:, 1, 1]]
+    return [hessians[:, i, j] for i, j in _HESSIAN_ENTRIES[dimension]]
 
 
 def write_series_csv(result: RunResult, path) -> None:
@@ -527,15 +522,17 @@ def write_series_csv(result: RunResult, path) -> None:
 
 
 def write_trajectory_csv(traj: ConcentrationTrajectory, path,
-                         residuals=None) -> None:
+                         residuals=None, psi: float = 1.0) -> None:
     """Canonical-trajectory CSV: the series schema plus a leading source
-    column; fields with no ODE counterpart (J, boundary_mass) are nan."""
+    column; rho is the Dirac weight macro / psi (the model's `psi`, 1 for
+    the local family) and the fields with no ODE counterpart (J,
+    boundary_mass) are nan."""
     d = traj.points.shape[1]
     nan = np.broadcast_to(np.nan, traj.times.shape)
     with open(path, "w") as f:
         f.write("source," + ",".join(_series_columns(d)) + "\n")
-        _write_rows(f, [traj.times, traj.macro, traj.macro, nan, traj.points,
-                        *_hess_columns(traj.hessians, d),
+        _write_rows(f, [traj.times, traj.macro, traj.macro / psi, nan,
+                        traj.points, *_hess_columns(traj.hessians, d),
                         nan if residuals is None else residuals, nan],
                     prefix=traj.source + ",")
 
@@ -550,8 +547,7 @@ def read_trajectory_csv(path) -> ConcentrationTrajectory:
     except UnicodeDecodeError as exc:
         raise SeriesFormatError(f"{path}: not UTF-8 text ({exc})") from exc
     d = 2 if "xbar_2" in header else 1
-    names = (["t", "I"] + [f"xbar_{j + 1}" for j in range(d)]
-             + (["H_11"] if d == 1 else ["H_11", "H_12", "H_22"]))
+    names = _series_columns(d)
     for name in names:
         if name not in header:
             raise SeriesFormatError(f"{path}: no column {name!r}")
@@ -562,8 +558,10 @@ def read_trajectory_csv(path) -> ConcentrationTrajectory:
         data = np.array([[float(r[c]) for c in cols] for r in rows])
     except (IndexError, ValueError) as exc:   # a short or non-numeric row
         raise SeriesFormatError(f"{path}: unreadable row ({exc})") from exc
-    # H_12 is both off-diagonal entries
-    hess = data[:, 2 + d:][:, [[0]] if d == 1 else [[0, 1], [1, 2]]]
+    x = names.index("xbar_1")
+    hess = np.empty((len(rows), d, d))
+    for k, (i, j) in enumerate(_HESSIAN_ENTRIES[d], names.index("H_11")):
+        hess[:, i, j] = hess[:, j, i] = data[:, k]
     return ConcentrationTrajectory(
-        data[:, 0], data[:, 2:2 + d], data[:, 1], hess,
+        data[:, 0], data[:, x:x + d], data[:, 1], hess,
         source=rows[0][0] if header[0] == "source" else "pde")

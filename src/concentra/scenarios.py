@@ -144,11 +144,8 @@ class Scenario:
         return build_model(self.raw["model"], self.dimension)
 
     def build_config(self) -> SimulationConfig:
-        c = self.raw["config"]
-        return SimulationConfig(
-            epsilon=c["epsilon"], dt=c["dt"], steps=c["steps"],
-            snapshot_every=c.get("snapshot_every", 0),
-            mass_target=c.get("mass_target", 0.3))
+        """$.config; a key the file omits takes SimulationConfig's default."""
+        return SimulationConfig(**self.raw["config"])
 
     def build_diffusion(self) -> DiffusionCoefficient:
         spec = self.raw.get("diffusion")

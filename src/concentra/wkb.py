@@ -48,18 +48,15 @@ class WkbField:
 
 def to_wkb(density: DensityField, epsilon: float) -> WkbField:
     """u = eps * ln(max(n, floor)); floor-clipped nodes are flagged."""
-    if epsilon <= 0:
-        raise WkbError(f"epsilon must be positive, got {epsilon}")
     n = density.values
     mask = n < DENSITY_FLOOR
     u = epsilon * np.log(np.maximum(n, DENSITY_FLOOR))
     return WkbField(density.grid, u, epsilon, mask)
 
 
-def from_wkb(u: WkbField, epsilon: float = None) -> DensityField:
+def from_wkb(u: WkbField) -> DensityField:
     """n = exp(u/eps); exact inverse of to_wkb above the floor."""
-    eps = u.epsilon if epsilon is None else epsilon
-    arg = u.values / eps
+    arg = u.values / u.epsilon
     if np.any(arg > EXP_LIMIT):
         k = tuple(int(i) for i in
                   np.unravel_index(int(np.argmax(arg)), u.values.shape))
@@ -156,12 +153,12 @@ def _refine_max(u: WkbField, idx: tuple):
 def _local_maxima(vals: np.ndarray) -> np.ndarray:
     """Nodes >= each of their 3^d - 1 neighbours, diagonals included; the
     outside of the box counts as -inf."""
-    padded = np.pad(vals, 1, constant_values=-np.inf)
+    offsets = list(itertools.product((-1, 0, 1), repeat=vals.ndim))
+    views = _at_offsets(np.pad(vals, 1, constant_values=-np.inf), offsets)
+    node = views[len(offsets) // 2]   # the zero offset, vals itself
     local = np.ones(vals.shape, dtype=bool)
-    for offset in itertools.product((0, 1, 2), repeat=vals.ndim):
-        if offset != (1,) * vals.ndim:
-            local &= vals >= padded[tuple(slice(o, o + n) for o, n
-                                          in zip(offset, vals.shape))]
+    for view in views:
+        local &= node >= view
     return local
 
 
@@ -285,8 +282,8 @@ def regularity_monitor(u: WkbField, constants, time: float = 0.0) -> dict:
     grid = u.grid
     c = constants
     mask = well_resolved_mask(u)
-    nodes = grid.nodes()
-    norms2 = (nodes ** 2).sum(axis=-1)
+    x2 = [grid.axis_coords(ax) ** 2 for ax in range(grid.dimension)]
+    norms2 = x2[0] if grid.dimension == 1 else np.add.outer(*x2)
     report = {"time": time,
               "well_resolved_fraction": float(mask.mean()),
               "envelope": None, "hessian": None,

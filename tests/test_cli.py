@@ -3,6 +3,7 @@ layout, determinism, exit codes."""
 
 import copy
 import csv
+import dataclasses
 import json
 import os
 import pathlib
@@ -17,7 +18,7 @@ from concentra import cli
 from concentra.cli import main
 from concentra.grid import ScalarField, build_grid, write_field_csv
 from concentra.models import ConstraintInfeasibleError, ModelError
-from concentra.pde import run_simulation
+from concentra.pde import SimulationConfig, run_simulation
 from concentra.scenarios import (Scenario, ScenarioError,
                                  bundled_scenario_names, load_bundled)
 
@@ -279,6 +280,49 @@ def test_run_produces_artifacts(tmp_path, capsys):
     with open(os.path.join(art, "series.csv")) as f:
         header = f.readline().strip()
     assert header == "t,I,rho,J,xbar_1,H_11,residual_R,boundary_mass"
+
+
+@pytest.mark.parametrize("command", ["run", "canonical"])
+def test_manifest_config_takes_simulation_config_defaults(tmp_path, capsys,
+                                                          command):
+    """A file that omits snapshot_every and mass_target is recorded in the
+    manifest with SimulationConfig's defaults, the config the run used."""
+    raw = variant(config__snapshot_every=None)
+    assert "mass_target" not in raw["config"]
+    scen = write_scenario(tmp_path, raw)
+    out = tmp_path / "out"
+    args = ["--closure", "frozen"] if command == "canonical" else []
+    assert main([command, scen, *args, "--out", str(out)]) == 0
+    with open(os.path.join(_only_artifact_dir(out), "manifest.json")) as f:
+        recorded = json.load(f)["config"]
+    expected = dataclasses.asdict(Scenario(raw).build_config())
+    if command == "canonical":
+        expected.update(canonical_only=True, closure="frozen")
+    assert recorded == expected
+    defaults = {f.name: f.default for f in dataclasses.fields(SimulationConfig)
+                if f.name in ("snapshot_every", "mass_target")}
+    assert {k: recorded[k] for k in defaults} == defaults
+
+
+@pytest.mark.parametrize("command", ["run", "canonical"])
+def test_trajectory_rho_is_the_dirac_weight_for_psi_2(tmp_path, capsys,
+                                                     command):
+    """trajectory.csv's rho is I / psi, the Dirac weight, not the multiplier
+    I: on quadratic_concave with psi = 2 it is I / 2 on every row."""
+    raw = load_bundled("quadratic_concave").raw
+    raw["model"]["params"]["psi"] = 2.0
+    raw["config"]["steps"] = 100
+    raw["probes"] = [0, 100]
+    scen = write_scenario(tmp_path, raw)
+    out = tmp_path / "out"
+    args = ["--closure", "frozen"] if command == "canonical" else []
+    assert main([command, scen, *args, "--out", str(out)]) == 0
+    path = os.path.join(_only_artifact_dir(out), "trajectory.csv")
+    with open(path) as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 101
+    for row in rows:
+        assert float(row["rho"]) == float(row["I"]) / 2.0, row
 
 
 def test_run_is_deterministic_byte_for_byte(tmp_path):
