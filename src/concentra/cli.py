@@ -7,7 +7,8 @@ run <file>            full PDE run with attached diagnostics
 sweep <file> --epsilon e1,e2,...   one run per epsilon, in parallel
                       worker processes
 canonical <file> [--closure m] [--pde-dir d]   limit ODE only
-check <file>          validate and print the assumption report
+check <file>          validate and print the assumption report and the
+                      box-truncation risks
 
 CONCENTRA_THREADS caps the number of sweep worker processes; with 1 the
 rows run in this process, in order.  sweep.csv's `dir` column names each
@@ -386,12 +387,41 @@ def _cmd_canonical(args) -> int:
     return EXIT_OK
 
 
+def _truncation_risks(sc: Scenario, model) -> list:
+    """Where a run of `sc` risks box truncation: each u0 centre within two
+    cells of a wall, and a growth rate at zero macro, R(x, 0) (or r(x) for
+    the local family), whose grid maximum is on the two-cell boundary
+    ring."""
+    grid = sc.build_grid()
+    lower, upper, h = (np.asarray(v, dtype=float)
+                       for v in (grid.lower, grid.upper, grid.spacing))
+    risks = []
+    for k, bump in enumerate(sc.u0):
+        center = np.atleast_1d(np.asarray(bump["center"], dtype=float))
+        cells = float(np.min(np.minimum(center - lower, upper - center) / h))
+        if cells < 2:
+            risks.append({"check": "u0_center_near_wall", "bump": k,
+                          "center": center.tolist(),
+                          "cells_from_wall": cells})
+    nodes = grid.nodes()
+    rate = np.asarray(model.rate(nodes, 0.0), dtype=float)
+    node = np.unravel_index(int(np.argmax(rate)), grid.shape)
+    if any(i < 2 or i >= n - 2 for i, n in zip(node, grid.shape)):
+        local = isinstance(model, LocalCompetitionModel)
+        risks.append({"check": "growth_max_on_ring",
+                      "rate": "r(x)" if local else "R(x, 0)",
+                      "node": [int(i) for i in node],
+                      "point": nodes[node].tolist()})
+    return risks
+
+
 def _cmd_check(args) -> int:
     sc = load_scenario(args.scenario)
-    report = _assumption_report(sc, sc.build_model(), sc.build_diffusion())
-    print(json.dumps(_jsonable({"scenario": sc.name, "valid": True,
-                                "assumptions": report}), indent=2,
-                     sort_keys=True))
+    model = sc.build_model()
+    report = _assumption_report(sc, model, sc.build_diffusion())
+    payload = {"scenario": sc.name, "valid": True, "assumptions": report,
+               "box_truncation": _truncation_risks(sc, model)}
+    print(json.dumps(_jsonable(payload), indent=2, sort_keys=True))
     return EXIT_OK
 
 

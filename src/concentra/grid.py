@@ -123,6 +123,21 @@ class DensityField(ScalarField):
                             f"(min {low:g})")
 
 
+@dataclass(frozen=True)
+class FieldStack:
+    """Fields on one grid stacked along a leading axis: `values` has shape
+    (k, *grid.shape).  The rows are not checked again: each is a copy of a
+    field that was."""
+
+    grid: TraitGrid
+    values: np.ndarray
+
+    def __post_init__(self):
+        if self.values.shape[1:] != self.grid.shape:
+            raise GridError(f"stack of shape {self.values.shape} on a grid "
+                            f"of shape {self.grid.shape}")
+
+
 def diffusion_stencil(values: np.ndarray, weights, identity: bool = False,
                       out=None, flux=None) -> np.ndarray:
     """Flux-form no-flux diffusion stencil on the flattened grid, with no
@@ -227,14 +242,20 @@ def integrate(field: ScalarField, weight=1) -> float:
     return float((w * v).sum() * field.grid.cell_volume)
 
 
-def boundary_ring_mass(density: DensityField, width: int = 2) -> float:
-    """Mass carried by the outermost `width`-cell ring of the box."""
-    v = density.values
-    # summed as a contiguous copy, the interior adds up in flat order; a
-    # strided 2D view would sum row by row, with other round-off
-    interior = np.ascontiguousarray(
-        v[tuple(slice(width, n - width) for n in v.shape)])
-    return float((v.sum() - interior.sum()) * density.grid.cell_volume)
+def boundary_ring_mass(density: DensityField | FieldStack, width: int = 2):
+    """Mass carried by the outermost `width`-cell ring of the box: a float
+    for one density field, an array of one entry per row for a
+    `FieldStack`."""
+    grid = density.grid
+    v = density.values.reshape((-1,) + grid.shape)
+    rows = len(v)
+    # each interior adds up in flat order: reshaping a 2D one copies it,
+    # where a strided 2D view would sum line by line, with other round-off
+    interior = v[(slice(None),)
+                 + tuple(slice(width, n - width) for n in grid.shape)]
+    mass = ((v.reshape(rows, -1).sum(axis=1)
+             - interior.reshape(rows, -1).sum(axis=1)) * grid.cell_volume)
+    return mass if density.values.ndim > grid.dimension else float(mass[0])
 
 
 def kernel_convolution(grid: TraitGrid, kernel):

@@ -24,13 +24,13 @@ import numpy as np
 
 from .canonical import ConcentrationTrajectory
 from .diagnostics import MacroSeries, constraint_residual
-from .grid import (DensityField, GridError, TraitGrid, boundary_ring_mass,
-                   diffusion_stencil, face_coefficients, kernel_convolution,
-                   stencil_weights)
+from .grid import (DensityField, FieldStack, GridError, TraitGrid,
+                   boundary_ring_mass, diffusion_stencil, face_coefficients,
+                   kernel_convolution, stencil_weights)
 from .models import (AssumptionConstants, DiffusionCoefficient,
                      GlobalInteractionModel, LocalCompetitionModel,
                      QuadraticFunction)
-from .wkb import locate_max, regularity_monitor, to_wkb
+from .wkb import WkbField, locate_max, regularity_monitor, to_wkb
 
 CG_RTOL = 1e-10
 CG_MAXITER = 2000
@@ -46,6 +46,22 @@ CG_MAXITER = 2000
 #   448    0.072-0.094 0.038-0.052 21/21
 # G ties the scan up to 288 nodes and loses every pair from 320.
 GREEN_MAX_NODES = 288
+# Bytes of each of a run's two record blocks: the per-step observables
+# are computed one block of max(1, RECORD_BLOCK_BYTES // (8 N)) steps at a
+# time on an N-node grid.  run_simulation in process, as the share of the
+# time of one pass per step, then rows per block (2-vCPU Xeon, OpenBLAS on
+# 1 thread, medians of 15-25 alternations):
+#   KiB   local_logistic  quadratic_concave  scenario3_circle  scenario2
+#   64    0.62  32        0.81  16           1.22   1          1.11  1
+#   128   0.61  64        0.78  32           1.17   1          1.11  1
+#   256   0.60 128        0.73  64           0.90   3          1.11  1
+#   512   0.60 256        0.72 128           0.82   6          1.04  2
+#   1024  0.59 512        0.71 256           0.78  13          1.02  5
+# One row a block costs more than a pass per step.  The CLI's peak RSS on
+# local_logistic and scenario2, 36.4 and 40.7 MB with a pass per step, is
+# 36.5 and 41.1 MB at 64 KiB, 36.5 and 41.3 at 512 KiB, 37.5 and 42.7 at
+# 1 MiB.
+RECORD_BLOCK_BYTES = 512 * 1024
 NEGATIVE_CLAMP = 1e-10   # relative tolerance for solver round-off below zero
 BOUNDARY_MASS_FRACTION = 1e-8
 
@@ -411,7 +427,11 @@ def run_simulation(config: SimulationConfig, model, grid: TraitGrid, u0_spec,
                    constants: AssumptionConstants = None) -> RunResult:
     """Step the model, recording macro observables and the tracked peak
     every step, snapshots every snapshot_every steps, and regularity
-    reports at the probe steps."""
+    reports at the probe steps.
+
+    Each step writes its density and psi R n into one row of two blocks;
+    when they are full, or the run ends, one pass over their rows computes
+    every step's observables (see RECORD_BLOCK_BYTES)."""
     engine = ImexIntegrator(grid, model, config, b=b)
     density = init_density(grid, u0_spec, config.epsilon, config.mass_target)
     state = SimulationState(0.0, density, None)
@@ -419,59 +439,86 @@ def run_simulation(config: SimulationConfig, model, grid: TraitGrid, u0_spec,
     multi = len(u0_spec) > 1
     consts = constants if constants is not None else AssumptionConstants()
 
-    times, Is, rhos, Js, bms = [], [], [], [], []
-    pts, hessians = [], []
+    count, d = config.steps + 1, grid.dimension
+    times, Is, rhos, Js, bms = (np.empty(count) for _ in range(5))
+    pts, hessians = np.empty((count, d)), np.empty((count, d, d))
     snapshots, reports, probe_maxima = {}, [], {}
     run_warnings = []
 
     vol = grid.cell_volume
+    rows = min(count, max(1, RECORD_BLOCK_BYTES // (8 * grid.num_nodes)))
+    dens, psi_rn = (_aligned_rows(rows, grid.num_nodes)[:, :grid.num_nodes]
+                    .reshape((rows,) + grid.shape) for _ in range(2))
 
-    def record(step_index):
-        n = state.density
-        rate, macro = engine.rate_field(n, state.macro)
-        state.macro, state.rate = macro, rate
-        rho = float(n.values.sum() * vol)
-        i_val = rho if engine._local else macro
-        psi_rn = engine._psi * rate * n.values
-        j_val = float(psi_rn.sum() * vol) / config.epsilon
-        bm = boundary_ring_mass(n)
-        if bm > BOUNDARY_MASS_FRACTION * rho and not run_warnings:
-            run_warnings.append(
-                f"boundary ring mass {bm:.3e} exceeds {BOUNDARY_MASS_FRACTION:g}"
-                f" of total mass at step {step_index}; box truncation is "
-                "affecting the run")
+    def record_block(first, k):
+        """The observables of steps first .. first + k - 1, whose densities
+        and psi R n are rows 0 .. k - 1 of the blocks."""
+        steps = slice(first, first + k)
+        n = dens[:k]
+        rho = n.reshape(k, -1).sum(axis=1) * vol
+        rhos[steps] = rho
+        Js[steps] = (psi_rn[:k].reshape(k, -1).sum(axis=1) * vol
+                     / config.epsilon)
+        if engine._local:
+            Is[steps] = rho
+        stack = FieldStack(grid, n)
+        bm = boundary_ring_mass(stack)
+        bms[steps] = bm
 
-        u = to_wkb(n, config.epsilon)
+        u = to_wkb(stack, config.epsilon, out=n)
         notes = []
         peaks = locate_max(u, multi=multi, notes=notes)
-        run_warnings.extend(f"step {step_index}: {note}" for note in notes)
-        x_bar, _, H = peaks[0]
+        # a row's highest peak comes first; one peak a row unless multi
+        best = (np.searchsorted(peaks.rows, np.arange(k)) if multi
+                else slice(None))
+        pts[steps] = peaks.points[best]
+        hessians[steps] = peaks.hessians[best]
 
-        times.append(state.time)
-        Is.append(i_val)
-        rhos.append(rho)
-        Js.append(j_val)
-        bms.append(bm)
-        pts.append(x_bar)
-        hessians.append(H)
+        # one ring-mass warning, at its step, while the list is empty: it
+        # comes before that step's boundary notes
+        if not run_warnings:
+            heavy = np.flatnonzero(bm > BOUNDARY_MASS_FRACTION * rho)
+            if heavy.size and (not notes or notes[0][0] >= heavy[0]):
+                j = int(heavy[0])
+                run_warnings.append(
+                    f"boundary ring mass {float(bm[j]):.3e} exceeds "
+                    f"{BOUNDARY_MASS_FRACTION:g} of total mass at step "
+                    f"{first + j}; box truncation is affecting the run")
+        run_warnings.extend(f"step {first + j}: {note}" for j, note in notes)
 
-        if config.snapshot_every and step_index % config.snapshot_every == 0:
-            snapshots[step_index] = n
-        if step_index in probes:
-            probe_maxima[step_index] = [(p.tolist(), v) for p, v, _ in peaks]
-            rep = regularity_monitor(u, consts, time=state.time)
-            rep["step"] = step_index
+        for step in (p for p in probes if first <= p < first + k):
+            j = step - first
+            mine = peaks.rows == j
+            probe_maxima[step] = list(zip(peaks.points[mine].tolist(),
+                                          peaks.values[mine].tolist()))
+            rep = regularity_monitor(
+                WkbField(grid, u.values[j], config.epsilon, u.floor_mask[j]),
+                consts, time=float(times[step]))
+            rep["step"] = step
             reports.append(rep)
 
-    record(0)
-    for k in range(1, config.steps + 1):
-        state = engine.step(state)
-        record(k)
+    first = 0
+    for step in range(count):
+        if step:
+            state = engine.step(state)
+        rate, macro = engine.rate_field(state.density, state.macro)
+        state.macro, state.rate = macro, rate
+        dens[step - first] = state.density.values
+        prn = psi_rn[step - first]
+        np.multiply(engine._psi, rate, out=prn)
+        prn *= state.density.values
+        times[step] = state.time
+        if not engine._local:
+            Is[step] = macro
+        if config.snapshot_every and step % config.snapshot_every == 0:
+            snapshots[step] = state.density
+        if step - first + 1 == rows or step == config.steps:
+            record_block(first, step - first + 1)
+            first = step + 1
 
-    series = MacroSeries(np.array(times), np.array(Is), np.array(rhos),
-                         np.array(Js), np.array(bms))
-    traj = ConcentrationTrajectory(series.times, np.array(pts), series.I,
-                                   np.array(hessians), source="pde")
+    series = MacroSeries(times, Is, rhos, Js, bms)
+    traj = ConcentrationTrajectory(series.times, pts, series.I, hessians,
+                                   source="pde")
     residuals, _ = constraint_residual(traj, model)
     return RunResult(series, snapshots, traj, residuals, reports,
                      probe_maxima, run_warnings, list(engine.advisories))

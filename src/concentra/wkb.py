@@ -9,12 +9,15 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .grid import DensityField, GridError, ScalarField, TraitGrid
+from .grid import (DensityField, FieldStack, GridError, ScalarField,
+                   TraitGrid)
 
 DENSITY_FLOOR = 1e-280   # keeps u finite; far below any meaningful density
 EXP_LIMIT = 700.0        # exp overflow threshold for u/eps
@@ -29,7 +32,8 @@ class WkbError(ValueError):
 @dataclass
 class WkbField:
     """u = eps ln n on a grid; `floor_mask` flags nodes clipped at the
-    density floor (excluded from regularity statistics)."""
+    density floor (excluded from regularity statistics).  `values` has the
+    grid's shape, or (k, *grid.shape) for a stack of k transforms."""
 
     grid: TraitGrid
     values: np.ndarray
@@ -38,20 +42,30 @@ class WkbField:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != self.grid.shape:
+        if self.values.shape[-self.grid.dimension:] != self.grid.shape:
             self.values = self.values.reshape(self.grid.shape)
         if self.epsilon <= 0:
             raise WkbError(f"epsilon must be positive, got {self.epsilon}")
         if self.floor_mask is None:
-            self.floor_mask = np.zeros(self.grid.shape, dtype=bool)
+            self.floor_mask = np.zeros(self.values.shape, dtype=bool)
 
 
-def to_wkb(density: DensityField, epsilon: float) -> WkbField:
-    """u = eps * ln(max(n, floor)); floor-clipped nodes are flagged."""
+def to_wkb(density: DensityField | FieldStack, epsilon: float,
+           out: np.ndarray = None) -> WkbField:
+    """u = eps * ln(max(n, floor)); floor-clipped nodes are flagged.  A
+    `grid.FieldStack` gives the stack of its rows' transforms.  u is
+    written into `out` when given, which may be the density's own values."""
     n = density.values
-    mask = n < DENSITY_FLOOR
-    u = epsilon * np.log(np.maximum(n, DENSITY_FLOOR))
-    return WkbField(density.grid, u, epsilon, mask)
+    # one row per field: numpy runs each as one loop, where a strided stack
+    # of 2D fields would run line by line
+    flat = n.reshape(-1, density.grid.num_nodes)
+    mask = flat < DENSITY_FLOOR
+    u = np.maximum(flat, DENSITY_FLOOR,
+                   out=None if out is None else out.reshape(flat.shape))
+    np.log(u, out=u)
+    u *= epsilon
+    return WkbField(density.grid, u.reshape(n.shape), epsilon,
+                    mask.reshape(n.shape))
 
 
 def from_wkb(u: WkbField) -> DensityField:
@@ -66,12 +80,15 @@ def from_wkb(u: WkbField) -> DensityField:
 
 # --- peak location and curvature -------------------------------------------
 
-def _window_slices(idx, shape):
-    return tuple(slice(i - 1, i + 2) for i in idx)
+class Peaks(NamedTuple):
+    """The peaks of a stack of transforms, grouped by row and highest first
+    within each: the row of each, its point (m, d), value (m,) and Hessian
+    (m, d, d)."""
 
-
-def _is_interior(idx, shape, margin=1):
-    return all(margin <= i < n - margin for i, n in zip(idx, shape))
+    rows: np.ndarray
+    points: np.ndarray
+    values: np.ndarray
+    hessians: np.ndarray
 
 
 @functools.lru_cache(maxsize=8)
@@ -89,72 +106,120 @@ def _fit_operator(hx: float, hy: float) -> np.ndarray:
     return op
 
 
-def _fit_quadratic(values: np.ndarray, idx: tuple, grid: TraitGrid):
-    """Least-squares quadratic on the 3x3 (or 3-point) window around a node.
+class _Geometry(NamedTuple):
+    nodes: np.ndarray     # (N, d) node coordinates, flat order
+    wall: np.ndarray      # (N,) cells from each node to a wall, capped at 2
+    window: np.ndarray    # (3^d,) flat offsets of a node's window, raveled
+    inner: int            # flat index of node (1, ...), which has a window
 
-    Returns (value, gradient, hessian) of the fit at the node center in
-    physical coordinates.  Exact on quadratic data.
-    """
+
+@functools.lru_cache(maxsize=8)
+def _geometry(grid: TraitGrid) -> _Geometry:
+    """The tables the peak fits read from `grid`, built once per grid and
+    read-only."""
+    strides = np.array([math.prod(grid.shape[ax + 1:])
+                        for ax in range(grid.dimension)])
+    offsets = np.array(list(itertools.product((-1, 0, 1),
+                                              repeat=grid.dimension)))
+    axes = np.indices(grid.shape).reshape(grid.dimension, -1)
+    last = np.asarray(grid.shape)[:, None] - 1
+    wall = np.minimum(np.minimum(axes, last - axes).min(axis=0), 2)
+    tables = (grid.nodes().reshape(-1, grid.dimension), wall.astype(np.int8),
+              offsets @ strides)
+    for table in tables:
+        table.flags.writeable = False
+    return _Geometry(*tables, int(strides.sum()))
+
+
+# the 2D Hessian [[2 c3, c4], [c4, 2 c5]] from the fit's coefficients c
+_HESSIAN_COEFFS = np.array([3, 4, 4, 5])
+_HESSIAN_FACTORS = np.array([2.0, 1.0, 1.0, 2.0])
+
+
+def _quadratic_fits(flat: np.ndarray, rows: np.ndarray, centre: np.ndarray,
+                    grid: TraitGrid):
+    """Least-squares quadratics on the 3x3 (or 3-point) windows of a stack
+    of fields: `flat` holds its rows flattened, (k, N), and window m is
+    centred on flat node centre[m] of row rows[m], at least one node from
+    every wall.
+
+    Returns the (value, gradient, hessian) of each fit at its centre node
+    in physical coordinates, shapes (m,), (m, d), (m, d, d).  Exact on
+    quadratic data.  In 2D all windows go through one stacked product with
+    the operator, which gives each window bitwise its own `op @ w`."""
+    windows = flat[rows[:, None], centre[:, None] + _geometry(grid).window]
     h = grid.spacing
-    window = values[_window_slices(idx, values.shape)]
     if grid.dimension == 1:
-        fm, f0, fp = window
+        fm, f0, fp = windows.T
         c1 = (fp - fm) / (2.0 * h[0])
         c2 = (fp - 2.0 * f0 + fm) / (2.0 * h[0] ** 2)
-        return float(f0), np.array([c1]), np.array([[2.0 * c2]])
-    c0, c1, c2, c3, c4, c5 = (_fit_operator(*h) @ window.ravel()).tolist()
-    grad = np.array([c1, c2])
-    hess = np.array([[2.0 * c3, c4], [c4, 2.0 * c5]])
-    return c0, grad, hess
+        return f0, c1[:, None], (2.0 * c2)[:, None, None]
+    c = np.matmul(_fit_operator(*h), windows[:, :, None])[..., 0]
+    hess = c[:, _HESSIAN_COEFFS] * _HESSIAN_FACTORS
+    return c[:, 0], c[:, 1:3], hess.reshape(-1, 2, 2)
 
 
-def _node(grid: TraitGrid, idx) -> np.ndarray:
-    """Coordinates of node `idx`: entry idx of each `grid.axis_coords`."""
-    return np.array([lo + (i + 0.5) * h
-                     for lo, i, h in zip(grid.lower, idx, grid.spacing)])
+def _refine_maxima(flat: np.ndarray, rows: np.ndarray, at: np.ndarray,
+                   grid: TraitGrid):
+    """Sub-grid peak, its value and its curvature at flat node at[m] of row
+    rows[m] of a flattened stack (k, N), from one quadratic fit there.
+
+    A peak falls back to its node when the fitted vertex is degenerate or
+    more than one cell away, and when the node is on the boundary ring,
+    where no window fits: it keeps the node's own value there.  A Hessian
+    is nan when its node is within two cells of the boundary.  Returns the
+    points (m, d), values (m,), Hessians (m, d, d) and the ring mask (m,)."""
+    geo = _geometry(grid)
+    wall = geo.wall[at]
+    ring = wall < 1
+    # a ring node has no window: fit any, here node (1, ...), and drop it
+    f0, g, h = _quadratic_fits(flat, rows, np.where(ring, geo.inner, at),
+                               grid)
+    hess = np.where((wall < 2)[:, None, None], np.nan, h)
+    node = geo.nodes[at]
+    spacing = grid.spacing
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if grid.dimension == 1:
+            # the 1x1 solve and eigenvalue, bitwise what LAPACK gives; exact
+            # zero curvature keeps the node, as a singular solve does
+            g1, h11 = g[:, 0], h[:, 0, 0]
+            delta = -g1 / h11
+            kept = (h11 >= 0) | (np.abs(delta) > spacing[0]) | ring
+            # f0 + g @ delta + 0.5 * delta @ h @ delta, associated alike
+            value = f0 + g1 * delta + ((0.5 * delta) * h11) * delta
+            delta = delta[:, None]
+        else:
+            # the 2x2 vertex in closed form: h is negative definite exactly
+            # when h11 < 0 and det h > 0, and then delta = -h^{-1} g
+            g1, g2 = g.T
+            h4 = h.reshape(-1, 4)
+            a, b, c = h4[:, 0], h4[:, 1], h4[:, 3]
+            det = a * c - b * b
+            # (b g2 - c g1, b g1 - a g2) / det, both components at once
+            delta = (b[:, None] * g[:, ::-1] - h4[:, 3::-3] * g) / det[:, None]
+            dx, dy = delta.T
+            kept = (~((a < 0) & (det > 0))
+                    | (np.abs(delta) > spacing).any(axis=1) | ring)
+            value = f0 + g1 * dx + g2 * dy + 0.5 * (a * dx * dx
+                                                     + 2.0 * b * dx * dy
+                                                     + c * dy * dy)
+        points = np.where(kept[:, None], node, node + delta)
+    values = np.where(kept, f0, value)
+    if ring.any():
+        values[ring] = flat[rows[ring], at[ring]]
+    return points, values, hess, ring
 
 
-def _refine_max(u: WkbField, idx: tuple):
-    """Sub-grid peak, its value and its curvature, from one quadratic fit at
-    the node.  The peak falls back to the node when the fitted vertex is
-    degenerate or more than one cell away; the Hessian is nan when the node
-    is within two cells of the boundary."""
-    grid = u.grid
-    node = _node(grid, idx)
-    f0, g, h = _fit_quadratic(u.values, idx, grid)
-    hess = h if _is_interior(idx, u.values.shape, margin=2) \
-        else np.full_like(h, np.nan)
-    if grid.dimension == 1:
-        # the 1x1 solve and eigenvalue on floats, bitwise what LAPACK gives;
-        # exact zero curvature keeps the node, as a singular solve does
-        g1, h11 = float(g[0]), float(h[0, 0])
-        if h11 >= 0:
-            return node, f0, hess
-        d = -g1 / h11
-        if abs(d) > grid.spacing[0]:
-            return node, f0, hess
-        # f0 + g @ delta + 0.5 * delta @ h @ delta, associated alike
-        return node + d, f0 + g1 * d + ((0.5 * d) * h11) * d, hess
-    # the 2x2 vertex in closed form: h is negative definite exactly when
-    # h11 < 0 and det h > 0, and then delta = -h^{-1} g
-    g1, g2 = g.tolist()
-    (a, b), (_, c) = h.tolist()
-    det = a * c - b * b
-    if not (a < 0 and det > 0):
-        return node, f0, hess
-    dx, dy = (b * g2 - c * g1) / det, (b * g1 - a * g2) / det
-    if abs(dx) > grid.spacing[0] or abs(dy) > grid.spacing[1]:
-        return node, f0, hess
-    value = f0 + g1 * dx + g2 * dy + 0.5 * (a * dx * dx + 2.0 * b * dx * dy
-                                             + c * dy * dy)
-    return node + np.array([dx, dy]), value, hess
-
-
-def _local_maxima(vals: np.ndarray) -> np.ndarray:
-    """Nodes >= each of their 3^d - 1 neighbours, diagonals included; the
-    outside of the box counts as -inf."""
-    offsets = list(itertools.product((-1, 0, 1), repeat=vals.ndim))
-    views = _at_offsets(np.pad(vals, 1, constant_values=-np.inf), offsets)
+def _local_maxima(vals: np.ndarray, dimension: int = None) -> np.ndarray:
+    """Nodes >= each of their 3^d - 1 neighbours, diagonals included, over
+    the last `dimension` axes (all by default); the outside of the box
+    counts as -inf."""
+    d = vals.ndim if dimension is None else dimension
+    lead = (0,) * (vals.ndim - d)
+    offsets = [lead + o for o in itertools.product((-1, 0, 1), repeat=d)]
+    padded = np.pad(vals, [(0, 0)] * len(lead) + [(1, 1)] * d,
+                    constant_values=-np.inf)
+    views = _at_offsets(padded, offsets)
     node = views[len(offsets) // 2]   # the zero offset, vals itself
     local = np.ones(vals.shape, dtype=bool)
     for view in views:
@@ -167,36 +232,47 @@ def locate_max(u: WkbField, multi: bool = False, notes: list = None):
     local quadratic fit, whose Hessian is the curvature of u there.
 
     With `multi`, every local maximum within eps*ln(1e6) of the global one
-    is reported (coexisting concentration points).  Peaks on the boundary
-    ring are returned at the raw node, with a nan Hessian and a message
-    (fit window unavailable): appended to `notes` when a list is given,
-    raised as a RuntimeWarning otherwise.
-    """
-    vals = u.values
-    shape = vals.shape
-    if multi:
-        cut = vals.max() - u.epsilon * np.log(MULTI_MAX_DROP_FACTOR)
-        candidates = [tuple(idx) for idx in
-                      np.argwhere(_local_maxima(vals) & (vals >= cut))]
-    else:
-        candidates = [np.unravel_index(int(np.argmax(vals)), shape)]
+    is reported (coexisting concentration points), highest first, the
+    first found on a tie.  Peaks on the boundary ring are returned at the
+    raw node, with a nan Hessian and a message (fit window unavailable):
+    appended to `notes` when a list is given, raised as a RuntimeWarning
+    otherwise.
 
-    out = []
-    d = u.grid.dimension
-    for idx in candidates:
-        if not _is_interior(idx, shape):
-            msg = (f"maximum at boundary node {tuple(int(i) for i in idx)}; "
-                   "refinement skipped")
+    One field gives a list of (point, value, hessian).  A stack of
+    transforms gives one `Peaks` over all its rows, from one fit of every
+    candidate, and its notes are (row, message) pairs.
+    """
+    grid, d = u.grid, u.grid.dimension
+    flat = u.values.reshape(-1, grid.num_nodes)
+    k = len(flat)
+    if multi:
+        cut = flat.max(axis=1) - u.epsilon * np.log(MULTI_MAX_DROP_FACTOR)
+        local = _local_maxima(flat.reshape((k,) + grid.shape), d)
+        found = np.flatnonzero(local.reshape(k, -1) & (flat >= cut[:, None]))
+        rows, at = np.divmod(found, grid.num_nodes)
+    else:
+        rows, at = np.arange(k), flat.argmax(axis=1)
+    points, values, hessians, ring = _refine_maxima(flat, rows, at, grid)
+
+    stack = u.values.ndim > d
+    if ring.any():
+        idx = np.column_stack(np.unravel_index(at[ring], grid.shape))
+        for row, i in zip(rows[ring].tolist(), idx.tolist()):
+            msg = f"maximum at boundary node {tuple(i)}; refinement skipped"
             if notes is None:
                 warnings.warn(msg, RuntimeWarning)
             else:
-                notes.append(msg)
-            out.append((_node(u.grid, idx), float(vals[tuple(idx)]),
-                        np.full((d, d), np.nan)))
-        else:
-            out.append(_refine_max(u, tuple(idx)))
-    out.sort(key=lambda peak: -peak[1])
-    return out
+                notes.append((row, msg) if stack else msg)
+    if multi:
+        # by row, then highest first; both sorts stable, so ties keep the
+        # candidates' order
+        order = np.argsort(-values, kind="stable")
+        order = order[np.argsort(rows[order], kind="stable")]
+        rows, points, values, hessians = (rows[order], points[order],
+                                          values[order], hessians[order])
+    if stack:
+        return Peaks(rows, points, values, hessians)
+    return list(zip(points, values.tolist(), hessians))
 
 
 # --- regularity monitors -----------------------------------------------------

@@ -923,6 +923,43 @@ def test_check_prints_assumption_report(tmp_path, capsys):
     assert "hessian_bounds(9)" in names
 
 
+# the box-truncation risks `check` names on each bundled file: (check,
+# bump and cells from the wall, or the node of the growth rate's maximum)
+BUNDLED_TRUNCATION_RISKS = {
+    "local_logistic": [], "local_logistic_2d": [], "quadratic_concave": [],
+    "scenario1_anisotropic": [("growth_max_on_ring", [0, 0])],
+    "scenario1_isotropic": [("growth_max_on_ring", [0, 0])],
+    "scenario2": [("growth_max_on_ring", [149, 149])],
+    "scenario3_circle": [("u0_center_near_wall", 0, 0.0),
+                         ("u0_center_near_wall", 1, 0.0),
+                         ("growth_max_on_ring", [99, 99])],
+    "scenario3_ellipse": [("u0_center_near_wall", 0, 0.0),
+                          ("u0_center_near_wall", 1, 0.0),
+                          ("growth_max_on_ring", [99, 99])],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_TRUNCATION_RISKS))
+def test_check_flags_box_truncation_risks(capsys, name):
+    """`check` names u0 centres within two cells of a wall and a growth
+    rate R(x, 0) whose maximum is on the two-cell ring, on stdout only:
+    the assumption report a run writes is unchanged, and the exit code
+    stays 0."""
+    path = os.path.join(os.path.dirname(concentra.__file__), "scenarios",
+                        f"{name}.json")
+    assert main(["check", path]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    got = [(r["check"], r["bump"], r["cells_from_wall"])
+           if r["check"] == "u0_center_near_wall" else (r["check"], r["node"])
+           for r in payload["box_truncation"]]
+    assert got == BUNDLED_TRUNCATION_RISKS[name]
+    assert all(r.get("rate") in (None, "R(x, 0)")
+               for r in payload["box_truncation"])
+    sc = load_bundled(name)
+    assert payload["assumptions"] == json.loads(json.dumps(cli._jsonable(
+        cli._assumption_report(sc, sc.build_model(), sc.build_diffusion()))))
+
+
 def test_check_rejects_bad_scenario(tmp_path, capsys):
     scen = write_scenario(tmp_path, variant(dimension=3))
     assert main(["check", scen]) == 2

@@ -772,6 +772,23 @@ def test_run_boundary_mass_warning():
     assert any("boundary ring mass" in msg for msg in result.warnings)
 
 
+def test_run_ring_mass_warning_precedes_its_steps_notes(monkeypatch):
+    """Within one step the ring-mass check comes before that step's
+    boundary notes, whichever row of a block the step is."""
+    g = build_grid(1, 0.0, 1.0, 64)
+    cfg = SimulationConfig(0.05, 0.01, 4)
+    for rows in (1, 2, 5):
+        monkeypatch.setattr(pde, "RECORD_BLOCK_BYTES", rows * 8 * 64)
+        result = run_simulation(cfg, zero_rate_model(1), g,
+                                [{"center": [0.995], "weights": [1.0]}])
+        assert result.warnings[0].startswith("boundary ring mass ")
+        assert result.warnings[0].endswith(
+            " at step 0; box truncation is affecting the run")
+        assert result.warnings[1:] == [
+            f"step {k}: maximum at boundary node (63,); refinement skipped"
+            for k in range(5)]
+
+
 def _scenario1_isotropic_run():
     sc = load_bundled("scenario1_isotropic")
     return run_simulation(sc.build_config(), sc.build_model(),
@@ -795,8 +812,8 @@ def test_run_warnings_pinned_on_scenario1_isotropic():
 
 
 def test_locate_max_wrapped_like_the_traced_bench(monkeypatch):
-    """The run loop calls `pde.locate_max` by that name once per recorded
-    step, and its boundary messages travel through the `notes` keyword: a
+    """The run loop calls `pde.locate_max` by that name once per record
+    block, and its boundary messages travel through the `notes` keyword: a
     wrapper that forwards args and kwargs, as the traced bench installs,
     sees every call and changes no warning."""
     calls = []
@@ -809,11 +826,76 @@ def test_locate_max_wrapped_like_the_traced_bench(monkeypatch):
 
     monkeypatch.setattr(pde, "locate_max", counting)
     result = _scenario1_isotropic_run()
-    assert len(calls) == len(result.series.times) == 81
+    rows = pde.RECORD_BLOCK_BYTES // (8 * 100 * 100)
+    assert len(result.series.times) == 81 and rows > 1
+    assert len(calls) == -(-81 // rows)
     assert all(isinstance(notes, list) for notes in calls)
     assert sum(len(notes) for notes in calls) >= 48
     assert result.warnings[1] == SCENARIO1_FIRST_BOUNDARY_NODE
     assert len(result.warnings) == 49
+
+
+def _result_bytes(result):
+    """Everything a run records, as bytes and reprs: equal exactly when
+    every array is bitwise equal and every list and report is the same."""
+    s, traj = result.series, result.trajectory
+    arrays = [s.times, s.I, s.rho, s.J, s.boundary_mass, traj.points,
+              traj.hessians, result.residuals]
+    return ([a.tobytes() for a in arrays],
+            [(k, v.values.tobytes()) for k, v in
+             sorted(result.snapshots.items())],
+            repr(result.regularity_reports), repr(result.probe_maxima),
+            result.warnings, result.advisories)
+
+
+def _scenario_run(name, steps=None, points=None, probes=None):
+    """A bundled scenario's `run_simulation` arguments, optionally with
+    another step count, grid resolution or probe list."""
+    sc = load_bundled(name)
+    cfg, grid = sc.build_config(), sc.build_grid()
+    if steps is not None:
+        cfg = dataclasses.replace(cfg, steps=steps)
+    if points is not None:
+        grid = build_grid(grid.dimension, grid.lower, grid.upper, points)
+    return ((cfg, sc.build_model(), grid, sc.u0),
+            dict(probes=sc.probes if probes is None else probes,
+                 b=sc.build_diffusion(), constants=sc.build_constants()))
+
+
+@pytest.mark.parametrize("name, steps, points, probes", [
+    # probes 6 and 7 end and start a block of 7 rows, 200 ends one of 3
+    ("quadratic_concave", None, None, [0, 6, 7, 200, 400]),
+    ("local_logistic", 60, None, [0, 31, 60]),
+    ("scenario2", None, 24, None),
+    ("scenario3_circle", 40, 32, [0, 20, 40]),
+    ("scenario1_isotropic", None, None, None),
+    ("quadratic_concave", 0, None, [0]),
+])
+def test_run_results_do_not_depend_on_the_block_size(monkeypatch, name,
+                                                     steps, points, probes):
+    """Blocks of 1, 2, 3 and 7 rows and the default one record every series
+    value, Hessian, warning, advisory, probe maximum, regularity report and
+    snapshot bitwise alike, one locate_max call per block."""
+    args, kwargs = _scenario_run(name, steps, points, probes)
+    grid, count = args[2], args[0].steps + 1
+    calls = []
+    target = pde.locate_max
+
+    def counting(*a, **kw):
+        calls.append(1)
+        return target(*a, **kw)
+
+    monkeypatch.setattr(pde, "locate_max", counting)
+    row_bytes = 8 * grid.num_nodes
+    results = []
+    for budget in [rows * row_bytes for rows in (1, 2, 3, 7)] + [
+            pde.RECORD_BLOCK_BYTES]:
+        monkeypatch.setattr(pde, "RECORD_BLOCK_BYTES", budget)
+        rows = max(1, budget // row_bytes)
+        calls.clear()
+        results.append(_result_bytes(run_simulation(*args, **kwargs)))
+        assert len(calls) == -(-count // rows)
+    assert all(r == results[0] for r in results[1:])
 
 
 def test_bench_interface_names():

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from concentra import wkb
+from concentra import pde, wkb
 from concentra.grid import DensityField, build_grid
 from concentra.models import AssumptionConstants
 from concentra.pde import SimulationConfig, init_density, run_simulation
@@ -248,9 +248,9 @@ def test_hessian_on_face_vertex_is_the_refinement_node_fit():
     u = WkbField(g, vals, 0.01)
     [(pt, _, H)] = locate_max(u)
     assert pt[0] == pytest.approx(g.axis_coords(0)[k0] + 0.5 * h, abs=1e-12)
-    assert H.tobytes() == wkb._fit_quadratic(vals, (k0,), g)[2].tobytes()
+    assert H.tobytes() == _fit(vals, (k0,), g)[2].tobytes()
     assert H[0, 0] == pytest.approx(-2.0, abs=1e-9)
-    other = wkb._fit_quadratic(vals, (k0 + 1,), g)[2]
+    other = _fit(vals, (k0 + 1,), g)[2]
     assert other[0, 0] == pytest.approx(-6.5, abs=1e-9)
 
 
@@ -266,41 +266,90 @@ def test_hessian_scenario1_step0_is_the_refinement_node_fit():
     nearest = tuple(int(np.argmin(np.abs(grid.axis_coords(j) - pt[j])))
                     for j in range(grid.dimension))
     assert nearest != tuple(int(i) for i in idx)
-    assert H.tobytes() == wkb._fit_quadratic(u.values, idx, grid)[2].tobytes()
+    assert H.tobytes() == _fit(u.values, idx, grid)[2].tobytes()
 
 
 def test_fit_quadratic_runs_once_per_candidate(monkeypatch):
+    """The stacked fit runs once per call of locate_max and takes each
+    candidate once: in a run, once per record block, one candidate per
+    recorded step."""
     calls = []
-    fit = wkb._fit_quadratic
+    fit = wkb._quadratic_fits
 
-    def counting(values, idx, grid):
-        calls.append(tuple(int(i) for i in idx))
-        return fit(values, idx, grid)
+    def counting(flat, rows, centre, grid):
+        calls.append(list(zip(rows.tolist(), centre.tolist())))
+        return fit(flat, rows, centre, grid)
 
-    monkeypatch.setattr(wkb, "_fit_quadratic", counting)
+    monkeypatch.setattr(wkb, "_quadratic_fits", counting)
     g = _grid2(60)
     two = np.maximum(_quad_u(g, (0.3, 0.3), (4.0, 4.0)),
                      _quad_u(g, (0.7, 0.7), (4.0, 4.0)))
     assert len(locate_max(WkbField(g, two, 0.01), multi=True)) == 2
-    assert len(calls) == 2 and len(set(calls)) == 2
+    assert len(calls) == 1 and len(set(calls[0])) == len(calls[0]) == 2
 
-    calls.clear()
     sc = load_bundled("quadratic_concave")
     cfg = sc.build_config()
     cfg = SimulationConfig(cfg.epsilon, cfg.dt, 5)
-    result = run_simulation(cfg, sc.build_model(), sc.build_grid(), sc.u0)
-    assert len(calls) == len(result.series.times) == 6
+    grid = sc.build_grid()
+    for rows, blocks in ((6, [6]), (2, [2, 2, 2]), (4, [4, 2])):
+        calls.clear()
+        monkeypatch.setattr(pde, "RECORD_BLOCK_BYTES",
+                            rows * 8 * grid.num_nodes)
+        result = run_simulation(cfg, sc.build_model(), grid, sc.u0)
+        assert len(result.series.times) == 6
+        assert [[row for row, _ in c] for c in calls] == [
+            list(range(n)) for n in blocks]
+
+
+def _fit(values, idx, grid):
+    """The stacked fit at node `idx` of one field, as a stack of one."""
+    f0, g, h = wkb._quadratic_fits(
+        values.reshape(1, -1), np.array([0]),
+        np.array([np.ravel_multi_index(idx, values.shape)]), grid)
+    return f0[0], g[0], h[0]
+
+
+def _refine(u, idx):
+    """The stacked refinement at node `idx` of one field."""
+    points, values, hess, _ = wkb._refine_maxima(
+        u.values.reshape(1, -1), np.array([0]),
+        np.array([np.ravel_multi_index(idx, u.values.shape)]), u.grid)
+    return points[0], float(values[0]), hess[0]
+
+
+def test_stacked_2d_fit_is_each_windows_own_product():
+    """The 2D fit of m windows in one stacked product gives each window
+    bitwise the coefficients of its own `op @ w`, for m = 1 to 64 (a
+    product of the windows as one matrix goes through gemm and does not,
+    from two rows on)."""
+    rng = np.random.default_rng(26)
+    g = build_grid(2, (-1.0, 0.5), (0.7, 2.0), 20)
+    op = wkb._fit_operator(*g.spacing)
+    for m in range(1, 65):
+        flat = rng.standard_normal((3, g.num_nodes)) * 10.0 ** rng.uniform(
+            -3, 3, (3, 1))
+        rows = rng.integers(0, 3, m)
+        idx = rng.integers(1, 19, (m, 2))
+        f0, grad, hess = wkb._quadratic_fits(
+            flat, rows, np.ravel_multi_index(idx.T, g.shape), g)
+        for j in range(m):
+            (i0, i1), values = idx[j], flat[rows[j]].reshape(g.shape)
+            c = op @ values[i0 - 1:i0 + 2, i1 - 1:i1 + 2].ravel()
+            assert f0[j].tobytes() == c[0].tobytes()
+            assert grad[j].tobytes() == c[1:3].tobytes()
+            assert hess[j].tobytes() == np.array(
+                [[2.0 * c[3], c[4]], [c[4], 2.0 * c[5]]]).tobytes()
 
 
 def _lapack_refine(u, idx):
-    """The vertex as `_refine_max` once computed it, with a LAPACK solve and
-    eigvalsh on the fit: the reference the 1D float formula must match
-    bitwise."""
+    """The vertex as the per-candidate refinement once computed it, with a
+    LAPACK solve and eigvalsh on the fit: the reference the 1D float
+    formula must match bitwise."""
     grid = u.grid
     node = np.array([grid.axis_coords(j)[idx[j]]
                      for j in range(grid.dimension)])
-    f0, g, h = wkb._fit_quadratic(u.values, idx, grid)
-    hess = h if wkb._is_interior(idx, u.values.shape, margin=2) \
+    f0, g, h = _fit(u.values, idx, grid)
+    hess = h if all(2 <= i < n - 2 for i, n in zip(idx, u.values.shape)) \
         else np.full_like(h, np.nan)
     try:
         delta = np.linalg.solve(h, -g)
@@ -369,9 +418,9 @@ def test_1d_vertex_bitwise_lapack_formula_on_any_window():
         vals = np.zeros(n)
         vals[k - 1:k + 2] = window
         u = WkbField(g, vals, 0.01)
-        peak = wkb._refine_max(u, (k,))
+        peak = _refine(u, (k,))
         assert _peak_bytes(peak) == _peak_bytes(_lapack_refine(u, (k,)))
-        _, grad, hess = wkb._fit_quadratic(vals, (k,), g)
+        _, grad, hess = _fit(vals, (k,), g)
         if hess[0, 0] > 0:
             kinds["convex"] += 1
         elif hess[0, 0] == 0:
@@ -384,8 +433,9 @@ def test_1d_vertex_bitwise_lapack_formula_on_any_window():
 
 
 def _lstsq_refine_2d(u, idx):
-    """The 2D vertex as `_refine_max` once computed it: `lstsq` on the 9x6
-    design, a LAPACK solve, and eigvalsh for definiteness."""
+    """The 2D vertex as the per-candidate refinement once computed it:
+    `lstsq` on the 9x6 design, a LAPACK solve, and eigvalsh for
+    definiteness."""
     grid, (hx, hy) = u.grid, u.grid.spacing
     X, Y = np.meshgrid([-hx, 0.0, hx], [-hy, 0.0, hy], indexing="ij")
     design = np.column_stack([np.ones(9), X.ravel(), Y.ravel(),
@@ -431,7 +481,7 @@ def test_2d_vertex_meets_lstsq_formula():
         edge = np.abs(np.abs(vertex - node) / (hx, hy) - 1.0).min()
         if abs(ev.max()) < 1e-9 * abs(ev).max() or edge < 1e-9:
             continue   # a tie lstsq's round-off may break either way
-        point, value, h = wkb._refine_max(u, k)
+        point, value, h = _refine(u, k)
         kinds["moved" if (point != node).any() else "kept"] += 1
         assert (point == node).all() == (ref[0] == node).all()
         window = np.abs(vals[k[0] - 1:k[0] + 2, k[1] - 1:k[1] + 2]).max()
@@ -453,7 +503,7 @@ def test_1d_flat_top_through_locate_max_keeps_the_node():
     got = sorted(_peak_bytes(p) for p in locate_max(u, multi=True))
     assert got == sorted(_peak_bytes(_lapack_refine(u, (k,)))
                          for k in (6, 7, 8))
-    middle = wkb._refine_max(u, (7,))
+    middle = _refine(u, (7,))
     assert middle[0][0] == g.axis_coords(0)[7] and middle[1] == 0.5
 
 
