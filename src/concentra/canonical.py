@@ -49,29 +49,20 @@ class ConcentrationTrajectory:
     def __len__(self):
         return self.times.size
 
-    def hessian_interpolant(self):
-        """Componentwise linear-in-time interpolation of the Hessian series,
-        clamped to the sampled range.  It keeps its last time and matrix,
-        since an RK4 step asks for the same time two or three times; the
-        matrix is read-only, as every caller of that time shares it."""
-        t = self.times
-        H = self.hessians
-        last = (None, None)
-
-        def interp(s):
-            nonlocal last
-            s = min(max(float(s), t[0]), t[-1])
-            if s != last[0]:
-                d = H.shape[-1]
-                out = np.empty((d, d))
-                for i in range(d):
-                    for j in range(d):
-                        out[i, j] = np.interp(s, t, H[:, i, j])
-                out.flags.writeable = False
-                last = (s, out)
-            return last[1]
-
-        return interp
+    def interpolate_hessians(self, times) -> np.ndarray:
+        """The Hessian series at each of `times`, componentwise linear in
+        time and clamped to the sampled range: one np.interp call per
+        entry, which gives each time bitwise its scalar call's value.  The
+        (k, d, d) result is read-only, as its callers share its rows."""
+        s = np.clip(np.asarray(times, dtype=float), self.times[0],
+                    self.times[-1])
+        d = self.hessians.shape[-1]
+        out = np.empty((s.size, d, d))
+        for i in range(d):
+            for j in range(d):
+                out[:, i, j] = np.interp(s, self.times, self.hessians[:, i, j])
+        out.flags.writeable = False
+        return out
 
 
 @dataclass
@@ -191,10 +182,11 @@ def integrate_canonical(x0, closure: HessianClosure, model, dt: float,
 
     The multiplier is recomputed algebraically at every stage.  In riccati
     mode the Hessian integrates alongside the position; in from_pde mode it
-    is read from the measured series.  The trajectory truncates (with
-    exit_time recorded) if the point leaves `domain`.  The frozen -H is
-    negated once per run, and a 1D run keeps its point and Hessian on
-    Python floats (see _point_arithmetic).
+    is read from the measured series, interpolated at every stage time
+    once per run.  The trajectory truncates (with exit_time recorded) if
+    the point leaves `domain`.  The frozen -H is negated once per run, and
+    a 1D run keeps its point and Hessian on Python floats (see
+    _point_arithmetic).
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     d = x0.size
@@ -209,11 +201,16 @@ def integrate_canonical(x0, closure: HessianClosure, model, dt: float,
 
     feed = None
     if closure.mode == "from_pde":
-        interp = closure.feed.hessian_interpolant()
+        # every time the loop below asks the feed for, with t accumulated
+        # as it does: the start, then t + dt/2 and t + dt per step
+        stage_times = [0.0]
+        t = 0.0
+        for _ in range(steps):
+            stage_times += [t + 0.5 * dt, t + dt]
+            t += dt
+        table = closure.feed.interpolate_hessians(stage_times)
+        feed = dict(zip(stage_times, map(point, table))).__getitem__
         H = None
-
-        def feed(tau):
-            return point(interp(tau))
     else:
         # the riccati state, or the frozen matrix, which HessianClosure
         # checked: the stages do not check it again

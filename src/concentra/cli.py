@@ -4,15 +4,15 @@ integrations, and scenario validation.
 Commands
 --------
 run <file>            full PDE run with attached diagnostics
-sweep <file> --epsilon e1,e2,...   one run per epsilon, in parallel
-                      worker processes
+sweep <file> --epsilon e1,e2,...   one run per epsilon, in order, in
+                      this process
 canonical <file> [--closure m] [--pde-dir d]   limit ODE only
 check <file>          validate and print the assumption report and the
                       box-truncation risks
 
-CONCENTRA_THREADS caps the number of sweep worker processes; with 1 the
-rows run in this process, in order.  sweep.csv's `dir` column names each
-row's directory under --out.
+A sweep row that fails is marked failed in sweep.csv and the rows after it
+still run.  sweep.csv's `dir` column names each row's directory under
+--out.
 
 Exit codes: 0 success, 2 validation failure, 3 numerical failure.  `main`
 alone maps errors to codes: an unreadable or invalid scenario file, series
@@ -93,17 +93,13 @@ def _resolved_params(sc: Scenario, overrides=None) -> dict:
     return resolved
 
 
-def _artifact_path(out_root, sc: Scenario, resolved: dict) -> str:
-    """The content-hash directory of a run with parameters `resolved`."""
-    digest = hashlib.sha256(
-        json.dumps(_jsonable(resolved), sort_keys=True).encode()).hexdigest()
-    return os.path.join(out_root, f"{sc.name}_{digest[:8]}")
-
-
 @contextlib.contextmanager
 def _artifact_dir(out_root, sc: Scenario, resolved: dict):
-    """The content-hash directory of a run, removed if the block fails."""
-    path = _artifact_path(out_root, sc, resolved)
+    """The content-hash directory of a run with parameters `resolved`,
+    removed if the block fails."""
+    digest = hashlib.sha256(
+        json.dumps(_jsonable(resolved), sort_keys=True).encode()).hexdigest()
+    path = os.path.join(out_root, f"{sc.name}_{digest[:8]}")
     os.makedirs(path, exist_ok=True)
     try:
         yield path
@@ -242,77 +238,24 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _worker_count(n_jobs: int) -> int:
-    cap = os.environ.get("CONCENTRA_THREADS")
-    if cap:
-        try:
-            cap = int(cap)
-        except ValueError:
-            raise ScenarioError(f"CONCENTRA_THREADS={cap!r} is not an integer")
-        if cap < 1:
-            raise ScenarioError("CONCENTRA_THREADS must be >= 1")
-    else:
-        try:   # the CPUs this process may run on, not the machine's
-            cap = len(os.sched_getaffinity(0))
-        except AttributeError:
-            cap = os.cpu_count() or 1
-    return max(1, min(n_jobs, cap))
-
-
-def _failed_row(eps: float, exc: Exception) -> dict:
-    return {"epsilon": eps, "residual_post_layer": "", "sup_distance": "",
-            "monotonicity_violation": "", "dir": "",
-            "status": f"failed: {exc}"}
-
-
-def _sweep_scenario(raw: dict, eps: float) -> Scenario:
+def _sweep_row(raw: dict, eps: float, out_root: str) -> dict:
+    """The sweep row of scenario `raw` at `eps`.  A failure becomes the
+    row's status, so the rows after it still run."""
     raw = json.loads(json.dumps(raw))
     raw["config"]["epsilon"] = eps
-    return Scenario(raw)
-
-
-def _sweep_row(raw: dict, eps: float, out_root: str) -> dict:
-    """One sweep row from plain data.  A failure becomes the row's status:
-    an exception need not survive pickling back from a worker process
-    (ConstraintInfeasibleError does not)."""
     try:
-        with _pde_run(_sweep_scenario(raw, eps), out_root, sweep=True) as run:
+        with _pde_run(Scenario(raw), out_root, sweep=True) as run:
             mono = diag.monotonicity_violation(run.result.series.I)
     except Exception as exc:   # per-row failure marker
-        return _failed_row(eps, exc)
+        return {"epsilon": eps, "residual_post_layer": "", "sup_distance": "",
+                "monotonicity_violation": "", "dir": "",
+                "status": f"failed: {exc}"}
     _, _, c_reports = run.canonical
     return {"epsilon": eps, "residual_post_layer": run.residual_post_layer,
             "sup_distance": c_reports["pde_vs_canonical_sup_distance"],
             "monotonicity_violation": mono,
             "dir": os.path.basename(run.outdir),
             "status": "ok"}
-
-
-def _sweep_rows(raw: dict, values: list, out_root: str, workers: int):
-    if workers == 1:
-        return [_sweep_row(raw, eps, out_root) for eps in values]
-    # imported here: they add about 9 ms to importing this module
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-    # fork: workers inherit the imported numpy instead of importing it again
-    # (the default start method is forkserver from Python 3.14)
-    ctx = multiprocessing.get_context("fork")
-    rows = []
-    with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-        futures = {pool.submit(_sweep_row, raw, eps, out_root): eps
-                   for eps in values}
-        for fut, eps in futures.items():
-            try:
-                rows.append(fut.result())
-            except BrokenProcessPool as exc:   # a worker was killed
-                rows.append(_failed_row(eps, exc))
-                # the killed worker could not remove its row's directory
-                sc = _sweep_scenario(raw, eps)
-                shutil.rmtree(_artifact_path(out_root, sc,
-                                             _resolved_params(sc)),
-                              ignore_errors=True)
-    return rows
 
 
 def _epsilon_values(text: str) -> list:
@@ -341,9 +284,8 @@ def _epsilon_values(text: str) -> list:
 def _cmd_sweep(args) -> int:
     sc = load_scenario(args.scenario)
     values = _epsilon_values(args.epsilon)
-    workers = _worker_count(len(values))
     os.makedirs(args.out, exist_ok=True)
-    rows = _sweep_rows(sc.raw, values, args.out, workers)
+    rows = [_sweep_row(sc.raw, eps, args.out) for eps in values]
     rows.sort(key=lambda r: -r["epsilon"])
     path = os.path.join(args.out, "sweep.csv")
     cols = ["epsilon", "residual_post_layer", "sup_distance",

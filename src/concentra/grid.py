@@ -242,19 +242,22 @@ def integrate(field: ScalarField, weight=1) -> float:
     return float((w * v).sum() * field.grid.cell_volume)
 
 
-def boundary_ring_mass(density: DensityField | FieldStack, width: int = 2):
+def boundary_ring_mass(density: DensityField | FieldStack, width: int = 2,
+                       totals: np.ndarray = None):
     """Mass carried by the outermost `width`-cell ring of the box: a float
     for one density field, an array of one entry per row for a
-    `FieldStack`."""
+    `FieldStack`.  `totals`, when given, is each row's
+    `values.reshape(rows, -1).sum(axis=1)`, which is not summed again."""
     grid = density.grid
     v = density.values.reshape((-1,) + grid.shape)
     rows = len(v)
+    if totals is None:
+        totals = v.reshape(rows, -1).sum(axis=1)
     # each interior adds up in flat order: reshaping a 2D one copies it,
     # where a strided 2D view would sum line by line, with other round-off
     interior = v[(slice(None),)
                  + tuple(slice(width, n - width) for n in grid.shape)]
-    mass = ((v.reshape(rows, -1).sum(axis=1)
-             - interior.reshape(rows, -1).sum(axis=1)) * grid.cell_volume)
+    mass = (totals - interior.reshape(rows, -1).sum(axis=1)) * grid.cell_volume
     return mass if density.values.ndim > grid.dimension else float(mass[0])
 
 

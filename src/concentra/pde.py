@@ -455,14 +455,15 @@ def run_simulation(config: SimulationConfig, model, grid: TraitGrid, u0_spec,
         and psi R n are rows 0 .. k - 1 of the blocks."""
         steps = slice(first, first + k)
         n = dens[:k]
-        rho = n.reshape(k, -1).sum(axis=1) * vol
+        totals = n.reshape(k, -1).sum(axis=1)
+        rho = totals * vol
         rhos[steps] = rho
         Js[steps] = (psi_rn[:k].reshape(k, -1).sum(axis=1) * vol
                      / config.epsilon)
         if engine._local:
             Is[steps] = rho
         stack = FieldStack(grid, n)
-        bm = boundary_ring_mass(stack)
+        bm = boundary_ring_mass(stack, totals=totals)
         bms[steps] = bm
 
         u = to_wkb(stack, config.epsilon, out=n)

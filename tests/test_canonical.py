@@ -104,10 +104,10 @@ def test_hessian_interpolant_clamps_to_range():
     traj = ConcentrationTrajectory(
         np.array([0.0, 1.0]), np.zeros((2, 1)), np.zeros(2),
         np.array([[[-2.0]], [[-4.0]]]))
-    interp = traj.hessian_interpolant()
-    assert interp(0.5)[0, 0] == pytest.approx(-3.0)
-    assert interp(-7.0)[0, 0] == -2.0
-    assert interp(9.0)[0, 0] == -4.0
+    table = traj.interpolate_hessians([0.5, -7.0, 9.0, 0.0, 1.0])
+    assert table.shape == (5, 1, 1)
+    assert table[0, 0, 0] == pytest.approx(-3.0)
+    assert table[1:, 0, 0].tolist() == [-2.0, -4.0, -2.0, -4.0]
 
 
 # --- integration -----------------------------------------------------------------
@@ -479,12 +479,29 @@ def test_separable_kernel_reduces_local_to_global_dynamics():
 
 # --- the integrator against the array RK4 it replaced ------------------------------
 
+def _uncached_interpolant(traj):
+    """Reference: the Hessian interpolant evaluated afresh at every call."""
+    t, H = traj.times, traj.hessians
+
+    def interp(s):
+        s = min(max(float(s), t[0]), t[-1])
+        d = H.shape[-1]
+        out = np.empty((d, d))
+        for i in range(d):
+            for j in range(d):
+                out[i, j] = np.interp(s, t, H[:, i, j])
+        return out
+
+    return interp
+
+
 def _array_rk4(x0, closure, model, dt, T, domain=None):
     """Reference: RK4 on numpy arrays (1-element ones in 1D) through the
-    pointwise canonical_rhs and riccati_hessian_rhs, checking every stage."""
+    pointwise canonical_rhs and riccati_hessian_rhs, checking every stage
+    and interpolating the from_pde feed afresh at every call."""
     x = np.atleast_1d(np.asarray(x0, dtype=float))
     riccati = closure.mode == "riccati"
-    feed = (closure.feed.hessian_interpolant()
+    feed = (_uncached_interpolant(closure.feed)
             if closure.mode == "from_pde" else None)
     H = closure.initial_hessian
 
@@ -567,42 +584,51 @@ BITWISE_CASES = {
 }
 
 
-def _uncached_interpolant(traj):
-    """Reference: the Hessian interpolant evaluated afresh at every call."""
-    t, H = traj.times, traj.hessians
+def _uncached_table(traj, times):
+    """Reference: each time of the feed table interpolated on its own."""
+    interp = _uncached_interpolant(traj)
+    return np.array([interp(s) for s in times])
 
-    def interp(s):
-        s = min(max(float(s), t[0]), t[-1])
-        d = H.shape[-1]
-        out = np.empty((d, d))
-        for i in range(d):
-            for j in range(d):
-                out[i, j] = np.interp(s, t, H[:, i, j])
-        return out
 
-    return interp
+def _feed_case_2d():
+    """from_pde on a 2D feed of 41 samples with a turning, non-diagonal
+    Hessian: 100 steps ask for 201 times between the samples."""
+    t = np.linspace(0.0, 1.0, 41)
+    H = np.empty((41, 2, 2))
+    H[:, 0, 0] = -2.0 - t
+    H[:, 0, 1] = H[:, 1, 0] = 0.3 * t
+    H[:, 1, 1] = -1.5 - 0.5 * np.sin(3.0 * t)
+    feed = ConcentrationTrajectory(t, np.zeros((41, 2)), np.zeros(41), H)
+    return ((0.3, -0.2), HessianClosure("from_pde", feed=feed),
+            quadratic_2d(), 0.01, 1.0, None)
 
 
 def test_from_pde_feed_interpolates_each_time_once(monkeypatch):
     """Each RK4 step asks the feed for t, t + dt/2 twice, t + dt, and t + dt
-    again for the record: a 400-step run interpolates at its start and at
-    two new times per step, and its trajectory is the bytes of one that
-    interpolates at every call."""
-    case = _scenario_case("quadratic_concave", "from_pde", pde_steps=400)
-    calls = []
-    interp = np.interp
-    monkeypatch.setattr(np, "interp",
-                        lambda *a: calls.append(a[0]) or interp(*a))
-    traj = integrate_canonical(*case[:5], domain=case[5])
-    monkeypatch.undo()
-    assert len(traj) == 401
-    assert len(calls) == 1 + 2 * 400
-    assert not case[1].feed.hessian_interpolant()(0.1).flags.writeable
-    monkeypatch.setattr(ConcentrationTrajectory, "hessian_interpolant",
-                        _uncached_interpolant)
-    ref = integrate_canonical(*case[:5], domain=case[5])
-    for name in ("times", "points", "macro", "hessians"):
-        assert getattr(traj, name).tobytes() == getattr(ref, name).tobytes()
+    again for the record: a run interpolates its start and the two new
+    times of every step in one np.interp call per Hessian entry (one in 1D,
+    four in 2D), and its trajectory is the bytes of one that interpolates
+    at every call."""
+    for case, d, steps in (
+            (_scenario_case("quadratic_concave", "from_pde", pde_steps=400),
+             1, 400),
+            (_feed_case_2d(), 2, 100)):
+        calls = []
+        interp = np.interp
+        monkeypatch.setattr(np, "interp", lambda *a: calls.append(
+            np.size(a[0])) or interp(*a))
+        traj = integrate_canonical(*case[:5], domain=case[5])
+        monkeypatch.undo()
+        assert len(traj) == steps + 1
+        assert calls == [1 + 2 * steps] * d * d
+        assert not case[1].feed.interpolate_hessians([0.1]).flags.writeable
+        monkeypatch.setattr(ConcentrationTrajectory, "interpolate_hessians",
+                            _uncached_table)
+        ref = integrate_canonical(*case[:5], domain=case[5])
+        monkeypatch.undo()
+        for field in ("times", "points", "macro", "hessians"):
+            assert (getattr(traj, field).tobytes()
+                    == getattr(ref, field).tobytes())
 
 
 @pytest.mark.parametrize("name", sorted(BITWISE_CASES))

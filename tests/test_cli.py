@@ -629,16 +629,24 @@ def test_run_imports_no_numpy_module_past_import_numpy(tmp_path):
     assert len(os.listdir(tmp_path / "o")) == 1
 
 
-def test_cli_import_leaves_process_pool_unimported():
-    """The sweep imports its worker pool when it needs one: importing
-    multiprocessing and concurrent.futures costs about 9 ms per process."""
+def test_cli_import_leaves_process_pool_unimported(tmp_path):
+    """A sweep runs its rows in this process: neither importing the CLI nor
+    a two-row sweep imports multiprocessing or concurrent.futures, which
+    cost about 9 ms per process."""
+    scen = write_scenario(tmp_path, BASE)
+    out = str(tmp_path / "o")
     code = ("import sys\n"
             "import concentra.cli\n"
-            "loaded = [m for m in ('multiprocessing', 'concurrent.futures')\n"
-            "          if m in sys.modules]\n"
+            "pools = ('multiprocessing', 'concurrent.futures')\n"
+            "assert not [m for m in pools if m in sys.modules]\n"
+            f"rc = concentra.cli.main(['sweep', {scen!r}, '--epsilon', "
+            f"'0.02,0.01', '--out', {out!r}])\n"
+            "assert rc == 0, rc\n"
+            "loaded = [m for m in pools if m in sys.modules]\n"
             "assert not loaded, loaded\n")
     proc = _run_python(code)
     assert proc.returncode == 0, proc.stderr
+    assert len(os.listdir(out)) == 3   # sweep.csv and two row directories
 
 
 # --- sweep command -------------------------------------------------------------------
@@ -659,8 +667,7 @@ def test_sweep_single_epsilon_exits_2(tmp_path, capsys):
     assert "two distinct epsilon" in capsys.readouterr().err
 
 
-def test_sweep_writes_sorted_table(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("CONCENTRA_THREADS", "1")
+def test_sweep_writes_sorted_table(tmp_path, capsys):
     scen = write_scenario(tmp_path, BASE)
     out = tmp_path / "o"
     # duplicate value only warns; the sweep still has two distinct epsilons
@@ -677,9 +684,7 @@ def test_sweep_writes_sorted_table(tmp_path, capsys, monkeypatch):
     assert all(ln.endswith("ok") for ln in lines[1:])
 
 
-def test_sweep_reaction_overflow_fails_row_and_cleans_up(tmp_path, capsys,
-                                                         monkeypatch):
-    monkeypatch.setenv("CONCENTRA_THREADS", "1")
+def test_sweep_reaction_overflow_fails_row_and_cleans_up(tmp_path):
     scen = write_scenario(tmp_path, BASE)
     out = tmp_path / "o"
     assert main(["sweep", scen, "--epsilon", "0.01,1e-6",
@@ -702,10 +707,9 @@ def _sweep_outputs(out):
     return table, series
 
 
-def test_sweep_dir_column_names_a_directory_under_out(tmp_path, monkeypatch):
+def test_sweep_dir_column_names_a_directory_under_out(tmp_path):
     """`dir` does not depend on where --out is, so neither do sweep.csv's
     bytes."""
-    monkeypatch.setenv("CONCENTRA_THREADS", "1")
     out = tmp_path / "o"
     assert main(["sweep", write_scenario(tmp_path, BASE), "--epsilon",
                  "0.02,0.01", "--out", str(out)]) == 0
@@ -716,17 +720,18 @@ def test_sweep_dir_column_names_a_directory_under_out(tmp_path, monkeypatch):
         assert os.sep not in d and (out / d).is_dir()
 
 
-def test_sweep_workers_match_serial_run(tmp_path, monkeypatch):
+def test_sweep_workers_match_serial_run(tmp_path):
+    """The rows run one after another in this process: a failed row is
+    marked in sweep.csv, and a second sweep writes the same bytes."""
     scen = write_scenario(tmp_path, BASE)
     outputs = []
-    for workers in ("1", "2"):
-        monkeypatch.setenv("CONCENTRA_THREADS", workers)
-        out = tmp_path / f"o{workers}"
+    for run in ("a", "b"):
+        out = tmp_path / run
         assert main(["sweep", scen, "--epsilon", "0.02,0.01,1e-6",
                      "--out", str(out)]) == 3
         outputs.append(_sweep_outputs(out))
     assert outputs[0] == outputs[1]
-    table, series = outputs[1]
+    table, series = outputs[0]
     rows = table.splitlines()[1:]
     assert [r.endswith(",ok") for r in rows] == [True, True, False]
     assert "failed: reaction update overflowed" in rows[2]
@@ -734,8 +739,8 @@ def test_sweep_workers_match_serial_run(tmp_path, monkeypatch):
 
 
 def test_sweep_worker_failure_stays_in_its_row(tmp_path, monkeypatch):
-    """ConstraintInfeasibleError cannot be unpickled; a worker that let it
-    escape would break the whole pool."""
+    """A row whose run raises ConstraintInfeasibleError is marked failed and
+    leaves no directory; the row after it still runs and keeps its own."""
     real = cli.run_simulation
 
     def infeasible_at_small_eps(config, *args, **kwargs):
@@ -744,59 +749,14 @@ def test_sweep_worker_failure_stays_in_its_row(tmp_path, monkeypatch):
         return real(config, *args, **kwargs)
 
     monkeypatch.setattr(cli, "run_simulation", infeasible_at_small_eps)
-    monkeypatch.setenv("CONCENTRA_THREADS", "2")
     out = tmp_path / "o"
     assert main(["sweep", write_scenario(tmp_path, BASE), "--epsilon",
-                 "0.02,0.01", "--out", str(out)]) == 3
+                 "0.01,0.02", "--out", str(out)]) == 3
     with open(out / "sweep.csv") as f:
         rows = [ln.strip() for ln in f][1:]
     assert rows[0].endswith(",ok")
     assert "failed: no sign change" in rows[1]
     _only_artifact_dir(out)
-
-
-def test_sweep_killed_worker_fails_its_rows(tmp_path, monkeypatch):
-    parent = os.getpid()
-
-    def killed(*args, **kwargs):
-        if os.getpid() != parent:
-            os._exit(1)
-
-    monkeypatch.setattr(cli, "run_simulation", killed)
-    monkeypatch.setenv("CONCENTRA_THREADS", "2")
-    out = tmp_path / "o"
-    assert main(["sweep", write_scenario(tmp_path, BASE), "--epsilon",
-                 "0.02,0.01", "--out", str(out)]) == 3
-    with open(out / "sweep.csv") as f:
-        rows = [ln.strip() for ln in f][1:]
-    assert len(rows) == 2
-    assert all("failed: A process in the process pool was terminated" in r
-               for r in rows)
-    # the parent removes the directories the killed workers had made
-    assert sorted(os.listdir(out)) == ["sweep.csv"]
-
-
-def test_sweep_bad_thread_env_exits_2(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("CONCENTRA_THREADS", "abc")
-    scen = write_scenario(tmp_path, BASE)
-    assert main(["sweep", scen, "--epsilon", "0.01,0.02",
-                 "--out", str(tmp_path / "o")]) == 2
-    assert "CONCENTRA_THREADS" in capsys.readouterr().err
-
-
-def test_sweep_workers_capped_by_usable_cpus(monkeypatch):
-    """Under a one-CPU affinity mask on an 8-CPU machine a 3-row sweep
-    starts one worker; CONCENTRA_THREADS overrides the cap as before."""
-    monkeypatch.delenv("CONCENTRA_THREADS", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
-                        raising=False)
-    assert cli._worker_count(3) == 1
-    monkeypatch.setenv("CONCENTRA_THREADS", "2")
-    assert cli._worker_count(3) == 2
-    monkeypatch.delenv("CONCENTRA_THREADS")
-    monkeypatch.delattr(os, "sched_getaffinity")
-    assert cli._worker_count(3) == 3
 
 
 # --- canonical command -----------------------------------------------------------------
@@ -1017,7 +977,6 @@ def test_out_that_is_a_file_exits_2_before_running(tmp_path, capsys,
 
     monkeypatch.setattr(cli, "run_simulation", not_run)
     monkeypatch.setattr(cli.canon, "integrate_canonical", not_run)
-    monkeypatch.setenv("CONCENTRA_THREADS", "1")
     out = tmp_path / "out"
     out.write_text("a file")
     scen = write_scenario(tmp_path, BASE)

@@ -6,11 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from concentra.grid import (DensityField, GridError, ScalarField, TraitGrid,
-                            boundary_ring_mass, build_grid, diffusion_stencil,
-                            face_coefficients, integrate, kernel_convolution,
-                            laplacian, read_field_csv, stencil_weights,
-                            write_field_csv)
+from concentra.grid import (DensityField, FieldStack, GridError,
+                            ScalarField, TraitGrid, boundary_ring_mass,
+                            build_grid, diffusion_stencil, face_coefficients,
+                            integrate, kernel_convolution, laplacian,
+                            read_field_csv, stencil_weights, write_field_csv)
 from concentra.models import (GaussianKernel, QuadraticFunction,
                               SeparableKernel, build_model)
 from concentra.pde import ConfigError, ImexIntegrator, SimulationConfig
@@ -390,6 +390,19 @@ def test_boundary_ring_mass_bitwise_take_formula(dimension):
             assert (np.float64(got).tobytes()
                     == np.float64(_take_ring_mass(density, width)).tobytes())
         assert boundary_ring_mass(density, 0) == 0.0
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_boundary_ring_mass_takes_the_callers_row_totals(dimension):
+    """Row totals a caller already has give bitwise the ring masses the
+    function sums for itself, and they are read, not summed again."""
+    rng = np.random.default_rng(27 + dimension)
+    g = build_grid(dimension, 0.0, 1.5, 24)
+    stack = FieldStack(g, rng.exponential(size=(3,) + g.shape))
+    totals = stack.values.reshape(3, -1).sum(axis=1)
+    got = boundary_ring_mass(stack, totals=totals)
+    assert got.tobytes() == boundary_ring_mass(stack).tobytes()
+    assert np.all(boundary_ring_mass(stack, totals=totals + 1.0) > got)
 
 
 # --- mass conservation / symmetry identities ---------------------------------

@@ -341,15 +341,14 @@ def test_stacked_2d_fit_is_each_windows_own_product():
                 [[2.0 * c[3], c[4]], [c[4], 2.0 * c[5]]]).tobytes()
 
 
-def _lapack_refine(u, idx):
+def _lapack_refine(grid, idx, fit):
     """The vertex as the per-candidate refinement once computed it, with a
-    LAPACK solve and eigvalsh on the fit: the reference the 1D float
-    formula must match bitwise."""
-    grid = u.grid
+    LAPACK solve and eigvalsh on the fit (f0, g, h) of the window at node
+    `idx`: the reference the 1D float formula must match bitwise."""
     node = np.array([grid.axis_coords(j)[idx[j]]
                      for j in range(grid.dimension)])
-    f0, g, h = _fit(u.values, idx, grid)
-    hess = h if all(2 <= i < n - 2 for i, n in zip(idx, u.values.shape)) \
+    f0, g, h = fit
+    hess = h if all(2 <= i < n - 2 for i, n in zip(idx, grid.shape)) \
         else np.full_like(h, np.nan)
     try:
         delta = np.linalg.solve(h, -g)
@@ -373,6 +372,18 @@ def _random_grids(rng, count, n=12):
             for lo in rng.uniform(-2.0, 1.0, count)]
 
 
+def _by_grid(grids, windows):
+    """The (values, node) windows, window i on grid i mod len(grids),
+    stacked per grid: (grid, values (m, n), nodes (m,), the fit of each
+    window as a list of (f0, g, h)), from one stacked fit per grid."""
+    for j, grid in enumerate(grids):
+        mine = windows[j::len(grids)]
+        vals = np.array([v for v, _ in mine])
+        nodes = np.array([k for _, k in mine])
+        fits = wkb._quadratic_fits(vals, np.arange(len(mine)), nodes, grid)
+        yield grid, vals, nodes, list(zip(*fits))
+
+
 def test_1d_vertex_bitwise_lapack_formula_through_locate_max():
     """10 000 random 3-point windows whose centre is the argmax, at every
     interior node (next to the edge the Hessian is nan), over value scales
@@ -380,8 +391,8 @@ def test_1d_vertex_bitwise_lapack_formula_through_locate_max():
     rng = np.random.default_rng(20261018)
     grids = _random_grids(rng, 8)
     n = grids[0].shape[0]
-    checked = nan_hessians = 0
-    while checked < 10_000:
+    windows = []
+    while len(windows) < 10_000:
         f0 = rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-3, 3)
         a, b = 10.0 ** rng.uniform(-14, 1, 2) * rng.uniform(0.0, 1.0, 2)
         if rng.uniform() < 0.05:
@@ -392,11 +403,16 @@ def test_1d_vertex_bitwise_lapack_formula_through_locate_max():
         k = int(rng.integers(1, n - 1))
         vals = np.full(n, min(fm, fp) - 1.0 - abs(f0))
         vals[k - 1:k + 2] = (fm, f0, fp)
-        u = WkbField(grids[checked % len(grids)], vals, 0.01)
-        [peak] = locate_max(u)
-        assert _peak_bytes(peak) == _peak_bytes(_lapack_refine(u, (k,)))
-        nan_hessians += bool(np.isnan(peak[2]).all())
-        checked += 1
+        windows.append((vals, k))
+    nan_hessians = 0
+    for grid, vals, nodes, fits in _by_grid(grids, windows):
+        peaks = locate_max(WkbField(grid, vals, 0.01))
+        assert peaks.rows.tolist() == list(range(len(nodes)))
+        for j, k in enumerate(nodes.tolist()):
+            peak = (peaks.points[j], peaks.values[j], peaks.hessians[j])
+            assert (_peak_bytes(peak)
+                    == _peak_bytes(_lapack_refine(grid, (k,), fits[j])))
+            nan_hessians += bool(np.isnan(peak[2]).all())
     assert nan_hessians > 1000
 
 
@@ -411,24 +427,29 @@ def test_1d_vertex_bitwise_lapack_formula_on_any_window():
     for _ in range(5000):
         scale = 10.0 ** rng.uniform(-3, 3)
         windows.append(tuple(rng.uniform(-1.0, 1.0, 3) * scale))
-    kinds = {"convex": 0, "flat": 0, "far": 0, "moved": 0}
-    for i, window in enumerate(windows):
-        g = grids[i % len(grids)]
+    placed = []
+    for window in windows:
         k = int(rng.integers(1, n - 1))
         vals = np.zeros(n)
         vals[k - 1:k + 2] = window
-        u = WkbField(g, vals, 0.01)
-        peak = _refine(u, (k,))
-        assert _peak_bytes(peak) == _peak_bytes(_lapack_refine(u, (k,)))
-        _, grad, hess = _fit(vals, (k,), g)
-        if hess[0, 0] > 0:
-            kinds["convex"] += 1
-        elif hess[0, 0] == 0:
-            kinds["flat"] += 1
-        elif abs(grad[0] / hess[0, 0]) > g.spacing[0]:
-            kinds["far"] += 1
-        else:
-            kinds["moved"] += 1
+        placed.append((vals, k))
+    kinds = {"convex": 0, "flat": 0, "far": 0, "moved": 0}
+    for g, vals, nodes, fits in _by_grid(grids, placed):
+        points, values, hessians, _ = wkb._refine_maxima(
+            vals, np.arange(len(nodes)), nodes, g)
+        for j, k in enumerate(nodes.tolist()):
+            peak = (points[j], float(values[j]), hessians[j])
+            assert (_peak_bytes(peak)
+                    == _peak_bytes(_lapack_refine(g, (k,), fits[j])))
+            _, grad, hess = fits[j]
+            if hess[0, 0] > 0:
+                kinds["convex"] += 1
+            elif hess[0, 0] == 0:
+                kinds["flat"] += 1
+            elif abs(grad[0] / hess[0, 0]) > g.spacing[0]:
+                kinds["far"] += 1
+            else:
+                kinds["moved"] += 1
     assert min(kinds.values()) >= 3, kinds
 
 
@@ -501,7 +522,8 @@ def test_1d_flat_top_through_locate_max_keeps_the_node():
     vals[6:9] = 0.5
     u = WkbField(g, vals, 0.01)
     got = sorted(_peak_bytes(p) for p in locate_max(u, multi=True))
-    assert got == sorted(_peak_bytes(_lapack_refine(u, (k,)))
+    assert got == sorted(_peak_bytes(_lapack_refine(g, (k,),
+                                                    _fit(vals, (k,), g)))
                          for k in (6, 7, 8))
     middle = _refine(u, (7,))
     assert middle[0][0] == g.axis_coords(0)[7] and middle[1] == 0.5
