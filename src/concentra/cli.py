@@ -10,9 +10,13 @@ canonical <file> [--closure m] [--pde-dir d]   limit ODE only
 check <file>          validate and print the assumption report and the
                       box-truncation risks
 
-A sweep row that fails is marked failed in sweep.csv and the rows after it
-still run.  sweep.csv's `dir` column names each row's directory under
---out.
+A command builds its artifacts in a private directory under --out and
+renames it to `<scenario>_<crc32>` when it succeeds, the CRC-32 of the
+resolved parameters; a failed command removes only its private directory.
+`run` hands run_simulation a snapshot sink that writes each `snap_<step>.npy`
+at its step; a sweep row's sink keeps none.  A sweep row that fails is
+marked failed in sweep.csv and the rows after it still run.  sweep.csv's
+`dir` column names each row's directory under --out.
 
 Exit codes: 0 success, 2 validation failure, 3 numerical failure.  `main`
 alone maps errors to codes: an unreadable or invalid scenario file, series
@@ -25,11 +29,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import hashlib
+import itertools
 import json
 import os
 import shutil
 import sys
+import zlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -74,7 +79,7 @@ def _jsonable(obj):
     return obj
 
 
-def _resolved_params(sc: Scenario, overrides=None) -> dict:
+def _resolved_params(sc: Scenario, model, overrides=None) -> dict:
     cfg = dataclasses.asdict(sc.build_config())
     if overrides:
         cfg.update(overrides)
@@ -85,8 +90,7 @@ def _resolved_params(sc: Scenario, overrides=None) -> dict:
         "domain": {"lower": list(grid.lower), "upper": list(grid.upper),
                    "points_per_axis": list(grid.points_per_axis)},
         "boundary_rule": "no-flux",
-        "weight_note": "interaction weight psi taken identically 1 in all "
-                       "bundled scenarios",
+        "psi": model.psi,
         "diffusion_solve": diffusion_solve(grid),
         "density_floor": DENSITY_FLOOR,
     }
@@ -95,16 +99,33 @@ def _resolved_params(sc: Scenario, overrides=None) -> dict:
 
 @contextlib.contextmanager
 def _artifact_dir(out_root, sc: Scenario, resolved: dict):
-    """The content-hash directory of a run with parameters `resolved`,
-    removed if the block fails."""
-    digest = hashlib.sha256(
-        json.dumps(_jsonable(resolved), sort_keys=True).encode()).hexdigest()
-    path = os.path.join(out_root, f"{sc.name}_{digest[:8]}")
-    os.makedirs(path, exist_ok=True)
+    """(work, path): `path` is the directory of a run with parameters
+    `resolved`, the scenario's name and the CRC-32 of the sorted
+    parameters as 8 hex digits; `work` is a new private directory beside
+    it for the block to write in.  `work` is renamed to `path` when the
+    block succeeds, replacing an earlier run there, and removed if it
+    fails, so a failure leaves `path` as it was."""
+    crc = zlib.crc32(json.dumps(_jsonable(resolved), sort_keys=True).encode())
+    name = f"{sc.name}_{crc:08x}"
+    path = os.path.join(out_root, name)
+    os.makedirs(out_root, exist_ok=True)
+    for k in itertools.count():
+        work = os.path.join(out_root, f".{name}.{os.getpid()}.{k}")
+        try:
+            os.mkdir(work)
+            break
+        except FileExistsError:
+            continue
     try:
-        yield path
+        yield work, path
+        if os.path.isdir(path):
+            os.rename(path, work + ".old")
+            os.rename(work, path)
+            shutil.rmtree(work + ".old")
+        else:
+            os.rename(work, path)
     except BaseException:
-        shutil.rmtree(path, ignore_errors=True)
+        shutil.rmtree(work, ignore_errors=True)
         raise
 
 
@@ -165,16 +186,24 @@ def _canonical_run(sc: Scenario, model, closure_mode, feed=None, dt=None,
 
 @contextlib.contextmanager
 def _pde_run(sc: Scenario, out_root, sweep=False):
-    """Run `sc` into its content-hash directory: series.csv, the post-layer
-    residual and the canonical comparison (a sweep row forces from_pde on
-    the PDE's dt and T).  The directory goes if the `with` block fails."""
+    """Run `sc` into its artifact directory `outdir`, built in `work`:
+    series.csv, the snapshots as they are taken (a sweep row keeps none),
+    the post-layer residual and the canonical comparison (a sweep row
+    forces from_pde on the PDE's dt and T).  If the `with` block fails,
+    `outdir` stays as it was."""
     model, config, b = sc.build_model(), sc.build_config(), sc.build_diffusion()
-    resolved = _resolved_params(sc)
-    with _artifact_dir(out_root, sc, resolved) as outdir:
+    resolved = _resolved_params(sc, model)
+    with _artifact_dir(out_root, sc, resolved) as (work, outdir):
+        def snapshot(step, density):
+            if not sweep:
+                write_field_npy(density,
+                                os.path.join(work, f"snap_{step:06d}.npy"))
+
         result = run_simulation(config, model, sc.build_grid(), sc.u0,
                                 probes=sc.probes, b=b,
-                                constants=sc.build_constants())
-        write_series_csv(result, os.path.join(outdir, "series.csv"))
+                                constants=sc.build_constants(),
+                                snapshot=snapshot)
+        write_series_csv(result, os.path.join(work, "series.csv"))
         _, post = diag.constraint_residual(result.trajectory, model,
                                            t_layer=10 * config.dt)
         canonical = None
@@ -186,17 +215,15 @@ def _pde_run(sc: Scenario, out_root, sweep=False):
             sup, _, _ = diag.compare_trajectories(result.trajectory, traj)
             c_reports["pde_vs_canonical_sup_distance"] = sup
             canonical = (traj, c_res, c_reports)
-        yield SimpleNamespace(outdir=outdir, resolved=resolved, model=model,
-                              b=b, result=result, residual_post_layer=post,
-                              canonical=canonical)
+        yield SimpleNamespace(outdir=outdir, work=work, resolved=resolved,
+                              model=model, b=b, result=result,
+                              residual_post_layer=post, canonical=canonical)
 
 
 def _cmd_run(args) -> int:
     sc = load_scenario(args.scenario)
     with _pde_run(sc, args.out) as run:
-        result, model, outdir = run.result, run.model, run.outdir
-        for step, snap in sorted(result.snapshots.items()):
-            write_field_npy(snap, os.path.join(outdir, f"snap_{step:06d}.npy"))
+        result, model, work = run.result, run.model, run.work
         reports = {
             "assumptions": _assumption_report(sc, model, run.b),
             "regularity": result.regularity_reports,
@@ -213,7 +240,7 @@ def _cmd_run(args) -> int:
                 result.trajectory, model)
         if run.canonical is not None:
             traj, c_res, reports["canonical"] = run.canonical
-            write_trajectory_csv(traj, os.path.join(outdir, "trajectory.csv"),
+            write_trajectory_csv(traj, os.path.join(work, "trajectory.csv"),
                                  residuals=c_res, psi=model.psi)
 
         if len(sc.u0) > 1 and result.probe_maxima:
@@ -229,12 +256,12 @@ def _cmd_run(args) -> int:
                                              "note": "single peak survives"}
 
         manifest = dict(run.resolved)
-        manifest["artifact_dir"] = os.path.basename(outdir)
-        with open(os.path.join(outdir, "manifest.json"), "w") as f:
+        manifest["artifact_dir"] = os.path.basename(run.outdir)
+        with open(os.path.join(work, "manifest.json"), "w") as f:
             json.dump(_jsonable(manifest), f, indent=2, sort_keys=True)
-        with open(os.path.join(outdir, "reports.json"), "w") as f:
+        with open(os.path.join(work, "reports.json"), "w") as f:
             json.dump(_jsonable(reports), f, indent=2, sort_keys=True)
-    print(outdir)
+    print(run.outdir)
     return EXIT_OK
 
 
@@ -314,16 +341,16 @@ def _cmd_canonical(args) -> int:
             raise ScenarioError(f"{path}: series of dimension "
                                 f"{feed.points.shape[1]}, scenario "
                                 f"{sc.name} of dimension {sc.dimension}")
-    resolved = _resolved_params(sc, overrides={"canonical_only": True,
-                                               "closure": mode})
-    with _artifact_dir(args.out, sc, resolved) as outdir:
-        model = sc.build_model()
+    model = sc.build_model()
+    resolved = _resolved_params(sc, model, overrides={"canonical_only": True,
+                                                      "closure": mode})
+    with _artifact_dir(args.out, sc, resolved) as (work, outdir):
         traj, residuals, reports = _canonical_run(sc, model, mode, feed=feed)
-        write_trajectory_csv(traj, os.path.join(outdir, "trajectory.csv"),
+        write_trajectory_csv(traj, os.path.join(work, "trajectory.csv"),
                              residuals=residuals, psi=model.psi)
-        with open(os.path.join(outdir, "manifest.json"), "w") as f:
+        with open(os.path.join(work, "manifest.json"), "w") as f:
             json.dump(_jsonable(resolved), f, indent=2, sort_keys=True)
-        with open(os.path.join(outdir, "reports.json"), "w") as f:
+        with open(os.path.join(work, "reports.json"), "w") as f:
             json.dump(_jsonable(reports), f, indent=2, sort_keys=True)
     print(outdir)
     return EXIT_OK

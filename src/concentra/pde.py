@@ -424,10 +424,15 @@ class RunResult:
 
 def run_simulation(config: SimulationConfig, model, grid: TraitGrid, u0_spec,
                    probes=None, b: DiffusionCoefficient = None,
-                   constants: AssumptionConstants = None) -> RunResult:
+                   constants: AssumptionConstants = None,
+                   snapshot=None) -> RunResult:
     """Step the model, recording macro observables and the tracked peak
     every step, snapshots every snapshot_every steps, and regularity
     reports at the probe steps.
+
+    Each snapshot goes to the sink `snapshot(step, density)` at the step
+    it is taken.  The default sink keeps them in `RunResult.snapshots`; a
+    sink that writes or drops them holds a run's memory to its grid.
 
     Each step writes its density and psi R n into one row of two blocks;
     when they are full, or the run ends, one pass over their rows computes
@@ -443,6 +448,8 @@ def run_simulation(config: SimulationConfig, model, grid: TraitGrid, u0_spec,
     times, Is, rhos, Js, bms = (np.empty(count) for _ in range(5))
     pts, hessians = np.empty((count, d)), np.empty((count, d, d))
     snapshots, reports, probe_maxima = {}, [], {}
+    if snapshot is None:
+        snapshot = snapshots.__setitem__
     run_warnings = []
 
     vol = grid.cell_volume
@@ -512,7 +519,7 @@ def run_simulation(config: SimulationConfig, model, grid: TraitGrid, u0_spec,
         if not engine._local:
             Is[step] = macro
         if config.snapshot_every and step % config.snapshot_every == 0:
-            snapshots[step] = state.density
+            snapshot(step, state.density)
         if step - first + 1 == rows or step == config.steps:
             record_block(first, step - first + 1)
             first = step + 1

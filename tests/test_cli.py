@@ -339,6 +339,33 @@ def test_run_is_deterministic_byte_for_byte(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_interrupted_rerun_leaves_the_earlier_run(tmp_path, monkeypatch):
+    """A re-run is built beside the earlier run's directory: interrupted
+    while writing trajectory.csv, it removes only its own directory and
+    leaves the earlier one byte for byte; completed, it takes the earlier
+    one's place with the same bytes."""
+    scen = write_scenario(tmp_path, BASE)
+    out = tmp_path / "out"
+    assert main(["run", scen, "--out", str(out)]) == 0
+    art = pathlib.Path(_only_artifact_dir(out))
+    before = {p.name: p.read_bytes() for p in art.iterdir()}
+    assert "trajectory.csv" in before
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "write_trajectory_csv", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["run", scen, "--out", str(out)])
+    assert os.listdir(out) == [art.name]
+    assert {p.name: p.read_bytes() for p in art.iterdir()} == before
+
+    assert main(["run", scen, "--out", str(out)]) == 0
+    assert os.listdir(out) == [art.name]
+    assert {p.name: p.read_bytes() for p in art.iterdir()} == before
+
+
 BASE_2D = {
     "name": "tiny2d",
     "dimension": 2,
@@ -630,23 +657,30 @@ def test_run_imports_no_numpy_module_past_import_numpy(tmp_path):
 
 
 def test_cli_import_leaves_process_pool_unimported(tmp_path):
-    """A sweep runs its rows in this process: neither importing the CLI nor
-    a two-row sweep imports multiprocessing or concurrent.futures, which
-    cost about 9 ms per process."""
+    """A sweep runs its rows in this process, and artifact directories are
+    named by zlib's CRC-32: neither importing the CLI nor a two-row sweep
+    and a run imports multiprocessing or concurrent.futures, which cost
+    about 9 ms per process, or hashlib, whose OpenSSL binding costs about
+    3.5 ms and 3.6 MB of resident memory."""
     scen = write_scenario(tmp_path, BASE)
     out = str(tmp_path / "o")
     code = ("import sys\n"
             "import concentra.cli\n"
-            "pools = ('multiprocessing', 'concurrent.futures')\n"
-            "assert not [m for m in pools if m in sys.modules]\n"
+            "unwanted = ('multiprocessing', 'concurrent.futures', 'hashlib',\n"
+            "            '_hashlib')\n"
+            "assert not [m for m in unwanted if m in sys.modules]\n"
             f"rc = concentra.cli.main(['sweep', {scen!r}, '--epsilon', "
             f"'0.02,0.01', '--out', {out!r}])\n"
             "assert rc == 0, rc\n"
-            "loaded = [m for m in pools if m in sys.modules]\n"
+            f"rc = concentra.cli.main(['run', {scen!r}, '--out', "
+            f"{out + '_run'!r}])\n"
+            "assert rc == 0, rc\n"
+            "loaded = [m for m in unwanted if m in sys.modules]\n"
             "assert not loaded, loaded\n")
     proc = _run_python(code)
     assert proc.returncode == 0, proc.stderr
     assert len(os.listdir(out)) == 3   # sweep.csv and two row directories
+    assert len(os.listdir(out + "_run")) == 1
 
 
 # --- sweep command -------------------------------------------------------------------

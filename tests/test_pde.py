@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from concentra.grid import (DensityField, ScalarField, build_grid, integrate,
-                            kernel_convolution)
+                            kernel_convolution, write_field_npy)
 from concentra.models import (GaussianKernel, build_model, constant_diffusion,
                               sine_diffusion)
 from concentra import pde
@@ -532,6 +532,47 @@ def test_run_snapshots_and_series_lengths():
     assert sorted(result.snapshots) == [0, 15, 30]
     assert len(result.series.times) == cfg.steps + 1
     assert result.trajectory.points.shape == (cfg.steps + 1, 1)
+
+
+@pytest.mark.parametrize("name, points", [("quadratic_concave", None),
+                                          ("scenario2", 24)])
+def test_run_snapshot_sink_receives_the_default_snapshots(name, points):
+    """A sink is handed each snapshot in step order: exactly the steps and
+    bytes that RunResult.snapshots holds without one, which a sink leaves
+    empty."""
+    args, kwargs = _scenario_run(name, steps=20, points=points)
+    args = (dataclasses.replace(args[0], snapshot_every=7),) + args[1:]
+    kept = run_simulation(*args, **kwargs).snapshots
+    handed = []
+    result = run_simulation(*args, **kwargs, snapshot=lambda step, density:
+                            handed.append((step, density.values.tobytes())))
+    assert result.snapshots == {}
+    assert [step for step, _ in handed] == [0, 7, 14]
+    assert handed == [(k, v.values.tobytes()) for k, v in kept.items()]
+
+
+def test_run_memory_does_not_grow_with_snapshots(tmp_path):
+    """With a sink that writes each snapshot, a 2D run's traced peak at
+    snapshot_every=1 stays within one grid vector of its peak with
+    snapshots at the first and last steps only."""
+    args, kwargs = _scenario_run("scenario2", steps=12, points=40)
+    cfg, grid = args[0], args[2]
+
+    def write(step, density):
+        write_field_npy(density, tmp_path / f"snap_{step:06d}.npy")
+
+    run_simulation(*args, **kwargs, snapshot=write)   # warm the caches
+    peaks = []
+    for every in (cfg.steps, 1):
+        run = (dataclasses.replace(cfg, snapshot_every=every),) + args[1:]
+        tracemalloc.start()
+        try:
+            run_simulation(*run, **kwargs, snapshot=write)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert len(list(tmp_path.iterdir())) == cfg.steps + 1
+    assert peaks[1] - peaks[0] < 8 * grid.num_nodes
 
 
 def test_run_two_bump_probe_reports_two_maxima():
