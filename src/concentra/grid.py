@@ -3,9 +3,9 @@
 All fields live on cell centers of a rectangular box.  The diffusion stencils
 are written in conservative flux form with zero-flux boundary faces, which
 makes discrete mass conservation exact and keeps the stencil symmetric.  The
-competition convolution is built once per grid and kernel: a rank-one
-product for separable kernels and one nonnegative matrix per axis for a
-Gaussian kernel; any other kernel is rejected.
+competition convolution of a kernel that is a product of axis factors (the
+Gaussian) is built once per grid and kernel, one nonnegative matrix per
+axis; any other kernel is rejected.
 """
 
 from __future__ import annotations
@@ -263,52 +263,37 @@ def boundary_ring_mass(density: DensityField | FieldStack, width: int = 2,
 
 def kernel_convolution(grid: TraitGrid, kernel):
     """The competition map n -> (x_i -> sum_j C(x_i, y_j) n_j * cell volume)
-    on `grid`, with everything that does not depend on n built once.
-
-    - Separable kernels (kernel.separable with .phi/.psi) factorize:
-      phi(x) * sum_j psi(y_j) n_j.
-    - Kernels that are a floor plus a product of one-axis factors,
-      C = floor + amp * prod_a axis_factor(x_a - y_a) (an .axis_factor
-      method), apply one nonnegative matrix K_a[i, j] = axis_factor(x_i -
-      x_j) per axis: amp vol K_x @ N @ K_y.T + floor vol sum(N).  Each
-      output entry is a sum of nonnegative products, accurate relative to
-      itself down to the far tails of the kernel.
+    on `grid` of a kernel that is a floor plus a product of one-axis
+    factors, C = floor + amp * prod_a axis_factor(x_a - y_a) (an
+    .axis_factor method).  One nonnegative matrix K_a[i, j] =
+    axis_factor(x_i - x_j) per axis is built once, and the map is
+    amp vol K_x @ N @ K_y.T + floor vol sum(N).  Each output entry is a sum
+    of nonnegative products, accurate relative to itself down to the far
+    tails of the kernel.  A separable kernel has no such map: the engine
+    couples it through the scalar int psi n.
 
     Returns a callable from density values to field values (grid shape).
-    A kernel with neither form raises GridError naming its type.
+    Any other kernel raises GridError naming its type.
     """
+    if not callable(getattr(kernel, "axis_factor", None)):
+        raise GridError(f"kernel of type {type(kernel).__name__} is not a "
+                        "product of axis factors")
+    mats = []
+    for ax in range(grid.dimension):
+        x = grid.axis_coords(ax)
+        k = np.subtract.outer(x, x)
+        mats.append(kernel.axis_factor(k, out=k))
     vol = grid.cell_volume
-    shape = grid.shape
+    amp, floor = kernel.amp * vol, kernel.floor * vol
 
-    if getattr(kernel, "separable", False):
-        nodes = grid.nodes().reshape(-1, grid.dimension)
-        psi_y = np.asarray(kernel.psi(nodes), dtype=float)
-        phi_x = np.asarray(kernel.phi(nodes), dtype=float)
-
-        def separable(n):
-            total = float((psi_y * n.reshape(-1)).sum() * vol)
-            return (phi_x * total).reshape(shape)
-        return separable
-
-    if callable(getattr(kernel, "axis_factor", None)):
-        mats = []
-        for ax in range(grid.dimension):
-            x = grid.axis_coords(ax)
-            k = np.subtract.outer(x, x)
-            mats.append(kernel.axis_factor(k, out=k))
-        amp, floor = kernel.amp * vol, kernel.floor * vol
-
-        def per_axis(n):
-            out = mats[0] @ n
-            if grid.dimension == 2:
-                out = out @ mats[1].T
-            out *= amp
-            out += floor * n.sum()
-            return out
-        return per_axis
-
-    raise GridError(f"kernel of type {type(kernel).__name__} is neither "
-                    "separable nor a product of axis factors")
+    def per_axis(n):
+        out = mats[0] @ n
+        if grid.dimension == 2:
+            out = out @ mats[1].T
+        out *= amp
+        out += floor * n.sum()
+        return out
+    return per_axis
 
 
 # --- field snapshot formats ----------------------------------------------

@@ -399,7 +399,6 @@ class AssumptionConstants:
     ledgers can still be checked."""
 
     I_M: Optional[float] = None
-    I_0: Optional[float] = None
     rho_M: Optional[float] = None
     K_bar_0: Optional[float] = None
     K_bar_1: Optional[float] = None
@@ -415,11 +414,8 @@ class AssumptionConstants:
     B_1: Optional[float] = None
     B_2: Optional[float] = None
     B_3: Optional[float] = None
-    K_bar_b: Optional[float] = None
-    K_under_b: Optional[float] = None
     K_bar_1_prime: Optional[float] = None
     K_under_1_prime: Optional[float] = None
-    K_bar_0_prime: Optional[float] = None
 
     @classmethod
     def from_dict(cls, d: dict) -> "AssumptionConstants":
@@ -689,19 +685,13 @@ def check_assumptions(model, constants: AssumptionConstants, domain,
 
 # --- registry of built-in families ------------------------------------------
 
-def _weight(spec):
-    """psi from a bare number or a {"type": "constant", "value": v} object."""
-    if spec is None:
-        return 1.0
-    return float(spec.get("value", 1.0) if isinstance(spec, dict) else spec)
-
-
 def build_affine_global(params, dimension):
     slope = np.asarray(params.get("slope", [1.0] * dimension), dtype=float)
     g = LinearFunction(params.get("a", 2.0), -slope)
     return GlobalInteractionModel(dimension, g,
                                   float(params.get("coef_I", 1.0)),
-                                  _weight(params.get("psi")), "affine_global")
+                                  float(params.get("psi", 1.0)),
+                                  "affine_global")
 
 
 def build_quadratic_global(params, dimension):
@@ -710,7 +700,7 @@ def build_quadratic_global(params, dimension):
                           params.get("weights", [1.0] * dimension))
     return GlobalInteractionModel(dimension, g,
                                   float(params.get("coef_I", 1.0)),
-                                  _weight(params.get("psi")),
+                                  float(params.get("psi", 1.0)),
                                   "quadratic_global")
 
 
@@ -747,7 +737,7 @@ def build_scenario2(params, dimension):
     g = _Scenario2Growth(params.get("a", 0.9), params.get("cy", 5.0),
                          params.get("cx", 2.3), params.get("x0", 0.3),
                          params.get("y0", 0.3))
-    return GlobalInteractionModel(2, g, 1.0, _weight(params.get("psi")),
+    return GlobalInteractionModel(2, g, 1.0, float(params.get("psi", 1.0)),
                                   "scenario2")
 
 
@@ -759,7 +749,7 @@ def build_scenario3(params, dimension):
     g = QuadraticFunction(params.get("a", 3.0), [0.0, 0.0],
                           [-k * float(params.get("r_e", 1.0)), -k])
     return GlobalInteractionModel(2, g, float(params.get("coef_I", 1.5)),
-                                  _weight(params.get("psi")), "scenario3")
+                                  float(params.get("psi", 1.0)), "scenario3")
 
 
 def _quadratic(spec, dimension):
@@ -805,7 +795,7 @@ class PerAxis:
 
 
 # A spec, checked by check_spec, states what a JSON value may be:
-# - a kind of _KINDS, or "weight" (a number or a constant-weight object);
+# - a kind of _KINDS;
 # - a tuple of the values it may take;
 # - [entry], a list of values of the spec `entry`; [entry, ...] holds one
 #   or more;
@@ -815,7 +805,6 @@ class PerAxis:
 #   ("constant" when the object names none).
 _VECTOR = PerAxis("number")
 _QUADRATIC = {"c0": "number", "center": _VECTOR, "weights": _VECTOR}
-_WEIGHT = {"type": {"constant": {"value": "number"}}}
 _KERNEL = {"type": {"constant": {"value": "number"},
                     "gaussian": {"floor": "nonnegative", "amp": "positive",
                                  "width": "positive"},
@@ -825,17 +814,17 @@ _KERNEL = {"type": {"constant": {"value": "number"},
 MODEL_FAMILIES = {
     "affine_global": (build_affine_global,
                       {"a": "number", "slope": _VECTOR, "coef_I": "number",
-                       "psi": "weight"}),
+                       "psi": "number"}),
     "quadratic_global": (build_quadratic_global,
                          {"k0": "number", "center": _VECTOR,
                           "weights": _VECTOR, "coef_I": "positive",
-                          "psi": "weight"}),
+                          "psi": "number"}),
     "scenario2": (build_scenario2,
                   {"a": "number", "cy": "number", "cx": "number",
-                   "x0": "number", "y0": "number", "psi": "weight"}),
+                   "x0": "number", "y0": "number", "psi": "number"}),
     "scenario3": (build_scenario3,
                   {"a": "number", "k": "number", "r_e": "number",
-                   "coef_I": "number", "psi": "weight"}),
+                   "coef_I": "number", "psi": "number"}),
     "logistic_local": (build_logistic_local,
                        {"r": _QUADRATIC, "kernel": _KERNEL}),
 }
@@ -878,8 +867,6 @@ def check_spec(value, spec, dimension, path):
     that `spec` does not allow."""
     if isinstance(spec, Required):
         spec = spec.spec
-    if spec == "weight":
-        spec = _WEIGHT if isinstance(value, dict) else "number"
     if isinstance(spec, PerAxis):
         if spec.broadcast and not isinstance(value, (list, tuple)):
             spec = spec.entry

@@ -2,17 +2,24 @@
 
 Splitting per step: the stiff reaction term is applied explicitly through an
 exponential (positivity-preserving, exact for frozen rates), then diffusion
-implicitly by solving (Id - eps dt L) n_new = n_star.  On a 1D grid the
-tridiagonal operator is factored once per run; up to GREEN_MAX_NODES nodes
-its inverse G is built once from the factors and each step is one
-matrix-vector product G @ n_star, above that each step runs the two
-recurrences of the factored solve as log-depth scans over nonnegative
-numbers.  Both are exact to round-off entry by entry.  On a 2D grid the
-solve is a warm-started matrix-free conjugate-gradient iteration in numpy
-that allocates nothing: its vectors are five work rows the integrator
-allocates once, and its matrix-vector product is the flat-stride,
-divide-free `grid.diffusion_stencil` writing into them, with weights
-eps dt b_face / h^2 folded once per run.
+implicitly by solving (Id - eps dt L) n_new = n_star.
+
+The rate is affine in one macro, R = base + slope * macro, with base and
+slope built once per run.  The macro is the scalar m = int w n for the
+global model (w = psi) and for a separable kernel phi(x) psi(y)
+(w = psi(y)); only a kernel of axis factors has the competition field
+C * n as its macro.
+
+On a 1D grid the tridiagonal operator is factored once per run; up to
+GREEN_MAX_NODES nodes its inverse G is built once from the factors and
+each step is one matrix-vector product G @ n_star, above that each step
+runs the two recurrences of the factored solve as log-depth scans over
+nonnegative numbers.  Both are exact to round-off entry by entry.  On a 2D
+grid the solve is a warm-started matrix-free conjugate-gradient iteration
+in numpy that allocates nothing: its vectors are five work rows the
+integrator allocates once, and its matrix-vector product is the
+flat-stride, divide-free `grid.diffusion_stencil` writing into them, with
+weights eps dt b_face / h^2 folded once per run.
 """
 
 from __future__ import annotations
@@ -110,7 +117,7 @@ class SimulationConfig:
 class SimulationState:
     time: float
     density: DensityField
-    macro: object = None     # scalar I (global) or competition array (local)
+    macro: object = None     # float sum(w n) vol, or C * n for a Gaussian
     rate: np.ndarray = None  # R on the nodes for this density and macro
 
 
@@ -291,14 +298,14 @@ def diffusion_solve(grid: TraitGrid) -> dict:
 
 class ImexIntegrator:
     """One-step integrator with cached stencil data, a once-built
-    competition convolution (local model) and b = 1 unless `b` is given.
-    The diffusion solve follows the grid (`diffusion_solve`): a once-built
-    inverse or once-factored log-depth scans in 1D, warm-started CG in 2D,
-    run in five work rows of grid size allocated here, each on a 64-byte
-    line: the CG's x (which keeps the last solution as the next warm
-    start), r, p and q, and the stencil's flux row, which is also the CG's
-    tmp.  The stencil's weights are folded once, and in 1D they are
-    the tridiagonal solve's off-diagonals."""
+    competition convolution (a kernel of axis factors) and b = 1 unless
+    `b` is given.  The diffusion solve follows the grid
+    (`diffusion_solve`): a once-built inverse or once-factored log-depth
+    scans in 1D, warm-started CG in 2D, run in five work rows of grid size
+    allocated here, each on a 64-byte line: the CG's x (which keeps the
+    last solution as the next warm start), r, p and q, and the stencil's
+    flux row, which is also the CG's tmp.  The stencil's weights are folded
+    once, and in 1D they are the tridiagonal solve's off-diagonals."""
 
     def __init__(self, grid: TraitGrid, model, config: SimulationConfig,
                  b: DiffusionCoefficient = None):
@@ -310,22 +317,29 @@ class ImexIntegrator:
         self._work = rows[:, :grid.num_nodes]
         self._warm = False
 
-        # R is affine in the macro, R = base + slope * macro, with base and
-        # slope fixed per run: R(x, 0) and dR/dI, or r(x) and -1 on C * n
+        # R is affine in the macro, R = base + slope * macro, fixed per run.
+        # A scalar macro is m = sum(w n) vol: w = psi and slope = -coef_I
+        # (global model), w = psi(y) and slope = -phi(x) (separable kernel);
+        # a kernel of axis factors keeps the field C * n, with slope -1.
         self._local = isinstance(model, LocalCompetitionModel)
-        if self._local:
-            self._base = np.asarray(model.intrinsic.value(nodes), dtype=float)
-            self._slope = -1.0
-            try:
-                self._convolve = kernel_convolution(grid, model.kernel)
-            except GridError as exc:
-                raise ConfigError(str(exc)) from exc
-        elif isinstance(model, GlobalInteractionModel):
+        self._convolve = None
+        if isinstance(model, GlobalInteractionModel):
             self._base = np.asarray(model.rate(nodes, 0.0), dtype=float)
-            self._slope = np.asarray(model.d_rate_dI(nodes, 0.0), dtype=float)
-        else:
+            self._weight, self._slope = model.psi, -model.coef_I
+        elif not self._local:
             raise ConfigError(f"unsupported model type "
                               f"{type(model).__name__}")
+        else:
+            kern = model.kernel
+            self._base = np.asarray(model.intrinsic.value(nodes), dtype=float)
+            if getattr(kern, "separable", False):
+                self._weight, self._slope = kern.psi(nodes), -kern.phi(nodes)
+            else:
+                self._slope = -1.0
+                try:
+                    self._convolve = kernel_convolution(grid, kern)
+                except GridError as exc:
+                    raise ConfigError(str(exc)) from exc
         self._psi = model.psi   # the weight of I and J; 1 for the local model
 
         self._faces = None
@@ -355,11 +369,13 @@ class ImexIntegrator:
                 green=diffusion_solve(grid)["method"] == "green_matrix")
 
     def macro_of(self, density: DensityField):
-        """Macro coupling computed from a density: scalar I (global) or the
-        competition field on the nodes, an array (local)."""
-        if self._local:
+        """Macro coupling computed from a density: the float m = sum(w n)
+        vol (I of the global model, J = int psi n of a separable kernel),
+        or the competition field C * n on the nodes, an array (a kernel of
+        axis factors)."""
+        if self._convolve is not None:
             return self._convolve(density.values)
-        return float((self._psi * density.values).sum()
+        return float((self._weight * density.values).sum()
                      * self.grid.cell_volume)
 
     def rate_field(self, density: DensityField, macro=None):

@@ -35,9 +35,8 @@ _BUMP = {"center": Required(PerAxis("number")),
          "weights": Required(PerAxis("positive"))}   # concave bumps
 # the sign of each assumption constant: a divisor, an end of an eigenvalue
 # bracket or a strict bound is positive, an additive bound nonnegative
-_POSITIVE_CONSTANTS = {"I_M", "I_0", "rho_M", "K_bar_1", "K_under_1",
-                       "K_bar_2", "K_under_2", "L_bar_1", "L_under_1",
-                       "K_bar_b", "K_under_b", "K_bar_1_prime",
+_POSITIVE_CONSTANTS = {"I_M", "rho_M", "K_bar_1", "K_under_1", "K_bar_2",
+                       "K_under_2", "L_bar_1", "L_under_1", "K_bar_1_prime",
                        "K_under_1_prime"}
 _SCENARIO_SPEC = {
     "name": Required("text"),

@@ -143,10 +143,11 @@ def test_scenario_roundtrips_raw_json():
     ({"model__params__coef_I": "x"}, "$.model.params.coef_I"),
     ({"model__params__coef_I": 0.0}, "$.model.params.coef_I"),
     ({"model__params__weights": [1.0, 2.0]}, "$.model.params.weights"),
-    ({"model__params__psi": {"value": "2"}}, "$.model.params.psi.value"),
-    ({"model__params__psi": {"type": "gaussian"}}, "$.model.params.psi.type"),
+    # psi is one number: an object in its place is named as the field
+    ({"model__params__psi": {"value": "2"}}, "$.model.params.psi"),
+    ({"model__params__psi": {"type": "gaussian"}}, "$.model.params.psi"),
     ({"model__params__psi": {"value": 2.0, "width": 1.0}},
-     "$.model.params.psi.width"),
+     "$.model.params.psi"),
     ({"model__params__psi": 0.0}, "psi must be positive"),
     ({"model__params__k0": float("nan")}, "$.model.params.k0"),
     ({"model__params__psi": float("inf")}, "$.model.params.psi"),
@@ -199,6 +200,14 @@ def test_scenario_roundtrips_raw_json():
     ({"constants": {"K_bar_1": 0.0}}, "$.constants.K_bar_1"),
     ({"constants": {"K_3": -2.0}}, "$.constants.K_3"),
     ({"constants": {"L_under_0": -1e-9}}, "$.constants.L_under_0"),
+    # removed input forms: psi as an object, and constants no check reads
+    ({"model__params__psi": {"type": "constant", "value": 2.0}},
+     "$.model.params.psi must be a finite number"),
+    ({"constants": {"I_0": 1.0}}, "$.constants.I_0 is not read"),
+    ({"constants": {"K_bar_b": 1.0}}, "$.constants.K_bar_b is not read"),
+    ({"constants": {"K_under_b": 1.0}}, "$.constants.K_under_b is not read"),
+    ({"constants": {"K_bar_0_prime": 1.0}},
+     "$.constants.K_bar_0_prime is not read"),
 ])
 def test_scenario_validation_names_field(edits, needle):
     with pytest.raises(ScenarioError, match=needle.replace("$", r"\$")

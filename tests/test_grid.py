@@ -11,8 +11,7 @@ from concentra.grid import (DensityField, FieldStack, GridError,
                             build_grid, diffusion_stencil, face_coefficients,
                             integrate, kernel_convolution, laplacian,
                             read_field_csv, stencil_weights, write_field_csv)
-from concentra.models import (GaussianKernel, QuadraticFunction,
-                              SeparableKernel, build_model)
+from concentra.models import GaussianKernel, build_model
 from concentra.pde import ConfigError, ImexIntegrator, SimulationConfig
 
 
@@ -443,19 +442,6 @@ def test_convolve_constant_kernel_gives_total_mass():
     out = _midpoint_sum(g, lambda x, y: np.ones(
         np.broadcast_shapes(x.shape[:-1], y.shape[:-1])), n.values)
     assert np.max(np.abs(out - rho)) <= 1e-13
-
-
-def test_convolve_separable_fast_path_matches_direct():
-    rng = np.random.default_rng(19)
-    g = _grid1(64)
-    n = DensityField(g, rng.random(g.shape))
-    phi = QuadraticFunction(2.0, [0.3], [0.5])
-    psi = QuadraticFunction(1.5, [0.7], [0.25])
-    kern = SeparableKernel(phi, psi)
-    fast = kernel_convolution(g, kern)(n.values)
-    direct = _midpoint_sum(
-        g, lambda x, y: phi.value(x) * psi.value(y), n.values)
-    assert np.max(np.abs(fast - direct)) <= 1e-13
 
 
 def test_convolve_matches_bruteforce_double_loop():

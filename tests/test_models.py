@@ -1,6 +1,7 @@
 """Growth laws: evaluation, constraint inversion, analytic derivatives,
 steady states, potentials, assumption audits."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -580,6 +581,40 @@ def test_separable_kernel_has_no_constant_diagonal():
 def test_assumption_constants_reject_unknown_names():
     with pytest.raises(ModelError):
         AssumptionConstants.from_dict({"K_mystery": 1.0})
+
+
+def _ledger_margins(c):
+    """Every margin of the audits of a global and a Gaussian-kernel local
+    model, each with a sine b and a quadratic u0, under the ledger `c`."""
+    b = sine_diffusion(base=1.0, amp=0.4, freq=1.0)
+    glob = check_assumptions(
+        quadratic_1d(k0=0.5), c, (np.array([-1.0]), np.array([1.0])),
+        samples=9, b=b, u0=QuadraticFunction(0.0, [0.0], [0.5]))
+    local = check_assumptions(
+        logistic_local(c0=1.0, center=0.5, weight=1.0,
+                       kernel={"type": "gaussian", "floor": 0.8,
+                               "amp": 0.2, "width": 0.5}),
+        c, (np.array([0.0]), np.array([1.0])), samples=9, b=b,
+        u0=QuadraticFunction(0.0, [0.5], [0.5]))
+    return [ch.margin for ch in glob.checks + local.checks]
+
+
+def test_every_assumption_constant_moves_a_margin():
+    """In a full ledger, scaling any one constant alone by 1/100 or by 100
+    moves some audit margin: the ledger holds no constant nothing reads."""
+    values = dict(
+        I_M=0.5, rho_M=1.25, K_bar_0=0.75, K_bar_1=0.75, K_under_1=1.2,
+        K_bar_2=0.5, K_under_2=2.0, K_3=1.0, L_bar_0=0.25, L_under_0=0.5,
+        L_bar_1=0.25, L_under_1=0.75, B_1=10.0, B_2=100.0, B_3=50.0,
+        C_grad_u=0.1, K_bar_1_prime=0.5, K_under_1_prime=2.0)
+    full = {f.name: values.get(f.name, 1.0)
+            for f in dataclasses.fields(AssumptionConstants)}
+    base = _ledger_margins(AssumptionConstants(**full))
+    unread = [name for name, v in full.items()
+              if all(_ledger_margins(AssumptionConstants(
+                  **{**full, name: v * scale})) == base
+                     for scale in (0.01, 100.0))]
+    assert unread == []
 
 
 def test_assumption_constants_roundtrip():

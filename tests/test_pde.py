@@ -8,8 +8,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from concentra.grid import (DensityField, ScalarField, build_grid, integrate,
-                            kernel_convolution, write_field_npy)
+from concentra.grid import (DensityField, GridError, ScalarField,
+                            build_grid, integrate, kernel_convolution,
+                            write_field_npy)
 from concentra.models import (GaussianKernel, build_model, constant_diffusion,
                               sine_diffusion)
 from concentra import pde
@@ -311,24 +312,29 @@ def test_variable_diffusion_unit_b_matches_global_stepper():
 
 
 def test_local_constant_kernel_reduces_to_global():
-    g = build_grid(1, 0.0, 1.0, 128)
-    local = build_model({"family": "logistic_local",
-                         "params": {"r": {"c0": 1.0, "center": [0.5],
-                                          "weights": [1.0]},
-                                    "kernel": {"type": "constant",
-                                               "value": 1.0}}}, 1)
-    glob = build_model({"family": "quadratic_global",
-                        "params": {"k0": 1.0, "center": [0.5],
-                                   "weights": [1.0], "coef_I": 1.0}}, 1)
-    n0 = init_density(g, [{"center": [0.6], "weights": [1.0]}], 0.01, 0.3)
-    outs = []
-    for model in (local, glob):
-        cfg = SimulationConfig(0.01, 0.005, 10)
-        engine = ImexIntegrator(g, model, cfg)
-        state = SimulationState(0.0, DensityField(g, n0.values.copy()), None)
-        state = _run_steps(engine, state, 10)
-        outs.append(state.density.values)
-    assert np.max(np.abs(outs[0] - outs[1])) <= 1e-12
+    """A constant kernel is the global model with psi = 1: ten steps give
+    byte-equal densities, in 1D and in 2D."""
+    for d, points in ((1, 128), (2, 32)):
+        g = build_grid(d, 0.0, 1.0, points)
+        local = build_model({"family": "logistic_local",
+                             "params": {"r": {"c0": 1.0, "center": [0.5] * d,
+                                              "weights": [1.0] * d},
+                                        "kernel": {"type": "constant",
+                                                   "value": 1.0}}}, d)
+        glob = build_model({"family": "quadratic_global",
+                            "params": {"k0": 1.0, "center": [0.5] * d,
+                                       "weights": [1.0] * d,
+                                       "coef_I": 1.0}}, d)
+        n0 = init_density(g, [{"center": [0.6] * d, "weights": [1.0] * d}],
+                          0.01, 0.3)
+        outs = []
+        for model in (local, glob):
+            cfg = SimulationConfig(0.01, 0.005, 10)
+            engine = ImexIntegrator(g, model, cfg)
+            state = SimulationState(0.0, DensityField(g, n0.values.copy()),
+                                    None)
+            outs.append(_run_steps(engine, state, 10).density.values)
+        assert outs[0].tobytes() == outs[1].tobytes()
 
 
 def test_positivity_with_oscillating_diffusion_coefficient():
@@ -722,8 +728,8 @@ def test_engine_rate_is_the_global_growth_law_bitwise(name):
 
 @pytest.mark.parametrize("name", ["local_logistic", "local_logistic_2d"])
 def test_engine_rate_is_growth_minus_competition_bitwise(name):
-    """On the local family the macro is the competition array C * n, and R
-    is bitwise r(x) - (C * n)(x) on the nodes."""
+    """With a Gaussian kernel the macro is the competition array C * n, and
+    R is bitwise r(x) - (C * n)(x) on the nodes."""
     sc = load_bundled(name)
     model, grid, cfg = sc.build_model(), sc.build_grid(), sc.build_config()
     engine = ImexIntegrator(grid, model, cfg)
@@ -737,6 +743,37 @@ def test_engine_rate_is_growth_minus_competition_bitwise(name):
         assert type(macro) is np.ndarray and macro.shape == grid.shape
         assert macro.tobytes() == field.tobytes()
         assert rate.tobytes() == (r - field).tobytes()
+
+
+def test_separable_kernel_couples_through_a_scalar():
+    """A separable kernel C = phi(x) psi(y) couples like the global model:
+    the macro is the float J = sum psi(y) n(y) vol, R is within 1e-13 of
+    r(x) - sum_y C(x, y) n(y) vol, and it has no competition map."""
+    rng = np.random.default_rng(59)
+    for d, points in ((1, 48), (2, 12)):
+        grid = build_grid(d, 0.0, 1.0, points)
+        phi = {"c0": 2.0, "center": [0.3] * d, "weights": [0.5] * d}
+        psi = {"c0": 1.5, "center": [0.7] * d, "weights": [0.25] * d}
+        model = build_model({"family": "logistic_local",
+                             "params": {"kernel": {"type": "separable",
+                                                   "phi": phi,
+                                                   "psi": psi}}}, d)
+        engine = ImexIntegrator(grid, model, SimulationConfig(0.01, 0.01, 1))
+        density = DensityField(grid, rng.random(grid.shape))
+        rate, macro = engine.rate_field(density)
+
+        nodes = grid.nodes().reshape(-1, d)
+        n, vol = density.values.reshape(-1), grid.cell_volume
+        kern = model.kernel
+        assert type(macro) is float
+        assert macro == float((kern.psi(nodes) * n).sum() * vol)
+        direct = (np.asarray(model.intrinsic.value(nodes))
+                  - np.array([sum(float(kern(x, y)) * nj
+                                  for y, nj in zip(nodes, n)) * vol
+                              for x in nodes]))
+        assert np.max(np.abs(rate.reshape(-1) - direct)) <= 1e-13
+        with pytest.raises(GridError, match="SeparableKernel"):
+            kernel_convolution(grid, kern)
 
 
 def test_local_step_validates_only_its_density(monkeypatch):
