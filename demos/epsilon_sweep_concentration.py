@@ -8,8 +8,11 @@ halving diffusion strengths epsilon and, for each run, measures two things:
   * how far the PDE peak path strays from the limiting ODE for the
     concentration point (integrated with the PDE's own curvature feed).
 
-Both gaps shrink roughly linearly in epsilon: the limit ODE is not just an
-asymptotic statement, it is a quantitative surrogate at small epsilon.
+The post-layer residual halves with epsilon: the peak rides the
+constraint manifold ever closer.  The PDE-vs-ODE distance stays near
+3e-4 at every epsilon: on this quadratic scenario the ODE is exact for the
+peak, so the distance measures the time step's first-order splitting
+error, which is set by dt, not by epsilon.
 
 Run:  python3 demos/epsilon_sweep_concentration.py
 """
@@ -31,16 +34,17 @@ def main():
         cfg = dataclasses.replace(sc.build_config(), epsilon=eps)
         result = run_simulation(cfg, model, grid, sc.u0,
                                 constants=sc.build_constants())
-        _, post = diag.constraint_residual(result.trajectory, model,
-                                           t_layer=0.5)
+        post = diag.post_layer_max(result.series.times, result.residuals,
+                                   0.5)
         x0, _ = u0_peaks(sc.u0)[0]
         ode = canon.integrate_canonical(
             x0, canon.HessianClosure("from_pde", feed=result.trajectory),
             model, cfg.dt, cfg.steps * cfg.dt, domain=sc.domain())
         sup, _, _ = diag.compare_trajectories(result.trajectory, ode)
         print(f"{eps:>9.3f} {post:>16.3e} {sup:>21.3e}")
-    print("\nHalving epsilon halves (roughly) both gaps: the peak rides the "
-          "constraint\nmanifold and the limit ODE shadows it at O(epsilon).")
+    print("\nHalving epsilon halves the post-layer residual: the peak rides "
+          "the constraint\nmanifold.  The sup distance stays flat: it is "
+          "the splitting error of dt.")
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ from .canonical import (ClosureError, ConcentrationTrajectory, HessianClosure,
                         persistence_envelope, riccati_hessian_rhs)
 from .diagnostics import (MacroSeries, compare_trajectories,
                           constraint_residual, monotonicity_violation,
-                          total_variation)
+                          post_layer_max, total_variation)
 from .scenarios import (Scenario, ScenarioError, bundled_scenario_names,
                         load_bundled, load_scenario)
 

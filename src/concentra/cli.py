@@ -41,7 +41,7 @@ import numpy as np
 
 from . import canonical as canon
 from . import diagnostics as diag
-from .grid import GridError, write_field_npy
+from .grid import RING_CELLS, GridError, write_field_npy
 from .models import (LocalCompetitionModel, ModelError, QuadraticFunction,
                      check_assumptions)
 from .pde import (ConfigError, SeriesFormatError, SolverError,
@@ -61,6 +61,7 @@ VALIDATION_ERRORS = (ScenarioError, SeriesFormatError, ConfigError, OSError)
 # that is not positive on the grid) is still the input's.
 NUMERICAL_ERRORS = (SolverError, WkbError, ModelError, FloatingPointError,
                     np.linalg.LinAlgError, canon.ClosureError, GridError)
+LAYER_STEPS = 10   # steps of the transient layer the post-layer max skips
 
 
 def _jsonable(obj):
@@ -77,6 +78,13 @@ def _jsonable(obj):
     if isinstance(obj, float) and not np.isfinite(obj):
         return None if np.isnan(obj) else ("inf" if obj > 0 else "-inf")
     return obj
+
+
+def _write_json(work, **files) -> None:
+    """Write each keyword's object to `<keyword>.json` in `work`."""
+    for name, obj in files.items():
+        with open(os.path.join(work, f"{name}.json"), "w") as f:
+            json.dump(_jsonable(obj), f, indent=2, sort_keys=True)
 
 
 def _resolved_params(sc: Scenario, model, overrides=None) -> dict:
@@ -158,8 +166,7 @@ def _canonical_run(sc: Scenario, model, closure_mode, feed=None, dt=None,
                           f"first step, at t={traj.exit_time:.6g}, "
                           f"x={traj.exit_point.tolist()}: no second sample "
                           "to report")
-    residuals, post = diag.constraint_residual(traj, model,
-                                               t_layer=10 * dt)
+    residuals = diag.constraint_residual(traj, model)
     reports = {
         "closure": mode,
         "approximate_closure": mode == "riccati",
@@ -204,8 +211,8 @@ def _pde_run(sc: Scenario, out_root, sweep=False):
                                 constants=sc.build_constants(),
                                 snapshot=snapshot)
         write_series_csv(result, os.path.join(work, "series.csv"))
-        _, post = diag.constraint_residual(result.trajectory, model,
-                                           t_layer=10 * config.dt)
+        post = diag.post_layer_max(result.series.times, result.residuals,
+                                   LAYER_STEPS * config.dt)
         canonical = None
         if sweep or "canonical" in sc.raw:
             mode, dt, T = (("from_pde", config.dt, config.steps * config.dt)
@@ -257,10 +264,7 @@ def _cmd_run(args) -> int:
 
         manifest = dict(run.resolved)
         manifest["artifact_dir"] = os.path.basename(run.outdir)
-        with open(os.path.join(work, "manifest.json"), "w") as f:
-            json.dump(_jsonable(manifest), f, indent=2, sort_keys=True)
-        with open(os.path.join(work, "reports.json"), "w") as f:
-            json.dump(_jsonable(reports), f, indent=2, sort_keys=True)
+        _write_json(work, manifest=manifest, reports=reports)
     print(run.outdir)
     return EXIT_OK
 
@@ -348,18 +352,15 @@ def _cmd_canonical(args) -> int:
         traj, residuals, reports = _canonical_run(sc, model, mode, feed=feed)
         write_trajectory_csv(traj, os.path.join(work, "trajectory.csv"),
                              residuals=residuals, psi=model.psi)
-        with open(os.path.join(work, "manifest.json"), "w") as f:
-            json.dump(_jsonable(resolved), f, indent=2, sort_keys=True)
-        with open(os.path.join(work, "reports.json"), "w") as f:
-            json.dump(_jsonable(reports), f, indent=2, sort_keys=True)
+        _write_json(work, manifest=resolved, reports=reports)
     print(outdir)
     return EXIT_OK
 
 
 def _truncation_risks(sc: Scenario, model) -> list:
-    """Where a run of `sc` risks box truncation: each u0 centre within two
-    cells of a wall, and a growth rate at zero macro, R(x, 0) (or r(x) for
-    the local family), whose grid maximum is on the two-cell boundary
+    """Where a run of `sc` risks box truncation: each u0 centre within
+    RING_CELLS cells of a wall, and a growth rate at zero macro, R(x, 0)
+    (or r(x) for the local family), whose grid maximum is on the boundary
     ring."""
     grid = sc.build_grid()
     lower, upper, h = (np.asarray(v, dtype=float)
@@ -368,14 +369,14 @@ def _truncation_risks(sc: Scenario, model) -> list:
     for k, bump in enumerate(sc.u0):
         center = np.atleast_1d(np.asarray(bump["center"], dtype=float))
         cells = float(np.min(np.minimum(center - lower, upper - center) / h))
-        if cells < 2:
+        if cells < RING_CELLS:
             risks.append({"check": "u0_center_near_wall", "bump": k,
                           "center": center.tolist(),
                           "cells_from_wall": cells})
     nodes = grid.nodes()
     rate = np.asarray(model.rate(nodes, 0.0), dtype=float)
     node = np.unravel_index(int(np.argmax(rate)), grid.shape)
-    if any(i < 2 or i >= n - 2 for i, n in zip(node, grid.shape)):
+    if min(min(i, n - 1 - i) for i, n in zip(node, grid.shape)) < RING_CELLS:
         local = isinstance(model, LocalCompetitionModel)
         risks.append({"check": "growth_max_on_ring",
                       "rate": "r(x)" if local else "R(x, 0)",

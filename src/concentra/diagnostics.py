@@ -46,22 +46,18 @@ def total_variation(series) -> float:
     return float(np.abs(np.diff(s)).sum())
 
 
-def constraint_residual(traj, model, t_layer: float = None):
-    """|growth rate at the tracked peak| along a trajectory.
+def constraint_residual(traj, model) -> np.ndarray:
+    """|growth rate at the tracked peak| along a `ConcentrationTrajectory`."""
+    return np.abs(np.asarray(model.rate(traj.points, traj.macro), dtype=float))
 
-    Returns (residuals, post_layer_max) where the summary maximum skips the
-    initial transient window t < t_layer (the multiplier needs a few steps
-    to relax onto the constraint).
-    """
-    times = np.asarray(traj.times, dtype=float)
-    pts = np.asarray(traj.points, dtype=float)
-    macro = np.asarray(traj.macro, dtype=float)
-    res = np.abs(np.asarray(model.rate(pts, macro), dtype=float))
-    if t_layer is None:
-        t_layer = times[0]
+
+def post_layer_max(times: np.ndarray, residuals: np.ndarray,
+                   t_layer: float) -> float:
+    """Maximum of `residuals` past the transient window t < t_layer, where
+    the multiplier relaxes onto the constraint; nan when no time is past
+    it."""
     sel = times >= t_layer
-    post = float(res[sel].max()) if sel.any() else float("nan")
-    return res, post
+    return float(residuals[sel].max()) if sel.any() else float("nan")
 
 
 def compare_trajectories(a, b):

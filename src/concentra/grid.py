@@ -16,6 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
+RING_CELLS = 2   # width of the boundary ring, the outermost cells of the box
+
 
 class GridError(ValueError):
     """Invalid grid construction or field data."""
@@ -242,11 +244,11 @@ def integrate(field: ScalarField, weight=1) -> float:
     return float((w * v).sum() * field.grid.cell_volume)
 
 
-def boundary_ring_mass(density: DensityField | FieldStack, width: int = 2,
+def boundary_ring_mass(density: DensityField | FieldStack,
                        totals: np.ndarray = None):
-    """Mass carried by the outermost `width`-cell ring of the box: a float
-    for one density field, an array of one entry per row for a
-    `FieldStack`.  `totals`, when given, is each row's
+    """Mass carried by the boundary ring (RING_CELLS): a float for one
+    density field, an array of one entry per row for a `FieldStack`.
+    `totals`, when given, is each row's
     `values.reshape(rows, -1).sum(axis=1)`, which is not summed again."""
     grid = density.grid
     v = density.values.reshape((-1,) + grid.shape)
@@ -255,8 +257,7 @@ def boundary_ring_mass(density: DensityField | FieldStack, width: int = 2,
         totals = v.reshape(rows, -1).sum(axis=1)
     # each interior adds up in flat order: reshaping a 2D one copies it,
     # where a strided 2D view would sum line by line, with other round-off
-    interior = v[(slice(None),)
-                 + tuple(slice(width, n - width) for n in grid.shape)]
+    interior = v[(...,) + (slice(RING_CELLS, -RING_CELLS),) * grid.dimension]
     mass = (totals - interior.reshape(rows, -1).sum(axis=1)) * grid.cell_volume
     return mass if density.values.ndim > grid.dimension else float(mass[0])
 

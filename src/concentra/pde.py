@@ -10,16 +10,12 @@ global model (w = psi) and for a separable kernel phi(x) psi(y)
 (w = psi(y)); only a kernel of axis factors has the competition field
 C * n as its macro.
 
-On a 1D grid the tridiagonal operator is factored once per run; up to
-GREEN_MAX_NODES nodes its inverse G is built once from the factors and
-each step is one matrix-vector product G @ n_star, above that each step
-runs the two recurrences of the factored solve as log-depth scans over
-nonnegative numbers.  Both are exact to round-off entry by entry.  On a 2D
-grid the solve is a warm-started matrix-free conjugate-gradient iteration
-in numpy that allocates nothing: its vectors are five work rows the
-integrator allocates once, and its matrix-vector product is the
-flat-stride, divide-free `grid.diffusion_stencil` writing into them, with
-weights eps dt b_face / h^2 folded once per run.
+The diffusion solve (`diffusion_solve`) is one callable built once per
+run: in 1D the once-built inverse G or log-depth scans, which only add and
+multiply nonnegative numbers, so every entry is exact to round-off and
+none is negative; in 2D a warm-started matrix-free CG on the divide-free
+`grid.diffusion_stencil` that allocates nothing and alone checks for
+negative density.
 """
 
 from __future__ import annotations
@@ -69,7 +65,7 @@ GREEN_MAX_NODES = 288
 # 36.5 and 41.1 MB at 64 KiB, 36.5 and 41.3 at 512 KiB, 37.5 and 42.7 at
 # 1 MiB.
 RECORD_BLOCK_BYTES = 512 * 1024
-NEGATIVE_CLAMP = 1e-10   # relative tolerance for solver round-off below zero
+NEGATIVE_CLAMP = 1e-10   # relative tolerance for CG round-off below zero
 BOUNDARY_MASS_FRACTION = 1e-8
 
 
@@ -220,8 +216,9 @@ def _thomas_solver(k: np.ndarray, green: bool):
     (ahead of it, going back) times the product of the d multipliers in
     between, so after ceil(log2 n) levels each entry carries O(log n)
     roundings instead of the sequential sweep's O(n).  The products per
-    level are built once per run, and the solution is written into a row
-    the solver owns: it is overwritten by the next solve."""
+    level are built once per run, and a solve runs in two rows the solver
+    owns.  Either form returns a new array, nonnegative with no negative
+    zero for a nonnegative rhs, so it needs no clamp."""
     k = k.tolist()
     mult, inv = [], []
     q = 1.0
@@ -270,7 +267,7 @@ def _thomas_solver(k: np.ndarray, green: bool):
         scan(forward)
         np.multiply(y, inv_pivots, out=y)
         scan(backward)
-        return y
+        return y.copy()
 
     return solve
 
@@ -282,6 +279,41 @@ def _aligned_rows(count: int, length: int) -> np.ndarray:
     buf = np.empty(count * width + 7)
     start = (-buf.ctypes.data // 8) % 8
     return buf[start:start + count * width].reshape(count, width)
+
+
+def _cg_solver(grid: TraitGrid, weights: list):
+    """Solver of Id - eps dt L on `grid`: `_cg` on the stencil with
+    `weights`, warm-started from the last solution (the first from its
+    rhs), in five 64-byte-aligned rows it owns, the fifth over the flux
+    row.  A solve returns a new array, round-off below zero clamped; it
+    raises SolverError if CG_MAXITER iterations do not converge or the
+    minimum is below -NEGATIVE_CLAMP max(peak, 1)."""
+    rows = _aligned_rows(5, grid.num_nodes + 7)
+    work, flux = rows[:, :grid.num_nodes], rows[4]
+    warm = False
+
+    def matvec(v, out=None):
+        """(Id - eps dt L) v, flat, into `out` (a new array if None)."""
+        return diffusion_stencil(v.reshape(grid.shape), weights, True,
+                                 out=out, flux=flux).reshape(-1)
+
+    def solve(rhs):
+        nonlocal warm
+        if not warm:
+            work[0] = rhs
+            warm = True
+        sol, info = _cg(matvec, rhs, work, CG_RTOL, CG_MAXITER)
+        if info != 0:
+            res = np.linalg.norm(matvec(sol) - rhs)
+            raise SolverError(f"diffusion solve did not converge "
+                              f"(info={info}, residual={res:.3e})")
+        peak, low = float(sol.max()), float(sol.min())
+        if low < -NEGATIVE_CLAMP * max(peak, 1.0):
+            raise SolverError(f"diffusion solve produced negative density "
+                              f"{low:.3e} (peak {peak:.3e})")
+        return np.maximum(sol, 0.0)
+
+    return solve
 
 
 def diffusion_solve(grid: TraitGrid) -> dict:
@@ -299,13 +331,9 @@ def diffusion_solve(grid: TraitGrid) -> dict:
 class ImexIntegrator:
     """One-step integrator with cached stencil data, a once-built
     competition convolution (a kernel of axis factors) and b = 1 unless
-    `b` is given.  The diffusion solve follows the grid
-    (`diffusion_solve`): a once-built inverse or once-factored log-depth
-    scans in 1D, warm-started CG in 2D, run in five work rows of grid size
-    allocated here, each on a 64-byte line: the CG's x (which keeps the
-    last solution as the next warm start), r, p and q, and the stencil's
-    flux row, which is also the CG's tmp.  The stencil's weights are folded
-    once, and in 1D they are the tridiagonal solve's off-diagonals."""
+    `b` is given.  Its diffusion solve, the one `diffusion_solve` names,
+    is built here as one callable from the rhs to a new density array:
+    `_thomas_solver` in 1D, `_cg_solver` in 2D."""
 
     def __init__(self, grid: TraitGrid, model, config: SimulationConfig,
                  b: DiffusionCoefficient = None):
@@ -313,9 +341,6 @@ class ImexIntegrator:
         self.config = config
         nodes = grid.nodes()
         self.advisories = []
-        rows = _aligned_rows(5, grid.num_nodes + 7)
-        self._work = rows[:, :grid.num_nodes]
-        self._warm = False
 
         # R is affine in the macro, R = base + slope * macro, fixed per run.
         # A scalar macro is m = sum(w n) vol: w = psi and slope = -coef_I
@@ -350,23 +375,14 @@ class ImexIntegrator:
                                   "on the grid")
             self._faces = face_coefficients(grid, b_nodes)
 
-        shape = grid.shape
-        coef = config.epsilon * config.dt
-        weights = stencil_weights(grid, coef, self._faces)
-        flux = rows[4]
-
-        def matvec(v, out=None):
-            """(Id - eps dt L) v on the flattened grid, into `out` if given
-            (a new array otherwise)."""
-            return diffusion_stencil(v.reshape(shape), weights, True,
-                                     out=out, flux=flux).reshape(-1)
-
-        self._matvec = matvec
-        self._solve_1d = None
-        if grid.dimension == 1:
-            self._solve_1d = _thomas_solver(
-                np.broadcast_to(weights[0], (grid.num_nodes - 1,)),
-                green=diffusion_solve(grid)["method"] == "green_matrix")
+        weights = stencil_weights(grid, config.epsilon * config.dt,
+                                  self._faces)
+        method = diffusion_solve(grid)["method"]
+        if method == "cg":
+            self._solve = _cg_solver(grid, weights)
+        else:   # the stencil's weights are the off-diagonals
+            k = np.broadcast_to(weights[0], (grid.num_nodes - 1,))
+            self._solve = _thomas_solver(k, method == "green_matrix")
 
     def macro_of(self, density: DensityField):
         """Macro coupling computed from a density: the float m = sum(w n)
@@ -402,25 +418,7 @@ class ImexIntegrator:
         if not np.isfinite(n_star).all():
             raise SolverError(f"reaction update overflowed: dt*sup|R|/eps = "
                               f"{advisory:.3g}; reduce dt or raise epsilon")
-        rhs = n_star.reshape(-1)
-        if self._solve_1d is not None:
-            sol = self._solve_1d(rhs)
-        else:
-            if not self._warm:
-                self._work[0] = rhs
-                self._warm = True
-            sol, info = _cg(self._matvec, rhs, self._work[:5], CG_RTOL,
-                            CG_MAXITER)
-            if info != 0:
-                res = np.linalg.norm(self._matvec(sol) - rhs)
-                raise SolverError(f"diffusion solve did not converge "
-                                  f"(info={info}, residual={res:.3e})")
-        peak = float(sol.max())
-        low = float(sol.min())
-        if low < -NEGATIVE_CLAMP * max(peak, 1.0):
-            raise SolverError(f"diffusion solve produced negative density "
-                              f"{low:.3e} (peak {peak:.3e})")
-        density = DensityField(self.grid, np.maximum(sol, 0.0))
+        density = DensityField(self.grid, self._solve(n_star.reshape(-1)))
         return SimulationState(state.time + cfg.dt, density, None)
 
 
@@ -543,7 +541,7 @@ def run_simulation(config: SimulationConfig, model, grid: TraitGrid, u0_spec,
     series = MacroSeries(times, Is, rhos, Js, bms)
     traj = ConcentrationTrajectory(series.times, pts, series.I, hessians,
                                    source="pde")
-    residuals, _ = constraint_residual(traj, model)
+    residuals = constraint_residual(traj, model)
     return RunResult(series, snapshots, traj, residuals, reports,
                      probe_maxima, run_warnings, list(engine.advisories))
 

@@ -16,8 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import (DensityField, FieldStack, GridError, ScalarField,
-                   TraitGrid)
+from .grid import (RING_CELLS, DensityField, FieldStack, GridError,
+                   ScalarField, TraitGrid)
 
 DENSITY_FLOOR = 1e-280   # keeps u finite; far below any meaningful density
 EXP_LIMIT = 700.0        # exp overflow threshold for u/eps
@@ -108,7 +108,7 @@ def _fit_operator(hx: float, hy: float) -> np.ndarray:
 
 class _Geometry(NamedTuple):
     nodes: np.ndarray     # (N, d) node coordinates, flat order
-    wall: np.ndarray      # (N,) cells from each node to a wall, capped at 2
+    wall: np.ndarray      # (N,) cells to the nearest wall, <= RING_CELLS
     window: np.ndarray    # (3^d,) flat offsets of a node's window, raveled
     inner: int            # flat index of node (1, ...), which has a window
 
@@ -123,7 +123,7 @@ def _geometry(grid: TraitGrid) -> _Geometry:
                                               repeat=grid.dimension)))
     axes = np.indices(grid.shape).reshape(grid.dimension, -1)
     last = np.asarray(grid.shape)[:, None] - 1
-    wall = np.minimum(np.minimum(axes, last - axes).min(axis=0), 2)
+    wall = np.minimum(np.minimum(axes, last - axes).min(axis=0), RING_CELLS)
     tables = (grid.nodes().reshape(-1, grid.dimension), wall.astype(np.int8),
               offsets @ strides)
     for table in tables:
@@ -165,17 +165,17 @@ def _refine_maxima(flat: np.ndarray, rows: np.ndarray, at: np.ndarray,
     rows[m] of a flattened stack (k, N), from one quadratic fit there.
 
     A peak falls back to its node when the fitted vertex is degenerate or
-    more than one cell away, and when the node is on the boundary ring,
-    where no window fits: it keeps the node's own value there.  A Hessian
-    is nan when its node is within two cells of the boundary.  Returns the
-    points (m, d), values (m,), Hessians (m, d, d) and the ring mask (m,)."""
+    more than one cell away, and when the node is on a wall, where no
+    window fits: it keeps the node's own value there.  A Hessian is nan
+    when its node is within RING_CELLS of a wall.  Returns the points
+    (m, d), values (m,), Hessians (m, d, d) and the wall mask (m,)."""
     geo = _geometry(grid)
     wall = geo.wall[at]
     ring = wall < 1
     # a ring node has no window: fit any, here node (1, ...), and drop it
     f0, g, h = _quadratic_fits(flat, rows, np.where(ring, geo.inner, at),
                                grid)
-    hess = np.where((wall < 2)[:, None, None], np.nan, h)
+    hess = np.where((wall < RING_CELLS)[:, None, None], np.nan, h)
     node = geo.nodes[at]
     spacing = grid.spacing
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -256,7 +256,7 @@ def test_canonical_macro_monotone_and_on_constraint():
     closure = HessianClosure("frozen", initial_hessian=[[-2.0]])
     traj = integrate_canonical((0.5,), closure, m, 1e-3, 5.0)
     assert np.diff(traj.macro).min() >= -1e-10
-    res, _ = constraint_residual(traj, m)
+    res = constraint_residual(traj, m)
     assert res.max() <= ROOT_TOL
 
 

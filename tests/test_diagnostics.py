@@ -7,7 +7,8 @@ import pytest
 from concentra.canonical import ConcentrationTrajectory
 from concentra.diagnostics import (DiagnosticsError, MacroSeries,
                                    compare_trajectories, constraint_residual,
-                                   monotonicity_violation, total_variation)
+                                   monotonicity_violation, post_layer_max,
+                                   total_variation)
 from concentra.grid import build_grid
 from concentra.models import ROOT_TOL, build_model
 from concentra.pde import SimulationConfig, run_simulation
@@ -98,7 +99,8 @@ def _traj(times, xs, macro):
 
 def test_constraint_residual_zero_rate_model():
     traj = _traj([0.0, 1.0, 2.0], [0.2, 0.3, 0.4], [0.0, 0.0, 0.0])
-    res, post = constraint_residual(traj, zero_rate_model())
+    res = constraint_residual(traj, zero_rate_model())
+    post = post_layer_max(traj.times, res, traj.times[0])
     assert np.all(res == 0.0)
     assert post == 0.0
 
@@ -111,9 +113,11 @@ def test_constraint_residual_layer_window():
     xs = [0.3, 0.2, 0.1]
     macro = [0.0, 0.5 - 0.04, 0.5 - 0.01]
     traj = _traj([0.0, 1.0, 2.0], xs, macro)
-    res, post = constraint_residual(traj, m, t_layer=0.5)
+    res = constraint_residual(traj, m)
+    post = post_layer_max(traj.times, res, t_layer=0.5)
     assert res[0] == pytest.approx(0.41)
     assert post <= 1e-12
+    assert np.isnan(post_layer_max(traj.times, res, t_layer=2.5))
 
 
 def test_constraint_residual_local_model():
@@ -121,7 +125,7 @@ def test_constraint_residual_local_model():
                          "params": {"r": {"c0": 1.0, "center": [0.0],
                                           "weights": [1.0]}}}, 1)
     traj = _traj([0.0, 1.0], [0.5, 0.5], [0.75, 0.75])
-    res, post = constraint_residual(traj, local)
+    res = constraint_residual(traj, local)
     assert np.max(res) <= ROOT_TOL
 
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from concentra.grid import (DensityField, FieldStack, GridError,
+from concentra.grid import (RING_CELLS, DensityField, FieldStack, GridError,
                             ScalarField, TraitGrid, boundary_ring_mass,
                             build_grid, diffusion_stencil, face_coefficients,
                             integrate, kernel_convolution, laplacian,
@@ -384,11 +384,9 @@ def test_boundary_ring_mass_bitwise_take_formula(dimension):
         g = build_grid(dimension, 0.0, rng.uniform(0.5, 3.0), n)
         values = rng.exponential(size=n) * 10.0 ** rng.uniform(-8, 8)
         density = DensityField(g, values)
-        for width in (0, 1, 2):
-            got = boundary_ring_mass(density, width)
-            assert (np.float64(got).tobytes()
-                    == np.float64(_take_ring_mass(density, width)).tobytes())
-        assert boundary_ring_mass(density, 0) == 0.0
+        got = boundary_ring_mass(density)
+        assert (np.float64(got).tobytes()
+                == np.float64(_take_ring_mass(density, RING_CELLS)).tobytes())
 
 
 @pytest.mark.parametrize("dimension", [1, 2])

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from concentra.grid import (DensityField, GridError, ScalarField,
-                            build_grid, integrate, kernel_convolution,
+                            build_grid, diffusion_stencil, integrate,
+                            kernel_convolution, stencil_weights,
                             write_field_npy)
 from concentra.models import (GaussianKernel, build_model, constant_diffusion,
                               sine_diffusion)
@@ -186,7 +187,8 @@ def test_1d_solve_exact_entry_by_entry(monkeypatch, variable, green_max):
         k, rhs.tolist())])
     assert exact.min() < 1e-30
     assert np.max(np.abs(x - exact) / exact) <= 1e-12
-    assert (np.linalg.norm(engine._matvec(x) - rhs)
+    matvec, _ = _stencil_operator(engine)
+    assert (np.linalg.norm(matvec(x) - rhs)
             <= 1e-13 * np.linalg.norm(rhs))
 
 
@@ -210,6 +212,38 @@ def test_1d_solve_forms_meet_at_the_node_constant(monkeypatch, variable):
     sweep, green = solves
     assert sweep.min() < 1e-30
     assert np.max(np.abs(green - sweep) / sweep) <= 1e-13
+
+
+@pytest.mark.parametrize("green_max", [4096, 1], ids=["green", "scan"])
+def test_1d_solve_needs_no_clamp(monkeypatch, green_max):
+    """A 1D step applies its solve unclamped: either form maps an rhs of
+    exact zeros and values from 5e-324 to 1 to finite entries with no sign
+    bit set (not even on a zero), for tridiagonal weights eps dt / h^2 from
+    6.4e-7 to 1e9.  Each solve is a new array that the next leaves as it
+    is."""
+    monkeypatch.setattr(pde, "GREEN_MAX_NODES", green_max)
+    rng = np.random.default_rng(30)
+    for nodes in (8, 9, 17, 64, 288, 289, 1024):
+        g = build_grid(1, 0.0, 1.0, nodes)
+        tiny = np.full(nodes, 5e-324)
+        ladder = np.logspace(-323.0, 0.0, nodes)
+        ladder[::3] = 0.0
+        rhs_set = [np.zeros(nodes), np.where(np.arange(nodes) % 2, tiny, 0.0),
+                   ladder, rng.permutation(ladder),
+                   np.eye(1, nodes, nodes - 1)[0]]
+        for eps_dt in (1e-8, 1e-4, 1e-2, 1.0, 1e3):
+            engine = ImexIntegrator(g, zero_rate_model(1),
+                                    SimulationConfig(1.0, eps_dt, 1))
+            assert pde.diffusion_solve(g)["method"] == (
+                "green_matrix" if green_max > 1 else "tridiagonal")
+            solves = []
+            for rhs in rhs_set:
+                x = engine.step(SimulationState(
+                    0.0, DensityField(g, rhs), None)).density.values
+                assert np.isfinite(x).all()
+                assert not np.signbit(x).any()
+                solves.append((x, x.tobytes()))
+            assert all(x.tobytes() == kept for x, kept in solves)
 
 
 def _float_sweep(k, rhs):
@@ -370,6 +404,38 @@ def _diffusion_engine(dimension, variable, nodes=None):
     return ImexIntegrator(g, zero_rate_model(dimension), cfg, b=b)
 
 
+def _stencil_operator(engine, rows=None):
+    """(matvec, work): Id - eps dt L of `engine` on the flattened grid, the
+    stencil with the weights the engine folds, and five work rows as its
+    CG allocates them (`rows`, or new ones), the fifth (tmp) with the
+    stencil's flux row under it.  `matvec(v, out)` writes into `out`, a
+    new array without it."""
+    g, cfg = engine.grid, engine.config
+    weights = stencil_weights(g, cfg.epsilon * cfg.dt, engine._faces)
+    if rows is None:
+        rows = pde._aligned_rows(5, g.num_nodes + 7)
+
+    def matvec(v, out=None):
+        return diffusion_stencil(v.reshape(g.shape), weights, True, out=out,
+                                 flux=rows[4]).reshape(-1)
+
+    return matvec, rows[:, :g.num_nodes]
+
+
+def _engine_cg_rows(monkeypatch, grid, config):
+    """A 2D engine and the one block of rows its CG solve allocated."""
+    made, aligned_rows = [], pde._aligned_rows
+
+    def record(count, length):
+        made.append(aligned_rows(count, length))
+        return made[-1]
+
+    monkeypatch.setattr(pde, "_aligned_rows", record)
+    engine = ImexIntegrator(grid, zero_rate_model(2), config)
+    [rows] = made
+    return engine, rows
+
+
 @pytest.mark.parametrize("dimension", [1, 2])
 @pytest.mark.parametrize("variable", [False, True], ids=["uniform", "faces"])
 def test_cg_bitwise_equals_scipy_cg(dimension, variable):
@@ -377,9 +443,10 @@ def test_cg_bitwise_equals_scipy_cg(dimension, variable):
     starts from the buffers the one before left dirty."""
     linalg = pytest.importorskip("scipy.sparse.linalg")
     engine = _diffusion_engine(dimension, variable)
+    matvec, work = _stencil_operator(engine)
     g = engine.grid
     n = g.num_nodes
-    op = linalg.LinearOperator((n, n), matvec=engine._matvec, dtype=float)
+    op = linalg.LinearOperator((n, n), matvec=matvec, dtype=float)
     rng = np.random.default_rng(5)
     b = init_density(g, [{"center": [0.4] * dimension,
                           "weights": [1.0] * dimension}], 0.01,
@@ -388,37 +455,36 @@ def test_cg_bitwise_equals_scipy_cg(dimension, variable):
     cases = [(b, b, CG_MAXITER), (b, warm, CG_MAXITER),
              (b, np.zeros(n), CG_MAXITER), (b, warm, 3),
              (np.zeros(n), warm, CG_MAXITER)]
-    work = engine._work[:5]
     for rhs, x0, maxiter in cases:
         x0_before = x0.copy()
         work[0] = x0
-        ours, info = pde._cg(engine._matvec, rhs, work, CG_RTOL, maxiter)
+        ours, info = pde._cg(matvec, rhs, work, CG_RTOL, maxiter)
         ref, ref_info = linalg.cg(op, rhs, x0=x0, rtol=CG_RTOL, atol=0.0,
                                   maxiter=maxiter)
         assert info == ref_info
         assert ours.tobytes() == ref.tobytes()
         assert np.array_equal(x0, x0_before)
     work[0] = warm
-    assert pde._cg(engine._matvec, b, work, CG_RTOL, 3)[1] == 3
+    assert pde._cg(matvec, b, work, CG_RTOL, 3)[1] == 3
 
 
-def test_cg_allocates_no_grid_vector():
-    """A cold 2D solve runs in the engine's work rows: forced to 10 or to
-    150 iterations, its traced allocations peak below an eighth of one grid
-    vector.  The work set itself is five grid vectors."""
+def test_cg_allocates_no_grid_vector(monkeypatch):
+    """A cold 2D solve runs in the work rows the engine's CG allocated:
+    forced to 10 or to 150 iterations, its traced allocations peak below an
+    eighth of one grid vector.  The work set itself is five grid vectors."""
     g = build_grid(2, 0.0, 1.0, 128)
-    engine = ImexIntegrator(g, zero_rate_model(2),
-                            SimulationConfig(1.0, 1.0, 1))
+    engine, rows = _engine_cg_rows(monkeypatch, g,
+                                   SimulationConfig(1.0, 1.0, 1))
+    matvec, work = _stencil_operator(engine, rows)
     b = init_density(g, [{"center": [0.4, 0.6], "weights": [1.0, 1.0]}],
                      0.01, 0.3).values.reshape(-1)
-    assert engine._work.nbytes == 5 * b.nbytes
-    work = engine._work[:5]
+    assert work.nbytes == 5 * b.nbytes
     peaks = []
     for maxiter in (10, 150):
         work[0] = 0.0
         tracemalloc.start()
         try:
-            info = pde._cg(engine._matvec, b, work, CG_RTOL, maxiter)[1]
+            info = pde._cg(matvec, b, work, CG_RTOL, maxiter)[1]
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -427,18 +493,18 @@ def test_cg_allocates_no_grid_vector():
 
 
 @pytest.mark.parametrize("n", [24, 97, 150])
-def test_work_rows_start_on_64_byte_lines(n):
+def test_work_rows_start_on_64_byte_lines(monkeypatch, n):
     """Each CG row starts on a 64-byte line, where numpy's SIMD loops write
     whole lines, and a product written into a CG row, with its fluxes in
     the CG's tmp row, is the product into fresh buffers."""
     g = build_grid(2, 0.0, 1.0, n)
-    engine = ImexIntegrator(g, zero_rate_model(2), SimulationConfig(0.01,
-                                                                    0.01, 1))
-    assert engine._work.shape == (5, g.num_nodes)
-    assert [row.ctypes.data % 64 for row in engine._work] == [0] * 5
+    engine, rows = _engine_cg_rows(monkeypatch, g,
+                                   SimulationConfig(0.01, 0.01, 1))
+    matvec, work = _stencil_operator(engine, rows)
+    assert work.shape == (5, g.num_nodes)
+    assert [row.ctypes.data % 64 for row in work] == [0] * 5
     v = np.random.default_rng(2).standard_normal(g.num_nodes)
-    assert (engine._matvec(v, engine._work[3]).tobytes()
-            == engine._matvec(v).tobytes())
+    assert matvec(v, work[3]).tobytes() == matvec(v).tobytes()
 
 
 def test_cg_non_convergence_raises_solver_error(monkeypatch):
