@@ -15,6 +15,11 @@ from .models import (ConstraintInfeasibleError, GlobalInteractionModel,
                      LocalCompetitionModel, ModelError)
 
 
+NEWTON_TOL = 1e-12    # |grad| at which a rest point search stops
+NEWTON_ITERS = 100    # Newton steps before a start is given up
+LYAPUNOV_TOL = 1e-8   # decrease of rho^2 C(x, x) still read as non-decreasing
+
+
 class ClosureError(ValueError):
     """Hessian closure is singular or inconsistent with the request."""
 
@@ -320,12 +325,12 @@ def no_mutation_weight_ode(y, rho0, model, dt: float, T: float):
     return (times, out if batch else out[:, 0])
 
 
-def _newton_critical_point(grad, jac, x0, domain, tol=1e-12, iters=100):
+def _newton_critical_point(grad, jac, x0, domain):
     x = np.array(x0, dtype=float)
     lower, upper = (np.atleast_1d(np.asarray(v, dtype=float)) for v in domain)
-    for _ in range(iters):
+    for _ in range(NEWTON_ITERS):
         g = grad(x)
-        if np.linalg.norm(g) <= tol:
+        if np.linalg.norm(g) <= NEWTON_TOL:
             return x
         try:
             step = np.linalg.solve(jac(x), -g)
@@ -417,7 +422,7 @@ def persistence_envelope(traj: ConcentrationTrajectory,
 
 
 def lyapunov_local(traj: ConcentrationTrajectory,
-                   model: LocalCompetitionModel, tol: float = 1e-8) -> dict:
+                   model: LocalCompetitionModel) -> dict:
     """Series rho^2 C(x,x), which is non-decreasing for symmetric kernels."""
     if not model.kernel.symmetric:
         return {"applicable": False}
@@ -426,4 +431,4 @@ def lyapunov_local(traj: ConcentrationTrajectory,
     series = rho ** 2 * np.asarray(model.kernel(pts, pts), dtype=float)
     worst = float(np.diff(series).min()) if series.size > 1 else 0.0
     return {"applicable": True, "series": series, "worst_increment": worst,
-            "passed": bool(worst >= -tol)}
+            "passed": bool(worst >= -LYAPUNOV_TOL)}

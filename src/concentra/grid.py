@@ -74,11 +74,17 @@ class TraitGrid:
         n = self.points_per_axis[axis]
         return self.lower[axis] + (np.arange(n) + 0.5) * h
 
-    def nodes(self) -> np.ndarray:
-        """Node coordinates, shape (*shape, dimension)."""
+    @cached_property
+    def _node_table(self) -> np.ndarray:
         axes = [self.axis_coords(j) for j in range(self.dimension)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack(mesh, axis=-1)
+        table = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        table.flags.writeable = False
+        return table
+
+    def nodes(self) -> np.ndarray:
+        """Node coordinates, shape (*shape, dimension): one read-only table
+        per grid, built on the first call."""
+        return self._node_table
 
 
 def build_grid(dimension, lower, upper, points_per_axis) -> TraitGrid:

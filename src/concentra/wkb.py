@@ -106,29 +106,16 @@ def _fit_operator(hx: float, hy: float) -> np.ndarray:
     return op
 
 
-class _Geometry(NamedTuple):
-    nodes: np.ndarray     # (N, d) node coordinates, flat order
-    wall: np.ndarray      # (N,) cells to the nearest wall, <= RING_CELLS
-    window: np.ndarray    # (3^d,) flat offsets of a node's window, raveled
-    inner: int            # flat index of node (1, ...), which has a window
-
-
 @functools.lru_cache(maxsize=8)
-def _geometry(grid: TraitGrid) -> _Geometry:
-    """The tables the peak fits read from `grid`, built once per grid and
-    read-only."""
-    strides = np.array([math.prod(grid.shape[ax + 1:])
-                        for ax in range(grid.dimension)])
-    offsets = np.array(list(itertools.product((-1, 0, 1),
-                                              repeat=grid.dimension)))
-    axes = np.indices(grid.shape).reshape(grid.dimension, -1)
-    last = np.asarray(grid.shape)[:, None] - 1
-    wall = np.minimum(np.minimum(axes, last - axes).min(axis=0), RING_CELLS)
-    tables = (grid.nodes().reshape(-1, grid.dimension), wall.astype(np.int8),
-              offsets @ strides)
-    for table in tables:
-        table.flags.writeable = False
-    return _Geometry(*tables, int(strides.sum()))
+def _window(shape: tuple) -> np.ndarray:
+    """The 3^d flat offsets of a node's fit window on a grid of `shape`,
+    raveled, built once per shape and read-only.  The last, (1, ...), is
+    also the flat index of node (1, ...), which has a window."""
+    strides = [math.prod(shape[ax + 1:]) for ax in range(len(shape))]
+    offsets = np.array(list(itertools.product((-1, 0, 1), repeat=len(shape))))
+    window = offsets @ strides
+    window.flags.writeable = False
+    return window
 
 
 # the 2D Hessian [[2 c3, c4], [c4, 2 c5]] from the fit's coefficients c
@@ -147,7 +134,7 @@ def _quadratic_fits(flat: np.ndarray, rows: np.ndarray, centre: np.ndarray,
     in physical coordinates, shapes (m,), (m, d), (m, d, d).  Exact on
     quadratic data.  In 2D all windows go through one stacked product with
     the operator, which gives each window bitwise its own `op @ w`."""
-    windows = flat[rows[:, None], centre[:, None] + _geometry(grid).window]
+    windows = flat[rows[:, None], centre[:, None] + _window(grid.shape)]
     h = grid.spacing
     if grid.dimension == 1:
         fm, f0, fp = windows.T
@@ -169,14 +156,17 @@ def _refine_maxima(flat: np.ndarray, rows: np.ndarray, at: np.ndarray,
     window fits: it keeps the node's own value there.  A Hessian is nan
     when its node is within RING_CELLS of a wall.  Returns the points
     (m, d), values (m,), Hessians (m, d, d) and the wall mask (m,)."""
-    geo = _geometry(grid)
-    wall = geo.wall[at]
+    idx = np.unravel_index(at, grid.shape)
+    # cells from each candidate to the nearest wall
+    wall = np.minimum.reduce([np.minimum(i, n - 1 - i)
+                              for i, n in zip(idx, grid.shape)])
     ring = wall < 1
     # a ring node has no window: fit any, here node (1, ...), and drop it
-    f0, g, h = _quadratic_fits(flat, rows, np.where(ring, geo.inner, at),
+    f0, g, h = _quadratic_fits(flat, rows,
+                               np.where(ring, _window(grid.shape)[-1], at),
                                grid)
     hess = np.where((wall < RING_CELLS)[:, None, None], np.nan, h)
-    node = geo.nodes[at]
+    node = grid.nodes()[idx]
     spacing = grid.spacing
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if grid.dimension == 1:
@@ -227,16 +217,36 @@ def _local_maxima(vals: np.ndarray, dimension: int = None) -> np.ndarray:
     return local
 
 
+def _distinct(rows: np.ndarray, points: np.ndarray, spacing) -> np.ndarray:
+    """Mask of the peaks, sorted by row and highest first within each, that
+    lie at least half a cell, on some axis, from every higher peak of their
+    row.  Two adjacent nodes are both local maxima only when they tie, and
+    a parabola through two equal values has its vertex midway between them:
+    a top on a cell face is found at both its nodes, and both refine to the
+    face.  A plateau of three nodes refines to its two faces and its middle
+    node, half a cell apart, and keeps all three."""
+    half = 0.5 * np.asarray(spacing)
+    keep = np.ones(len(rows), dtype=bool)
+    for lag in range(1, len(rows)):
+        same = rows[lag:] == rows[:-lag]
+        if not same.any():   # rows are sorted: no longer lag pairs a row
+            break
+        near = (np.abs(points[lag:] - points[:-lag]) < half).all(axis=1)
+        keep[lag:] &= ~(same & near)
+    return keep
+
+
 def locate_max(u: WkbField, multi: bool = False, notes: list = None):
     """Peak(s) of u as (point, value, hessian): grid argmax refined by a
     local quadratic fit, whose Hessian is the curvature of u there.
 
     With `multi`, every local maximum within eps*ln(1e6) of the global one
     is reported (coexisting concentration points), highest first, the
-    first found on a tie.  Peaks on the boundary ring are returned at the
-    raw node, with a nan Hessian and a message (fit window unavailable):
-    appended to `notes` when a list is given, raised as a RuntimeWarning
-    otherwise.
+    first found on a tie, and once: a candidate refined to within half a
+    cell of a higher one is that one again (`_distinct`).  Peaks on the
+    boundary ring are returned at the raw node, with a nan Hessian and a
+    message (fit window unavailable): appended to `notes` when a list is
+    given, raised as a RuntimeWarning otherwise.
 
     One field gives a list of (point, value, hessian).  A stack of
     transforms gives one `Peaks` over all its rows, from one fit of every
@@ -268,6 +278,7 @@ def locate_max(u: WkbField, multi: bool = False, notes: list = None):
         # candidates' order
         order = np.argsort(-values, kind="stable")
         order = order[np.argsort(rows[order], kind="stable")]
+        order = order[_distinct(rows[order], points[order], grid.spacing)]
         rows, points, values, hessians = (rows[order], points[order],
                                           values[order], hessians[order])
     if stack:

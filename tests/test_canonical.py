@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from concentra import canonical
 from concentra.canonical import (ClosureError, ConcentrationTrajectory,
                                  HessianClosure, canonical_rhs,
                                  gradient_flow_rate, integrate_canonical,
@@ -350,6 +351,72 @@ def test_attractor_local_quadratic():
     assert rho == pytest.approx(1.0, abs=1e-8)
 
 
+GAUSSIAN = {"type": "gaussian", "floor": 0.8, "amp": 0.2, "width": 0.5}
+
+
+def _gaussian_local(c0, center, weight):
+    return build_model({"family": "logistic_local",
+                        "params": {"r": {"c0": c0, "center": [center],
+                                         "weights": [weight]},
+                                   "kernel": GAUSSIAN}}, 1)
+
+
+def _spy_newton(monkeypatch):
+    """Record each Newton start and its outcome (None, or the point; a
+    raised error is recorded as the error's type)."""
+    calls = []
+    newton = canonical._newton_critical_point
+
+    def spy(grad, jac, x0, domain):
+        try:
+            x = newton(grad, jac, x0, domain)
+        except Exception as exc:
+            calls.append((np.asarray(x0).tolist(), type(exc)))
+            raise
+        calls.append((np.asarray(x0).tolist(),
+                      None if x is None else x.tolist()))
+        return x
+    monkeypatch.setattr(canonical, "_newton_critical_point", spy)
+    return calls
+
+
+def test_attractor_local_off_centre_takes_newton_steps(monkeypatch):
+    """The rest point of ln r - ln C(x, x) at r's centre 0.3, reached from
+    the domain centre by Newton steps on the finite-difference Jacobian."""
+    calls = _spy_newton(monkeypatch)
+    (x, rho), why = long_time_attractor(_gaussian_local(1.0, 0.3, 1.0),
+                                        ([0.0], [1.0]))
+    assert why is None
+    assert x[0] == pytest.approx(0.3, abs=1e-12)
+    assert rho == pytest.approx(1.0, abs=1e-12)   # r(0.3) / C = 1 / 1
+    assert [start for start, _ in calls] == [[0.5]]
+
+
+def test_attractor_multistart_after_the_centre_fails(monkeypatch):
+    """r(0.5) < 0, so the centre start leaves {r > 0} at once; the
+    multistart's first start, 1/6, reaches r's centre 0.1."""
+    model = _gaussian_local(0.05, 0.1, 2.0)
+    assert float(model.intrinsic.value(np.array([0.5]))) < 0
+    calls = _spy_newton(monkeypatch)
+    (x, rho), why = long_time_attractor(model, ([0.0], [1.0]))
+    assert why is None
+    assert x[0] == pytest.approx(0.1, abs=1e-12)
+    assert rho == pytest.approx(0.05, abs=1e-12)
+    assert calls[0] == ([0.5], ModelError)
+    assert calls[1][0] == [pytest.approx(1.0 / 6.0)]
+    assert len(calls) == 2
+
+
+def test_newton_gives_up_when_a_step_leaves_the_box():
+    """A step that lands more than one unit outside the box ends the search
+    with None; one inside it converges after one step."""
+    newton = canonical._newton_critical_point
+    box = ([0.0], [1.0])
+    assert newton(lambda x: x - 5.0, lambda x: np.eye(1), [0.5], box) is None
+    assert newton(lambda x: x - 0.25, lambda x: np.eye(1), [0.5],
+                  box).tolist() == [0.25]
+
+
 def _traj_1d(times, xs, macro=None):
     times = np.asarray(times, dtype=float)
     xs = np.asarray(xs, dtype=float)[:, None]
@@ -370,6 +437,13 @@ def test_persistence_synthetic_exponential_decay():
     rep = persistence_envelope(_traj_1d(ts, xs), local_1d())
     assert rep["K"] == pytest.approx(2.0, abs=1e-10)
     assert rep["r_positive"]
+
+
+def test_persistence_reports_a_nonpositive_rate_later():
+    """r = 1 - x^2 is 1 at the start and -1.25 at x = 1.5: no envelope."""
+    traj = _traj_1d([0.0, 1.0], [0.0, 1.5])
+    assert persistence_envelope(traj, local_1d()) == {"K": math.inf,
+                                                      "r_positive": False}
 
 
 def test_persistence_rejects_nonpositive_start():

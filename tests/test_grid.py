@@ -50,6 +50,14 @@ def test_grid_geometry_cached_bitwise_and_not_fields():
     assert g.shape == (37, 53) and g.num_nodes == 37 * 53
     assert type(g.num_nodes) is int and type(g.cell_volume) is float
     assert g.spacing is g.spacing        # computed once
+    nodes = g.nodes()
+    assert g.nodes() is nodes            # one node table per grid
+    assert not nodes.flags.writeable
+    with pytest.raises(ValueError):
+        nodes[0, 0, 0] = 0.0
+    mesh = np.meshgrid(g.axis_coords(0), g.axis_coords(1), indexing="ij")
+    assert nodes.tobytes() == np.stack(mesh, axis=-1).tobytes()
+    assert nodes.shape == (37, 53, 2)
 
     fresh = TraitGrid(2, (-0.3, 0.1), (1.7, 0.9), (37, 53))
     assert g == fresh and hash(g) == hash(fresh)
@@ -60,6 +68,7 @@ def test_grid_geometry_cached_bitwise_and_not_fields():
                                      "points_per_axis": (37, 53)}
     wider = dataclasses.replace(g, points_per_axis=(40, 53))
     assert wider.spacing[0] == 2.0 / 40 and wider.num_nodes == 40 * 53
+    assert wider.nodes().shape == (40, 53, 2)
     assert wider != g
     with pytest.raises(dataclasses.FrozenInstanceError):
         g.lower = (0.0, 0.0)

@@ -133,6 +133,39 @@ def test_locate_max_multi_drops_deeply_dominated_bump():
     assert len(peaks) == 1
 
 
+def test_locate_max_multi_face_top_reported_once_2d():
+    """local_logistic_2d's u0 has its top at x = 0.75, the face between
+    nodes 47 and 48 of its 64 cells: both tie as local maxima and refine to
+    one vertex, which is reported once, from the higher of the two."""
+    sc = load_bundled("local_logistic_2d")
+    cfg, grid = sc.build_config(), sc.build_grid()
+    u = to_wkb(init_density(grid, sc.u0, cfg.epsilon, cfg.mass_target),
+               cfg.epsilon)
+    local = wkb._local_maxima(u.values)
+    assert np.flatnonzero(local[:, 19]).tolist() == [47, 48]
+    assert u.values[47, 19] == u.values[48, 19]
+    [(pt, value, _)] = locate_max(u, multi=True)
+    assert pt == pytest.approx([0.75, 0.3], abs=1e-12)
+    assert value == 0.026032391173736288
+
+
+def test_locate_max_multi_face_top_reported_once_1d():
+    """A bump centred at 0.5 on 256 nodes tops out on the face between
+    nodes 127 and 128; one peak, at 0.5, in one field and in each row of a
+    stack of two."""
+    g = build_grid(1, 0.0, 1.0, 256)
+    n = init_density(g, [{"center": [0.5], "weights": [1.0]}], 0.01, 1.0)
+    u = to_wkb(n, 0.01)
+    assert np.flatnonzero(wkb._local_maxima(u.values)).tolist() == [127, 128]
+    [(pt, value, _)] = locate_max(u, multi=True)
+    assert pt[0] == pytest.approx(0.5, abs=1e-12)
+    stack = WkbField(g, np.stack([u.values, u.values + 1.0]), 0.01)
+    peaks = locate_max(stack, multi=True)
+    assert peaks.rows.tolist() == [0, 1]
+    assert peaks.points[0].tobytes() == pt.tobytes()
+    assert peaks.values[0] == value
+
+
 def test_locate_max_boundary_warns_and_returns_node():
     g = build_grid(1, 0.0, 1.0, 32)
     x = g.axis_coords(0)
