@@ -5,6 +5,7 @@ diagnostics."""
 from __future__ import annotations
 
 import warnings
+from array import array
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Optional
@@ -141,7 +142,8 @@ def _point_arithmetic(model, d):
     """What the canonical RK4 computes at one point of a d-trait model.
 
     point(a) turns an array (the start, a closure matrix, a domain bound)
-    into the loop's form; multiplier(x); velocity(x, m, neg) solves
+    into the loop's form; keep(samples, v) appends a point or matrix in
+    that form to an `array('d')`; multiplier(x); velocity(x, m, neg) solves
     neg v = grad_x R(x, m) for neg = -H; riccati(x, m, H) is dH/dt;
     check(H) raises ClosureError unless H is negative definite; and
     outside(x, lower, upper) tests the domain.  A 1D model whose
@@ -163,7 +165,9 @@ def _point_arithmetic(model, d):
         def outside(x, lower, upper):
             return np.any(x < lower) or np.any(x > upper)
 
-        return SimpleNamespace(point=lambda a: a, multiplier=model.multiplier,
+        return SimpleNamespace(point=lambda a: a,
+                               keep=lambda samples, a: samples.extend(a.flat),
+                               multiplier=model.multiplier,
                                velocity=velocity, riccati=riccati,
                                check=_check_negative_definite,
                                outside=outside)
@@ -175,7 +179,8 @@ def _point_arithmetic(model, d):
             _check_negative_definite(np.array([[h]]))
 
     return SimpleNamespace(
-        point=lambda a: float(a.flat[0]), multiplier=multiplier,
+        point=lambda a: float(a.flat[0]), keep=array.append,
+        multiplier=multiplier,
         velocity=lambda x, m, neg: grad(x, m) / neg,
         riccati=lambda x, m, h: hess(x, m) + 2.0 * h * h, check=check,
         outside=lambda x, lower, upper: x < lower or x > upper)
@@ -191,7 +196,7 @@ def integrate_canonical(x0, closure: HessianClosure, model, dt: float,
     once per run.  The trajectory truncates (with exit_time recorded) if
     the point leaves `domain`.  The frozen -H is negated once per run, and
     a 1D run keeps its point and Hessian on Python floats (see
-    _point_arithmetic).
+    _point_arithmetic).  The samples are kept as packed doubles.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     d = x0.size
@@ -234,10 +239,16 @@ def integrate_canonical(x0, closure: HessianClosure, model, dt: float,
                 ops.riccati(xs, m, Hs) if riccati else None)
 
     m = multiplier(x)
-    times = [0.0]
-    pts = [x]
-    macros = [m]
-    hessians = [H if feed is None else feed(0.0)]
+    times, pts, macros, hessians = (array("d") for _ in range(4))
+    keep = ops.keep
+
+    def sample(t, x, m):
+        times.append(t)
+        keep(pts, x)
+        macros.append(m)
+        keep(hessians, H if feed is None else feed(t))
+
+    sample(0.0, x, m)
     exit_time = exit_point = None
     t = 0.0
     for _ in range(steps):
@@ -261,14 +272,11 @@ def integrate_canonical(x0, closure: HessianClosure, model, dt: float,
                           RuntimeWarning)
             break
         m = multiplier(x)
-        times.append(t)
-        pts.append(x)
-        macros.append(m)
-        hessians.append(H if feed is None else feed(t))
+        sample(t, x, m)
 
     return ConcentrationTrajectory(
-        np.array(times), np.array(pts, dtype=float).reshape(-1, d),
-        np.array(macros), np.array(hessians, dtype=float).reshape(-1, d, d),
+        np.frombuffer(times), np.frombuffer(pts).reshape(-1, d),
+        np.frombuffer(macros), np.frombuffer(hessians).reshape(-1, d, d),
         source=f"canonical_{closure.mode}", exit_time=exit_time,
         exit_point=exit_point)
 

@@ -331,15 +331,34 @@ def write_field_csv(field: ScalarField, path) -> None:
 
 
 def read_field_csv(path) -> ScalarField:
+    """Read back a `write_field_csv` file; a malformed header or row raises
+    GridError naming the path and what is wrong."""
     with open(path) as f:
         header = f.readline().strip()
         if not header.startswith("# grid "):
             raise GridError(f"{path}: missing grid header")
-        meta = dict(tok.split("=") for tok in header[len("# grid "):].split())
-        dim = int(meta["dim"])
-        npts = tuple(int(s) for s in meta["n"].split(","))
-        lower = tuple(float(s) for s in meta["lower"].split(","))
-        upper = tuple(float(s) for s in meta["upper"].split(","))
-        grid = TraitGrid(dim, lower, upper, npts)
-        vals = np.array([float(line.rsplit(",", 1)[1]) for line in f])
+        tokens = header[len("# grid "):].split()
+        for tok in tokens:
+            if "=" not in tok:
+                raise GridError(f"{path}: grid header token {tok!r} is not "
+                                "key=value")
+        meta = dict(tok.split("=", 1) for tok in tokens)
+        for key in ("dim", "n", "lower", "upper"):
+            if key not in meta:
+                raise GridError(f"{path}: grid header has no {key}=")
+        try:
+            dim = int(meta["dim"])
+            npts = tuple(int(s) for s in meta["n"].split(","))
+            lower = tuple(float(s) for s in meta["lower"].split(","))
+            upper = tuple(float(s) for s in meta["upper"].split(","))
+            grid = TraitGrid(dim, lower, upper, npts)
+        except (ValueError, GridError) as exc:
+            raise GridError(f"{path}: bad grid header ({exc})") from exc
+        try:
+            vals = np.array([float(line.rsplit(",", 1)[1]) for line in f])
+        except (IndexError, ValueError) as exc:   # no comma, or not a number
+            raise GridError(f"{path}: unreadable row ({exc})") from exc
+    if vals.size != grid.num_nodes:
+        raise GridError(f"{path}: {vals.size} rows for the grid's "
+                        f"{grid.num_nodes} nodes")
     return ScalarField(grid, vals.reshape(grid.shape))

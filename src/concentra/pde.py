@@ -20,6 +20,7 @@ negative density.
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass
 
@@ -49,21 +50,21 @@ CG_MAXITER = 2000
 #   448    0.072-0.094 0.038-0.052 21/21
 # G ties the scan up to 288 nodes and loses every pair from 320.
 GREEN_MAX_NODES = 288
-# Bytes of each of a run's two record blocks: the per-step observables
-# are computed one block of max(1, RECORD_BLOCK_BYTES // (8 N)) steps at a
-# time on an N-node grid.  run_simulation in process, as the share of the
-# time of one pass per step, then rows per block (2-vCPU Xeon, OpenBLAS on
-# 1 thread, medians of 15-25 alternations):
+# Bytes of a run's record block: each step's density is kept in it, and
+# the other per-step observables are computed one block of
+# max(1, RECORD_BLOCK_BYTES // (8 N)) steps at a time on an N-node grid.
+# run_simulation in process, as the share of the time of one pass per step,
+# then rows per block (2-vCPU Xeon, OpenBLAS on 1 thread, medians of 15-25
+# alternations, measured with a second block of psi R n beside it):
 #   KiB   local_logistic  quadratic_concave  scenario3_circle  scenario2
 #   64    0.62  32        0.81  16           1.22   1          1.11  1
 #   128   0.61  64        0.78  32           1.17   1          1.11  1
 #   256   0.60 128        0.73  64           0.90   3          1.11  1
 #   512   0.60 256        0.72 128           0.82   6          1.04  2
 #   1024  0.59 512        0.71 256           0.78  13          1.02  5
-# One row a block costs more than a pass per step.  The CLI's peak RSS on
-# local_logistic and scenario2, 36.4 and 40.7 MB with a pass per step, is
-# 36.5 and 41.1 MB at 64 KiB, 36.5 and 41.3 at 512 KiB, 37.5 and 42.7 at
-# 1 MiB.
+# One row a block costs more than a pass per step.  With this one block the
+# bench's peak RSS is 31.5 MB on local_logistic and 33.8 MB on scenario2
+# (`concentra run`, same machine).
 RECORD_BLOCK_BYTES = 512 * 1024
 NEGATIVE_CLAMP = 1e-10   # relative tolerance for CG round-off below zero
 BOUNDARY_MASS_FRACTION = 1e-8
@@ -333,7 +334,8 @@ class ImexIntegrator:
     competition convolution (a kernel of axis factors) and b = 1 unless
     `b` is given.  Its diffusion solve, the one `diffusion_solve` names,
     is built here as one callable from the rhs to a new density array:
-    `_thomas_solver` in 1D, `_cg_solver` in 2D."""
+    `_thomas_solver` in 1D, `_cg_solver` in 2D.  The reaction update runs
+    in one row the engine owns, and each step's density is a new array."""
 
     def __init__(self, grid: TraitGrid, model, config: SimulationConfig,
                  b: DiffusionCoefficient = None):
@@ -384,6 +386,12 @@ class ImexIntegrator:
             k = np.broadcast_to(weights[0], (grid.num_nodes - 1,))
             self._solve = _thomas_solver(k, method == "green_matrix")
 
+    @functools.cached_property
+    def _row(self) -> np.ndarray:
+        """The flat row, 64-byte aligned, that the reaction update and the
+        integrand of J are formed in, allocated at its first use."""
+        return _aligned_rows(1, self.grid.num_nodes)[0, :self.grid.num_nodes]
+
     def macro_of(self, density: DensityField):
         """Macro coupling computed from a density: the float m = sum(w n)
         vol (I of the global model, J = int psi n of a separable kernel),
@@ -400,6 +408,15 @@ class ImexIntegrator:
             macro = self.macro_of(density)
         return self._base + self._slope * macro, macro
 
+    def psi_rate_density_sum(self, density: DensityField, rate) -> float:
+        """sum(psi R n) over the nodes, J before its factor vol / eps,
+        formed in the engine's row: a contiguous row sums as a row of
+        `reshape(k, -1).sum(axis=1)` does."""
+        row = self._row
+        np.multiply(self._psi, rate.reshape(-1), out=row)
+        row *= density.values.reshape(-1)
+        return row.sum()
+
     def step(self, state: SimulationState) -> SimulationState:
         cfg = self.config
         n = state.density.values
@@ -413,12 +430,17 @@ class ImexIntegrator:
                 f"dt*sup|R|/eps = {advisory:.3g} > 1: explicit reaction "
                 "update may be inaccurate")
 
+        # n * exp(dt * R / eps), operation for operation, in the one row
+        n_star = self._row
         with np.errstate(over="ignore", invalid="ignore"):
-            n_star = n * np.exp(cfg.dt * rate / cfg.epsilon)
+            np.multiply(rate.reshape(-1), cfg.dt, out=n_star)
+            np.divide(n_star, cfg.epsilon, out=n_star)
+            np.exp(n_star, out=n_star)
+            np.multiply(n.reshape(-1), n_star, out=n_star)
         if not np.isfinite(n_star).all():
             raise SolverError(f"reaction update overflowed: dt*sup|R|/eps = "
                               f"{advisory:.3g}; reduce dt or raise epsilon")
-        density = DensityField(self.grid, self._solve(n_star.reshape(-1)))
+        density = DensityField(self.grid, self._solve(n_star))
         return SimulationState(state.time + cfg.dt, density, None)
 
 
@@ -448,12 +470,13 @@ def run_simulation(config: SimulationConfig, model, grid: TraitGrid, u0_spec,
     it is taken.  The default sink keeps them in `RunResult.snapshots`; a
     sink that writes or drops them holds a run's memory to its grid.
 
-    Each step writes its density and psi R n into one row of two blocks;
-    when they are full, or the run ends, one pass over their rows computes
-    every step's observables (see RECORD_BLOCK_BYTES)."""
+    Each step writes its density into one row of a block and the sum of
+    psi R n, formed in the engine's row, into J; when the block is full, or
+    the run ends, one pass over its rows computes every step's other
+    observables (see RECORD_BLOCK_BYTES)."""
     engine = ImexIntegrator(grid, model, config, b=b)
-    density = init_density(grid, u0_spec, config.epsilon, config.mass_target)
-    state = SimulationState(0.0, density, None)
+    state = SimulationState(0.0, init_density(grid, u0_spec, config.epsilon,
+                                              config.mass_target), None)
     probes = sorted(set(int(p) for p in (probes or [])))
     multi = len(u0_spec) > 1
     consts = constants if constants is not None else AssumptionConstants()
@@ -468,19 +491,19 @@ def run_simulation(config: SimulationConfig, model, grid: TraitGrid, u0_spec,
 
     vol = grid.cell_volume
     rows = min(count, max(1, RECORD_BLOCK_BYTES // (8 * grid.num_nodes)))
-    dens, psi_rn = (_aligned_rows(rows, grid.num_nodes)[:, :grid.num_nodes]
-                    .reshape((rows,) + grid.shape) for _ in range(2))
+    dens = (_aligned_rows(rows, grid.num_nodes)[:, :grid.num_nodes]
+            .reshape((rows,) + grid.shape))
 
     def record_block(first, k):
         """The observables of steps first .. first + k - 1, whose densities
-        and psi R n are rows 0 .. k - 1 of the blocks."""
+        are rows 0 .. k - 1 of the block and whose sums of psi R n are
+        already in J."""
         steps = slice(first, first + k)
         n = dens[:k]
         totals = n.reshape(k, -1).sum(axis=1)
         rho = totals * vol
         rhos[steps] = rho
-        Js[steps] = (psi_rn[:k].reshape(k, -1).sum(axis=1) * vol
-                     / config.epsilon)
+        Js[steps] = Js[steps] * vol / config.epsilon
         if engine._local:
             Is[steps] = rho
         stack = FieldStack(grid, n)
@@ -526,9 +549,7 @@ def run_simulation(config: SimulationConfig, model, grid: TraitGrid, u0_spec,
         rate, macro = engine.rate_field(state.density, state.macro)
         state.macro, state.rate = macro, rate
         dens[step - first] = state.density.values
-        prn = psi_rn[step - first]
-        np.multiply(engine._psi, rate, out=prn)
-        prn *= state.density.values
+        Js[step] = engine.psi_rate_density_sum(state.density, rate)
         times[step] = state.time
         if not engine._local:
             Is[step] = macro

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -177,6 +178,31 @@ def test_frozen_closure_checks_definiteness_once(monkeypatch):
     integrate_canonical((0.5,), frozen_1d, quadratic_1d(), 0.01, 0.1)
     integrate_canonical((0.5,), riccati_1d, quadratic_1d(), 0.01, 0.1)
     assert calls == []
+
+
+def test_ode_samples_are_packed_doubles():
+    """local_logistic's canonical run, 10 000 RK4 steps, keeps its samples
+    as packed doubles: after a warm-up call its traced peak stays below
+    0.6 MB, where four lists of Python floats and their copies into arrays
+    peak near 1.4 MB."""
+    sc = load_bundled("local_logistic")
+    settings, model = sc.canonical_settings(), sc.build_model()
+    x0, H0 = u0_peaks(sc.u0)[0]
+    closure = HessianClosure(settings["closure"], initial_hessian=H0)
+
+    def run():
+        return integrate_canonical(x0, closure, model, settings["dt"],
+                                   settings["T"], domain=sc.domain())
+
+    run()   # warm the caches
+    tracemalloc.start()
+    try:
+        traj = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj) == 10_001 and traj.exit_time is None
+    assert peak < 0.6e6
 
 
 def test_from_pde_feed_turning_nonnegative_raises():

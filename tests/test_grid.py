@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -586,3 +587,19 @@ def test_field_csv_rejects_missing_header(tmp_path):
     path.write_text("0.5,1.0\n")
     with pytest.raises(GridError):
         read_field_csv(path)
+    # each malformed file names its path and what is wrong, where a raw
+    # KeyError or ValueError escaped before
+    head = "# grid dim=1 n=8 lower=0 upper=1\n"
+    rows = [f"{(i + 0.5) / 8!r},1.5\n" for i in range(8)]
+    cases = [
+        ("# grid dim=1 lower=0 upper=1\n", rows, "has no n="),
+        ("# grid dim=1 n=8 lower=0 upper=1 oops\n", rows,
+         "token 'oops' is not key=value"),
+        (head, rows[:3], "3 rows for the grid's 8 nodes"),
+        (head, rows[:4] + ["0.5625,one\n"] + rows[5:], "unreadable row"),
+    ]
+    for header, lines, message in cases:
+        path.write_text(header + "".join(lines))
+        with pytest.raises(GridError, match=f"^{re.escape(str(path))}: .*"
+                                            f"{re.escape(message)}"):
+            read_field_csv(path)

@@ -647,6 +647,41 @@ def test_run_memory_does_not_grow_with_snapshots(tmp_path):
     assert peaks[1] - peaks[0] < 8 * grid.num_nodes
 
 
+def test_run_memory_peaks_below_two_record_blocks():
+    """After a warm-up run, quadratic_concave's traced peak stays below two
+    record blocks: the density block, and no second block of psi R n or
+    copy of the initial density beside it."""
+    sc = load_bundled("quadratic_concave")
+    args = (sc.build_config(), sc.build_model(), sc.build_grid(), sc.u0)
+    run_simulation(*args)   # warm the caches
+    tracemalloc.start()
+    try:
+        run_simulation(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * pde.RECORD_BLOCK_BYTES
+
+
+@pytest.mark.parametrize("name, steps, points", [
+    ("quadratic_concave", 40, None), ("local_logistic", 40, None),
+    ("scenario2", 12, 24)])
+def test_run_J_is_psi_R_n_of_each_kept_density(name, steps, points):
+    """J at every step is bitwise psi R n summed over that step's kept
+    density, R from the public `rate_field`, times vol / eps."""
+    args, kwargs = _scenario_run(name, steps, points, probes=[])
+    model, grid = args[1], args[2]
+    cfg = dataclasses.replace(args[0], snapshot_every=1)
+    result = run_simulation(cfg, *args[1:], **kwargs)
+    engine = ImexIntegrator(grid, model, cfg, b=kwargs["b"])
+    assert sorted(result.snapshots) == list(range(steps + 1))
+    for step, density in result.snapshots.items():
+        rate, _ = engine.rate_field(density)
+        total = (model.psi * rate * density.values).sum()
+        J = total * grid.cell_volume / cfg.epsilon
+        assert J.tobytes() == result.series.J[step].tobytes()
+
+
 def test_run_two_bump_probe_reports_two_maxima():
     g = build_grid(2, 0.0, 1.0, 64)
     model = build_model({"family": "scenario3", "params": {"r_e": 1.0}}, 2)
