@@ -74,10 +74,16 @@ class TraitGrid:
         n = self.points_per_axis[axis]
         return self.lower[axis] + (np.arange(n) + 0.5) * h
 
+    def build_nodes(self) -> np.ndarray:
+        """A new table of the node coordinates, shape (*shape, dimension),
+        for a caller that needs it only for a while: `nodes()` keeps one
+        for the grid's lifetime."""
+        axes = [self.axis_coords(j) for j in range(self.dimension)]
+        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+
     @cached_property
     def _node_table(self) -> np.ndarray:
-        axes = [self.axis_coords(j) for j in range(self.dimension)]
-        table = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        table = self.build_nodes()
         table.flags.writeable = False
         return table
 
@@ -85,6 +91,17 @@ class TraitGrid:
         """Node coordinates, shape (*shape, dimension): one read-only table
         per grid, built on the first call."""
         return self._node_table
+
+
+def axis_sum(terms, out: np.ndarray) -> np.ndarray:
+    """sum_j t_j(x_j) on the nodes, from one 1D term per axis, into `out`
+    (the grid's shape): the last axis's term, then in 2D the first's added
+    down the columns.  A sum of two terms is the same in either order, and
+    a single broadcast operand keeps numpy's ufunc buffers to one."""
+    np.copyto(out, terms[-1])
+    if len(terms) == 2:
+        out += terms[0][:, None]
+    return out
 
 
 def build_grid(dimension, lower, upper, points_per_axis) -> TraitGrid:

@@ -29,8 +29,8 @@ import numpy as np
 from .canonical import ConcentrationTrajectory
 from .diagnostics import MacroSeries, constraint_residual
 from .grid import (DensityField, FieldStack, GridError, TraitGrid,
-                   boundary_ring_mass, diffusion_stencil, face_coefficients,
-                   kernel_convolution, stencil_weights)
+                   axis_sum, boundary_ring_mass, diffusion_stencil,
+                   face_coefficients, kernel_convolution, stencil_weights)
 from .models import (AssumptionConstants, DiffusionCoefficient,
                      GlobalInteractionModel, LocalCompetitionModel,
                      QuadraticFunction)
@@ -128,17 +128,23 @@ def init_density(grid: TraitGrid, u0_spec, epsilon: float,
         raise ConfigError(f"mass_target must be positive, got {mass_target}")
     if not u0_spec:
         raise ConfigError("u0_spec must list at least one bump")
-    nodes = grid.nodes()
-    raw = np.zeros(grid.shape)
+    # each bump c0 - sum_j w_j (x_j - c_j)^2, QuadraticFunction.value's
+    # operations, summed from its per-axis terms in one row
+    raw, row = np.zeros(grid.shape), np.empty(grid.shape)
     for bump in u0_spec:
         q = QuadraticFunction(0.0, bump["center"], bump["weights"])
-        raw += np.exp(q.value(nodes) / epsilon)
+        axis_sum([(grid.axis_coords(j) - q.center[j]) ** 2 * q.weights[j]
+                  for j in range(grid.dimension)], row)
+        np.subtract(q.c0, row, out=row)
+        row /= epsilon
+        raw += np.exp(row, out=row)
     total = raw.sum() * grid.cell_volume
     if total == 0.0:
         raise DegenerateInitializationError(
             "initial density underflowed everywhere; bumps too narrow for "
             "this grid/epsilon")
-    return DensityField(grid, raw * (mass_target / total))
+    raw *= mass_target / total
+    return DensityField(grid, raw)
 
 
 def u0_peaks(u0_spec):
@@ -341,7 +347,9 @@ class ImexIntegrator:
                  b: DiffusionCoefficient = None):
         self.grid = grid
         self.config = config
-        nodes = grid.nodes()
+        # a node table of the engine's own, dropped once the per-run arrays
+        # are built: grid.nodes() would keep one for the grid's lifetime
+        nodes = grid.build_nodes()
         self.advisories = []
 
         # R is affine in the macro, R = base + slope * macro, fixed per run.
@@ -376,6 +384,7 @@ class ImexIntegrator:
                 raise ConfigError("diffusion coefficient must be positive "
                                   "on the grid")
             self._faces = face_coefficients(grid, b_nodes)
+        del nodes
 
         weights = stencil_weights(grid, config.epsilon * config.dt,
                                   self._faces)
@@ -424,7 +433,9 @@ class ImexIntegrator:
         if rate is None:
             rate, _ = self.rate_field(state.density, state.macro)
 
-        advisory = cfg.dt * float(np.abs(rate).max()) / cfg.epsilon
+        # sup|R| from the extremes, with no grid of |R|; a nan stays nan
+        advisory = (cfg.dt * float(max(rate.max(), -rate.min()))
+                    / cfg.epsilon)
         if advisory > 1.0 and not self.advisories:
             self.advisories.append(
                 f"dt*sup|R|/eps = {advisory:.3g} > 1: explicit reaction "

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .grid import (RING_CELLS, DensityField, FieldStack, GridError,
-                   ScalarField, TraitGrid)
+                   ScalarField, TraitGrid, axis_sum)
 
 DENSITY_FLOOR = 1e-280   # keeps u finite; far below any meaningful density
 EXP_LIMIT = 700.0        # exp overflow threshold for u/eps
@@ -177,7 +177,8 @@ def _refine_maxima(flat: np.ndarray, rows: np.ndarray, at: np.ndarray,
                                np.where(ring, _window(grid.shape)[-1], at),
                                grid)
     hess = np.where((wall < RING_CELLS)[:, None, None], np.nan, h)
-    node = grid.nodes()[idx]
+    node = np.column_stack([grid.axis_coords(ax)[i]
+                            for ax, i in enumerate(idx)])
     spacing = grid.spacing
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if grid.dimension == 1:
@@ -300,8 +301,9 @@ def locate_max(u: WkbField, multi: bool = False, notes: list = None):
 # --- regularity monitors -----------------------------------------------------
 
 def well_resolved_mask(u: WkbField) -> np.ndarray:
-    return (~u.floor_mask) & (u.values >= u.values.max()
-                              - WELL_RESOLVED_DROP * u.epsilon)
+    mask = u.values >= u.values.max() - WELL_RESOLVED_DROP * u.epsilon
+    mask &= ~u.floor_mask
+    return mask
 
 
 def _at_offsets(values, offsets):
@@ -315,6 +317,34 @@ def _at_offsets(values, offsets):
             for o in offsets]
 
 
+def _scratch(rows, shape) -> list:
+    """Each of the flat scratch `rows` as an array of `shape`, which has at
+    most as many entries as a row."""
+    size = math.prod(shape)
+    return [row[:size].reshape(shape) for row in rows]
+
+
+def _masked_min(values, mask) -> float:
+    """values[mask].min() without the copy of the masked entries: the
+    minimum is exact, so it is the same reading (nan included).  An empty
+    mask gives +inf."""
+    return float(np.minimum.reduce(values, axis=None, where=mask,
+                                   initial=np.inf))
+
+
+def _masked_max(values, mask) -> float:
+    """values[mask].max() without the copy, as `_masked_min`; an empty
+    mask gives -inf."""
+    return float(np.maximum.reduce(values, axis=None, where=mask,
+                                   initial=-np.inf))
+
+
+def _norms2(grid: TraitGrid, out: np.ndarray) -> np.ndarray:
+    """|x|^2 on the nodes, the squared coordinates summed, into `out`."""
+    return axis_sum([grid.axis_coords(ax) ** 2
+                     for ax in range(grid.dimension)], out)
+
+
 # the node, its neighbours along each axis (+ then -) and, in 2D, the four
 # diagonal neighbours of the mixed difference
 _HESSIAN_OFFSETS = {1: [(0,), (1,), (-1,)],
@@ -322,36 +352,74 @@ _HESSIAN_OFFSETS = {1: [(0,), (1,), (-1,)],
                         (1, 1), (1, -1), (-1, 1), (-1, -1)]}
 
 
-def _eigenvalues_2x2(a, b, c):
+def _eigenvalues_2x2(a, b, c, out=None):
     """Lower and upper eigenvalues of the symmetric [[a, b], [b, c]],
-    entry by entry: (a + c)/2 -+ hypot((a - c)/2, b)."""
-    mean, radius = (a + c) / 2, np.hypot((a - c) / 2, b)
-    return mean - radius, mean + radius
+    entry by entry: (a + c)/2 -+ hypot((a - c)/2, b).  With `out`, an
+    array of their shape, they are written into a and `out`, and b is
+    overwritten; without it the inputs are kept."""
+    if out is None:
+        return _eigenvalues_2x2(a.copy(), b.copy(), c, np.empty(a.shape))
+    mean = np.add(a, c, out=out)
+    mean /= 2
+    half = np.subtract(a, c, out=a)
+    half /= 2
+    radius = np.hypot(half, b, out=b)
+    return np.subtract(mean, radius, out=a), np.add(mean, radius, out=mean)
 
 
-def _hessian_bracket(values, spacing, mask):
+def _second_difference(plus, node, minus, h, out):
+    """(plus - 2 node + minus) / h^2 into `out`."""
+    np.multiply(2, node, out=out)
+    np.subtract(plus, out, out=out)
+    out += minus
+    out /= h ** 2
+    return out
+
+
+def _hessian_bracket(values, spacing, mask, rows):
     """Smallest and largest Hessian eigenvalue over the masked nodes that
     have every neighbour on the grid.  The Hessian is the second
     differences a (and c) along the axes and, in 2D, the mixed difference
-    b; in 1D its eigenvalue is a itself."""
+    b; in 1D its eigenvalue is a itself.  It is formed in `rows`, two
+    scratch rows of the grid's size: in 2D a, b, c and the mean of a and c
+    take four arrays, so the core runs in bands of lines, each band a
+    quarter of the rows."""
     d = values.ndim
-    offsets = _HESSIAN_OFFSETS[d]
-    f0, *f = _at_offsets(values, offsets)
-    m = _at_offsets(mask, offsets)[0]
-    second = [((f[ax] - 2 * f0 + f[d + ax]) / spacing[ax] ** 2)[m]
-              for ax in range(d)]
+    f0, *f = _at_offsets(values, _HESSIAN_OFFSETS[d])
+    m = _at_offsets(mask, _HESSIAN_OFFSETS[d])[0]
     if d == 1:
-        return float(second[0].min()), float(second[0].max())
-    pp, pm, mp, mm = f[4:]
-    b = ((pp - pm - mp + mm) / (4.0 * spacing[0] * spacing[1]))[m]
-    lower, upper = _eigenvalues_2x2(second[0], b, second[1])
-    return float(lower.min()), float(upper.max())
+        a = _second_difference(f[0], f0, f[1], spacing[0],
+                               _scratch(rows, f0.shape)[0])
+        return _masked_min(a, m), _masked_max(a, m)
+    width = f0.shape[1]
+    lines = rows.size // (4 * width)
+    bands = rows.reshape(-1)[:4 * lines * width].reshape(4, lines, width)
+    lo, hi = np.inf, -np.inf
+    for start in range(0, len(f0), lines):
+        part = slice(start, start + lines)
+        a, b, c, work = bands[:, :len(f0[part])]
+        _second_difference(f[0][part], f0[part], f[2][part], spacing[0], a)
+        _second_difference(f[1][part], f0[part], f[3][part], spacing[1], c)
+        pp, pm, mp, mm = (v[part] for v in f[4:])
+        np.subtract(pp, pm, out=b)
+        b -= mp
+        b += mm
+        b /= 4.0 * spacing[0] * spacing[1]
+        lower, upper = _eigenvalues_2x2(a, b, c, out=work)
+        # np.minimum and np.maximum keep a nan of any band
+        lo = np.minimum(lo, _masked_min(lower, m[part]))
+        hi = np.maximum(hi, _masked_max(upper, m[part]))
+    return float(lo), float(hi)
 
 
-def _third_difference_max(values, spacing, mask):
+def _third_difference_max(values, spacing, mask, rows=None):
     """Largest directional third difference over masked nodes (axes and, in
-    2D, the two diagonals)."""
-    worst = 0.0
+    2D, the two diagonals), formed in two scratch rows of the grid's size
+    (`rows`, allocated when not given).  None when no masked node has a
+    4-point stencil on the grid in any direction: nothing was measured."""
+    if rows is None:
+        rows = np.empty((2, values.size))
+    worst = None
     d = values.ndim
     dirs = [tuple(int(j == ax) for j in range(d)) for ax in range(d)]
     if d == 2:
@@ -364,9 +432,36 @@ def _third_difference_max(values, spacing, mask):
         fm, f0, f1, f2 = _at_offsets(values, offsets)
         m = _at_offsets(mask, offsets)[1]
         if m.any():
-            third = np.abs(f2 - 3 * f1 + 3 * f0 - fm) / step ** 3
-            worst = max(worst, float(third[m].max()))
+            # |f2 - 3 f1 + 3 f0 - fm| / step^3
+            third, term = _scratch(rows, f0.shape)
+            np.multiply(3, f1, out=third)
+            np.subtract(f2, third, out=third)
+            third += np.multiply(3, f0, out=term)
+            third -= fm
+            np.abs(third, out=third)
+            third /= step ** 3
+            value = _masked_max(third, m)
+            worst = value if worst is None else max(worst, value)
     return worst
+
+
+def _gradient(values, axis: int, h: float, out: np.ndarray) -> np.ndarray:
+    """np.gradient(values, h, axis=axis) into `out`: central differences
+    inside, one-sided ones at the two ends, operation for operation.  The
+    central ones run over the flat rows, s = the axis's flat stride apart:
+    contiguous rows need no ufunc buffers.  Where that wraps from one line
+    into the next it writes line ends, which the one-sided ones replace."""
+    s = math.prod(values.shape[axis + 1:])
+    v, g = values.reshape(-1), out.reshape(-1)
+    np.subtract(v[2 * s:], v[:-2 * s], out=g[s:-s])
+    g[s:-s] /= 2.0 * h
+    f, ends = np.moveaxis(values, axis, 0), np.moveaxis(out, axis, 0)
+    first, last = slice(0, 1), slice(-1, None)
+    for end, hi, lo in ((first, slice(1, 2), first),
+                        (last, last, slice(-2, -1))):
+        np.subtract(f[hi], f[lo], out=ends[end])
+        ends[end] /= h
+    return out
 
 
 def regularity_monitor(u: WkbField, constants, time: float = 0.0) -> dict:
@@ -375,13 +470,15 @@ def regularity_monitor(u: WkbField, constants, time: float = 0.0) -> dict:
     Reports the quadratic envelope (with the time-growing slack), the Hessian
     eigenvalue range over well-resolved nodes (in closed form), the largest
     third difference, and the measured gradient-growth constant.  Checks
-    lacking constants are reported as null.
+    lacking constants are reported as null, and so is a third difference
+    that no well-resolved node has a stencil for.  Every grid quantity is
+    formed in two scratch rows of the grid's size.
     """
     grid = u.grid
     c = constants
     mask = well_resolved_mask(u)
-    x2 = [grid.axis_coords(ax) ** 2 for ax in range(grid.dimension)]
-    norms2 = x2[0] if grid.dimension == 1 else np.add.outer(*x2)
+    rows = np.empty((2, grid.num_nodes))
+    first, second = _scratch(rows, grid.shape)
     report = {"time": time,
               "well_resolved_fraction": float(mask.mean()),
               "envelope": None, "hessian": None,
@@ -390,11 +487,19 @@ def regularity_monitor(u: WkbField, constants, time: float = 0.0) -> dict:
     if all(getattr(c, k, None) is not None for k in
            ("L_bar_0", "L_bar_1", "L_under_0", "L_under_1", "K_bar_0")):
         slack = (c.K_bar_0 + 2.0 * grid.dimension * u.epsilon * c.L_bar_1) * time
-        upper = c.L_bar_0 - c.L_bar_1 * norms2 + slack
-        lower = -c.L_under_0 - c.L_under_1 * norms2 - slack
+        norms2 = _norms2(grid, second)
+        # upper = L_bar_0 - L_bar_1 |x|^2 + slack, less u
+        upper = np.multiply(c.L_bar_1, norms2, out=first)
+        np.subtract(c.L_bar_0, upper, out=upper)
+        upper += slack
+        upper -= u.values
+        # u, less lower = -L_under_0 - L_under_1 |x|^2 - slack
+        lower = np.multiply(c.L_under_1, norms2, out=second)
+        np.subtract(-c.L_under_0, lower, out=lower)
+        lower -= slack
+        np.subtract(u.values, lower, out=lower)
         if mask.any():
-            margin = float(np.minimum(upper - u.values,
-                                      u.values - lower)[mask].min())
+            margin = _masked_min(np.minimum(upper, lower, out=upper), mask)
         else:
             margin = float("nan")
         report["envelope"] = {"margin": margin, "slack": slack,
@@ -405,7 +510,7 @@ def regularity_monitor(u: WkbField, constants, time: float = 0.0) -> dict:
     interior = np.zeros_like(mask)
     interior[inner] = mask[inner]
     if interior.any():
-        lo, hi = _hessian_bracket(u.values, grid.spacing, interior)
+        lo, hi = _hessian_bracket(u.values, grid.spacing, interior, rows)
         entry = {"eig_min": lo, "eig_max": hi}
         if getattr(c, "L_bar_1", None) is not None and \
                 getattr(c, "L_under_1", None) is not None:
@@ -414,15 +519,18 @@ def regularity_monitor(u: WkbField, constants, time: float = 0.0) -> dict:
                                    and hi <= -2.0 * c.L_bar_1 + 1e-10)
         report["hessian"] = entry
         report["third_derivative_max"] = _third_difference_max(
-            u.values, grid.spacing, interior)
+            u.values, grid.spacing, interior, rows)
 
-        grads = np.gradient(u.values, *grid.spacing)
+        # |grad u| / (1 + |x|), the gradient's norm in the first row
+        grad = _gradient(u.values, 0, grid.spacing[0], first)
         if grid.dimension == 1:
-            gn = np.abs(grads)
+            np.abs(grad, out=grad)
         else:
-            gn = np.hypot(*grads)
-        ratio = gn / (1.0 + np.sqrt(norms2))
-        measured = float(ratio[mask].max())
+            np.hypot(grad, _gradient(u.values, 1, grid.spacing[1], second),
+                     out=grad)
+        scale = np.sqrt(_norms2(grid, second), out=second)
+        np.add(1.0, scale, out=scale)
+        measured = _masked_max(np.divide(grad, scale, out=grad), mask)
         entry = {"measured_constant": measured}
         if getattr(c, "C_grad_u", None) is not None:
             entry["bound"] = c.C_grad_u

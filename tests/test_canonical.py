@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +19,8 @@ from concentra.models import (ROOT_TOL, LocalCompetitionModel, ModelError,
                               phi_potential)
 from concentra.pde import run_simulation, u0_peaks
 from concentra.scenarios import load_bundled
+
+from conftest import traced_peak
 
 
 def affine_2d(a=2.0, slope=(1.0, 1.0)):
@@ -194,13 +195,7 @@ def test_ode_samples_are_packed_doubles():
         return integrate_canonical(x0, closure, model, settings["dt"],
                                    settings["T"], domain=sc.domain())
 
-    run()   # warm the caches
-    tracemalloc.start()
-    try:
-        traj = run()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    traj, peak = traced_peak(run)
     assert len(traj) == 10_001 and traj.exit_time is None
     assert peak < 0.6e6
 

@@ -2,18 +2,17 @@
 
 import dataclasses
 import functools
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from concentra.grid import (DensityField, GridError, ScalarField,
-                            build_grid, diffusion_stencil, integrate,
-                            kernel_convolution, stencil_weights,
+                            TraitGrid, build_grid, diffusion_stencil,
+                            integrate, kernel_convolution, stencil_weights,
                             write_field_npy)
-from concentra.models import (GaussianKernel, build_model, constant_diffusion,
-                              sine_diffusion)
+from concentra.models import (GaussianKernel, QuadraticFunction, build_model,
+                              constant_diffusion, sine_diffusion)
 from concentra import pde
 from concentra.canonical import ConcentrationTrajectory
 from concentra.pde import (CG_MAXITER, CG_RTOL, ConfigError,
@@ -22,6 +21,8 @@ from concentra.pde import (CG_MAXITER, CG_RTOL, ConfigError,
                            init_density, read_trajectory_csv, run_simulation,
                            u0_peaks, write_series_csv, write_trajectory_csv)
 from concentra.scenarios import load_bundled
+
+from conftest import traced_peak
 
 
 def zero_rate_model(dimension):
@@ -99,6 +100,38 @@ def test_init_density_underflow_raises():
         init_density(g, [{"center": [0.5], "weights": [1e9]}], 1e-3, 0.3)
 
 
+@pytest.mark.parametrize("dimension, bumps", [
+    (1, [{"center": [0.4], "weights": [3.0]}]),
+    (1, [{"center": [0.3], "weights": [2.0]},
+         {"center": [0.8], "weights": [5.0]}]),
+    (2, [{"center": [0.3, 0.6], "weights": [1.0, 4.0]}]),
+    (2, [{"center": [0.25, 0.7], "weights": [2.0, 1.5]},
+         {"center": [0.8, 0.2], "weights": [3.0, 0.5]}])])
+def test_init_density_is_bitwise_the_quadratics_on_the_node_table(
+        dimension, bumps):
+    """The bumps summed from their per-axis terms are bitwise
+    QuadraticFunction.value on the node table, exponentiated, summed and
+    scaled to the mass."""
+    g = build_grid(dimension, 0.0, 1.0, [37, 29][:dimension])
+    eps, mass = 0.01, 0.3
+    raw = np.zeros(g.shape)
+    for bump in bumps:
+        q = QuadraticFunction(0.0, bump["center"], bump["weights"])
+        raw += np.exp(q.value(g.nodes()) / eps)
+    ref = raw * (mass / (raw.sum() * g.cell_volume))
+    assert init_density(g, bumps, eps, mass).values.tobytes() == ref.tobytes()
+
+
+def test_init_density_peak_is_its_result_and_one_row():
+    """On 150x150, init_density's traced peak, its result included, stays
+    below 2.5 grid vectors: the result and one row for the bumps, with no
+    node table or temporaries of the quadratic."""
+    g = build_grid(2, 0.0, 1.0, 150)
+    bumps = [{"center": [0.3, 0.3], "weights": [1.0, 1.0]}]
+    peak = traced_peak(init_density, g, bumps, 0.004, 0.3)[1]
+    assert peak < 2.5 * 8 * g.num_nodes
+
+
 def test_u0_peaks_analytic():
     [(c, H)] = u0_peaks([{"center": [0.7, 0.7], "weights": [1.0, 5.0]}])
     assert np.array_equal(c, [0.7, 0.7])
@@ -120,6 +153,23 @@ def test_reaction_update_exact_for_constant_rate():
     keep = expected > 1e-200
     rel = np.abs(out.density.values[keep] - expected[keep]) / expected[keep]
     assert rel.max() <= 1e-12
+
+
+def test_stiffness_number_reads_both_extremes_of_the_rate():
+    """dt sup|R| / eps comes from max R and -min R: a rate whose negative
+    extreme is the larger gives its advisory, and a nan rate gives nan in
+    the overflow message."""
+    g = build_grid(1, 0.0, 1.0, 32)
+    engine = ImexIntegrator(g, zero_rate_model(1),
+                            SimulationConfig(0.01, 0.01, 1))
+    n0 = init_density(g, [{"center": [0.5], "weights": [1.0]}], 0.01, 0.3)
+    rate = np.linspace(-2.5, 0.5, 32)
+    engine.step(SimulationState(0.0, n0, None, rate))
+    assert engine.advisories == [
+        "dt*sup|R|/eps = 2.5 > 1: explicit reaction update may be inaccurate"]
+    rate[7] = np.nan
+    with pytest.raises(SolverError, match=r"dt\*sup\|R\|/eps = nan;"):
+        engine.step(SimulationState(0.0, n0, None, rate))
 
 
 def test_pure_diffusion_mass_conserved_per_step():
@@ -479,15 +529,14 @@ def test_cg_allocates_no_grid_vector(monkeypatch):
     b = init_density(g, [{"center": [0.4, 0.6], "weights": [1.0, 1.0]}],
                      0.01, 0.3).values.reshape(-1)
     assert work.nbytes == 5 * b.nbytes
+    def cold_solve(maxiter):
+        work[0] = 0.0
+        return pde._cg(matvec, b, work, CG_RTOL, maxiter)[1]
+
     peaks = []
     for maxiter in (10, 150):
-        work[0] = 0.0
-        tracemalloc.start()
-        try:
-            info = pde._cg(matvec, b, work, CG_RTOL, maxiter)[1]
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        info, peak = traced_peak(cold_solve, maxiter)
+        peaks.append(peak)
         assert info == maxiter
     assert max(peaks) < b.nbytes / 8
 
@@ -633,16 +682,11 @@ def test_run_memory_does_not_grow_with_snapshots(tmp_path):
     def write(step, density):
         write_field_npy(density, tmp_path / f"snap_{step:06d}.npy")
 
-    run_simulation(*args, **kwargs, snapshot=write)   # warm the caches
     peaks = []
     for every in (cfg.steps, 1):
         run = (dataclasses.replace(cfg, snapshot_every=every),) + args[1:]
-        tracemalloc.start()
-        try:
-            run_simulation(*run, **kwargs, snapshot=write)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peaks.append(traced_peak(run_simulation, *run, **kwargs,
+                                 snapshot=write)[1])
     assert len(list(tmp_path.iterdir())) == cfg.steps + 1
     assert peaks[1] - peaks[0] < 8 * grid.num_nodes
 
@@ -653,14 +697,22 @@ def test_run_memory_peaks_below_two_record_blocks():
     copy of the initial density beside it."""
     sc = load_bundled("quadratic_concave")
     args = (sc.build_config(), sc.build_model(), sc.build_grid(), sc.u0)
-    run_simulation(*args)   # warm the caches
-    tracemalloc.start()
-    try:
-        run_simulation(*args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(run_simulation, *args)[1]
     assert peak < 2 * pde.RECORD_BLOCK_BYTES
+
+
+def test_2d_run_builds_no_cached_node_table(monkeypatch):
+    """A 2D run, probes included, never asks the grid for its node table,
+    which the grid would keep for its lifetime: grid.nodes() raises."""
+    def refuse(self):
+        raise AssertionError("grid.nodes() called during the run")
+
+    monkeypatch.setattr(TraitGrid, "nodes", refuse)
+    args, kwargs = _scenario_run("scenario2", steps=10, probes=[0, 10])
+    result = run_simulation(*args, **kwargs)
+    assert len(result.series.times) == 11
+    assert [rep["step"] for rep in result.regularity_reports] == [0, 10]
+    assert "_node_table" not in vars(args[2])
 
 
 @pytest.mark.parametrize("name, steps, points", [

@@ -1,6 +1,7 @@
 """Log transform, peak location/curvature, regularity monitors."""
 
 import dataclasses
+import json
 import warnings
 from fractions import Fraction
 
@@ -15,6 +16,8 @@ from concentra.scenarios import load_bundled
 from concentra.wkb import (DENSITY_FLOOR, WkbError, WkbField, from_wkb,
                            locate_max, regularity_monitor, to_wkb,
                            well_resolved_mask)
+
+from conftest import traced_peak
 
 
 def _grid2(n=50, lower=0.0, upper=1.0):
@@ -823,3 +826,130 @@ def test_well_resolved_mask_thresholds_at_forty_epsilon():
     u = WkbField(g, vals, eps)
     mask = well_resolved_mask(u)
     assert np.array_equal(mask, vals >= -40 * eps)
+
+
+def _reference_monitor(u, c, time):
+    """The monitor's readings from whole-grid expressions, a new array per
+    operation: the formulas that the monitor, in two scratch rows, must
+    match bitwise."""
+    grid, v, h = u.grid, u.values, u.grid.spacing
+    mask = (~u.floor_mask) & (v >= v.max() - wkb.WELL_RESOLVED_DROP
+                              * u.epsilon)
+    x2 = [grid.axis_coords(ax) ** 2 for ax in range(grid.dimension)]
+    norms2 = x2[0] if grid.dimension == 1 else np.add.outer(*x2)
+    out = {"fraction": float(mask.mean())}
+    if c.L_bar_0 is not None:
+        slack = (c.K_bar_0
+                 + 2.0 * grid.dimension * u.epsilon * c.L_bar_1) * time
+        upper = c.L_bar_0 - c.L_bar_1 * norms2 + slack
+        lower = -c.L_under_0 - c.L_under_1 * norms2 - slack
+        out["margin"] = float(np.minimum(upper - v, v - lower)[mask].min())
+    inner = (slice(1, -1),) * grid.dimension
+    interior = np.zeros_like(mask)
+    interior[inner] = mask[inner]
+    m = interior[inner]
+    second = []
+    for ax in range(grid.dimension):
+        plus, minus = list(inner), list(inner)
+        plus[ax], minus[ax] = slice(2, None), slice(0, -2)
+        second.append(((v[tuple(plus)] - 2 * v[inner] + v[tuple(minus)])
+                       / h[ax] ** 2)[m])
+    if grid.dimension == 1:
+        lower, upper = second[0], second[0]
+    else:
+        b = ((v[2:, 2:] - v[2:, :-2] - v[:-2, 2:] + v[:-2, :-2])
+             / (4.0 * h[0] * h[1]))[m]
+        a, cc = second
+        mean, radius = (a + cc) / 2, np.hypot((a - cc) / 2, b)
+        lower, upper = mean - radius, mean + radius
+    out["eig"] = (float(lower.min()), float(upper.max()))
+    worst = None
+    dirs = ([(1,)] if grid.dimension == 1
+            else [(1, 0), (0, 1), (1, 1), (1, -1)])
+    for direction in dirs:
+        step = (h[0] if grid.dimension == 1 else
+                np.hypot(*(s * hh for s, hh in zip(direction, h))))
+        views = wkb._at_offsets(v, [tuple(k * s for s in direction)
+                                    for k in (-1, 0, 1, 2)])
+        fm, f0, f1, f2 = views
+        sel = wkb._at_offsets(interior, [tuple(k * s for s in direction)
+                                         for k in (-1, 0, 1, 2)])[1]
+        if sel.any():
+            third = float((np.abs(f2 - 3 * f1 + 3 * f0 - fm)
+                           / step ** 3)[sel].max())
+            worst = third if worst is None else max(worst, third)
+    out["third"] = worst
+    grads = np.gradient(v, *h)
+    gn = np.abs(grads) if grid.dimension == 1 else np.hypot(*grads)
+    out["grad"] = float((gn / (1.0 + np.sqrt(norms2)))[mask].max())
+    return out
+
+
+def _monitor_readings(rep):
+    out = {"fraction": rep["well_resolved_fraction"],
+           "eig": (rep["hessian"]["eig_min"], rep["hessian"]["eig_max"]),
+           "third": rep["third_derivative_max"],
+           "grad": rep["gradient_growth"]["measured_constant"]}
+    if rep["envelope"] is not None:
+        out["margin"] = rep["envelope"]["margin"]
+    return out
+
+
+_FULL_CONSTANTS = AssumptionConstants(L_bar_0=0.2, L_bar_1=0.4,
+                                      L_under_0=0.3, L_under_1=3.0,
+                                      K_bar_0=0.7, C_grad_u=4.0)
+
+
+@pytest.mark.parametrize("constants", [
+    AssumptionConstants(), AssumptionConstants(L_bar_1=0.4, L_under_1=3.0),
+    _FULL_CONSTANTS])
+@pytest.mark.parametrize("dimension, points", [
+    (1, [61]), (1, [16]), (2, [41, 37]), (2, [9, 12]), (2, [64, 64])])
+def test_regularity_monitor_is_bitwise_its_whole_grid_formulas(
+        dimension, points, constants):
+    """Every reading of the monitor is bitwise the reference's whole-grid
+    expressions, on rough concave fields whose well-resolved mask has holes
+    (floor-clipped nodes inside the peak region) and a ragged edge, with
+    and without the envelope's constants."""
+    rng = np.random.default_rng(sum(points) + dimension)
+    g = build_grid(dimension, -1.0, 1.0, points)
+    eps = 0.02
+    u0 = -(0.6 * g.nodes() ** 2).sum(axis=-1) \
+        + 3e-3 * rng.standard_normal(g.shape)
+    n = np.exp(u0 / eps)
+    n[rng.random(g.shape) < 0.1] = 0.0      # floor-clipped holes
+    u = to_wkb(DensityField(g, n), eps)
+    mask = well_resolved_mask(u)
+    assert u.floor_mask.any() and 0 < mask.sum() < mask.size
+    for time in (0.0, 1.3):
+        rep = regularity_monitor(u, constants, time=time)
+        got, ref = _monitor_readings(rep), _reference_monitor(u, constants,
+                                                              time)
+        assert got == ref
+        assert (rep["envelope"] is None) == (constants.L_bar_0 is None)
+
+
+def test_third_difference_is_null_when_no_node_has_a_stencil():
+    """On 16 nodes with only node 14 well resolved, the Hessian is read
+    from its 3-point stencil, but no direction has a 4-point one there:
+    the third difference is None (JSON null), not a measured 0.0."""
+    g = build_grid(1, 0.0, 1.0, 16)
+    x = g.axis_coords(0)
+    u = WkbField(g, -50.0 * (x - x[14]) ** 2, 1e-4)
+    assert np.flatnonzero(well_resolved_mask(u)).tolist() == [14]
+    rep = regularity_monitor(u, AssumptionConstants())
+    assert rep["hessian"]["eig_min"] == pytest.approx(-100.0, rel=1e-9)
+    assert rep["third_derivative_max"] is None
+    assert json.loads(json.dumps(rep))["third_derivative_max"] is None
+
+
+def test_regularity_monitor_allocates_under_five_grid_vectors():
+    """On a fully resolved 150x150 field, with every constant set, the
+    monitor allocates less than five grid vectors above the memory live at
+    the call: two scratch rows and the masks, no stack of temporaries."""
+    g = build_grid(2, -1.0, 1.0, 150)
+    u = WkbField(g, -0.01 * (g.nodes() ** 2).sum(axis=-1), 0.01)
+    assert well_resolved_mask(u).all()
+    rep, peak = traced_peak(regularity_monitor, u, _FULL_CONSTANTS, 0.5)
+    assert rep["hessian"] is not None and rep["envelope"] is not None
+    assert peak < 5 * 8 * g.num_nodes
