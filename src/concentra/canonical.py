@@ -71,6 +71,9 @@ class ConcentrationTrajectory:
         return out
 
 
+CLOSURE_MODES = ("from_pde", "frozen", "riccati")   # of HessianClosure
+
+
 @dataclass
 class HessianClosure:
     """How the canonical ODE obtains D2u at the moving point.
@@ -86,7 +89,7 @@ class HessianClosure:
     feed: ConcentrationTrajectory = None
 
     def __post_init__(self):
-        if self.mode not in ("from_pde", "frozen", "riccati"):
+        if self.mode not in CLOSURE_MODES:
             raise ClosureError(f"unknown closure mode {self.mode!r}")
         if self.mode == "from_pde":
             if self.feed is None:

@@ -62,6 +62,8 @@ VALIDATION_ERRORS = (ScenarioError, SeriesFormatError, ConfigError, OSError)
 NUMERICAL_ERRORS = (SolverError, WkbError, ModelError, FloatingPointError,
                     np.linalg.LinAlgError, canon.ClosureError, GridError)
 LAYER_STEPS = 10   # steps of the transient layer the post-layer max skips
+SWEEP_COLUMNS = ("epsilon", "residual_post_layer", "sup_distance",
+                 "monotonicity_violation", "dir", "status")
 
 
 def _jsonable(obj):
@@ -128,7 +130,11 @@ def _artifact_dir(out_root, sc: Scenario, resolved: dict):
         yield work, path
         if os.path.isdir(path):
             os.rename(path, work + ".old")
-            os.rename(work, path)
+            try:
+                os.rename(work, path)
+            except BaseException:
+                os.rename(work + ".old", path)   # the earlier run back
+                raise
             shutil.rmtree(work + ".old")
         else:
             os.rename(work, path)
@@ -278,15 +284,13 @@ def _sweep_row(raw: dict, eps: float, out_root: str) -> dict:
         with _pde_run(Scenario(raw), out_root, sweep=True) as run:
             mono = diag.monotonicity_violation(run.result.series.I)
     except Exception as exc:   # per-row failure marker
-        return {"epsilon": eps, "residual_post_layer": "", "sup_distance": "",
-                "monotonicity_violation": "", "dir": "",
-                "status": f"failed: {exc}"}
+        return dict.fromkeys(SWEEP_COLUMNS, "") | {
+            "epsilon": eps, "status": f"failed: {exc}"}
     _, _, c_reports = run.canonical
-    return {"epsilon": eps, "residual_post_layer": run.residual_post_layer,
-            "sup_distance": c_reports["pde_vs_canonical_sup_distance"],
-            "monotonicity_violation": mono,
-            "dir": os.path.basename(run.outdir),
-            "status": "ok"}
+    return dict(zip(SWEEP_COLUMNS, (
+        eps, run.residual_post_layer,
+        c_reports["pde_vs_canonical_sup_distance"], mono,
+        os.path.basename(run.outdir), "ok")))
 
 
 def _epsilon_values(text: str) -> list:
@@ -319,14 +323,12 @@ def _cmd_sweep(args) -> int:
     rows = [_sweep_row(sc.raw, eps, args.out) for eps in values]
     rows.sort(key=lambda r: -r["epsilon"])
     path = os.path.join(args.out, "sweep.csv")
-    cols = ["epsilon", "residual_post_layer", "sup_distance",
-            "monotonicity_violation", "dir", "status"]
     with open(path, "w") as f:
-        f.write(",".join(cols) + "\n")
+        f.write(",".join(SWEEP_COLUMNS) + "\n")
         for r in rows:
             f.write(",".join(
                 f"{r[c]:.17g}" if isinstance(r[c], float) else str(r[c])
-                for c in cols) + "\n")
+                for c in SWEEP_COLUMNS) + "\n")
     print(path)
     failed = any(r["status"] != "ok" for r in rows)
     return EXIT_NUMERICAL if failed else EXIT_OK
@@ -417,7 +419,7 @@ def main(argv=None) -> int:
     p_can = sub.add_parser("canonical", help="integrate the limit ODE only")
     p_can.add_argument("scenario")
     p_can.add_argument("--closure",
-                       choices=["from_pde", "frozen", "riccati"])
+                       choices=canon.CLOSURE_MODES)
     p_can.add_argument("--pde-dir", help="artifact dir of a previous run "
                                          "(for the from_pde closure)")
     p_can.add_argument("--out", default=".")

@@ -74,23 +74,11 @@ class TraitGrid:
         n = self.points_per_axis[axis]
         return self.lower[axis] + (np.arange(n) + 0.5) * h
 
-    def build_nodes(self) -> np.ndarray:
+    def nodes(self) -> np.ndarray:
         """A new table of the node coordinates, shape (*shape, dimension),
-        for a caller that needs it only for a while: `nodes()` keeps one
-        for the grid's lifetime."""
+        on each call: the caller keeps it only for as long as it reads it."""
         axes = [self.axis_coords(j) for j in range(self.dimension)]
         return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-
-    @cached_property
-    def _node_table(self) -> np.ndarray:
-        table = self.build_nodes()
-        table.flags.writeable = False
-        return table
-
-    def nodes(self) -> np.ndarray:
-        """Node coordinates, shape (*shape, dimension): one read-only table
-        per grid, built on the first call."""
-        return self._node_table
 
 
 def axis_sum(terms, out: np.ndarray) -> np.ndarray:
@@ -260,8 +248,6 @@ def integrate(field: ScalarField, weight=1) -> float:
     """Midpoint quadrature sum(w(x_i) f_i) * cell volume."""
     v = field.values
     if np.isscalar(weight):
-        if weight == 1:
-            return float(v.sum() * field.grid.cell_volume)
         return float(weight * v.sum() * field.grid.cell_volume)
     w = np.asarray(weight(field.grid.nodes()), dtype=float)
     return float((w * v).sum() * field.grid.cell_volume)

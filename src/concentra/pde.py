@@ -21,6 +21,7 @@ negative density.
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -347,9 +348,8 @@ class ImexIntegrator:
                  b: DiffusionCoefficient = None):
         self.grid = grid
         self.config = config
-        # a node table of the engine's own, dropped once the per-run arrays
-        # are built: grid.nodes() would keep one for the grid's lifetime
-        nodes = grid.build_nodes()
+        # the node table, dropped once the per-run arrays are built
+        nodes = grid.nodes()
         self.advisories = []
 
         # R is affine in the macro, R = base + slope * macro, fixed per run.
@@ -448,7 +448,9 @@ class ImexIntegrator:
             np.divide(n_star, cfg.epsilon, out=n_star)
             np.exp(n_star, out=n_star)
             np.multiply(n.reshape(-1), n_star, out=n_star)
-        if not np.isfinite(n_star).all():
+        # no entry of n_star is negative, so its max (nan if any entry is)
+        # is finite exactly when every entry is
+        if not math.isfinite(n_star.max()):
             raise SolverError(f"reaction update overflowed: dt*sup|R|/eps = "
                               f"{advisory:.3g}; reduce dt or raise epsilon")
         density = DensityField(self.grid, self._solve(n_star))

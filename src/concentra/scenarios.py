@@ -10,6 +10,7 @@ from importlib import resources
 
 import numpy as np
 
+from .canonical import CLOSURE_MODES
 from .grid import GridError, TraitGrid, build_grid
 from .models import (AssumptionConstants, DiffusionCoefficient,
                      MODEL_FAMILIES, ModelError, PerAxis, Required,
@@ -55,7 +56,7 @@ _SCENARIO_SPEC = {
                         "mass_target": "positive"}),
     "u0": Required([_BUMP, ...]),
     "probes": ["count"],
-    "canonical": {"closure": Required(("from_pde", "frozen", "riccati")),
+    "canonical": {"closure": Required(CLOSURE_MODES),
                   "dt": "positive", "T": "positive"},
     "constants": {f.name: ("positive" if f.name in _POSITIVE_CONSTANTS
                            else "nonnegative")

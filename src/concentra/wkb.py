@@ -214,18 +214,21 @@ def _refine_maxima(flat: np.ndarray, rows: np.ndarray, at: np.ndarray,
 
 def _local_maxima(vals: np.ndarray, dimension: int = None) -> np.ndarray:
     """Nodes >= each of their 3^d - 1 neighbours, diagonals included, over
-    the last `dimension` axes (all by default); the outside of the box
-    counts as -inf."""
+    the last `dimension` axes (all by default).  Each offset compares the
+    nodes that have that neighbour with it, slices of `vals` itself, so a
+    neighbour outside the box constrains nothing."""
     d = vals.ndim if dimension is None else dimension
-    lead = (0,) * (vals.ndim - d)
-    offsets = [lead + o for o in itertools.product((-1, 0, 1), repeat=d)]
-    padded = np.pad(vals, [(0, 0)] * len(lead) + [(1, 1)] * d,
-                    constant_values=-np.inf)
-    views = _at_offsets(padded, offsets)
-    node = views[len(offsets) // 2]   # the zero offset, vals itself
+    lead = (slice(None),) * (vals.ndim - d)
     local = np.ones(vals.shape, dtype=bool)
-    for view in views:
-        local &= node >= view
+    for offset in itertools.product((-1, 0, 1), repeat=d):
+        if not any(offset):
+            continue
+        node = lead + tuple(slice(max(0, -k), n - max(0, k))
+                            for k, n in zip(offset, vals.shape[-d:]))
+        other = lead + tuple(slice(max(0, k), n - max(0, -k))
+                             for k, n in zip(offset, vals.shape[-d:]))
+        part = local[node]
+        part &= vals[node] >= vals[other]
     return local
 
 

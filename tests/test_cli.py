@@ -375,6 +375,32 @@ def test_interrupted_rerun_leaves_the_earlier_run(tmp_path, monkeypatch):
     assert {p.name: p.read_bytes() for p in art.iterdir()} == before
 
 
+def test_failed_swap_puts_the_earlier_run_back(tmp_path, monkeypatch,
+                                               capsys):
+    """A re-run whose rename into place fails, after the earlier run was
+    moved aside, moves the earlier run back: it stays byte for byte under
+    its name, and no hidden directory is left."""
+    scen = write_scenario(tmp_path, BASE)
+    out = tmp_path / "out"
+    command = ["canonical", scen, "--closure", "frozen", "--out", str(out)]
+    assert main(command) == 0
+    art = pathlib.Path(_only_artifact_dir(out))
+    before = {p.name: p.read_bytes() for p in art.iterdir()}
+    rename, calls = os.rename, []
+
+    def second_fails(src, dst):
+        calls.append((src, dst))
+        if len(calls) == 2:
+            raise OSError("rename failed")
+        rename(src, dst)
+
+    monkeypatch.setattr(os, "rename", second_fails)
+    assert main(command) == 2
+    assert "rename failed" in capsys.readouterr().err
+    assert os.listdir(out) == [art.name]
+    assert {p.name: p.read_bytes() for p in art.iterdir()} == before
+
+
 BASE_2D = {
     "name": "tiny2d",
     "dimension": 2,

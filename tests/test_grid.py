@@ -52,13 +52,13 @@ def test_grid_geometry_cached_bitwise_and_not_fields():
     assert type(g.num_nodes) is int and type(g.cell_volume) is float
     assert g.spacing is g.spacing        # computed once
     nodes = g.nodes()
-    assert g.nodes() is nodes            # one node table per grid
-    assert not nodes.flags.writeable
-    with pytest.raises(ValueError):
-        nodes[0, 0, 0] = 0.0
+    again = g.nodes()                    # a new table on each call
+    assert again is not nodes and not np.shares_memory(again, nodes)
     mesh = np.meshgrid(g.axis_coords(0), g.axis_coords(1), indexing="ij")
-    assert nodes.tobytes() == np.stack(mesh, axis=-1).tobytes()
-    assert nodes.shape == (37, 53, 2)
+    for table in (nodes, again):
+        assert table.tobytes() == np.stack(mesh, axis=-1).tobytes()
+        assert table.shape == (37, 53, 2)
+    assert "_node_table" not in vars(g)
 
     fresh = TraitGrid(2, (-0.3, 0.1), (1.7, 0.9), (37, 53))
     assert g == fresh and hash(g) == hash(fresh)

@@ -702,16 +702,21 @@ def test_run_memory_peaks_below_two_record_blocks():
 
 
 def test_2d_run_builds_no_cached_node_table(monkeypatch):
-    """A 2D run, probes included, never asks the grid for its node table,
-    which the grid would keep for its lifetime: grid.nodes() raises."""
-    def refuse(self):
-        raise AssertionError("grid.nodes() called during the run")
+    """A 2D run, probes included, asks the grid for its node table once,
+    at the engine's set-up, and the grid keeps none."""
+    calls = []
+    build = TraitGrid.nodes
 
-    monkeypatch.setattr(TraitGrid, "nodes", refuse)
+    def counted(self):
+        calls.append(self)
+        return build(self)
+
+    monkeypatch.setattr(TraitGrid, "nodes", counted)
     args, kwargs = _scenario_run("scenario2", steps=10, probes=[0, 10])
     result = run_simulation(*args, **kwargs)
     assert len(result.series.times) == 11
     assert [rep["step"] for rep in result.regularity_reports] == [0, 10]
+    assert calls == [args[2]]
     assert "_node_table" not in vars(args[2])
 
 

@@ -681,6 +681,23 @@ def test_local_maxima_matches_roll_reference():
         vals = rng.integers(0, levels, size=shape).astype(float)
         assert np.array_equal(wkb._local_maxima(vals),
                               _roll_local_maxima(vals)), vals
+        # a stack of such fields, each row compared with no other row
+        rows = int(rng.integers(1, 4))
+        stack = rng.integers(0, levels, size=(rows,) + shape).astype(float)
+        local = wkb._local_maxima(stack, len(shape))
+        assert local.shape == stack.shape
+        for row, mask in zip(stack, local):
+            assert np.array_equal(mask, _roll_local_maxima(row)), stack
+
+
+def test_local_maxima_allocates_less_than_its_block():
+    """The multi-peak mask of a (6, 100, 100) record block compares slices
+    of the block itself and pads no copy of it: its traced peak stays below
+    the block's bytes."""
+    vals = np.random.default_rng(3).standard_normal((6, 100, 100))
+    local, peak = traced_peak(wkb._local_maxima, vals, 2)
+    assert local.shape == vals.shape
+    assert peak < vals.nbytes
 
 
 # --- regularity monitors --------------------------------------------------------------
