@@ -105,22 +105,52 @@ class HessianClosure:
             self.initial_hessian = H
 
 
+# --- closed-form 1x1 and 2x2 algebra -----------------------------------------
+# A trait space has one or two axes, so every matrix the limit dynamics solve
+# with or test is 1x1 or 2x2.  Cramer's rule and the leading minors handle
+# them on Python floats with no LAPACK call: the first such call in a
+# process faults in about 0.85 MB of OpenBLAS's code pages.
+
+def _det(A) -> float:
+    """Determinant of the 2x2 matrix A."""
+    (a, b), (c, d) = A.tolist()
+    return a * d - b * c
+
+
+def _solve(A, v):
+    """A^{-1} v for a 1x1 or 2x2 matrix A by Cramer's rule, or None when
+    det A is 0.  A diagonal A divides v by its diagonal entry by entry,
+    which is bitwise what LAPACK's solve returns."""
+    if len(A) == 1:
+        a = A[0, 0]
+        return None if a == 0 else v / a
+    det = _det(A)
+    if det == 0:
+        return None
+    (a, b), (c, d) = A.tolist()
+    v1, v2 = v.tolist()
+    if b == 0 and c == 0:
+        return np.array([v1 / a, v2 / d])
+    return np.array([(d * v1 - b * v2) / det, (a * v2 - c * v1) / det])
+
+
 def _check_negative_definite(H):
-    """Raise ClosureError unless the symmetric part of H is negative
-    definite; a NaN eigenvalue fails the `< 0` test too."""
-    ev = np.linalg.eigvalsh(0.5 * (H + H.T))
-    if not ev.max() < 0:
-        raise ClosureError(f"closure matrix {H.tolist()} not negative "
-                           f"definite (eigenvalues {ev.tolist()})")
+    """Raise ClosureError unless the symmetric part S of the 1x1 or 2x2 H
+    is negative definite: S11 < 0 and, in 2D, det S > 0, which a NaN
+    fails.  eigvalsh only words the failure."""
+    S = 0.5 * (H + H.T)
+    if S[0, 0] < 0 and (len(S) == 1 or _det(S) > 0):
+        return
+    ev = np.linalg.eigvalsh(S)
+    raise ClosureError(f"closure matrix {H.tolist()} not negative "
+                       f"definite (eigenvalues {ev.tolist()})")
 
 
 def _solve_neg(hessian, vec):
     """(-H)^{-1} vec for a negative definite H."""
     H = np.atleast_2d(np.asarray(hessian, dtype=float))
     _check_negative_definite(H)
-    if H.shape == (1, 1):   # bitwise what LAPACK's 1x1 solve returns
-        return np.atleast_1d(vec) / -H[0, 0]
-    return np.linalg.solve(-H, np.atleast_1d(vec))
+    return _solve(-H, np.atleast_1d(vec))
 
 
 def canonical_rhs(x_bar, hessian, model, macro=None):
@@ -153,14 +183,14 @@ def _point_arithmetic(model, d):
     `on_floats()` gives its (multiplier, grad_x_rate, hess_x_rate) on Python
     floats runs on floats: a division and a sign test, doing the 1-element
     arrays' operations in their order, so the results are bitwise the same.
-    Any other model runs on numpy arrays and LAPACK's solve.
+    Any other model runs on numpy arrays and the closed-form `_solve`.
     """
     on_floats = getattr(model, "on_floats", None) if d == 1 else None
     law = on_floats() if on_floats is not None else None
     if law is None:
         def velocity(x, m, neg):
-            return np.linalg.solve(
-                neg, np.asarray(model.grad_x_rate(x, m), dtype=float))
+            return _solve(neg, np.asarray(model.grad_x_rate(x, m),
+                                          dtype=float))
 
         def riccati(x, m, H):
             return riccati_hessian_rhs(x, m, H, model)
@@ -343,9 +373,8 @@ def _newton_critical_point(grad, jac, x0, domain):
         g = grad(x)
         if np.linalg.norm(g) <= NEWTON_TOL:
             return x
-        try:
-            step = np.linalg.solve(jac(x), -g)
-        except np.linalg.LinAlgError:
+        step = _solve(jac(x), -g)
+        if step is None:   # a singular Jacobian
             return None
         x = x + step
         if np.any(x < lower - 1.0) or np.any(x > upper + 1.0):

@@ -60,6 +60,21 @@ def post_layer_max(times: np.ndarray, residuals: np.ndarray,
     return float(residuals[sel].max()) if sel.any() else float("nan")
 
 
+def _merged(a, b):
+    """np.unique(np.concatenate([a, b])) of two strictly increasing arrays,
+    by a merge instead of a sort: each entry goes to its index plus the
+    count of the other array's entries before it, a's before b's equal
+    ones, and each run of equal times keeps its first.  Equal times have
+    equal bits but for -0.0 and +0.0, where np.unique keeps -0.0: the
+    array holding a -0.0 goes first."""
+    if np.signbit(b[b == 0]).any():
+        a, b = b, a
+    merged = np.empty(a.size + b.size)
+    merged[np.arange(a.size) + np.searchsorted(b, a)] = a
+    merged[np.arange(b.size) + np.searchsorted(a, b, side="right")] = b
+    return merged[np.concatenate(([True], merged[1:] != merged[:-1]))]
+
+
 def compare_trajectories(a, b):
     """Sup distance between two peak trajectories after linear time alignment.
 
@@ -72,11 +87,7 @@ def compare_trajectories(a, b):
         raise DiagnosticsError(
             f"trajectories do not overlap: [{ta[0]:g},{ta[-1]:g}] vs "
             f"[{tb[0]:g},{tb[-1]:g}]")
-    # np.unique's first call imports numpy.ma; sorting and keeping each
-    # first occurrence gives the same array
-    common = np.sort(np.concatenate([ta[(ta >= lo) & (ta <= hi)],
-                                     tb[(tb >= lo) & (tb <= hi)]]))
-    common = common[np.concatenate(([True], common[1:] != common[:-1]))]
+    common = _merged(ta[(ta >= lo) & (ta <= hi)], tb[(tb >= lo) & (tb <= hi)])
     pa = np.asarray(a.points, dtype=float)
     pb = np.asarray(b.points, dtype=float)
     d = pa.shape[1]

@@ -84,11 +84,13 @@ class TraitGrid:
 def axis_sum(terms, out: np.ndarray) -> np.ndarray:
     """sum_j t_j(x_j) on the nodes, from one 1D term per axis, into `out`
     (the grid's shape): the last axis's term, then in 2D the first's added
-    down the columns.  A sum of two terms is the same in either order, and
-    a single broadcast operand keeps numpy's ufunc buffers to one."""
+    line by line.  A sum of two terms is the same in either order, and no
+    ufunc has a broadcast operand, for which numpy would allocate a 64 KiB
+    buffer."""
     np.copyto(out, terms[-1])
     if len(terms) == 2:
-        out += terms[0][:, None]
+        for line, term in zip(out, terms[0]):
+            line += term
     return out
 
 

@@ -15,12 +15,14 @@ run: in 1D the once-built inverse G or log-depth scans, which only add and
 multiply nonnegative numbers, so every entry is exact to round-off and
 none is negative; in 2D a warm-started matrix-free CG on the divide-free
 `grid.diffusion_stencil` that allocates nothing and alone checks for
-negative density.
+negative density.  The CG runs in four rows of its own, x, r, p and q;
+its scratch and the stencil's fluxes share the engine's reaction row,
+widened to N + 7 entries, which holds the rhs until CG has read it, so a
+2D solve overwrites its rhs.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -169,21 +171,21 @@ def _cg(matvec, b, work, rtol, maxiter):
 
     `work` holds five vectors of b's size, (x, r, p, q, tmp), and the solve
     allocates none: x is the initial guess on entry and the solution on
-    return, the others are overwritten.  `matvec(v, out)` writes the
-    product into `out`; tmp serves only between products, so it may be
-    scratch that matvec overwrites.  Returns (x, info): info is 0 on
-    convergence and maxiter when the iterations ran out."""
+    return, the others are overwritten, r with the last residual.
+    `matvec(v, out)` writes the product into `out`; tmp serves only between
+    products, so it may be scratch that matvec overwrites.  b is read only
+    before the first product, so tmp and that scratch may be b's own
+    memory.  Returns (x, info): info is 0 on convergence and maxiter when
+    the iterations ran out."""
     x, r, p, q, tmp = work
     bnrm2 = np.linalg.norm(b)
     if bnrm2 == 0:
         x[:] = b
         return x, 0
     atol = rtol * bnrm2
+    r[:] = b
     if x.any():
-        matvec(x, r)
-        np.subtract(b, r, out=r)
-    else:
-        r[:] = b
+        r -= matvec(x, q)
     for iteration in range(maxiter):
         rho = np.dot(r, r)
         if np.sqrt(rho) < atol:
@@ -289,32 +291,35 @@ def _aligned_rows(count: int, length: int) -> np.ndarray:
     return buf[start:start + count * width].reshape(count, width)
 
 
-def _cg_solver(grid: TraitGrid, weights: list):
+def _cg_solver(grid: TraitGrid, weights: list, flux: np.ndarray):
     """Solver of Id - eps dt L on `grid`: `_cg` on the stencil with
     `weights`, warm-started from the last solution (the first from its
-    rhs), in five 64-byte-aligned rows it owns, the fifth over the flux
-    row.  A solve returns a new array, round-off below zero clamped; it
-    raises SolverError if CG_MAXITER iterations do not converge or the
-    minimum is below -NEGATIVE_CLAMP max(peak, 1)."""
-    rows = _aligned_rows(5, grid.num_nodes + 7)
-    work, flux = rows[:, :grid.num_nodes], rows[4]
+    rhs), in four 64-byte-aligned rows it owns, x, r, p and q.  Its tmp
+    vector and the stencil's fluxes share `flux`, a row of at least N + 7
+    entries, which may hold the rhs: a solve overwrites such an rhs.  A
+    solve returns a new array, round-off below zero clamped; it raises
+    SolverError if CG_MAXITER iterations do not converge or the minimum is
+    below -NEGATIVE_CLAMP max(peak, 1)."""
+    n = grid.num_nodes
+    work = (*_aligned_rows(4, n)[:, :n], flux[:n])
+    x, r = work[:2]
     warm = False
 
-    def matvec(v, out=None):
-        """(Id - eps dt L) v, flat, into `out` (a new array if None)."""
+    def matvec(v, out):
+        """(Id - eps dt L) v, flat, into `out`."""
         return diffusion_stencil(v.reshape(grid.shape), weights, True,
                                  out=out, flux=flux).reshape(-1)
 
     def solve(rhs):
         nonlocal warm
         if not warm:
-            work[0] = rhs
+            x[:] = rhs
             warm = True
         sol, info = _cg(matvec, rhs, work, CG_RTOL, CG_MAXITER)
-        if info != 0:
-            res = np.linalg.norm(matvec(sol) - rhs)
+        if info != 0:   # the rhs may be gone: the residual is CG's own
             raise SolverError(f"diffusion solve did not converge "
-                              f"(info={info}, residual={res:.3e})")
+                              f"(info={info}, "
+                              f"residual={np.linalg.norm(r):.3e})")
         peak, low = float(sol.max()), float(sol.min())
         if low < -NEGATIVE_CLAMP * max(peak, 1.0):
             raise SolverError(f"diffusion solve produced negative density "
@@ -342,7 +347,8 @@ class ImexIntegrator:
     `b` is given.  Its diffusion solve, the one `diffusion_solve` names,
     is built here as one callable from the rhs to a new density array:
     `_thomas_solver` in 1D, `_cg_solver` in 2D.  The reaction update runs
-    in one row the engine owns, and each step's density is a new array."""
+    in one row the engine owns, the CG's flux row in 2D, and each step's
+    density is a new array."""
 
     def __init__(self, grid: TraitGrid, model, config: SimulationConfig,
                  b: DiffusionCoefficient = None):
@@ -388,18 +394,17 @@ class ImexIntegrator:
 
         weights = stencil_weights(grid, config.epsilon * config.dt,
                                   self._faces)
+        # the flat row, 64-byte aligned, that the reaction update and the
+        # integrand of J are formed in; its N + 7 entries are the CG's
+        # flux row in 2D, free once a solve has read its rhs from it
+        self._flux = _aligned_rows(1, grid.num_nodes + 7)[0]
+        self._row = self._flux[:grid.num_nodes]
         method = diffusion_solve(grid)["method"]
         if method == "cg":
-            self._solve = _cg_solver(grid, weights)
+            self._solve = _cg_solver(grid, weights, self._flux)
         else:   # the stencil's weights are the off-diagonals
             k = np.broadcast_to(weights[0], (grid.num_nodes - 1,))
             self._solve = _thomas_solver(k, method == "green_matrix")
-
-    @functools.cached_property
-    def _row(self) -> np.ndarray:
-        """The flat row, 64-byte aligned, that the reaction update and the
-        integrand of J are formed in, allocated at its first use."""
-        return _aligned_rows(1, self.grid.num_nodes)[0, :self.grid.num_nodes]
 
     def macro_of(self, density: DensityField):
         """Macro coupling computed from a density: the float m = sum(w n)

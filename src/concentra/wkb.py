@@ -320,11 +320,27 @@ def _at_offsets(values, offsets):
             for o in offsets]
 
 
-def _scratch(rows, shape) -> list:
-    """Each of the flat scratch `rows` as an array of `shape`, which has at
-    most as many entries as a row."""
-    size = math.prod(shape)
-    return [row[:size].reshape(shape) for row in rows]
+def _flat_offset(offset, shape) -> int:
+    """The step in flat index of the node offset `offset` (one int per
+    axis) on a grid of `shape`."""
+    return sum(k * math.prod(shape[ax + 1:]) for ax, k in enumerate(offset))
+
+
+def _flat_views(values, offsets, lo: int, hi: int) -> list:
+    """Views of the flattened `values` at each flat offset in `offsets`,
+    over flat nodes lo .. hi - 1: entry i of the view for offset o is flat
+    node lo + i + o.  Contiguous rows, which numpy runs with no ufunc
+    buffers; a node whose offset crosses the end of its line reads the
+    next line, so its reading is the caller's to leave out."""
+    v = values.reshape(-1)
+    return [v[lo + o:hi + o] for o in offsets]
+
+
+def _fill_columns(row, first: int, width: int, columns, value) -> None:
+    """Set the entries of `row`, the flat nodes first, first + 1, ... of
+    lines `width` nodes long, that lie on any of `columns` to `value`."""
+    for col in columns:
+        row[(col - first) % width::width] = value
 
 
 def _masked_min(values, mask) -> float:
@@ -383,23 +399,29 @@ def _hessian_bracket(values, spacing, mask, rows):
     """Smallest and largest Hessian eigenvalue over the masked nodes that
     have every neighbour on the grid.  The Hessian is the second
     differences a (and c) along the axes and, in 2D, the mixed difference
-    b; in 1D its eigenvalue is a itself.  It is formed in `rows`, two
-    scratch rows of the grid's size: in 2D a, b, c and the mean of a and c
-    take four arrays, so the core runs in bands of lines, each band a
-    quarter of the rows."""
+    b; in 1D its eigenvalue is a itself.  The differences run over the
+    flat row, the axes' flat strides apart (see `_flat_views`), from the
+    first node whose neighbours are all in the row to the last; in 2D the
+    nodes there on a line's first or last column read the line beside,
+    and are left out as the bracket (+inf, -inf).  It is formed in
+    `rows`, two scratch rows of the grid's size: in 2D a, b, c and the
+    mean of a and c take four arrays, so the nodes run in bands of half a
+    row."""
     d = values.ndim
-    f0, *f = _at_offsets(values, _HESSIAN_OFFSETS[d])
-    m = _at_offsets(mask, _HESSIAN_OFFSETS[d])[0]
+    lo = _flat_offset((1,) * d, values.shape)
+    f0, *f = _flat_views(values, [_flat_offset(o, values.shape)
+                                  for o in _HESSIAN_OFFSETS[d]],
+                         lo, values.size - lo)
+    m = mask.reshape(-1)[lo:lo + len(f0)]
     if d == 1:
-        a = _second_difference(f[0], f0, f[1], spacing[0],
-                               _scratch(rows, f0.shape)[0])
+        a = _second_difference(f[0], f0, f[1], spacing[0], rows[0][:len(f0)])
         return _masked_min(a, m), _masked_max(a, m)
-    width = f0.shape[1]
-    lines = rows.size // (4 * width)
-    bands = rows.reshape(-1)[:4 * lines * width].reshape(4, lines, width)
-    lo, hi = np.inf, -np.inf
-    for start in range(0, len(f0), lines):
-        part = slice(start, start + lines)
+    width, edges = values.shape[1], (0, values.shape[1] - 1)
+    size = rows.size // 4
+    bands = rows.reshape(-1)[:4 * size].reshape(4, size)
+    low, high = np.inf, -np.inf
+    for start in range(0, len(f0), size):
+        part = slice(start, start + size)
         a, b, c, work = bands[:, :len(f0[part])]
         _second_difference(f[0][part], f0[part], f[2][part], spacing[0], a)
         _second_difference(f[1][part], f0[part], f[3][part], spacing[1], c)
@@ -409,41 +431,52 @@ def _hessian_bracket(values, spacing, mask, rows):
         b += mm
         b /= 4.0 * spacing[0] * spacing[1]
         lower, upper = _eigenvalues_2x2(a, b, c, out=work)
+        _fill_columns(lower, lo + start, width, edges, np.inf)
+        _fill_columns(upper, lo + start, width, edges, -np.inf)
         # np.minimum and np.maximum keep a nan of any band
-        lo = np.minimum(lo, _masked_min(lower, m[part]))
-        hi = np.maximum(hi, _masked_max(upper, m[part]))
-    return float(lo), float(hi)
+        low = np.minimum(low, _masked_min(lower, m[part]))
+        high = np.maximum(high, _masked_max(upper, m[part]))
+    return float(low), float(high)
 
 
 def _third_difference_max(values, spacing, mask, rows=None):
     """Largest directional third difference over masked nodes (axes and, in
     2D, the two diagonals), formed in two scratch rows of the grid's size
-    (`rows`, allocated when not given).  None when no masked node has a
-    4-point stencil on the grid in any direction: nothing was measured."""
+    (`rows`, allocated when not given).  Each direction runs over the flat
+    row at its flat offset o, on the nodes from which -o and 2o stay in the
+    row; in 2D the nodes whose stencil leaves their line are left out as
+    -inf.  None when no masked node has a 4-point stencil on the grid in
+    any direction: nothing was measured."""
     if rows is None:
         rows = np.empty((2, values.size))
     worst = None
     d = values.ndim
+    width = values.shape[-1]
     dirs = [tuple(int(j == ax) for j in range(d)) for ax in range(d)]
     if d == 2:
         dirs += [(1, 1), (1, -1)]
     for direction in dirs:
         step = np.hypot(*(s * h for s, h in zip(direction, spacing))) if d == 2 \
             else abs(direction[0]) * spacing[0]
-        # node offsets of the 4-point stencil along `direction`
-        offsets = [tuple(k * s for s in direction) for k in (-1, 0, 1, 2)]
-        fm, f0, f1, f2 = _at_offsets(values, offsets)
-        m = _at_offsets(mask, offsets)[1]
-        if m.any():
-            # |f2 - 3 f1 + 3 f0 - fm| / step^3
-            third, term = _scratch(rows, f0.shape)
-            np.multiply(3, f1, out=third)
-            np.subtract(f2, third, out=third)
-            third += np.multiply(3, f0, out=term)
-            third -= fm
-            np.abs(third, out=third)
-            third /= step ** 3
-            value = _masked_max(third, m)
+        # the 4-point stencil's flat offsets along `direction`; o > 0
+        o = _flat_offset(direction, values.shape)
+        fm, f0, f1, f2 = _flat_views(values, (-o, 0, o, 2 * o), o,
+                                     values.size - 2 * o)
+        # |f2 - 3 f1 + 3 f0 - fm| / step^3
+        third, term = rows[:, :len(f0)]
+        np.multiply(3, f1, out=third)
+        np.subtract(f2, third, out=third)
+        third += np.multiply(3, f0, out=term)
+        third -= fm
+        np.abs(third, out=third)
+        third /= step ** 3
+        if d == 2:   # the columns whose stencil leaves its line
+            j = direction[1]
+            off = [col for col in range(width)
+                   if not (0 <= col - j < width and 0 <= col + 2 * j < width)]
+            _fill_columns(third, o, width, off, -np.inf)
+        value = _masked_max(third, mask.reshape(-1)[o:o + len(f0)])
+        if value != -np.inf:   # some masked node has a stencil
             worst = value if worst is None else max(worst, value)
     return worst
 
@@ -481,9 +514,11 @@ def regularity_monitor(u: WkbField, constants, time: float = 0.0) -> dict:
     c = constants
     mask = well_resolved_mask(u)
     rows = np.empty((2, grid.num_nodes))
-    first, second = _scratch(rows, grid.shape)
+    first, second = rows.reshape((2,) + grid.shape)
     report = {"time": time,
-              "well_resolved_fraction": float(mask.mean()),
+              # the count over the size, one rounding, as mask.mean() gives
+              # it, without the float buffer of its sum
+              "well_resolved_fraction": np.count_nonzero(mask) / mask.size,
               "envelope": None, "hessian": None,
               "third_derivative_max": None, "gradient_growth": None}
 
@@ -508,22 +543,7 @@ def regularity_monitor(u: WkbField, constants, time: float = 0.0) -> dict:
         report["envelope"] = {"margin": margin, "slack": slack,
                               "passed": bool(margin >= -1e-10)}
 
-    # the well-resolved nodes off the outer ring
-    inner = (slice(1, -1),) * grid.dimension
-    interior = np.zeros_like(mask)
-    interior[inner] = mask[inner]
-    if interior.any():
-        lo, hi = _hessian_bracket(u.values, grid.spacing, interior, rows)
-        entry = {"eig_min": lo, "eig_max": hi}
-        if getattr(c, "L_bar_1", None) is not None and \
-                getattr(c, "L_under_1", None) is not None:
-            entry["bracket"] = [-2.0 * c.L_under_1, -2.0 * c.L_bar_1]
-            entry["passed"] = bool(lo >= -2.0 * c.L_under_1 - 1e-10
-                                   and hi <= -2.0 * c.L_bar_1 + 1e-10)
-        report["hessian"] = entry
-        report["third_derivative_max"] = _third_difference_max(
-            u.values, grid.spacing, interior, rows)
-
+    if np.count_nonzero(mask[(slice(1, -1),) * grid.dimension]):
         # |grad u| / (1 + |x|), the gradient's norm in the first row
         grad = _gradient(u.values, 0, grid.spacing[0], first)
         if grid.dimension == 1:
@@ -539,5 +559,21 @@ def regularity_monitor(u: WkbField, constants, time: float = 0.0) -> dict:
             entry["bound"] = c.C_grad_u
             entry["passed"] = bool(measured <= c.C_grad_u + 1e-10)
         report["gradient_growth"] = entry
+
+        # the rest reads the well-resolved nodes off the outer ring: the
+        # mask, read no more, loses its ring
+        for ax in range(grid.dimension):
+            ends = np.moveaxis(mask, ax, 0)
+            ends[0] = ends[-1] = False
+        lo, hi = _hessian_bracket(u.values, grid.spacing, mask, rows)
+        entry = {"eig_min": lo, "eig_max": hi}
+        if getattr(c, "L_bar_1", None) is not None and \
+                getattr(c, "L_under_1", None) is not None:
+            entry["bracket"] = [-2.0 * c.L_under_1, -2.0 * c.L_bar_1]
+            entry["passed"] = bool(lo >= -2.0 * c.L_under_1 - 1e-10
+                                   and hi <= -2.0 * c.L_bar_1 + 1e-10)
+        report["hessian"] = entry
+        report["third_derivative_max"] = _third_difference_max(
+            u.values, grid.spacing, mask, rows)
 
     return report

@@ -82,6 +82,72 @@ def test_riccati_relaxation_for_flat_rate():
     assert np.max(np.abs(dH - 8.0 * np.eye(2))) <= 1e-14
 
 
+# --- closed-form 1x1 and 2x2 algebra -----------------------------------------
+
+def test_closed_form_solve_matches_lapack():
+    """Cramer's rule against np.linalg.solve on 2000 random 2x2 systems,
+    entries over six decades: within 4 ulps times the condition number.
+    On a diagonal matrix, its off-diagonal zeros of either sign as -H
+    gives them, and on a 1x1 it is bitwise LAPACK's answer, which keeps
+    the frozen closures' bytes.  A singular matrix gives None."""
+    rng = np.random.default_rng(11)
+    eps = np.finfo(float).eps
+    for _ in range(2000):
+        A = rng.standard_normal((2, 2)) * 10.0 ** rng.uniform(-3, 3, (2, 2))
+        v = rng.standard_normal(2) * 10.0 ** rng.uniform(-3, 3)
+        ref = np.linalg.solve(A, v)
+        err = np.abs(canonical._solve(A, v) - ref).max()
+        assert err <= 4 * eps * np.linalg.cond(A) * np.abs(ref).max()
+        D = np.diag(rng.uniform(0.01, 100.0, 2) * rng.choice([-1.0, 1.0], 2))
+        for diag in (D, -D):
+            assert (canonical._solve(diag, v).tobytes()
+                    == np.linalg.solve(diag, v).tobytes())
+        one = A[:1, :1]
+        assert (canonical._solve(one, v[:1]).tobytes()
+                == np.linalg.solve(one, v[:1]).tobytes())
+    for singular in ([[1.0, 2.0], [2.0, 4.0]], [[0.0, 0.0], [0.0, 3.0]],
+                     [[0.0]]):
+        A = np.array(singular)
+        assert canonical._solve(A, np.ones(len(A))) is None
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_closed_form_definiteness_matches_eigvalsh(d):
+    """The check passes a symmetric matrix exactly when eigvalsh's largest
+    eigenvalue is negative: on 2000 random ones whose largest eigenvalue
+    is not within 1e-12 of zero relative to their norm, both signs; on
+    NaN, singular, indefinite and zero ones it raises, and H's
+    antisymmetric part is ignored."""
+    rng = np.random.default_rng(13)
+    for _ in range(2000):
+        M = rng.standard_normal((d, d)) * 10.0 ** rng.uniform(-3, 3)
+        S = 0.5 * (M + M.T) - rng.uniform(0.0, 3.0) * np.abs(M).max() * \
+            np.eye(d)
+        ev = np.linalg.eigvalsh(S).max()
+        if abs(ev) <= 1e-12 * np.abs(S).max():
+            continue
+        skew = rng.standard_normal((d, d))
+        H = S + (skew - skew.T)
+        try:
+            canonical._check_negative_definite(H)
+            passed = True
+        except ClosureError:
+            passed = False
+        assert passed == (ev < 0)
+    if d == 1:
+        failing = [[[np.nan]], [[0.0]], [[-0.0]], [[1.0]]]
+    else:
+        failing = [[[np.nan, 0.0], [0.0, -1.0]], [[-1.0, 0.0], [0.0, np.nan]],
+                   [[-1.0, np.nan], [np.nan, -1.0]], [[-1.0, -1.0],
+                                                      [-1.0, -1.0]],
+                   [[-1.0, 0.0], [0.0, 0.0]], [[-1.0, 0.0], [0.0, 1.0]],
+                   [[1.0, 0.0], [0.0, -1.0]], [[-1.0, 2.0], [2.0, -1.0]],
+                   [[0.0, 0.0], [0.0, 0.0]]]
+    for H in failing:
+        with pytest.raises(ClosureError, match="not negative definite"):
+            canonical._check_negative_definite(np.array(H))
+
+
 # --- closure bookkeeping -------------------------------------------------------
 
 def test_closure_mode_validation():
@@ -157,28 +223,38 @@ def test_integrate_frozen_anisotropic_straight_line():
 
 def test_frozen_closure_checks_definiteness_once(monkeypatch):
     """HessianClosure checks the frozen matrix; the RK4 stages do not
-    repeat it.  riccati's matrix changes per stage and is checked at each,
-    in 1D by a sign test that calls no eigvalsh."""
+    repeat it.  riccati's matrix changes per stage and is checked at each:
+    in 2D by the closed-form minors, in 1D by a sign test that calls the
+    check only to fail.  No check calls eigvalsh, which is patched to
+    raise."""
+    def refuse(a):
+        raise AssertionError("eigvalsh called by a passing check")
+
+    checked = []
+    check = canonical._check_negative_definite
+
+    def counted(H):
+        checked.append(np.shape(H))
+        return check(H)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(canonical, "_check_negative_definite", counted)
     m = affine_2d()
     frozen = HessianClosure("frozen", initial_hessian=np.diag([-2.0, -10.0]))
-    riccati = HessianClosure("riccati", initial_hessian=np.diag([-2.0, -10.0]))
+    riccati = HessianClosure("riccati", initial_hessian=[[-2.0, 0.5],
+                                                         [0.5, -10.0]])
+    assert checked == [(2, 2)] * 2
+    integrate_canonical((0.7, 0.7), frozen, m, 0.01, 0.1)
+    assert len(checked) == 2
+    traj = integrate_canonical((0.7, 0.7), riccati, m, 0.01, 0.1)
+    assert checked == [(2, 2)] * (2 + 4 * 10)
+    assert np.all(traj.hessians[:, 0, 1] != 0)   # the 2x2 minor is read
+    checked.clear()
     frozen_1d = HessianClosure("frozen", initial_hessian=[[-2.0]])
     riccati_1d = HessianClosure("riccati", initial_hessian=[[-3.0]])
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
-
-    def counted(a):
-        calls.append(1)
-        return eigvalsh(a)
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    integrate_canonical((0.7, 0.7), frozen, m, 0.01, 0.1)
-    assert calls == []
-    integrate_canonical((0.7, 0.7), riccati, m, 0.01, 0.1)
-    assert len(calls) == 4 * 10
-    calls.clear()
+    assert checked == [(1, 1)] * 2
     integrate_canonical((0.5,), frozen_1d, quadratic_1d(), 0.01, 0.1)
     integrate_canonical((0.5,), riccati_1d, quadratic_1d(), 0.01, 0.1)
-    assert calls == []
+    assert len(checked) == 2
 
 
 def test_ode_samples_are_packed_doubles():

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import concentra
-from concentra import cli
+from concentra import cli, wkb
 from concentra.cli import main
 from concentra.grid import ScalarField, build_grid, write_field_csv
 from concentra.models import ConstraintInfeasibleError, ModelError
@@ -615,11 +615,12 @@ def test_series_residual_matches_reported_post_layer(tmp_path):
     assert data["residual_R"][data["t"] >= t_layer].max() == post
 
 
-def _run_python(*args):
+def _run_python(*args, **env_vars):
     """Run `python *args` in a fresh interpreter that imports this
-    checkout's package; one bare argument is code for `-c`."""
+    checkout's package, with `env_vars` added to its environment; one bare
+    argument is code for `-c`."""
     src = os.path.dirname(os.path.dirname(concentra.__file__))
-    env = dict(os.environ)
+    env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
     argv = ["-c", *args] if len(args) == 1 else list(args)
@@ -689,6 +690,64 @@ def test_run_imports_no_numpy_module_past_import_numpy(tmp_path):
     proc = _run_python(code)
     assert proc.returncode == 0, proc.stderr
     assert len(os.listdir(tmp_path / "o")) == 1
+
+
+@pytest.mark.parametrize("name", ["scenario2", "local_logistic"])
+def test_run_command_calls_no_lapack_and_no_sort(tmp_path, capsys,
+                                                 monkeypatch, name):
+    """`concentra run` on 10 steps of scenario2 and on a short local_logistic
+    solves, tests definiteness, finds the attractor and merges the time
+    grids without LAPACK or a sort, whose first calls fault in their code
+    pages: every np.linalg routine but norm, and np.sort, raise.  The fit
+    operator's cache is cleared, so the run builds it under the patch."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK or np.sort called during the run")
+
+    if name == "scenario2":
+        raw = load_bundled(name).raw
+        raw["config"]["steps"] = 10
+        raw["probes"] = [0, 10]
+    else:
+        raw = _local_scenario()
+    scen = write_scenario(tmp_path, raw)
+    for routine in np.linalg.__all__:
+        if routine != "norm" and not isinstance(getattr(np.linalg, routine),
+                                                type):
+            monkeypatch.setattr(np.linalg, routine, refuse)
+    monkeypatch.setattr(np, "sort", refuse)
+    wkb._fit_operator.cache_clear()
+    assert main(["run", scen, "--out", str(tmp_path / "o")]) == 0
+    art = pathlib.Path(capsys.readouterr().out.strip())
+    reports = json.loads((art / "reports.json").read_text())
+    assert set(reports["canonical"]["attractor"]) >= {"found"}
+    assert reports["canonical"]["pde_vs_canonical_sup_distance"] >= 0
+
+
+@pytest.mark.xfail(strict=False, reason=(
+    "the 2D CG's np.dot and np.linalg.norm are threaded by OpenBLAS above "
+    "10 000 entries, so scenario2's 150x150 solves round differently on 1 "
+    "and 2 threads: its full run ends with I = 3.992098756244018 on one "
+    "and 3.9920987562440162 on two; the 100x100 and 64x64 grids and the "
+    "1D runs write the same bytes on both"))
+def test_scenario2_series_is_bitwise_on_one_and_two_blas_threads(tmp_path):
+    """10 steps of scenario2, each run in its own process, write the same
+    series.csv bytes under OPENBLAS_NUM_THREADS=1 and 2."""
+    raw = load_bundled("scenario2").raw
+    raw["config"]["steps"] = 10
+    raw["probes"] = [0, 10]
+    scen = write_scenario(tmp_path, raw)
+    series = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"o{threads}"
+        code = ("import sys\n"
+                "import concentra.cli\n"
+                f"sys.exit(concentra.cli.main(['run', {scen!r}, '--out', "
+                f"{str(out)!r}]))\n")
+        proc = _run_python(code, OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        series.append((pathlib.Path(_only_artifact_dir(out))
+                       / "series.csv").read_bytes())
+    assert series[0] == series[1]
 
 
 def test_cli_import_leaves_process_pool_unimported(tmp_path):

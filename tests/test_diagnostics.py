@@ -169,6 +169,33 @@ def test_compare_common_times_bitwise_np_unique():
         assert common.tobytes() == expected.tobytes()
 
 
+def test_compare_merge_matches_np_unique_on_random_grids():
+    """The merge of the two windows is np.unique's array byte for byte on
+    random interleaved grids: shared times, one grid inside the other,
+    grids that only touch, negative times, and sizes from 1 to 80."""
+    rng = np.random.default_rng(19)
+    for _ in range(300):
+        pool = np.cumsum(rng.uniform(1e-3, 1.0, 120)) - rng.uniform(0, 30)
+        a_t, b_t = (np.unique(rng.choice(pool, rng.integers(1, 81)))
+                    for _ in range(2))
+        case = rng.integers(0, 4)
+        if case == 1:   # b a tail of a: every time of b shared
+            b_t = a_t[rng.integers(0, a_t.size):]
+        elif case == 2:   # b starts where a ends: one time shared
+            b_t = a_t[-1] + np.cumsum(np.r_[0.0, rng.uniform(0.1, 1.0, 5)])
+        a = _traj(a_t, np.sin(a_t), np.zeros(a_t.size))
+        b = _traj(b_t, np.cos(b_t), np.zeros(b_t.size))
+        lo, hi = max(a_t[0], b_t[0]), min(a_t[-1], b_t[-1])
+        if hi < lo:
+            continue
+        expected = np.unique(np.concatenate(
+            [a_t[(a_t >= lo) & (a_t <= hi)], b_t[(b_t >= lo) & (b_t <= hi)]]))
+        for first, second in ((a, b), (b, a)):
+            _, common, dist = compare_trajectories(first, second)
+            assert common.tobytes() == expected.tobytes()
+            assert dist.shape == common.shape
+
+
 def test_compare_disjoint_ranges_raises():
     a = _traj([0.0, 1.0], [0.0, 0.0], [0.0, 0.0])
     b = _traj([2.0, 3.0], [0.0, 0.0], [0.0, 0.0])

@@ -456,24 +456,32 @@ def _diffusion_engine(dimension, variable, nodes=None):
 
 def _stencil_operator(engine, rows=None):
     """(matvec, work): Id - eps dt L of `engine` on the flattened grid, the
-    stencil with the weights the engine folds, and five work rows as its
-    CG allocates them (`rows`, or new ones), the fifth (tmp) with the
-    stencil's flux row under it.  `matvec(v, out)` writes into `out`, a
-    new array without it."""
+    stencil with the weights the engine folds, and the CG's five work
+    vectors (x, r, p, q, tmp).  Given `rows`, the four its CG allocated,
+    work is those and the engine's row as tmp, with the stencil's flux row
+    over that row, as the engine's solve runs them; without, five new rows,
+    the fifth (tmp) with the flux row under it.  `matvec(v, out)` writes
+    into `out`, a new array without it."""
     g, cfg = engine.grid, engine.config
+    n = g.num_nodes
     weights = stencil_weights(g, cfg.epsilon * cfg.dt, engine._faces)
     if rows is None:
-        rows = pde._aligned_rows(5, g.num_nodes + 7)
+        rows = pde._aligned_rows(5, n + 7)
+        flux, work = rows[4], rows[:, :n]
+    else:
+        flux = engine._flux
+        work = (*rows[:, :n], flux[:n])
 
     def matvec(v, out=None):
         return diffusion_stencil(v.reshape(g.shape), weights, True, out=out,
-                                 flux=rows[4]).reshape(-1)
+                                 flux=flux).reshape(-1)
 
-    return matvec, rows[:, :g.num_nodes]
+    return matvec, work
 
 
 def _engine_cg_rows(monkeypatch, grid, config):
-    """A 2D engine and the one block of rows its CG solve allocated."""
+    """A 2D engine, its row and the four rows its CG solve allocated, the
+    only rows the engine allocates."""
     made, aligned_rows = [], pde._aligned_rows
 
     def record(count, length):
@@ -482,8 +490,9 @@ def _engine_cg_rows(monkeypatch, grid, config):
 
     monkeypatch.setattr(pde, "_aligned_rows", record)
     engine = ImexIntegrator(grid, zero_rate_model(2), config)
-    [rows] = made
-    return engine, rows
+    [(row,), rows] = made
+    assert np.shares_memory(row, engine._flux)
+    return engine, row, rows
 
 
 @pytest.mark.parametrize("dimension", [1, 2])
@@ -519,19 +528,24 @@ def test_cg_bitwise_equals_scipy_cg(dimension, variable):
 
 
 def test_cg_allocates_no_grid_vector(monkeypatch):
-    """A cold 2D solve runs in the work rows the engine's CG allocated:
-    forced to 10 or to 150 iterations, its traced allocations peak below an
-    eighth of one grid vector.  The work set itself is five grid vectors."""
+    """A cold 2D solve runs in the work rows the engine's CG allocated and
+    the engine's row, which holds its rhs, as the engine passes it: forced
+    to 10 or to 150 iterations, its traced allocations peak below an
+    eighth of one grid vector.  The CG's own work set is four grid
+    vectors; with the engine's row, five."""
     g = build_grid(2, 0.0, 1.0, 128)
-    engine, rows = _engine_cg_rows(monkeypatch, g,
-                                   SimulationConfig(1.0, 1.0, 1))
+    engine, row, rows = _engine_cg_rows(monkeypatch, g,
+                                        SimulationConfig(1.0, 1.0, 1))
     matvec, work = _stencil_operator(engine, rows)
     b = init_density(g, [{"center": [0.4, 0.6], "weights": [1.0, 1.0]}],
                      0.01, 0.3).values.reshape(-1)
-    assert work.nbytes == 5 * b.nbytes
+    assert rows.nbytes == 4 * b.nbytes
+    assert rows.nbytes + row.nbytes < 5 * b.nbytes + 128
+
     def cold_solve(maxiter):
-        work[0] = 0.0
-        return pde._cg(matvec, b, work, CG_RTOL, maxiter)[1]
+        work[0][:] = 0.0
+        engine._row[:] = b
+        return pde._cg(matvec, engine._row, work, CG_RTOL, maxiter)[1]
 
     peaks = []
     for maxiter in (10, 150):
@@ -543,17 +557,40 @@ def test_cg_allocates_no_grid_vector(monkeypatch):
 
 @pytest.mark.parametrize("n", [24, 97, 150])
 def test_work_rows_start_on_64_byte_lines(monkeypatch, n):
-    """Each CG row starts on a 64-byte line, where numpy's SIMD loops write
-    whole lines, and a product written into a CG row, with its fluxes in
-    the CG's tmp row, is the product into fresh buffers."""
+    """The CG's four rows and the engine's row, the CG's tmp and flux row,
+    each start on a 64-byte line, where numpy's SIMD loops write whole
+    lines, and a product written into a CG row, with its fluxes in the
+    engine's row, is the product into fresh buffers."""
     g = build_grid(2, 0.0, 1.0, n)
-    engine, rows = _engine_cg_rows(monkeypatch, g,
-                                   SimulationConfig(0.01, 0.01, 1))
+    engine, row, rows = _engine_cg_rows(monkeypatch, g,
+                                        SimulationConfig(0.01, 0.01, 1))
     matvec, work = _stencil_operator(engine, rows)
-    assert work.shape == (5, g.num_nodes)
-    assert [row.ctypes.data % 64 for row in work] == [0] * 5
+    assert rows.shape[0] == 4 and row.size >= g.num_nodes + 7
+    assert [w.shape for w in work] == [(g.num_nodes,)] * 5
+    assert [w.ctypes.data % 64 for w in work] == [0] * 5
+    assert row.ctypes.data % 64 == 0
     v = np.random.default_rng(2).standard_normal(g.num_nodes)
-    assert matvec(v, work[3]).tobytes() == matvec(v).tobytes()
+    fresh, _ = _stencil_operator(engine)
+    assert matvec(v, work[3]).tobytes() == fresh(v).tobytes()
+
+
+@pytest.mark.parametrize("variable", [False, True], ids=["uniform", "faces"])
+def test_solve_of_its_own_flux_row_is_bitwise_a_kept_rhs(variable):
+    """The engine's 2D solve overwrites an rhs held in its row, which is
+    also its flux row, and returns the same bytes as the solve of the
+    same rhs held apart, cold and warm."""
+    engines = [_diffusion_engine(2, variable) for _ in range(2)]
+    n0 = init_density(engines[0].grid, [{"center": [0.4, 0.6],
+                                         "weights": [1.0, 1.0]}], 0.01, 0.3)
+    rhs = n0.values.reshape(-1)
+    for _ in range(3):
+        own, kept = engines
+        own._row[:] = rhs
+        got = own._solve(own._row)
+        assert not np.array_equal(own._row, rhs)   # the rhs is gone
+        want = kept._solve(rhs.copy())
+        assert got.tobytes() == want.tobytes()
+        rhs = 0.5 * (got + rhs)
 
 
 def test_cg_non_convergence_raises_solver_error(monkeypatch):

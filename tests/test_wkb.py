@@ -970,3 +970,36 @@ def test_regularity_monitor_allocates_under_five_grid_vectors():
     rep, peak = traced_peak(regularity_monitor, u, _FULL_CONSTANTS, 0.5)
     assert rep["hessian"] is not None and rep["envelope"] is not None
     assert peak < 5 * 8 * g.num_nodes
+
+
+def test_regularity_monitor_reads_no_strided_view():
+    """The monitor's differences run over flat rows, which numpy runs with
+    no ufunc buffers: on a fully resolved 150x150 field, with every
+    constant set, one call allocates at most 2.3 grid vectors above the
+    memory live at the call, its two scratch rows and the mask."""
+    g = build_grid(2, -1.0, 1.0, 150)
+    u = WkbField(g, -0.01 * (g.nodes() ** 2).sum(axis=-1), 0.01)
+    assert well_resolved_mask(u).all()
+    rep, peak = traced_peak(regularity_monitor, u, _FULL_CONSTANTS, 0.5)
+    assert rep["hessian"] is not None and rep["envelope"] is not None
+    assert rep["third_derivative_max"] is not None
+    assert peak <= 2.3 * 8 * g.num_nodes
+
+
+@pytest.mark.parametrize("dimension, points", [(1, [17]), (2, [13, 11]),
+                                               (2, [8, 8]), (2, [8, 21])])
+def test_hessian_bracket_leaves_out_the_outer_ring(dimension, points):
+    """A mask that holds outer-ring nodes, whose Hessian stencil leaves the
+    grid (in 2D, in the flat row, wraps into the line beside), gives the
+    bracket of the same mask off the ring, bitwise."""
+    rng = np.random.default_rng(83)
+    g = build_grid(dimension, 0.0, 1.0, points)
+    values = rng.standard_normal(g.shape)
+    rows = np.empty((2, g.num_nodes))
+    for _ in range(20):
+        mask = rng.random(g.shape) < 0.5
+        inner = (slice(1, -1),) * dimension
+        off_ring = np.zeros_like(mask)
+        off_ring[inner] = mask[inner]
+        assert (wkb._hessian_bracket(values, g.spacing, mask, rows)
+                == wkb._hessian_bracket(values, g.spacing, off_ring, rows))
