@@ -11,14 +11,14 @@ global model (w = psi) and for a separable kernel phi(x) psi(y)
 C * n as its macro.
 
 The diffusion solve (`diffusion_solve`) is one callable built once per
-run: in 1D the once-built inverse G or log-depth scans, which only add and
-multiply nonnegative numbers, so every entry is exact to round-off and
-none is negative; in 2D a warm-started matrix-free CG on the divide-free
-`grid.diffusion_stencil` that allocates nothing and alone checks for
-negative density.  The CG runs in four rows of its own, x, r, p and q;
-its scratch and the stencil's fluxes share the engine's reaction row,
-widened to N + 7 entries, which holds the rhs until CG has read it, so a
-2D solve overwrites its rhs.
+run: in 1D the once-factored tridiagonal solve run as two log-depth
+scans, which only add and multiply nonnegative numbers, so every entry is
+exact to round-off and none is negative; in 2D a warm-started
+matrix-free CG on the divide-free `grid.diffusion_stencil` that allocates
+nothing and alone checks for negative density.  The CG runs in four rows
+of its own, x, r, p and q; its scratch and the stencil's fluxes share the
+engine's reaction row, widened to N + 7 entries, which holds the rhs until
+CG has read it, so a 2D solve overwrites its rhs.
 """
 
 from __future__ import annotations
@@ -41,18 +41,6 @@ from .wkb import WkbField, locate_max, regularity_monitor, to_wkb
 
 CG_RTOL = 1e-10
 CG_MAXITER = 2000
-# Largest 1D grid that builds G = (Id - eps dt L)^{-1}.  G @ n costs O(n^2)
-# per step against the scan's O(n log n).  Whole runs, build included
-# (2-vCPU Xeon, OpenBLAS on 1 thread): seconds for G, then for the scan, as
-# the range of three rounds' medians, and the alternating pairs the scan won
-#   nodes  quadratic_concave, 400 steps     local_logistic, 2500 steps
-#   256    0.036-0.052 0.033-0.047 15/21    0.32-0.42 0.34-0.42  5/15
-#   288    0.039-0.058 0.045-0.056 15/21    0.41-0.44 0.37-0.43  7/15
-#   320    0.047-0.055 0.034-0.044 21/21    0.40-0.46 0.30-0.42 15/15
-#   384    0.050-0.067 0.031-0.043 21/21    0.63-0.66 0.50-0.52 15/15
-#   448    0.072-0.094 0.038-0.052 21/21
-# G ties the scan up to 288 nodes and loses every pair from 320.
-GREEN_MAX_NODES = 288
 # Bytes of a run's record block: each step's density is kept in it, and
 # the other per-step observables are computed one block of
 # max(1, RECORD_BLOCK_BYTES // (8 N)) steps at a time on an N-node grid.
@@ -66,8 +54,8 @@ GREEN_MAX_NODES = 288
 #   512   0.60 256        0.72 128           0.82   6          1.04  2
 #   1024  0.59 512        0.71 256           0.78  13          1.02  5
 # One row a block costs more than a pass per step.  With this one block the
-# bench's peak RSS is 31.5 MB on local_logistic and 33.8 MB on scenario2
-# (`concentra run`, same machine).
+# bench's peak RSS is 30.9 MB on local_logistic and 31.7 MB on scenario2
+# (`bench/run.py --trace 0`, medians of seeds 1-12 and 1-8, same machine).
 RECORD_BLOCK_BYTES = 512 * 1024
 NEGATIVE_CLAMP = 1e-10   # relative tolerance for CG round-off below zero
 BOUNDARY_MASS_FRACTION = 1e-8
@@ -203,7 +191,7 @@ def _cg(matvec, b, work, rtol, maxiter):
     return x, maxiter
 
 
-def _thomas_solver(k: np.ndarray, green: bool):
+def _thomas_solver(k: np.ndarray):
     """Solver of the tridiagonal M-matrix with off-diagonals -k[i] between
     nodes i and i+1 and unit row sums (diagonal 1 + k[i-1] + k[i], k = 0
     past the ends): the 1D operator Id - eps dt L with k the face weights
@@ -218,17 +206,14 @@ def _thomas_solver(k: np.ndarray, green: bool):
     then only adds and multiplies nonnegative numbers: each entry of the
     solution is accurate relative to itself, down to the far tails.
 
-    With `green` the factors build the inverse G once, by the elimination
-    on the identity, row by row in one array, and a solve is G @ rhs: every
-    entry of G is positive, so the product keeps that accuracy.  Without
-    it a solve runs each recurrence as a Hillis-Steele scan: at level
+    A solve runs each recurrence as a Hillis-Steele scan: at level
     d = 1, 2, 4, ... every entry takes in the one d places behind it
     (ahead of it, going back) times the product of the d multipliers in
     between, so after ceil(log2 n) levels each entry carries O(log n)
     roundings instead of the sequential sweep's O(n).  The products per
     level are built once per run, and a solve runs in two rows the solver
-    owns.  Either form returns a new array, nonnegative with no negative
-    zero for a nonnegative rhs, so it needs no clamp."""
+    owns.  It returns a new array, nonnegative with no negative zero for a
+    nonnegative rhs, so it needs no clamp."""
     k = k.tolist()
     mult, inv = [], []
     q = 1.0
@@ -237,25 +222,9 @@ def _thomas_solver(k: np.ndarray, green: bool):
         inv.append(1.0 / p)
         mult.append(ki / p)
         q = 1.0 + ki * q / p
-    inv_last = 1.0 / q
-
-    if green:
-        # row i of g is row i of the forward sweep on the identity, then of
-        # the back substitution; column j is the sweep of e_j, bitwise
-        g = np.empty((len(k) + 1,) * 2)
-        g[0] = 0.0
-        g[0, 0] = 1.0
-        for i, m in enumerate(mult, 1):
-            np.multiply(g[i - 1], m, out=g[i])
-            g[i, i] += 1.0
-        g[-1] *= inv_last
-        for i in reversed(range(len(k))):
-            g[i] += k[i] * g[i + 1]
-            g[i] *= inv[i]
-        return lambda rhs: g @ rhs
 
     n = len(k) + 1
-    inv_pivots = np.array(inv + [inv_last])
+    inv_pivots = np.array(inv + [1.0 / q])
     y, tmp = np.empty(n), np.empty(n)
     # per level: the products m[j] ... m[j+d-1], then the views the
     # forward and the backward pass read and write, fixed once
@@ -331,13 +300,10 @@ def _cg_solver(grid: TraitGrid, weights: list, flux: np.ndarray):
 
 def diffusion_solve(grid: TraitGrid) -> dict:
     """The implicit diffusion solve `ImexIntegrator` runs on this grid, as a
-    run's manifest records it: `green_matrix` (G @ n, 1D up to
-    GREEN_MAX_NODES), `tridiagonal` (the factored solve as two log-depth
-    scans, larger 1D grids) or `cg` (2D)."""
+    run's manifest records it: `tridiagonal` (1D, the factored solve as two
+    log-depth scans) or `cg` (2D)."""
     if grid.dimension == 2:
         return {"method": "cg", "rtol": CG_RTOL}
-    if grid.num_nodes <= GREEN_MAX_NODES:
-        return {"method": "green_matrix"}
     return {"method": "tridiagonal"}
 
 
@@ -399,12 +365,11 @@ class ImexIntegrator:
         # flux row in 2D, free once a solve has read its rhs from it
         self._flux = _aligned_rows(1, grid.num_nodes + 7)[0]
         self._row = self._flux[:grid.num_nodes]
-        method = diffusion_solve(grid)["method"]
-        if method == "cg":
+        if diffusion_solve(grid)["method"] == "cg":
             self._solve = _cg_solver(grid, weights, self._flux)
         else:   # the stencil's weights are the off-diagonals
-            k = np.broadcast_to(weights[0], (grid.num_nodes - 1,))
-            self._solve = _thomas_solver(k, method == "green_matrix")
+            self._solve = _thomas_solver(
+                np.broadcast_to(weights[0], (grid.num_nodes - 1,)))
 
     def macro_of(self, density: DensityField):
         """Macro coupling computed from a density: the float m = sum(w n)

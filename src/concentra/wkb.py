@@ -276,7 +276,10 @@ def locate_max(u: WkbField, multi: bool = False, notes: list = None):
         found = np.flatnonzero(local.reshape(k, -1) & (flat >= cut[:, None]))
         rows, at = np.divmod(found, grid.num_nodes)
     else:
-        rows, at = np.arange(k), flat.argmax(axis=1)
+        # row by row: argmax along an axis copies a stack whose rows are
+        # padded apart, as a run's record block is
+        rows = np.arange(k)
+        at = np.fromiter((row.argmax() for row in flat), np.intp, k)
     points, values, hessians, ring = _refine_maxima(flat, rows, at, grid)
 
     stack = u.values.ndim > d
@@ -307,17 +310,6 @@ def well_resolved_mask(u: WkbField) -> np.ndarray:
     mask = u.values >= u.values.max() - WELL_RESOLVED_DROP * u.epsilon
     mask &= ~u.floor_mask
     return mask
-
-
-def _at_offsets(values, offsets):
-    """Views of `values` at each node offset in `offsets` (one int per
-    axis), all over the core of nodes from which every offset stays on the
-    grid: entry i of the view for offset o is values[i + o]."""
-    lo = [max(0, -min(o[ax] for o in offsets)) for ax in range(values.ndim)]
-    hi = [n - max(0, max(o[ax] for o in offsets))
-          for ax, n in enumerate(values.shape)]
-    return [values[tuple(slice(l + k, h + k) for l, h, k in zip(lo, hi, o))]
-            for o in offsets]
 
 
 def _flat_offset(offset, shape) -> int:

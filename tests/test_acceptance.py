@@ -346,10 +346,10 @@ def test_local_monitor_wall_layer_readings_pinned(local_run):
     got = {rep["step"]: (rep["hessian"]["eig_min"], rep["hessian"]["eig_max"],
                          rep["third_derivative_max"])
            for rep in result.regularity_reports}
-    pinned = {1250: (-0.855662655344986, 15.239044498900512,
-                     533.3260016089771),
+    pinned = {1250: (-0.8556626553458955, 15.239044498901421,
+                     533.3260016094428),
               2500: (-0.8547798781178244, 15.156016793033814,
-                     528.9082468454726)}
+                     528.9082468445413)}
     for step, readings in pinned.items():
         assert got[step] == pytest.approx(readings, rel=1e-12), step
 

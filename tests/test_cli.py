@@ -750,6 +750,31 @@ def test_scenario2_series_is_bitwise_on_one_and_two_blas_threads(tmp_path):
     assert series[0] == series[1]
 
 
+@pytest.mark.parametrize("name", ["local_logistic", "quadratic_concave"])
+def test_1d_series_is_bitwise_on_one_and_two_blas_threads(tmp_path, name):
+    """50 steps of a bundled 1D run, each in its own process, write the
+    same series.csv bytes under OPENBLAS_NUM_THREADS=1 and 2: the 1D solve
+    is the log-depth scan on every grid, and local_logistic's competition
+    convolution is a BLAS product `K @ n` on its 256 nodes."""
+    raw = load_bundled(name).raw
+    raw["config"].update(steps=50, snapshot_every=0)
+    raw["probes"] = [0, 50]
+    raw["canonical"]["T"] = 0.1
+    scen = write_scenario(tmp_path, raw)
+    series = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"o{threads}"
+        code = ("import sys\n"
+                "import concentra.cli\n"
+                f"sys.exit(concentra.cli.main(['run', {scen!r}, '--out', "
+                f"{str(out)!r}]))\n")
+        proc = _run_python(code, OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        series.append((pathlib.Path(_only_artifact_dir(out))
+                       / "series.csv").read_bytes())
+    assert series[0].count(b"\n") == 52
+    assert series[0] == series[1]
+
 def test_cli_import_leaves_process_pool_unimported(tmp_path):
     """A sweep runs its rows in this process, and artifact directories are
     named by zlib's CRC-32: neither importing the CLI nor a two-row sweep

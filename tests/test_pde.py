@@ -207,25 +207,15 @@ def _exact_tridiagonal_solve(k, rhs):
     return x
 
 
-@pytest.mark.parametrize("variable,green_max", [
-    pytest.param(False, None, id="uniform"),
-    pytest.param(True, None, id="faces"),
-    pytest.param(False, 63, id="uniform-sweep"),
-    pytest.param(True, 63, id="faces-sweep"),
-])
-def test_1d_solve_exact_entry_by_entry(monkeypatch, variable, green_max):
-    """Every entry of the 1D diffusion solve, down to the far tails, is
-    accurate relative to itself: an rhs spanning 1e-250 to 1 against the
-    exact rational solve of the same operator.  The 64-node grid applies
-    the once-built inverse; with GREEN_MAX_NODES lowered below 64 it runs
-    the log-depth scan (a rational solve past the real constant takes
-    seconds)."""
-    if green_max is not None:
-        monkeypatch.setattr(pde, "GREEN_MAX_NODES", green_max)
+@pytest.mark.parametrize("variable", [False, True], ids=["uniform", "faces"])
+def test_1d_solve_exact_entry_by_entry(variable):
+    """Every entry of the 1D diffusion solve, the log-depth scan, down to
+    the far tails, is accurate relative to itself: an rhs spanning 1e-250
+    to 1 against the exact rational solve of the same operator on 64
+    nodes."""
     engine = _diffusion_engine(1, variable)
     g, cfg = engine.grid, engine.config
-    assert pde.diffusion_solve(g)["method"] == (
-        "tridiagonal" if green_max else "green_matrix")
+    assert pde.diffusion_solve(g) == {"method": "tridiagonal"}
     w = (engine._faces[0][:-1] if variable
          else np.ones(g.num_nodes - 1))
     coef = Fraction(cfg.epsilon * cfg.dt) / Fraction(g.spacing[0]) ** 2
@@ -242,36 +232,13 @@ def test_1d_solve_exact_entry_by_entry(monkeypatch, variable, green_max):
             <= 1e-13 * np.linalg.norm(rhs))
 
 
-@pytest.mark.parametrize("variable", [False, True], ids=["uniform", "faces"])
-def test_1d_solve_forms_meet_at_the_node_constant(monkeypatch, variable):
-    """GREEN_MAX_NODES alone picks the 1D form.  Just past it the grid
-    runs the log-depth scan; the inverse built for that grid gives the same
-    solve, entry by entry, on an rhs spanning 1e-250 to 1."""
-    assert (pde.diffusion_solve(build_grid(1, 0.0, 1.0, pde.GREEN_MAX_NODES))
-            == {"method": "green_matrix"})
-    nodes = pde.GREEN_MAX_NODES + 1
-    rhs = np.logspace(-250.0, 0.0, nodes)
-    methods, solves = [], []
-    for green_max in (pde.GREEN_MAX_NODES, nodes):
-        monkeypatch.setattr(pde, "GREEN_MAX_NODES", green_max)
-        engine = _diffusion_engine(1, variable, nodes)
-        methods.append(pde.diffusion_solve(engine.grid)["method"])
-        solves.append(engine.step(SimulationState(
-            0.0, DensityField(engine.grid, rhs), None)).density.values)
-    assert methods == ["tridiagonal", "green_matrix"]
-    sweep, green = solves
-    assert sweep.min() < 1e-30
-    assert np.max(np.abs(green - sweep) / sweep) <= 1e-13
-
-
-@pytest.mark.parametrize("green_max", [4096, 1], ids=["green", "scan"])
-def test_1d_solve_needs_no_clamp(monkeypatch, green_max):
-    """A 1D step applies its solve unclamped: either form maps an rhs of
-    exact zeros and values from 5e-324 to 1 to finite entries with no sign
-    bit set (not even on a zero), for tridiagonal weights eps dt / h^2 from
-    6.4e-7 to 1e9.  Each solve is a new array that the next leaves as it
-    is."""
-    monkeypatch.setattr(pde, "GREEN_MAX_NODES", green_max)
+@pytest.mark.parametrize("form", ["scan"])   # the one 1D form
+def test_1d_solve_needs_no_clamp(form):
+    """A 1D step applies its solve, the log-depth scan, unclamped: it maps
+    an rhs of exact zeros and values from 5e-324 to 1 to finite entries
+    with no sign bit set (not even on a zero), for tridiagonal weights
+    eps dt / h^2 from 6.4e-7 to 1e9.  Each solve is a new array that the
+    next leaves as it is."""
     rng = np.random.default_rng(30)
     for nodes in (8, 9, 17, 64, 288, 289, 1024):
         g = build_grid(1, 0.0, 1.0, nodes)
@@ -284,8 +251,7 @@ def test_1d_solve_needs_no_clamp(monkeypatch, green_max):
         for eps_dt in (1e-8, 1e-4, 1e-2, 1.0, 1e3):
             engine = ImexIntegrator(g, zero_rate_model(1),
                                     SimulationConfig(1.0, eps_dt, 1))
-            assert pde.diffusion_solve(g)["method"] == (
-                "green_matrix" if green_max > 1 else "tridiagonal")
+            assert pde.diffusion_solve(g) == {"method": "tridiagonal"}
             solves = []
             for rhs in rhs_set:
                 x = engine.step(SimulationState(
@@ -294,6 +260,19 @@ def test_1d_solve_needs_no_clamp(monkeypatch, green_max):
                 assert not np.signbit(x).any()
                 solves.append((x, x.tobytes()))
             assert all(x.tobytes() == kept for x, kept in solves)
+
+
+def test_1d_engine_holds_no_dense_inverse():
+    """Building the engine of a 256-node 1D global model allocates no
+    N x N matrix: at its peak it holds the scan's per-level products
+    (log2 N - 1 grid vectors), its two rows, the reciprocal pivots and the
+    Python floats of the factor build, under 32 grid vectors, where a
+    dense inverse alone is 256."""
+    g = build_grid(1, 0.0, 1.0, 256)
+    _, peak = traced_peak(ImexIntegrator, g, zero_rate_model(1),
+                          SimulationConfig(0.01, 0.01, 1))
+    assert peak < 32 * 8 * g.num_nodes
+    assert pde.diffusion_solve(g) == {"method": "tridiagonal"}
 
 
 def _float_sweep(k, rhs):
@@ -337,7 +316,7 @@ def test_1d_scan_matches_float_sweep_entry_by_entry(nodes, variable):
     smallest = 1.0
     for coef in (1e-4, _quadratic_concave_k(), 50.0, 1e3):
         k = w * coef
-        solve = pde._thomas_solver(k, green=False)
+        solve = pde._thomas_solver(k)
         for r in (rhs, rng.permutation(rhs)):
             ref = _float_sweep(k, r)
             smallest = min(smallest, ref.min())

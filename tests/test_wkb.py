@@ -171,6 +171,34 @@ def test_locate_max_multi_face_top_reported_once_1d():
     assert peaks.values[0] == value
 
 
+def test_locate_max_copies_no_padded_record_block():
+    """A run's record block pads its rows to 64-byte lines, so a 150^2
+    block (22 500 = 8 * 2812 + 4 entries a row) is not one contiguous
+    stack.  `locate_max` on two such rows allocates nothing of a row's
+    size, where an argmax along the stack's axis copies the whole block,
+    and its peaks are bitwise those of a contiguous copy and of each row
+    alone, a tie going to the first node."""
+    g = build_grid(2, 0.0, 1.0, 150)
+    n = g.num_nodes
+    block = pde._aligned_rows(2, n)[:, :n].reshape((2,) + g.shape)
+    assert not block.flags.c_contiguous
+    x, y = g.axis_coords(0)[:, None], g.axis_coords(1)[None, :]
+    block[0] = -(x - 0.3011) ** 2 - 2.0 * (y - 0.6502) ** 2
+    block[1] = -np.minimum((x - 0.25) ** 2, (x - 0.75) ** 2) - (y - 0.5) ** 2
+    u = WkbField(g, block, 0.01)
+    peaks, peak = traced_peak(locate_max, u)
+    assert peak < 8 * n
+    kept = locate_max(WkbField(g, np.ascontiguousarray(block), 0.01))
+    for got, want in zip(peaks, kept):
+        assert got.tobytes() == want.tobytes()
+    assert peaks.rows.tolist() == [0, 1]
+    for row in range(2):
+        [(pt, value, hess)] = locate_max(WkbField(g, block[row], 0.01))
+        assert peaks.points[row].tobytes() == pt.tobytes()
+        assert peaks.values[row] == value
+        assert peaks.hessians[row].tobytes() == hess.tobytes()
+    assert peaks.points[1, 0] < 0.5
+
 def test_locate_max_boundary_warns_and_returns_node():
     g = build_grid(1, 0.0, 1.0, 32)
     x = g.axis_coords(0)
@@ -845,6 +873,17 @@ def test_well_resolved_mask_thresholds_at_forty_epsilon():
     assert np.array_equal(mask, vals >= -40 * eps)
 
 
+def _at_offsets(values, offsets):
+    """Views of `values` at each node offset in `offsets` (one int per
+    axis), all over the core of nodes from which every offset stays on the
+    grid: entry i of the view for offset o is values[i + o]."""
+    lo = [max(0, -min(o[ax] for o in offsets)) for ax in range(values.ndim)]
+    hi = [n - max(0, max(o[ax] for o in offsets))
+          for ax, n in enumerate(values.shape)]
+    return [values[tuple(slice(l + k, h + k) for l, h, k in zip(lo, hi, o))]
+            for o in offsets]
+
+
 def _reference_monitor(u, c, time):
     """The monitor's readings from whole-grid expressions, a new array per
     operation: the formulas that the monitor, in two scratch rows, must
@@ -886,11 +925,11 @@ def _reference_monitor(u, c, time):
     for direction in dirs:
         step = (h[0] if grid.dimension == 1 else
                 np.hypot(*(s * hh for s, hh in zip(direction, h))))
-        views = wkb._at_offsets(v, [tuple(k * s for s in direction)
-                                    for k in (-1, 0, 1, 2)])
+        views = _at_offsets(v, [tuple(k * s for s in direction)
+                                for k in (-1, 0, 1, 2)])
         fm, f0, f1, f2 = views
-        sel = wkb._at_offsets(interior, [tuple(k * s for s in direction)
-                                         for k in (-1, 0, 1, 2)])[1]
+        sel = _at_offsets(interior, [tuple(k * s for s in direction)
+                                     for k in (-1, 0, 1, 2)])[1]
         if sel.any():
             third = float((np.abs(f2 - 3 * f1 + 3 * f0 - fm)
                            / step ** 3)[sel].max())
