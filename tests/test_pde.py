@@ -207,13 +207,19 @@ def _exact_tridiagonal_solve(k, rhs):
     return x
 
 
-@pytest.mark.parametrize("variable", [False, True], ids=["uniform", "faces"])
-def test_1d_solve_exact_entry_by_entry(variable):
+@pytest.mark.parametrize("variable,nodes", [
+    pytest.param(False, 64, id="uniform"),
+    pytest.param(True, 64, id="faces"),
+    pytest.param(False, 65, id="uniform-sweep"),
+    pytest.param(True, 65, id="faces-sweep"),
+])
+def test_1d_solve_exact_entry_by_entry(variable, nodes):
     """Every entry of the 1D diffusion solve, the log-depth scan, down to
     the far tails, is accurate relative to itself: an rhs spanning 1e-250
-    to 1 against the exact rational solve of the same operator on 64
-    nodes."""
-    engine = _diffusion_engine(1, variable)
+    to 1 against the exact rational solve of the same operator.  On 64
+    nodes each sweep of the scan takes six full levels; on 65 it takes a
+    seventh, d = 64, that reaches a single entry."""
+    engine = _diffusion_engine(1, variable, nodes)
     g, cfg = engine.grid, engine.config
     assert pde.diffusion_solve(g) == {"method": "tridiagonal"}
     w = (engine._faces[0][:-1] if variable
